@@ -6,6 +6,7 @@ floats anywhere, so every equality in the test suite is exact.
 """
 
 from .errors import (
+    CensusFailure,
     ConfigError,
     EmptySupport,
     Incomparable,
@@ -98,7 +99,6 @@ from .cluster import (
     Seed,
     cluster_variable_for_root,
     enumerate_cluster_variables,
-    enumerate_seeds,
     initial_seed,
     mutate,
 )

@@ -75,10 +75,14 @@ def _parse_quiver_json(data: object) -> tuple[DynkinQuiver, HeightFunction]:
         if key not in data:
             raise ConfigError(f"quiver config is missing '{key}'")
     try:
-        arrows = [tuple(a) for a in data["arrows"]]
-    except TypeError:
+        rank = int(data["rank"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"'rank' must be an integer, got {data['rank']!r}")
+    try:
+        arrows = [(int(a), int(b)) for a, b in data["arrows"]]
+    except (TypeError, ValueError):
         raise ConfigError("'arrows' must be a list of [source, target] pairs")
-    q = build_quiver(str(data["type"]), int(data["rank"]), arrows)
+    q = build_quiver(str(data["type"]), rank, arrows)
     if "xi" in data and data["xi"] is not None:
         raw = data["xi"]
         if not isinstance(raw, dict):

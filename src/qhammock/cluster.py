@@ -16,14 +16,21 @@ the initial variables, so the Laurent property is asserted on every step
 rather than assumed (a failed division raises InexactDivision and means
 the seed bookkeeping is wrong, not that rounding happened).
 
-Enumeration walks the exchange graph breadth-first, deduplicating seeds
-by the multiset of mutable cluster entries.  Each discovered variable is
-keyed by its denominator vector in the initial mutable variables; the
-initial variables themselves get the negated unit vectors.  For the
-finite shapes handled here the walk closes up quickly (pentagon for the
-rank-2 chain, 14 seeds at rank 3, ...), and the key set is validated
-against the positive-root list — that bijection is the actual theorem
-being leaned on, so it is checked, not trusted.
+Enumeration walks by sink mutation: starting from the initial seed, it
+keeps mutating at the lowest-labelled sink of the mutable part (a vertex
+with no arrow to another mutable vertex).  For an acyclic quiver each such
+step applies τ⁻¹ in the cluster category (Buan–Marsh–Reineke–Reiten–
+Todorov 2006), so the variables produced at one vertex run along a τ-orbit
+until an initial variable x_j comes back; once every mutable vertex has
+produced some x_j, every orbit has closed and every cluster variable has
+appeared, in about |Δ₊| steps rather than one per edge of the exchange
+graph.  The frozen shadows do not change the exchange graph in finite type
+(Fomin–Zelevinsky, Cluster algebras II).  Each variable is keyed by its
+denominator vector in the initial mutable variables; the initial variables
+themselves get the negated unit vectors.  The key set is validated against
+the root system and every coefficient is checked positive — that bijection
+is the actual theorem being leaned on, and it also certifies that the walk
+found every variable, so it is checked, not trusted.
 
 Entries both frozen are never stored: no mutation rule ever reads them
 (the exchange at a mutable k consumes column k only, and the update of a
@@ -34,9 +41,10 @@ would only add noise to the matrix comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from .errors import InexactDivision, UnknownRoot
+from .errors import CensusFailure, TooLarge, UnknownRoot
 from .laurent import LaurentPoly
 from .quiver import DynkinQuiver, Root, positive_roots, simple_root
 
@@ -53,7 +61,6 @@ __all__ = [
     "initial_seed",
     "mutate",
     "exchange_binomial",
-    "enumerate_seeds",
     "enumerate_cluster_variables",
     "cluster_variable_for_root",
 ]
@@ -81,12 +88,6 @@ class Seed:
 
     def mutable_vertices(self) -> Tuple[SeedVertex, ...]:
         return tuple(v for v in self.vertices if v[1] == MUTABLE)
-
-    def key(self) -> tuple:
-        """Dedup key: the multiset of mutable cluster entries."""
-        return tuple(
-            sorted(self.cluster[v].canonical() for v in self.mutable_vertices())
-        )
 
 
 def initial_seed(q: DynkinQuiver) -> Seed:
@@ -158,34 +159,33 @@ def mutate(seed: Seed, k: SeedVertex) -> Seed:
     return Seed(seed.vertices, new_matrix, new_cluster)
 
 
-# ──────────────────────── exchange graph walk ────────────────────────
+# ──────────────────────────── sink walk ────────────────────────────
 
 
-_SEED_CACHE: dict[DynkinQuiver, list[Seed]] = {}
+def _lowest_sink(seed: Seed) -> SeedVertex:
+    """Lowest-labelled mutable vertex with no arrow to a mutable vertex."""
+    mutable = seed.mutable_vertices()
+    return next(k for k in mutable if all(seed.b(k, v) <= 0 for v in mutable))
 
 
-def enumerate_seeds(q: DynkinQuiver) -> list[Seed]:
-    """All seeds reachable from the initial one, up to relabeling."""
-    cached = _SEED_CACHE.get(q)
-    if cached is not None:
-        return cached
-    start = initial_seed(q)
-    seen = {start.key()}
-    out = [start]
-    frontier = [start]
-    while frontier:
-        nxt: list[Seed] = []
-        for seed in frontier:
-            for k in seed.mutable_vertices():
-                neighbor = mutate(seed, k)
-                key = neighbor.key()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(neighbor)
-                    nxt.append(neighbor)
-        frontier = nxt
-    _SEED_CACHE[q] = out
-    return out
+def _sink_walk(q: DynkinQuiver) -> List[LaurentPoly]:
+    """Every variable met by sink mutation until each τ-orbit has closed."""
+    seed = initial_seed(q)
+    found = {seed.cluster[v].canonical(): seed.cluster[v] for v in seed.mutable_vertices()}
+    initial = set(found)
+    still_open = set(seed.mutable_vertices())
+    cap = 2 * (len(positive_roots(q)) + q.rank)
+    for _ in range(cap):
+        k = _lowest_sink(seed)
+        seed = mutate(seed, k)
+        key = seed.cluster[k].canonical()
+        if key in initial:
+            still_open.discard(k)
+            if not still_open:
+                return list(found.values())
+        else:
+            found.setdefault(key, seed.cluster[k])
+    raise TooLarge(f"sink walk did not close within {cap} mutations")
 
 
 def _denominator_vector(q: DynkinQuiver, poly: LaurentPoly) -> Root:
@@ -198,11 +198,11 @@ def _denominator_vector(q: DynkinQuiver, poly: LaurentPoly) -> Root:
     return tuple(dvec)
 
 
-_VARIABLE_CACHE: dict[DynkinQuiver, Dict[Root, LaurentPoly]] = {}
+_VARIABLE_CACHE: dict[DynkinQuiver, Mapping[Root, LaurentPoly]] = {}
 
 
-def enumerate_cluster_variables(q: DynkinQuiver) -> Dict[Root, LaurentPoly]:
-    """Every cluster variable, keyed by denominator vector.
+def enumerate_cluster_variables(q: DynkinQuiver) -> Mapping[Root, LaurentPoly]:
+    """Every cluster variable, keyed by denominator vector (read-only).
 
     Initial variables land on the negated unit vectors, everything else
     on a positive root; the key set is checked against the root system
@@ -212,22 +212,15 @@ def enumerate_cluster_variables(q: DynkinQuiver) -> Dict[Root, LaurentPoly]:
     if cached is not None:
         return cached
 
-    polys: Dict[tuple, LaurentPoly] = {}
-    for seed in enumerate_seeds(q):
-        for v in seed.mutable_vertices():
-            poly = seed.cluster[v]
-            polys.setdefault(poly.canonical(), poly)
-
     out: Dict[Root, LaurentPoly] = {}
-    for poly in polys.values():
+    for poly in _sink_walk(q):
         dvec = _denominator_vector(q, poly)
         if dvec in out:
-            raise AssertionError(
+            raise CensusFailure(
                 f"two cluster variables share the denominator vector {dvec}"
             )
-        for _, c in poly.terms.items():
-            if c <= 0:
-                raise AssertionError("cluster variable with nonpositive coefficient")
+        if any(c <= 0 for c in poly.terms.values()):
+            raise CensusFailure("cluster variable with nonpositive coefficient")
         out[dvec] = poly
 
     expected = {tuple(-v for v in simple_root(q, i)) for i in q.vertices}
@@ -235,13 +228,13 @@ def enumerate_cluster_variables(q: DynkinQuiver) -> Dict[Root, LaurentPoly]:
     if set(out) != expected:
         missing = expected - set(out)
         extra = set(out) - expected
-        raise AssertionError(
+        raise CensusFailure(
             f"denominator vectors do not match the root system "
             f"(missing {sorted(missing)}, extra {sorted(extra)})"
         )
 
-    _VARIABLE_CACHE[q] = out
-    return out
+    table = _VARIABLE_CACHE[q] = MappingProxyType(out)
+    return table
 
 
 def cluster_variable_for_root(q: DynkinQuiver, beta: Root) -> LaurentPoly:

@@ -23,6 +23,7 @@ __all__ = [
     "UnknownRoot",
     "Incomparable",
     "ConfigError",
+    "CensusFailure",
 ]
 
 
@@ -84,3 +85,7 @@ class Incomparable(QHError):
 
 class ConfigError(QHError):
     """Malformed configuration file or command line input."""
+
+
+class CensusFailure(QHError):
+    """Cluster variables break the finite-type census (d-vectors, positivity)."""

@@ -304,6 +304,8 @@ def test_config_rejections(capsys):
         '{"type":"A","rank":2}',
         "not json at all",
         '{"type":"A","rank":2,"arrows":[[1,2]],"xi":{"9":1}}',
+        '{"type":"A","rank":"x","arrows":[]}',
+        '{"type":"A","rank":2,"arrows":[[1]]}',
     ]
     for cfg in bad:
         code, _ = run(capsys, "roots", "--quiver", cfg)

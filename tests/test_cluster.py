@@ -2,19 +2,24 @@
 
 import pytest
 
-from qhammock import build_quiver, positive_roots, simple_root
+import qhammock.cluster as cluster
+from exchange_oracle import exchange_graph_seeds, exchange_graph_variables, seed_key
+from qhammock import (
+    all_orientations,
+    build_quiver,
+    positive_roots,
+    sample_orientations,
+    simple_root,
+)
+from qhammock.cli import main
 from qhammock.cluster import (
-    FROZEN,
-    MUTABLE,
-    Seed,
     cluster_variable_for_root,
     enumerate_cluster_variables,
-    enumerate_seeds,
     exchange_binomial,
     initial_seed,
     mutate,
 )
-from qhammock.errors import UnknownRoot
+from qhammock.errors import TooLarge, UnknownRoot
 from qhammock.laurent import LaurentPoly
 
 
@@ -60,7 +65,7 @@ def test_mutation_exchange_and_involution():
     # frozen data never moves
     assert s2.cluster[(1, 1)] == V(("X", 1))
     back = mutate(s2, (1, 0))
-    assert back.key() == s.key()
+    assert seed_key(back) == seed_key(s)
     for v in s.mutable_vertices():
         assert back.cluster[v] == s.cluster[v]
 
@@ -89,7 +94,7 @@ def test_matrix_mutation_rule_pentagon():
     for step in range(10):
         k = (1, 0) if step % 2 == 0 else (2, 0)
         cur = mutate(cur, k)
-    assert cur.key() == s.key()
+    assert seed_key(cur) == seed_key(s)
 
 
 SEED_AND_VARIABLE_COUNTS = [
@@ -106,7 +111,51 @@ SEED_AND_VARIABLE_COUNTS = [
 def test_finite_type_counts(family, rank, arrows, nvars, nseeds):
     q = build_quiver(family, rank, arrows)
     assert len(enumerate_cluster_variables(q)) == nvars
-    assert len(enumerate_seeds(q)) == nseeds
+    assert len(exchange_graph_seeds(q)) == nseeds
+
+
+SMALL_SHAPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)]
+
+
+@pytest.mark.parametrize("family,rank", SMALL_SHAPES)
+def test_sink_walk_matches_exchange_graph(family, rank):
+    for q in all_orientations(family, rank):
+        walk = {p.canonical() for p in enumerate_cluster_variables(q).values()}
+        assert walk == exchange_graph_variables(exchange_graph_seeds(q)), q.arrows
+
+
+def test_walk_that_never_closes_is_too_large(monkeypatch):
+    q = build_quiver("A", 3, [(1, 2), (3, 2)])
+    cluster._VARIABLE_CACHE.pop(q, None)
+    monkeypatch.setattr(cluster, "mutate", lambda seed, k: seed)
+    with pytest.raises(TooLarge):
+        enumerate_cluster_variables(q)
+    # the command line reports it as bad input, not as a traceback
+    cfg = '{"type":"A","rank":3,"arrows":[[1,2],[3,2]]}'
+    assert main(["cluster", "--quiver", cfg]) == 2
+
+
+def test_variable_table_is_read_only():
+    q = a2()
+    table = enumerate_cluster_variables(q)
+    before = dict(table)
+    with pytest.raises(TypeError):
+        table[(1, 1)] = LaurentPoly.one()
+    with pytest.raises(TypeError):
+        del table[(1, 0)]
+    assert dict(enumerate_cluster_variables(q)) == before
+
+
+def test_e6_census():
+    # the walk checks the bijection with Δ₊ ∪ −Π and positivity itself;
+    # the assertions restate the census from outside
+    for q in sample_orientations("E", 6, 4, seed=1):
+        variables = enumerate_cluster_variables(q)
+        neg = {tuple(-c for c in simple_root(q, i)) for i in q.vertices}
+        assert set(variables) == neg | set(positive_roots(q))
+        assert len(variables) == 36 + 6
+        for poly in variables.values():
+            assert all(c > 0 for c in poly.terms.values())
 
 
 def test_variable_keys_are_denominator_vectors():
