@@ -1,8 +1,8 @@
-"""Exact hammock calculus on repetition quivers, with three independent
-routes to truncated characters: Euler characteristics of recursively
-built complexes, a scalar leading-term recursion, and exchange-walk
-cluster variables.  Everything is integer/Fraction arithmetic — no
-floats anywhere, so every equality in the test suite is exact.
+"""Exact hammock calculus on repetition quivers, with three routes to
+truncated characters: Euler characteristics of recursively built
+complexes, a scalar leading-term recursion, and exchange-walk cluster
+variables.  Everything is integer/Fraction arithmetic — no floats
+anywhere, so every equality in the test suite is exact.
 """
 
 from .errors import (
@@ -12,6 +12,7 @@ from .errors import (
     Incomparable,
     InconsistentConnector,
     InexactDivision,
+    InvariantViolation,
     NegativeDegree,
     NotContained,
     NotDominant,

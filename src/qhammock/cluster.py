@@ -198,20 +198,27 @@ def _denominator_vector(q: DynkinQuiver, poly: LaurentPoly) -> Root:
     return tuple(dvec)
 
 
-_VARIABLE_CACHE: dict[DynkinQuiver, Mapping[Root, LaurentPoly]] = {}
+_VARIABLE_CACHE: dict[DynkinQuiver, Dict[Root, LaurentPoly]] = {}
 
 
 def enumerate_cluster_variables(q: DynkinQuiver) -> Mapping[Root, LaurentPoly]:
-    """Every cluster variable, keyed by denominator vector (read-only).
+    """Every cluster variable, keyed by denominator vector.
 
     Initial variables land on the negated unit vectors, everything else
     on a positive root; the key set is checked against the root system
-    and every coefficient is checked positive before returning.
+    and every coefficient is checked positive before returning.  The
+    table is cached per quiver; each call returns a read-only view of
+    fresh copies, so a caller that edits a variable leaves the cache
+    intact.
     """
-    cached = _VARIABLE_CACHE.get(q)
-    if cached is not None:
-        return cached
+    table = _VARIABLE_CACHE.get(q)
+    if table is None:
+        table = _VARIABLE_CACHE[q] = _census(q)
+    return MappingProxyType({key: poly.copy() for key, poly in table.items()})
 
+
+def _census(q: DynkinQuiver) -> Dict[Root, LaurentPoly]:
+    """The sink walk's variables by denominator vector, census checked."""
     out: Dict[Root, LaurentPoly] = {}
     for poly in _sink_walk(q):
         dvec = _denominator_vector(q, poly)
@@ -233,8 +240,7 @@ def enumerate_cluster_variables(q: DynkinQuiver) -> Mapping[Root, LaurentPoly]:
             f"(missing {sorted(missing)}, extra {sorted(extra)})"
         )
 
-    table = _VARIABLE_CACHE[q] = MappingProxyType(out)
-    return table
+    return out
 
 
 def cluster_variable_for_root(q: DynkinQuiver, beta: Root) -> LaurentPoly:

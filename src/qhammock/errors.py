@@ -24,6 +24,7 @@ __all__ = [
     "Incomparable",
     "ConfigError",
     "CensusFailure",
+    "InvariantViolation",
 ]
 
 
@@ -89,3 +90,7 @@ class ConfigError(QHError):
 
 class CensusFailure(QHError):
     """Cluster variables break the finite-type census (d-vectors, positivity)."""
+
+
+class InvariantViolation(QHError):
+    """An identity the engine relies on failed: a bug, not bad input."""

@@ -117,6 +117,12 @@ class LaurentPoly:
     def variable(cls, key: VarKey, power: int = 1) -> "LaurentPoly":
         return cls({mono_from_dict({key: power}): 1})
 
+    def copy(self) -> "LaurentPoly":
+        """An independent copy: the term dict is not shared."""
+        res = LaurentPoly()
+        res.terms = dict(self.terms)
+        return res
+
     # -- ring structure ----------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

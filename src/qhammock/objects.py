@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import NotContained, NotDominant, NotInSupport, TooLarge
+from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport, TooLarge
 from .hammock import QFun, dim_hom, hammock_fun, hom_values, qfun_defect, qfun_equal
 from .laurent import MONO_ONE, Mono, mono_from_dict, mono_mul
 from .quiver import (
@@ -72,7 +72,6 @@ __all__ = [
     "absorb_frontier",
     "frontier_injection_factor",
     "tilt_leading",
-    "tilt_order",
     "hom_space_dim",
     "anchor_vertex",
 ]
@@ -459,28 +458,6 @@ def frontier_injection_factor(
     return out
 
 
-def tilt_order(q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int) -> tuple[int, ...]:
-    """A valid order for the iterated tilt over the out-closure of i:
-    sinks of the support subquiver first, i last (reverse topological)."""
-    bd = beta_combinatorics(q, xi, beta)
-    _require_support(bd, i)
-    remaining = set(bd.out_closure[i])
-    order: list[int] = []
-    while remaining:
-        layer = sorted(
-            v
-            for v in remaining
-            if not any(w in remaining for w in q.arrows_from(v) if w != v)
-        )
-        if not layer:
-            raise RuntimeError("cycle in a tree subquiver (unreachable)")
-        for v in layer:
-            remaining.discard(v)
-        order.extend(layer)
-    assert order[-1] == i
-    return tuple(order)
-
-
 def tilt_leading(
     q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
 ) -> Factorization:
@@ -536,8 +513,12 @@ def tilt_leading(
     shadow = Obj({}, QFun(gens, {}), None)
     fac = factor_dominant(q, xi, shadow)
     expected = root_sub(beta, bd.dim_proj[i])
-    assert fac.remainder == expected, "tilt remainder disagrees with β − dim P"
-    assert not fac.h_exp, "tilt side developed frontier slack (bookkeeping bug)"
+    if fac.remainder != expected:
+        raise InvariantViolation(
+            f"tilt remainder {fac.remainder} disagrees with β − dim P = {expected}"
+        )
+    if fac.h_exp:
+        raise InvariantViolation("tilt side developed frontier slack (bookkeeping bug)")
     return Factorization(
         f_list=tuple(sorted(out_cl)),
         k_exp=fac.k_exp,

@@ -1,4 +1,4 @@
-"""Truncated characters three independent ways, plus the dominance order.
+"""Truncated characters three ways, plus the dominance order.
 
 The truncated ring for a height assignment ξ is the Laurent ring on the
 two base sections only: variables ("Y", i, ξ(i)−2) and ("Y", i, ξ(i))
@@ -23,26 +23,36 @@ clauses into one report.
 
 The dominance order compares monomials by whether their ratio is a
 product of the root monomials A_i (each a pure monomial here because the
-ring is truncated to two sections).  Solving for the exponent vector is
-linear algebra against the Cartan matrix — the per-vertex sum of the two
-section exponents of A_j is exactly the Cartan pairing row — followed by
+ring is truncated to two sections).  The per-vertex sum of the two section
+exponents of A_j is the j-th column of the Cartan matrix C, so the
+exponent vector of a ratio is C⁻¹ applied to its section sums, followed by
 an exact reconstruction check, since the section *split* carries more
-information than the sums.
+information than the sums.  C⁻¹ depends only on the Dynkin tree and is
+computed once per (family, rank).  ``extremal_monomials`` solves one
+exponent vector per term against the first term; the extrema are then the
+componentwise max and min, with no pairwise comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Mapping, Tuple
 
-from .errors import Incomparable, NotDominant, NotInSupport, UnknownRoot
+from .errors import (
+    Incomparable,
+    InvariantViolation,
+    NotDominant,
+    NotInSupport,
+    UnknownRoot,
+)
 from .laurent import (
     MONO_ONE,
     LaurentPoly,
     Mono,
     VarKey,
-    mono_div,
     mono_from_dict,
     mono_key_str,
     mono_mul,
@@ -53,6 +63,7 @@ from .quiver import (
     HeightFunction,
     Root,
     beta_combinatorics,
+    expected_edges,
     is_nonneg,
     simple_root,
 )
@@ -126,7 +137,8 @@ def variable_A(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
 def dominant_monomial(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Mono:
     """Class of the leading object: the head every route must share."""
     mono = leading_object(q, xi, beta).kclass
-    assert mono is not None
+    if mono is None:
+        raise InvariantViolation(f"leading object of {beta} has no class")
     return mono
 
 
@@ -163,6 +175,9 @@ def qchar_recursion(
     absorb branch is required for the two sides to balance; dropping it
     breaks route agreement on every root whose pivot has an out-frontier
     inside the support.
+
+    Results are memoised per (quiver, height, β); each call returns its
+    own copy, so a caller that edits it leaves the memo intact.
     """
     beta = tuple(beta)
     memo_key = None
@@ -170,12 +185,20 @@ def qchar_recursion(
         memo_key = (q, xi, beta)
         hit = _REC_CACHE.get(memo_key)
         if hit is not None:
-            return hit
+            return hit.copy()
 
     result = _qchar_recursion_step(q, xi, beta, pivot)
     if memo_key is not None:
         _REC_CACHE[memo_key] = result
+        return result.copy()
     return result
+
+
+def _kr_class(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
+    mono = kr_object(q, xi, i).kclass
+    if mono is None:
+        raise InvariantViolation(f"KR object at vertex {i} has no class")
+    return mono
 
 
 def _qchar_recursion_step(
@@ -200,8 +223,7 @@ def _qchar_recursion_step(
     hin = frontier_injection_factor(q, xi, beta, i)
     fac = tilt_leading(q, xi, beta, i)
 
-    kr_i = kr_object(q, xi, i).kclass
-    assert kr_i is not None
+    kr_i = _kr_class(q, xi, i)
 
     inj_head = mono_pow(kr_i, eps)
     for l, e in sorted(hin.items()):
@@ -209,9 +231,7 @@ def _qchar_recursion_step(
 
     proj_head = MONO_ONE
     for k, e in fac.k_exp:
-        kk = kr_object(q, xi, k).kclass
-        assert kk is not None
-        proj_head = mono_mul(proj_head, mono_pow(kk, e))
+        proj_head = mono_mul(proj_head, mono_pow(_kr_class(q, xi, k), e))
     for l, e in fac.h_exp:
         proj_head = mono_mul(proj_head, _y(l, xi.ht(l), e))
 
@@ -248,73 +268,109 @@ def qchar_cluster(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPol
 # ───────────────────────── dominance order ─────────────────────────
 
 
-def _solve_cartan(q: DynkinQuiver, v: List[int]) -> List[Fraction] | None:
-    """Solve C·k = v for the Cartan matrix of the underlying tree."""
-    n = q.rank
-    rows = []
-    for i in q.vertices:
-        row = [Fraction(0)] * n
-        row[i - 1] = Fraction(2)
-        for j in q.neighbors(i):
-            row[j - 1] = Fraction(-1)
-        row.append(Fraction(v[i - 1]))
-        rows.append(row)
-    # Gaussian elimination with exact fractions; C is invertible for
-    # every Dynkin tree, so a zero pivot means the input was malformed.
+@lru_cache(maxsize=None)
+def _inverse_cartan(family: str, rank: int) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """C⁻¹ of the Dynkin tree as (integer numerators, common denominator).
+
+    Gauss–Jordan on [C | I] with exact fractions.  C is positive definite,
+    so every diagonal pivot is nonzero and no row swaps are needed.
+    """
+    n = rank
+    rows = [[Fraction(0)] * (2 * n) for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Fraction(2)
+        rows[i][n + i] = Fraction(1)
+    for a, b in (tuple(e) for e in expected_edges(family, rank)):
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = Fraction(-1)
     for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
         lead = rows[col][col]
         rows[col] = [x / lead for x in rows[col]]
         for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
+            f = rows[r][col]
+            if r != col and f:
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
+    den = lcm(*(x.denominator for row in rows for x in row[n:]))
+    return tuple(tuple(int(x * den) for x in row[n:]) for row in rows), den
+
+
+def _a_exponents(
+    q: DynkinQuiver,
+    xi: HeightFunction,
+    roots: List[Mono],
+    lower: Dict[VarKey, int],
+    upper: Dict[VarKey, int],
+) -> Tuple[int, ...] | None:
+    """The k with upper = lower · ∏ A_i^{k_i}, or None when there is none.
+
+    ``roots`` are the root monomials A_i in vertex order, and lower/upper
+    are monomials as exponent dicts.  k is pinned by C⁻¹ applied to the
+    per-vertex section sums of upper / lower, then checked by exact
+    reconstruction: the sums do not see how exponents split across the
+    two sections, nor any variable off them.
+    """
+    sums = []
+    for i in q.vertices:
+        p = xi.ht(i)
+        sums.append(
+            upper.get(("Y", i, p - 2), 0) + upper.get(("Y", i, p), 0)
+            - lower.get(("Y", i, p - 2), 0) - lower.get(("Y", i, p), 0)
+        )
+    num, den = _inverse_cartan(q.family, q.rank)
+    k = []
+    for row in num:
+        t = sum(a * s for a, s in zip(row, sums))
+        if t % den:
+            return None
+        k.append(t // den)
+    rebuilt = dict(lower)
+    for a_mono, e in zip(roots, k):
+        if e:
+            for key, a in a_mono:
+                rebuilt[key] = rebuilt.get(key, 0) + a * e
+    if {key: e for key, e in rebuilt.items() if e} != upper:
+        return None
+    return tuple(k)
 
 
 def nakajima_leq(
     q: DynkinQuiver, xi: HeightFunction, lower: Mono, upper: Mono
 ) -> bool:
-    """Dominance: upper / lower is a nonnegative product of root monomials.
-
-    The candidate exponent vector is pinned by the Cartan system on the
-    per-vertex section sums, then verified by exact reconstruction — the
-    sums alone do not see how exponents split across the two sections.
-    """
-    ratio = mono_div(upper, lower)
-    if ratio == MONO_ONE:
-        return True
-    powers = dict(ratio)
-    if any(k[0] != "Y" for k in powers):
-        return False
-    sums = [0] * q.rank
-    for i in q.vertices:
-        p = xi.ht(i)
-        sums[i - 1] = powers.get(("Y", i, p - 2), 0) + powers.get(("Y", i, p), 0)
-    k_vec = _solve_cartan(q, sums)
-    if k_vec is None:
-        return False
-    if any(k.denominator != 1 or k < 0 for k in k_vec):
-        return False
-    rebuilt = MONO_ONE
-    for i in q.vertices:
-        rebuilt = mono_mul(rebuilt, mono_pow(variable_A(q, xi, i), int(k_vec[i - 1])))
-    return rebuilt == ratio
+    """Dominance: upper / lower is a nonnegative product of root monomials."""
+    roots = [variable_A(q, xi, i) for i in q.vertices]
+    k = _a_exponents(q, xi, roots, dict(lower), dict(upper))
+    return k is not None and all(e >= 0 for e in k)
 
 
 def extremal_monomials(
     q: DynkinQuiver, xi: HeightFunction, poly: LaurentPoly
 ) -> Tuple[Mono, Mono]:
     """(greatest, least) monomial under dominance; Incomparable if either
-    fails to exist as a unique extremum."""
+    fails to exist as a unique extremum.
+
+    Every term m is written as m₀ · ∏ A_i^{k_i(m)} against the first term
+    m₀.  Then m ≤ m' exactly when k(m) ≤ k(m') componentwise, so the
+    extrema are the terms whose k is the componentwise max or min.  A term
+    with no such k is incomparable with m₀, and then no term dominates (or
+    is dominated by) all the others.
+    """
     monos = list(poly.terms)
     if not monos:
         raise Incomparable("the zero polynomial has no extremal monomials")
-    highest = [m for m in monos if all(nakajima_leq(q, xi, o, m) for o in monos)]
-    lowest = [m for m in monos if all(nakajima_leq(q, xi, m, o) for o in monos)]
+    roots = [variable_A(q, xi, i) for i in q.vertices]
+    base = dict(monos[0])
+    ks = []
+    for m in monos:
+        k = _a_exponents(q, xi, roots, base, dict(m))
+        if k is None:
+            # m is incomparable with m₀, so no term lies above or below all
+            highest = lowest = []
+            break
+        ks.append(k)
+    else:
+        top = tuple(map(max, zip(*ks)))
+        bottom = tuple(map(min, zip(*ks)))
+        highest = [m for m, k in zip(monos, ks) if k == top]
+        lowest = [m for m, k in zip(monos, ks) if k == bottom]
     if len(highest) != 1 or len(lowest) != 1:
         raise Incomparable(
             f"no unique extremal pair: {len(highest)} maxima, {len(lowest)} minima"

@@ -10,8 +10,8 @@ Vertex labeling conventions (fixed once and for all):
 
 An *orientation* turns each tree edge into an arrow.  A height function xi
 is adapted when every arrow i -> j satisfies xi(j) = xi(i) - 1; heights are
-therefore congruent mod 2 to the two-coloring of the tree, which we anchor
-so that vertex 1 gets color (distance-to-1 + 1) mod 2 = 1... more simply:
+therefore congruent mod 2 to the two-coloring of the tree, which is anchored
+so that vertex 1 gets color 1:
 parity_class(i) = (graph distance from vertex 1 to i + 1) mod 2.
 """
 
@@ -95,6 +95,56 @@ class DynkinQuiver:
             )
         if len(set(got)) != len(got):
             raise Reorientation("duplicate arrows")
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Adjacency, reachability and the height potential.
+
+        Computed once at construction and stored as plain attributes, not
+        dataclass fields, so equality, hashing and repr still see only
+        (family, rank, arrows).
+        """
+        out: dict[int, list[int]] = {i: [] for i in self.vertices}
+        inn: dict[int, list[int]] = {i: [] for i in self.vertices}
+        for a, b in self.arrows:
+            out[a].append(b)
+            inn[b].append(a)
+        out_t = {i: tuple(sorted(js)) for i, js in out.items()}
+        in_t = {i: tuple(sorted(js)) for i, js in inn.items()}
+        nbrs = {i: tuple(sorted(out[i] + inn[i])) for i in self.vertices}
+
+        def closure(i: int, step: dict[int, tuple[int, ...]]) -> frozenset[int]:
+            seen = {i}
+            frontier = [i]
+            while frontier:
+                for w in step[frontier.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        frontier.append(w)
+            return frozenset(seen)
+
+        # walk the tree from vertex 1, which sits at height 1; the height
+        # drops by one along every arrow, so its parity is the two-colouring
+        height = {1: 1}
+        frontier = [1]
+        while frontier:
+            v = frontier.pop()
+            for w in nbrs[v]:
+                if w in height:
+                    continue
+                height[w] = height[v] - 1 if w in out_t[v] else height[v] + 1
+                frontier.append(w)
+
+        tables = {
+            "_neighbors": nbrs,
+            "_out": out_t,
+            "_in": in_t,
+            "_reach": {i: closure(i, out_t) for i in self.vertices},
+            "_coreach": {i: closure(i, in_t) for i in self.vertices},
+            "_height": tuple(height[i] for i in self.vertices),
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     # -- basic graph queries -------------------------------------
 
@@ -103,89 +153,39 @@ class DynkinQuiver:
         return range(1, self.rank + 1)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        out = []
-        for a, b in self.arrows:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return tuple(sorted(out))
+        return self._neighbors[i]
 
     def arrows_from(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(b for a, b in self.arrows if a == i))
+        return self._out[i]
 
     def arrows_to(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(a for a, b in self.arrows if b == i))
+        return self._in[i]
 
     def has_arrow(self, i: int, j: int) -> bool:
-        return (i, j) in self.arrows
+        return j in self._out[i]
 
     def has_path(self, i: int, j: int) -> bool:
         """Directed reachability i ⇝ j (trivial path included)."""
-        if i == j:
-            return True
-        frontier = [i]
-        seen = {i}
-        while frontier:
-            v = frontier.pop()
-            for w in self.arrows_from(v):
-                if w == j:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return False
+        return j in self._reach[i]
 
     def reachable_from(self, i: int) -> frozenset[int]:
         """All j with a directed path i ⇝ j, including i itself."""
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            v = frontier.pop()
-            for w in self.arrows_from(v):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return frozenset(seen)
+        return self._reach[i]
 
     def coreachable_to(self, i: int) -> frozenset[int]:
         """All j with a directed path j ⇝ i, including i itself."""
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            v = frontier.pop()
-            for w in self.arrows_to(v):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return frozenset(seen)
+        return self._coreach[i]
 
     def sinks(self) -> tuple[int, ...]:
-        return tuple(i for i in self.vertices if not self.arrows_from(i))
-
-    def distance(self, i: int, j: int) -> int:
-        """Undirected graph distance."""
-        if i == j:
-            return 0
-        frontier = {i}
-        seen = {i}
-        d = 0
-        while frontier:
-            d += 1
-            nxt = set()
-            for v in frontier:
-                for w in self.neighbors(v):
-                    if w == j:
-                        return d
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.add(w)
-            frontier = nxt
-        raise WrongShape("diagram is not connected")  # unreachable for trees
+        return tuple(i for i in self.vertices if not self._out[i])
 
     def parity_class(self, i: int) -> int:
         """Two-coloring of the tree: (distance to vertex 1 + 1) mod 2."""
-        return (self.distance(1, i) + 1) % 2
+        return self._height[i - 1] % 2
+
+    def potential(self, i: int) -> int:
+        """Height of i under the canonical adapted height (see default_height)."""
+        return self._height[i - 1]
 
 
 def build_quiver(
@@ -249,21 +249,9 @@ def default_height(q: DynkinQuiver) -> HeightFunction:
     """Canonical adapted height: vertex 1 sits at its parity class value.
 
     Heights propagate along the tree so that every arrow drops the height
-    by exactly one; the result is independent of traversal order.
+    by exactly one; the quiver computes them once at construction.
     """
-    vals: dict[int, int] = {1: q.parity_class(1)}
-    frontier = [1]
-    while frontier:
-        v = frontier.pop()
-        for w in q.neighbors(v):
-            if w in vals:
-                continue
-            if q.has_arrow(v, w):
-                vals[w] = vals[v] - 1
-            else:
-                vals[w] = vals[v] + 1
-            frontier.append(w)
-    return HeightFunction(tuple(vals[i] for i in q.vertices))
+    return HeightFunction(q._height)
 
 
 def height_from_values(q: DynkinQuiver, values: dict[int, int]) -> HeightFunction:

@@ -72,22 +72,13 @@ def translate(v: ZVertex, steps: int = 1) -> ZVertex:
 def section_through(q: DynkinQuiver, v: ZVertex) -> dict[int, int]:
     """The section (one slot per label) containing v.
 
-    Sections are the images of the label set under "follow tree edges,
-    moving one slot against arrow direction": crossing the tree edge {a,b}
-    keeps you on the same section when the slots differ by exactly one, the
-    smaller slot sitting at the arrowhead... concretely we solve
-    slot(a) = slot(b) + 1 for each arrow a -> b, rooted at v.
+    A section drops by one slot along every arrow a -> b of the quiver,
+    so it is the canonical height (``default_height``) shifted to pass
+    through v: slot(j) = v.p − h(v.i) + h(j).
     """
-    slots: dict[int, int] = {v.i: v.p}
-    frontier = [v.i]
-    while frontier:
-        a = frontier.pop()
-        for b in q.neighbors(a):
-            if b in slots:
-                continue
-            slots[b] = slots[a] - 1 if q.has_arrow(a, b) else slots[a] + 1
-            frontier.append(b)
-    return slots
+    h = q.potential
+    shift = v.p - h(v.i)
+    return {j: shift + h(j) for j in q.vertices}
 
 
 def suspend(q: DynkinQuiver, v: ZVertex) -> ZVertex:

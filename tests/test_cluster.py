@@ -7,6 +7,7 @@ from exchange_oracle import exchange_graph_seeds, exchange_graph_variables, seed
 from qhammock import (
     all_orientations,
     build_quiver,
+    default_height,
     positive_roots,
     sample_orientations,
     simple_root,
@@ -21,6 +22,7 @@ from qhammock.cluster import (
 )
 from qhammock.errors import TooLarge, UnknownRoot
 from qhammock.laurent import LaurentPoly
+from qhammock.qchar import qchar_cluster
 
 
 def V(key, power=1):
@@ -144,6 +146,18 @@ def test_variable_table_is_read_only():
     with pytest.raises(TypeError):
         del table[(1, 0)]
     assert dict(enumerate_cluster_variables(q)) == before
+
+
+def test_variable_table_hands_out_copies():
+    # editing a returned variable must not reach the cache behind the table
+    q = a2()
+    xi = default_height(q)
+    want = qchar_cluster(q, xi, (1, 1))
+    enumerate_cluster_variables(q)[(1, 1)].terms.clear()
+    cluster_variable_for_root(q, (1, 1)).terms.clear()
+    assert qchar_cluster(q, xi, (1, 1)) == want != LaurentPoly.zero()
+    assert cluster_variable_for_root(q, (1, 1)) == enumerate_cluster_variables(q)[(1, 1)]
+    assert len(cluster_variable_for_root(q, (1, 1))) == 3
 
 
 def test_e6_census():

@@ -1,7 +1,10 @@
 """Object calculus: constructors, tilts, factorization, exchange identities."""
 
+from dataclasses import replace
+
 import pytest
 
+import qhammock.objects as objects
 from qhammock import (
     ZVertex,
     all_orientations,
@@ -14,7 +17,7 @@ from qhammock import (
     translate_base,
     window_vertices,
 )
-from qhammock.errors import NotContained, NotDominant, TooLarge
+from qhammock.errors import InvariantViolation, NotContained, NotDominant, TooLarge
 from qhammock.laurent import mono_from_dict
 from qhammock.objects import (
     Obj,
@@ -296,6 +299,23 @@ def test_absorb_and_tilt_identities_small():
         for i in root_support(beta):
             assert _absorb_identity_holds(q, xi, beta, i)
             assert _tilt_identity_holds(q, xi, beta, i)
+
+
+@pytest.mark.parametrize(
+    "skew",
+    [
+        lambda fac: replace(fac, remainder=tuple(c + 1 for c in fac.remainder)),
+        lambda fac: replace(fac, h_exp=((1, 1),)),
+    ],
+    ids=["remainder", "slack"],
+)
+def test_tilt_bookkeeping_failure_is_an_engine_error(monkeypatch, skew):
+    # the two checks must raise even under python -O, so not as asserts
+    real = objects.factor_dominant
+    monkeypatch.setattr(objects, "factor_dominant", lambda q, xi, a: skew(real(q, xi, a)))
+    q = build_quiver("A", 3, [(1, 2), (3, 2)])
+    with pytest.raises(InvariantViolation):
+        objects.tilt_leading(q, default_height(q), (1, 1, 1), 1)
 
 
 # ----------------------------------------------------------- hom counting

@@ -1,8 +1,12 @@
 """Truncated characters along three independent routes, plus the dominance
 order machinery used to certify extremal monomials."""
 
+from itertools import combinations
+
 import pytest
 
+import qhammock.qchar as qchar
+from dominance_oracle import oracle_extremal
 from qhammock import (
     all_orientations,
     build_quiver,
@@ -10,8 +14,17 @@ from qhammock import (
     positive_roots,
     sample_orientations,
 )
-from qhammock.errors import Incomparable, NotInSupport, UnknownRoot
-from qhammock.laurent import LaurentPoly, mono_from_dict, mono_key_str, mono_mul, mono_pow
+from qhammock.errors import Incomparable, InvariantViolation, NotInSupport, UnknownRoot
+from qhammock.laurent import (
+    MONO_ONE,
+    LaurentPoly,
+    mono_div,
+    mono_from_dict,
+    mono_key_str,
+    mono_mul,
+    mono_pow,
+)
+from qhammock.objects import Obj
 from qhammock.qchar import (
     TruncatedRing,
     dominant_monomial,
@@ -121,6 +134,16 @@ def test_recursion_pivot_choice_is_free():
     )
     with pytest.raises(NotInSupport):
         qchar_recursion(q, xi, (1, 0), pivot=2)
+
+
+def test_recursion_hands_out_copies():
+    # the memo must not be reachable through a returned polynomial
+    q, xi = a2()
+    first = qchar_recursion(q, xi, (1, 1))
+    want = first.canonical()
+    first.terms.clear()
+    assert qchar_recursion(q, xi, (1, 1)).canonical() == want
+    assert qchar_recursion(q, xi, (1, 1)) == qchar_euler(q, xi, (1, 1))
 
 
 def test_three_routes_small_sweep():
@@ -243,6 +266,74 @@ def test_rank_one_powers():
     xi = default_height(q)
     for k in range(2, 5):
         assert qchar_euler(q, xi, (k,)) == qchar_euler(q, xi, (1,)) ** k
+
+
+def test_classless_leading_object_is_an_engine_error(monkeypatch):
+    q, xi = a2()
+    monkeypatch.setattr(qchar, "leading_object", lambda q, xi, beta: Obj(kclass=None))
+    with pytest.raises(InvariantViolation):
+        dominant_monomial(q, xi, (1, 1))
+
+
+# ------------------------------------------- dominance against the oracle
+
+
+def outcome(find, q, xi, poly):
+    """The extremal pair, or the Incomparable message."""
+    try:
+        return find(q, xi, poly)
+    except Incomparable as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_extremal_monomials_match_pairwise_oracle(family, rank):
+    for n, q in enumerate(all_orientations(family, rank)):
+        xi = default_height(q)
+        chis = [qchar_recursion(q, xi, beta) for beta in positive_roots(q)]
+        for chi in chis:
+            assert extremal_monomials(q, xi, chi) == oracle_extremal(q, xi, chi)
+        # sums of two characters, mostly incomparable; the oracle is
+        # quadratic in the terms, so rank 4 keeps to two orientations
+        if rank < 4 or n < 2:
+            for a, b in combinations(chis, 2):
+                assert outcome(extremal_monomials, q, xi, a + b) == outcome(
+                    oracle_extremal, q, xi, a + b
+                )
+
+
+def test_extremal_monomials_one_sided_extremum():
+    q, xi = a2()
+    m = Y(2, -2)
+    A_1, A_2 = variable_A(q, xi, 1), variable_A(q, xi, 2)
+    up = LaurentPoly({m: 1, mono_mul(m, A_1): 1, mono_mul(m, A_2): 1})
+    down = LaurentPoly({m: 1, mono_div(m, A_1): 1, mono_div(m, A_2): 1})
+    for poly, msg in ((up, "0 maxima, 1 minima"), (down, "1 maxima, 0 minima")):
+        assert outcome(extremal_monomials, q, xi, poly) == outcome(oracle_extremal, q, xi, poly)
+        assert outcome(extremal_monomials, q, xi, poly).endswith(msg)
+
+
+def test_extremal_monomials_with_ghost_variable():
+    q = build_quiver("A", 3, [(1, 2), (3, 2)])
+    xi = default_height(q)
+    chi = qchar_recursion(q, xi, (1, 1, 1))
+    ghost = mono_from_dict({("f", 2): 1})
+    hi, lo = extremal_monomials(q, xi, chi)
+    # a ghost shared by every term cancels from every ratio
+    shared = chi * LaurentPoly.monomial(ghost)
+    assert extremal_monomials(q, xi, shared) == (mono_mul(hi, ghost), mono_mul(lo, ghost))
+    assert extremal_monomials(q, xi, shared) == oracle_extremal(q, xi, shared)
+    # a ghost on one term alone makes that term incomparable with the rest
+    lone = chi + LaurentPoly.monomial(mono_mul(lo, ghost))
+    assert outcome(extremal_monomials, q, xi, lone) == outcome(oracle_extremal, q, xi, lone)
+    assert outcome(extremal_monomials, q, xi, lone).endswith("0 maxima, 0 minima")
+
+
+def test_extremal_monomials_single_monomial():
+    q, xi = a2()
+    for m in (MONO_ONE, Y(1, -1), mono_from_dict({("f", 1): 1, ("Y", 2, 0): -3})):
+        poly = LaurentPoly.monomial(m, 5)
+        assert extremal_monomials(q, xi, poly) == (m, m) == oracle_extremal(q, xi, poly)
 
 
 # ------------------------------------------------------------- emission

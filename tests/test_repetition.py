@@ -4,6 +4,7 @@ import pytest
 
 from qhammock import (
     ZVertex,
+    all_orientations,
     arrows_in,
     arrows_out,
     base_section,
@@ -12,6 +13,7 @@ from qhammock import (
     check_vertex,
     coxeter_number,
     default_height,
+    sample_orientations,
     serre,
     suspend,
     translate,
@@ -97,6 +99,33 @@ def test_base_slice():
     # knitting a section through any of its own vertices recovers it
     assert section_through(q, ZVertex(3, -1)) == {1: 1, 2: 0, 3: -1}
     assert section_through(q, ZVertex(1, 1)) == {1: 1, 2: 0, 3: -1}
+
+
+def bfs_section(q, v):
+    """The section through v by walking the tree: slot(a) = slot(b) + 1 for a -> b."""
+    slots, frontier = {v.i: v.p}, [v.i]
+    while frontier:
+        a = frontier.pop()
+        for b in q.vertices:
+            if b in slots:
+                continue
+            if (a, b) in q.arrows:
+                slots[b] = slots[a] - 1
+            elif (b, a) in q.arrows:
+                slots[b] = slots[a] + 1
+            else:
+                continue
+            frontier.append(b)
+    return slots
+
+
+def test_section_through_matches_tree_walk():
+    shapes = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5)]
+    quivers = [q for family, rank in shapes for q in all_orientations(family, rank)]
+    quivers += [q for rank in (6, 7, 8) for q in sample_orientations("E", rank, 6, seed=rank)]
+    for q in quivers:
+        for v in window_vertices(q, -3, 4):
+            assert section_through(q, v) == bfs_section(q, v)
 
 
 def test_window_vertices_sorted_and_parity_clean():
