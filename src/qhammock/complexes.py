@@ -41,16 +41,14 @@ the leading object times the carried denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import (InconsistentConnector, NegativeDegree, NotDominant,
-                     NotInSupport, TooLarge)
+from .errors import (InconsistentConnector, InvariantViolation, NegativeDegree,
+                     NotDominant, TooLarge)
 from .laurent import MONO_ONE, LaurentPoly
 from .objects import (
     Obj,
-    Factorization,
-    absorb_frontier,
-    frontier_injection_factor,
     ghost_object,
     hammock_object,
     is_dominant,
@@ -58,9 +56,9 @@ from .objects import (
     kr_object,
     leading_object,
     obj_pow,
+    pivot_step,
     serre_tilt,
     tensor_obj,
-    tilt_leading,
     tiltable,
     unit_obj,
 )
@@ -68,11 +66,11 @@ from .quiver import (
     DynkinQuiver,
     HeightFunction,
     Root,
-    beta_combinatorics,
     is_nonneg,
+    root_support,
     simple_root,
 )
-from .repetition import base_vertex, translate_base
+from .repetition import base_vertex, serre, translate_base
 
 __all__ = [
     "Component",
@@ -81,8 +79,6 @@ __all__ = [
     "unit_complex",
     "single_complex",
     "initial_hammock_complex",
-    "initial_kr_complex",
-    "initial_ghost_complex",
     "shift",
     "tensor_complex",
     "cone",
@@ -103,7 +99,11 @@ class Component(NamedTuple):
 
 
 class Complex:
-    """Bounded nonneg-degree complex: summand lists plus tagged components."""
+    """Bounded nonneg-degree complex: summand lists plus tagged components.
+
+    terms and diffs are read-only views of tuples, so a built complex that
+    the memo hands out cannot be edited in place.
+    """
 
     __slots__ = ("terms", "diffs")
 
@@ -112,14 +112,14 @@ class Complex:
         terms: Mapping[int, list[Obj]] | None = None,
         diffs: Mapping[int, list[Component]] | None = None,
     ):
-        self.terms: dict[int, tuple[Obj, ...]] = {
+        self.terms: Mapping[int, tuple[Obj, ...]] = MappingProxyType({
             n: tuple(objs) for n, objs in (terms or {}).items() if objs
-        }
-        self.diffs: dict[int, tuple[Component, ...]] = {
+        })
+        self.diffs: Mapping[int, tuple[Component, ...]] = MappingProxyType({
             n: tuple(Component(*c) for c in comps)
             for n, comps in (diffs or {}).items()
             if comps
-        }
+        })
         for n in self.terms:
             if n < 0:
                 raise NegativeDegree(f"term in degree {n}")
@@ -146,13 +146,14 @@ class Complex:
 
 @dataclass
 class FractionComplex:
-    """A complex together with denominator exponents of base classes."""
+    """A complex together with denominator exponents of base classes
+    (a read-only view, like the complex's terms)."""
 
     num: Complex
-    den: dict[int, int]
+    den: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        self.den = {i: e for i, e in self.den.items() if e}
+        self.den = MappingProxyType({i: e for i, e in self.den.items() if e})
 
 
 # ───────────────────────── constructors ─────────────────────────
@@ -165,25 +166,12 @@ def unit_complex() -> Complex:
 def single_complex(obj: Obj, degree: int = 0) -> Complex:
     if degree < 0:
         raise NegativeDegree(f"degree {degree}")
-    if not obj.mult and not obj.fun.gens and not obj.fun.deltas:
-        # unit object is a legitimate term
-        pass
     return Complex({degree: [obj]})
 
 
 def initial_hammock_complex(q: DynkinQuiver, xi: HeightFunction, i: int) -> Complex:
     """H_i: the base hammock object in degree 0."""
     return single_complex(hammock_object(q, xi, base_vertex(xi, i)), 0)
-
-
-def initial_kr_complex(q: DynkinQuiver, xi: HeightFunction, i: int) -> Complex:
-    """K_i in degree 0."""
-    return single_complex(kr_object(q, xi, i), 0)
-
-
-def initial_ghost_complex(q: DynkinQuiver, xi: HeightFunction, i: int) -> Complex:
-    """F_i: the ghost object of the translated base vertex, in degree 1."""
-    return single_complex(ghost_object(q, xi, translate_base(xi, i)), 1)
 
 
 # ───────────────────────── shift / tensor / cone ─────────────────────────
@@ -224,7 +212,8 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
         for b in d.terms:
             if (a, b) not in offsets:
                 continue
-            assert (a + 1, b) in offsets, "dangling component in left factor"
+            if (a + 1, b) not in offsets:
+                raise InvariantViolation("dangling component in left factor")
             n = a + b
             width_b = len(d.terms[b])
             for comp in comps:
@@ -241,7 +230,8 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
         for a in c.terms:
             if (a, b) not in offsets:
                 continue
-            assert (a, b + 1) in offsets, "dangling component in right factor"
+            if (a, b + 1) not in offsets:
+                raise InvariantViolation("dangling component in right factor")
             n = a + b
             koszul = -1 if a % 2 else 1
             width_b = len(d.terms[b])
@@ -535,11 +525,11 @@ _BUILD_CACHE: dict[tuple, FractionComplex] = {}
 
 
 def _objs_for_exponents(
-    q: DynkinQuiver, xi: HeightFunction, base_exp: Mapping[int, int]
+    q: DynkinQuiver, xi: HeightFunction, base_exp: Iterable[tuple[int, int]]
 ) -> list[Obj]:
     return [
         obj_pow(hammock_object(q, xi, base_vertex(xi, k)), e)
-        for k, e in sorted(base_exp.items())
+        for k, e in sorted(base_exp)
         if e
     ]
 
@@ -553,7 +543,8 @@ def build_complex(
     """The complex attached to a positive-orthant vector (or a negative
     simple root, which yields the base hammock complex).
 
-    The recursion at the chosen support vertex i:
+    The recursion at the chosen support vertex i reads the exchange step
+    (objects.pivot_step) that the scalar recursion reads too:
 
       dom := K_i^ε ⊗ (frontier injection factors) ⊗ (denominator
              equalizers) ⊗ build(β − dim I_i) shifted up one degree;
@@ -588,19 +579,11 @@ def build_complex(
             return FractionComplex(initial_hammock_complex(q, xi, negs[0]), {})
         raise NotDominant(f"{beta} is neither nonnegative nor a negative simple root")
 
-    bd = beta_combinatorics(q, xi, beta)
-    i = bd.pivot if pivot is None else pivot
-    if i not in bd.support:
-        raise NotInSupport(f"pivot {i} outside the support of {beta}")
-    m = len(bd.out_closure[i])
+    step = pivot_step(q, xi, beta, pivot)
+    i, fac = step.pivot, step.tilt
 
-    eps, beta_inj = absorb_frontier(q, xi, beta, i)
-    hin = frontier_injection_factor(q, xi, beta, i)
-    fac = tilt_leading(q, xi, beta, i)
-    beta_proj = fac.remainder
-
-    sub_inj = build_complex(q, xi, beta_inj)
-    sub_proj = build_complex(q, xi, beta_proj)
+    sub_inj = build_complex(q, xi, step.beta_inj)
+    sub_proj = build_complex(q, xi, fac.remainder)
     den = {
         k: max(sub_inj.den.get(k, 0), sub_proj.den.get(k, 0))
         for k in set(sub_inj.den) | set(sub_proj.den)
@@ -609,9 +592,9 @@ def build_complex(
     eq_proj = {k: den[k] - sub_proj.den.get(k, 0) for k in den}
 
     dom_head = tensor_obj(
-        obj_pow(kr_object(q, xi, i), eps),
-        *_objs_for_exponents(q, xi, hin),
-        *_objs_for_exponents(q, xi, eq_inj),
+        obj_pow(kr_object(q, xi, i), step.eps),
+        *_objs_for_exponents(q, xi, step.hin),
+        *_objs_for_exponents(q, xi, eq_inj.items()),
     )
     dom = tensor_complex(single_complex(dom_head, 0), shift(sub_inj.num, +1))
 
@@ -620,12 +603,12 @@ def build_complex(
     )
     cod_head = tensor_obj(
         *[obj_pow(kr_object(q, xi, k), e) for k, e in fac.k_exp],
-        *_objs_for_exponents(q, xi, fac.h_dict()),
-        *_objs_for_exponents(q, xi, eq_proj),
+        *_objs_for_exponents(q, xi, fac.h_exp),
+        *_objs_for_exponents(q, xi, eq_proj.items()),
     )
     cod = tensor_complex(
         tensor_complex(single_complex(cod_head, 0), sub_proj.num),
-        single_complex(ghost_block, m),
+        single_complex(ghost_block, len(fac.f_list)),
     )
 
     connectors = _resolve_connectors(q, xi, i, dom, cod)
@@ -634,11 +617,13 @@ def build_complex(
 
     # degree-0 sanity: one summand, isomorphic to Y[β] ⊗ the denominator object
     zero_row = num.terms.get(0, ())
-    assert len(zero_row) == 1, "degree-0 term of a build is a single summand"
+    if len(zero_row) != 1:
+        raise InvariantViolation(f"degree-0 term of the build of {beta} is not a single summand")
     expected = tensor_obj(
-        leading_object(q, xi, beta), *_objs_for_exponents(q, xi, den)
+        leading_object(q, xi, beta), *_objs_for_exponents(q, xi, den.items())
     )
-    assert is_iso(q, zero_row[0], expected), "degree-0 identity failed"
+    if not is_iso(q, zero_row[0], expected):
+        raise InvariantViolation(f"degree-0 identity failed for {beta}")
 
     result = FractionComplex(num, den)
     if memo_key:
@@ -779,7 +764,7 @@ def verify_exactness_smallrank(
     for obj in c.terms.get(0, ()):
         if not is_dominant(q, xi, obj):
             fail("degree-0 summand not dominant")
-    supp = set(root_supportish(beta))
+    supp = set(root_support(beta))
     for n, comps in c.diffs.items():
         for comp in comps:
             if comp.tag[0] != "eta" or comp.tag[1] not in supp:
@@ -791,23 +776,13 @@ def verify_exactness_smallrank(
             continue
         mid = c.terms[n + 1][c1.dst]
         routed = any(
-            serre_image_of_base(q, xi, k) in mid.mult
+            serre(q, translate_base(xi, k)) in mid.mult
             for k in q.vertices
             if q.has_path(k, c1.tag[1])
         )
         if not routed:
             fail(f"excused pair at degree {n} has no Serre-image routing in the middle term")
     return report
-
-
-def root_supportish(beta: Root) -> tuple[int, ...]:
-    return tuple(k + 1 for k, v in enumerate(beta) if v)
-
-
-def serre_image_of_base(q: DynkinQuiver, xi: HeightFunction, k: int):
-    from .repetition import serre
-
-    return serre(q, translate_base(xi, k))
 
 
 # ───────────────────────── emission ─────────────────────────

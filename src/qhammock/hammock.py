@@ -26,9 +26,10 @@ ever replaced by extensions of themselves, so racing writers are harmless.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import TooLarge
+from .errors import InvariantViolation, TooLarge
 from .quiver import DynkinQuiver
 from .repetition import ZVertex, check_vertex, section_through, serre, translate
 
@@ -154,20 +155,19 @@ def _knit(
 
 # generator-value cache: (quiver, vertex) -> (horizon, values)
 _HCACHE: dict[tuple, tuple[int, dict[ZVertex, int]]] = {}
-# hom-function cache: (quiver, vertex) -> values on the support band
-_GCACHE: dict[tuple, dict[ZVertex, int]] = {}
+# hom-function cache: (quiver, vertex) -> read-only values on the support band
+_GCACHE: dict[tuple, Mapping[ZVertex, int]] = {}
 
 
 def _hvalue(q: DynkinQuiver, v: ZVertex, y: ZVertex) -> int:
     """Value of the hammock generator h_v at y (0 strictly left of v's section)."""
-    sec = section_through(q, v)
-    if y.p < sec[y.i]:
+    if y.p < v.p - q.potential(v.i) + q.potential(y.i):
         return 0
     key = (q, v)
     cached = _HCACHE.get(key)
     if cached is None or cached[0] < y.p:
         horizon = max(y.p, v.p + 4)
-        values = _knit(q, sec, {v: 1}, horizon)
+        values = _knit(q, section_through(q, v), {v: 1}, horizon)
         _HCACHE[key] = (horizon, values)
         return values.get(y, 0)
     return cached[1].get(y, 0)
@@ -319,13 +319,14 @@ def preceq(
 # ───────────────────────── hom dimensions ─────────────────────────
 
 
-def hom_values(q: DynkinQuiver, x: ZVertex) -> dict[ZVertex, int]:
-    """All nonzero morphism-space dimensions out of x, as a vertex -> dim map.
+def hom_values(q: DynkinQuiver, x: ZVertex) -> Mapping[ZVertex, int]:
+    """All nonzero morphism-space dimensions out of x, as a read-only
+    vertex -> dim map.
 
     Knitted once per (quiver, source) and cached.  The support is checked to
     lie in the closed band between the sections through x and through the
     Serre shift of x, with nonnegative values throughout; violations would
-    mean a convention bug, so they fail loudly.
+    mean a convention bug, so they raise InvariantViolation.
     """
     key = (q, x)
     cached = _GCACHE.get(key)
@@ -344,16 +345,16 @@ def hom_values(q: DynkinQuiver, x: ZVertex) -> dict[ZVertex, int]:
     for v, val in values.items():
         if v.p > sec_sx[v.i]:
             if val != 0:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"hom function of {x} leaks past the Serre section at {v}"
                 )
             continue
         if val < 0:
-            raise AssertionError(f"negative hom dimension at {v} from {x}")
+            raise InvariantViolation(f"negative hom dimension at {v} from {x}")
         if val:
             out[v] = val
-    _GCACHE[key] = out
-    return out
+    view = _GCACHE[key] = MappingProxyType(out)
+    return view
 
 
 def dim_hom(q: DynkinQuiver, x: ZVertex, y: ZVertex) -> int:

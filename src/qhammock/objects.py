@@ -19,6 +19,11 @@ whose function is a nonnegative combination of generators sitting on the
 two base sections; those are classified by a coefficient vector in the
 positive orthant, recovered by a max-recursion over the quiver.
 
+The exchange step of β at a pivot (``pivot_step``) is worked out once, as
+one value that both the complex build and the scalar recursion read;
+``absorb_frontier``, ``frontier_injection_factor`` and ``tilt_leading``
+are reads of it.
+
 Classes (kclass) are carried only where the constructions define them:
 constructors, tensor products, and the factorization lemmas.  A tilt wipes
 the class; the factorization routines reattach classes to the canonical
@@ -28,7 +33,7 @@ factors on the right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport, TooLarge
 from .hammock import QFun, dim_hom, hammock_fun, hom_values, qfun_defect, qfun_equal
@@ -38,6 +43,7 @@ from .quiver import (
     DynkinQuiver,
     HeightFunction,
     Root,
+    b_vector,
     beta_combinatorics,
     coxeter_number,
     is_nonneg,
@@ -69,6 +75,8 @@ __all__ = [
     "leading_object",
     "factor_dominant",
     "reconstruct_factorization",
+    "PivotStep",
+    "pivot_step",
     "absorb_frontier",
     "frontier_injection_factor",
     "tilt_leading",
@@ -285,21 +293,6 @@ def is_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> bool:
     return True
 
 
-def _omega_order(q: DynkinQuiver, xi: HeightFunction) -> list[int]:
-    """Vertices sorted so that every arrow target precedes its source.
-
-    The sort key is the summed height drop to reachable sinks, which is
-    strictly monotone along arrows, so the order is valid for the
-    max-recursion below.
-    """
-    sinks = set(q.sinks())
-
-    def weight(i: int) -> int:
-        return sum(xi.ht(i) - xi.ht(j) for j in q.reachable_from(i) if j in sinks)
-
-    return sorted(q.vertices, key=lambda i: (weight(i), i))
-
-
 def root_of_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Root:
     """The coefficient vector classifying a dominant object.
 
@@ -307,11 +300,7 @@ def root_of_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Root:
     first.  Inverse to leading_object up to the frontier correction
     factors (see factor_dominant).
     """
-    c, d = dominant_exponents(q, xi, a)
-    avec: dict[int, int] = {}
-    for i in _omega_order(q, xi):
-        avec[i] = max(0, c[i] - d[i] + sum(avec[j] for j in q.arrows_from(i)))
-    return tuple(avec[i] for i in q.vertices)
+    return factor_dominant(q, xi, a).remainder
 
 
 def tiltable(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> tuple[int, ...]:
@@ -330,10 +319,10 @@ def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
     """Y[β]: the dominant object classified by β (any positive-orthant β;
     a negative simple −α_j yields the base hammock object at j).
 
-    Exponents come from b_i = β_i − Σ_{i→j} β_j over the full quiver: the
-    positive part lands on the translated base section, the negative part
-    on the base section (the latter only at vertices just outside the
-    support, pointing into it).
+    Exponents come from b_vector (b_i = β_i − Σ_{i→j} β_j over the full
+    quiver): the positive part lands on the translated base section, the
+    negative part on the base section (the latter only at vertices just
+    outside the support, pointing into it).
     """
     if not is_nonneg(beta):
         negs = [k + 1 for k, v in enumerate(beta) if v]
@@ -341,8 +330,7 @@ def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
             return hammock_object(q, xi, base_vertex(xi, negs[0]))
         raise NotDominant("coefficient vector must be nonnegative")
     factors: list[Obj] = []
-    for i in q.vertices:
-        b = beta[i - 1] - sum(beta[j - 1] for j in q.arrows_from(i))
+    for i, b in zip(q.vertices, b_vector(q, beta)):
         if b > 0:
             factors.append(obj_pow(hammock_object(q, xi, translate_base(xi, i)), b))
         elif b < 0:
@@ -370,9 +358,6 @@ class Factorization:
     def k_dict(self) -> dict[int, int]:
         return dict(self.k_exp)
 
-    def h_dict(self) -> dict[int, int]:
-        return dict(self.h_exp)
-
 
 def reconstruct_factorization(
     q: DynkinQuiver, xi: HeightFunction, fac: Factorization
@@ -387,6 +372,33 @@ def reconstruct_factorization(
     return tensor_obj(*factors)
 
 
+def _omega_order(q: DynkinQuiver) -> list[int]:
+    """Vertices with every arrow target before its source: the height
+    potential drops by exactly one along every arrow."""
+    return sorted(q.vertices, key=lambda k: (q.potential(k), k))
+
+
+def _max_recursion(
+    q: DynkinQuiver, c: Mapping[int, int], d: Mapping[int, int]
+) -> Factorization:
+    """factor_dominant on generator exponents (c, d) read off the sections.
+
+    a_i = max(0, c_i − d_i + Σ_{i→j} a_j), evaluated targets first;
+    whatever the max clamps away is the h_exp slack.
+    """
+    avec: dict[int, int] = {}
+    slack: dict[int, int] = {}
+    for i in _omega_order(q):
+        raw = c[i] - d[i] + sum(avec[j] for j in q.arrows_from(i))
+        avec[i] = max(0, raw)
+        if raw < 0:
+            slack[i] = -raw
+    k_exp = tuple((i, min(c[i], d[i])) for i in q.vertices if min(c[i], d[i]))
+    h_exp = tuple(sorted(slack.items()))
+    remainder = tuple(avec[i] for i in q.vertices)
+    return Factorization((), k_exp, h_exp, remainder)
+
+
 def factor_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Factorization:
     """Split a dominant object into KR factors, frontier factors, and a
     leading object.
@@ -398,120 +410,95 @@ def factor_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Factorizatio
     one.
     """
     c, d = dominant_exponents(q, xi, a)
-    avec: dict[int, int] = {}
-    slack: dict[int, int] = {}
-    for i in _omega_order(q, xi):
-        raw = c[i] - d[i] + sum(avec[j] for j in q.arrows_from(i))
-        avec[i] = max(0, raw)
-        if raw < 0:
-            slack[i] = -raw
-    k_exp = tuple((i, min(c[i], d[i])) for i in q.vertices if min(c[i], d[i]))
-    h_exp = tuple(sorted((i, s) for i, s in slack.items() if s))
-    remainder = tuple(avec[i] for i in q.vertices)
-    return Factorization((), k_exp, h_exp, remainder)
+    return _max_recursion(q, c, d)
 
 
-# ───────────────────────── the two exchange lemmas ─────────────────────────
+# ───────────────────────── the exchange step ─────────────────────────
 
 
-def _require_support(bd: BetaData, i: int) -> None:
-    if i not in bd.support:
-        raise NotInSupport(f"vertex {i} not in the support {bd.support}")
+@dataclass(frozen=True)
+class PivotStep:
+    """One exchange step of β at a support vertex: the absorb/tilt split.
+
+    The mapping cone C[β] at the pivot i, and its Euler-characteristic
+    shadow in the scalar recursion, both read these values:
+
+    * eps, beta_inj: Y[β] ⊗ Y(base_i) absorbs K_i^eps and steps down to
+      Y[β − dim I_i] (the absorb side);
+    * hin: the frontier injection factors (l, m_l) of that absorption, for
+      l outside the support, m_l arrows from l into the in-closure of i;
+    * tilt: the iterated tilt of Y[β] ⊗ Y(base_i) over the out-closure of
+      i, as a Factorization with remainder β − dim P_i (the tilt side).
+
+    Together:  Y[β] ⊗ Y(base_i) ≅ K_i^eps ⊗ ⊗_l Y(base_l)^{m_l} ⊗ Y[beta_inj].
+    """
+
+    pivot: int
+    eps: int
+    beta_inj: Root
+    hin: tuple[tuple[int, int], ...]
+    tilt: Factorization
 
 
-def absorb_frontier(
-    q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
-) -> tuple[int, Root]:
-    """Absorption step: tensoring Y[β] with Y(base_i) peels off K_i^ε and
-    steps β down by the injective dimension vector at i.
+def pivot_step(
+    q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None = None
+) -> PivotStep:
+    """The exchange step of a nonzero nonnegative β at a support vertex.
 
-    Returns (ε_i, β − dim I_i).  The full object identity also needs the
-    frontier injection factor (see frontier_injection_factor); the two
-    together give
-
-        Y[β] ⊗ Y(base_i)  ≅  K_i^ε ⊗ (⊗_l Y(base_l)^{m_l}) ⊗ Y[β − dim I_i].
+    pivot=None takes the canonical pivot of beta_combinatorics; any other
+    support vertex is allowed (the character does not depend on it), and
+    one outside the support raises NotInSupport.
     """
     bd = beta_combinatorics(q, xi, beta)
-    _require_support(bd, i)
-    b_i = beta[i - 1] - sum(beta[j - 1] for j in q.arrows_from(i))
-    eps = 1 if b_i > 0 else 0
-    gamma = root_sub(beta, bd.dim_inj[i])
-    return eps, gamma
+    i = bd.pivot if pivot is None else pivot
+    if i not in bd.support:
+        raise NotInSupport(f"pivot {i} outside the support of {beta}")
+    b = b_vector(q, beta)
+    return PivotStep(
+        pivot=i,
+        eps=1 if b[i - 1] > 0 else 0,
+        beta_inj=root_sub(beta, bd.dim_inj[i]),
+        hin=_frontier(q, bd, bd.in_closure[i], q.arrows_from),
+        tilt=_tilt(q, beta, b, bd, i),
+    )
 
 
-def frontier_injection_factor(
-    q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
-) -> dict[int, int]:
-    """Multiplicities m_l of the extra Y(base_l) factors in the absorption
-    identity: for l outside the support, m_l counts arrows from l into the
-    in-closure of i inside the support subquiver."""
-    bd = beta_combinatorics(q, xi, beta)
-    _require_support(bd, i)
-    supp = set(bd.support)
-    out: dict[int, int] = {}
-    for l in q.vertices:
-        if l in supp:
-            continue
-        m = sum(1 for j in q.arrows_from(l) if j in bd.in_closure[i])
-        if m:
-            out[l] = m
-    return out
+def _frontier(
+    q: DynkinQuiver,
+    bd: BetaData,
+    closure: frozenset[int],
+    arrows: Callable[[int], tuple[int, ...]],
+) -> tuple[tuple[int, int], ...]:
+    """(l, m_l) for every l outside the support with m_l = #(arrows(l) ∩ closure) > 0."""
+    return tuple(
+        (l, m)
+        for l in q.vertices
+        if l not in bd.support and (m := sum(1 for j in arrows(l) if j in closure))
+    )
 
 
-def tilt_leading(
-    q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
+def _tilt(
+    q: DynkinQuiver, beta: Root, b: tuple[int, ...], bd: BetaData, i: int
 ) -> Factorization:
     """Iterated tilt of Y[β] ⊗ Y(base_i) over the out-closure of i.
 
-    Output factorization: one ghost factor per out-closure vertex, the H
-    factors at vertices just outside the support receiving arrows from the
-    out-closure, the KR factors and remainder β − dim P_i recovered by
-    factor_dominant on the exponent bookkeeping below.
+    One ghost factor per out-closure vertex, the H factors at vertices just
+    outside the support receiving arrows from the out-closure, and the KR
+    factors and remainder β − dim P_i recovered by the max-recursion on the
+    tilted generator exponents.
     """
-    bd = beta_combinatorics(q, xi, beta)
-    _require_support(bd, i)
     out_cl = bd.out_closure[i]
-    supp = set(bd.support)
-
-    bvec = {
-        k: beta[k - 1] - sum(beta[j - 1] for j in q.arrows_from(k))
-        for k in q.vertices
-    }
-    c = {k: max(bvec[k], 0) for k in q.vertices}
-    d = {k: max(-bvec[k], 0) for k in q.vertices}
-
-    h_exp: dict[int, int] = {}
-    for l in q.vertices:
-        if l in supp:
-            continue
-        m = sum(1 for j in out_cl if l in q.arrows_from(j))
-        if m:
-            h_exp[l] = m
-
-    cpp = {
-        k: c[k]
-        - (1 if k in out_cl else 0)
-        + sum(1 for j in q.arrows_from(k) if j in out_cl)
-        for k in q.vertices
-    }
-    dpp = {
-        k: (
-            d[k] - 1 + sum(1 for j in out_cl if k in q.arrows_from(j))
-            if k in out_cl and k != i
-            else d[k]
-        )
-        for k in q.vertices
-    }
-    gens = {}
+    c: dict[int, int] = {}
+    d: dict[int, int] = {}
     for k in q.vertices:
-        if cpp[k] < 0 or dpp[k] < 0:
+        into_cl = sum(1 for j in q.arrows_from(k) if j in out_cl)
+        c[k] = max(b[k - 1], 0) - (1 if k in out_cl else 0) + into_cl
+        d[k] = max(-b[k - 1], 0)
+        if k in out_cl and k != i:
+            d[k] += sum(1 for j in q.arrows_to(k) if j in out_cl) - 1
+        if c[k] < 0 or d[k] < 0:
             raise NotDominant(f"tilt bookkeeping went negative at {k}")
-        if cpp[k]:
-            gens[translate_base(xi, k)] = cpp[k]
-        if dpp[k]:
-            gens[base_vertex(xi, k)] = dpp[k]
-    shadow = Obj({}, QFun(gens, {}), None)
-    fac = factor_dominant(q, xi, shadow)
+    fac = _max_recursion(q, c, d)
     expected = root_sub(beta, bd.dim_proj[i])
     if fac.remainder != expected:
         raise InvariantViolation(
@@ -522,9 +509,40 @@ def tilt_leading(
     return Factorization(
         f_list=tuple(sorted(out_cl)),
         k_exp=fac.k_exp,
-        h_exp=tuple(sorted(h_exp.items())),
+        h_exp=_frontier(q, bd, out_cl, q.arrows_to),
         remainder=expected,
     )
+
+
+def absorb_frontier(
+    q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
+) -> tuple[int, Root]:
+    """Absorption step at i: (ε_i, β − dim I_i), read off pivot_step.
+
+    With the frontier injection factor (see frontier_injection_factor):
+
+        Y[β] ⊗ Y(base_i)  ≅  K_i^ε ⊗ (⊗_l Y(base_l)^{m_l}) ⊗ Y[β − dim I_i].
+    """
+    step = pivot_step(q, xi, beta, i)
+    return step.eps, step.beta_inj
+
+
+def frontier_injection_factor(
+    q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
+) -> dict[int, int]:
+    """Multiplicities m_l of the extra Y(base_l) factors in the absorption
+    identity, read off pivot_step: for l outside the support, m_l counts
+    arrows from l into the in-closure of i inside the support subquiver."""
+    return dict(pivot_step(q, xi, beta, i).hin)
+
+
+def tilt_leading(
+    q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
+) -> Factorization:
+    """Iterated tilt of Y[β] ⊗ Y(base_i) over the out-closure of i, read
+    off pivot_step: ghost factors on the out-closure, H factors just
+    outside the support, KR factors and the remainder β − dim P_i."""
+    return pivot_step(q, xi, beta, i).tilt
 
 
 # ───────────────────────── hom spaces, anchors ─────────────────────────

@@ -41,13 +41,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Mapping, Tuple
 
-from .errors import (
-    Incomparable,
-    InvariantViolation,
-    NotDominant,
-    NotInSupport,
-    UnknownRoot,
-)
+from .errors import Incomparable, InvariantViolation, NotDominant, UnknownRoot
 from .laurent import (
     MONO_ONE,
     LaurentPoly,
@@ -62,12 +56,11 @@ from .quiver import (
     DynkinQuiver,
     HeightFunction,
     Root,
-    beta_combinatorics,
     expected_edges,
     is_nonneg,
     simple_root,
 )
-from .objects import kr_object, leading_object
+from .objects import kr_object, leading_object, pivot_step
 from .complexes import build_complex, euler_char
 from .cluster import enumerate_cluster_variables
 
@@ -164,9 +157,10 @@ def qchar_recursion(
 ) -> LaurentPoly:
     """Two-term recursion over the absorb / tilt split — no complexes.
 
-    At the pivot i, with ε and β_inj from the frontier absorption, the
-    injective frontier factor H^in, and the iterated-tilt factorization
-    (K powers, H powers, remainder β_proj):
+    At the pivot i, the exchange step (objects.pivot_step, which the
+    complex build reads too) gives ε and β_inj from the frontier
+    absorption, the injective frontier factor H^in, and the iterated-tilt
+    factorization (K powers, H powers, remainder β_proj):
 
         χ(β) · Y(i, ξ(i)) = X_i^ε · mono(H^in) · χ(β_inj)
                             + mono(K) · mono(H) · χ(β_proj)
@@ -204,8 +198,6 @@ def _kr_class(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
 def _qchar_recursion_step(
     q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None
 ) -> LaurentPoly:
-    from .objects import absorb_frontier, frontier_injection_factor, tilt_leading
-
     if not any(beta):
         return LaurentPoly.one()
     if not is_nonneg(beta):
@@ -214,19 +206,11 @@ def _qchar_recursion_step(
             return LaurentPoly.variable(("Y", negs[0], xi.ht(negs[0])))
         raise NotDominant(f"{beta} is neither nonnegative nor a negative simple root")
 
-    bd = beta_combinatorics(q, xi, beta)
-    i = bd.pivot if pivot is None else pivot
-    if i not in bd.support:
-        raise NotInSupport(f"pivot {i} outside the support of {beta}")
+    step = pivot_step(q, xi, beta, pivot)
+    i, fac = step.pivot, step.tilt
 
-    eps, beta_inj = absorb_frontier(q, xi, beta, i)
-    hin = frontier_injection_factor(q, xi, beta, i)
-    fac = tilt_leading(q, xi, beta, i)
-
-    kr_i = _kr_class(q, xi, i)
-
-    inj_head = mono_pow(kr_i, eps)
-    for l, e in sorted(hin.items()):
+    inj_head = mono_pow(_kr_class(q, xi, i), step.eps)
+    for l, e in step.hin:
         inj_head = mono_mul(inj_head, _y(l, xi.ht(l), e))
 
     proj_head = MONO_ONE
@@ -235,7 +219,7 @@ def _qchar_recursion_step(
     for l, e in fac.h_exp:
         proj_head = mono_mul(proj_head, _y(l, xi.ht(l), e))
 
-    total = LaurentPoly.monomial(inj_head) * qchar_recursion(q, xi, beta_inj)
+    total = LaurentPoly.monomial(inj_head) * qchar_recursion(q, xi, step.beta_inj)
     total = total + LaurentPoly.monomial(proj_head) * qchar_recursion(
         q, xi, fac.remainder
     )

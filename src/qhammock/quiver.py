@@ -46,6 +46,7 @@ __all__ = [
     "root_add",
     "root_sub",
     "is_nonneg",
+    "b_vector",
     "beta_combinatorics",
 ]
 
@@ -350,14 +351,23 @@ def positive_roots(q: DynkinQuiver) -> tuple[Root, ...]:
 # ───────────────────────── support combinatorics ─────────────────────────
 
 
+def b_vector(q: DynkinQuiver, beta: Root) -> tuple[int, ...]:
+    """Exponent vector of Y[β]: b_i = β_i − Σ_{i→j} β_j over the full quiver."""
+    return tuple(
+        beta[i - 1] - sum(beta[j - 1] for j in q.arrows_from(i)) for i in q.vertices
+    )
+
+
 @dataclass(frozen=True)
 class BetaData:
     """Combinatorial data attached to a nonzero nonnegative vector beta.
 
-    All path closures are taken inside the full subquiver on the support.
-    dim_proj[i] / dim_inj[i] are the dimension vectors of the projective /
-    injective cover at i of the support subquiver, used as the downward
-    steps of the two tilting recursions.
+    All path closures are taken inside the full subquiver on the support:
+    j lies in out_closure[i] when the directed tree path i ⇝ j, which is
+    reachable_from(i) ∩ coreachable_to(j), stays inside the support (and
+    in_closure dually).  dim_proj[i] / dim_inj[i] are the dimension vectors
+    of the projective / injective cover at i of the support subquiver, used
+    as the downward steps of the two tilting recursions.
     """
 
     support: tuple[int, ...]
@@ -365,7 +375,6 @@ class BetaData:
     in_closure: dict[int, frozenset[int]] = field(hash=False)
     dim_proj: dict[int, Root] = field(hash=False)
     dim_inj: dict[int, Root] = field(hash=False)
-    r_full: dict[int, int] = field(hash=False)
     r_sub: dict[int, int] = field(hash=False)
     min_coeff_vertices: tuple[int, ...]
     pivot_candidates: tuple[int, ...]
@@ -377,52 +386,18 @@ def beta_combinatorics(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> BetaD
     if not any(beta) or not is_nonneg(beta):
         raise EmptySupport("need a nonzero nonnegative coefficient vector")
     supp = root_support(beta)
-    supp_set = set(supp)
-
-    def sub_out(i: int) -> frozenset[int]:
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            v = frontier.pop()
-            for w in q.arrows_from(v):
-                if w in supp_set and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return frozenset(seen)
-
-    def sub_in(i: int) -> frozenset[int]:
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            v = frontier.pop()
-            for w in q.arrows_to(v):
-                if w in supp_set and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return frozenset(seen)
-
-    out_cl = {i: sub_out(i) for i in supp}
-    in_cl = {i: sub_in(i) for i in supp}
-    dim_proj = {
-        i: tuple(
-            1 if (j + 1) in out_cl[i] else 0 for j in range(q.rank)
-        )
+    supp_set = frozenset(supp)
+    reach, coreach = q.reachable_from, q.coreachable_to
+    out_cl = {
+        i: frozenset(j for j in reach(i) & supp_set if reach(i) & coreach(j) <= supp_set)
         for i in supp
     }
-    dim_inj = {
-        i: tuple(1 if (j + 1) in in_cl[i] else 0 for j in range(q.rank))
+    in_cl = {
+        i: frozenset(j for j in coreach(i) & supp_set if reach(j) & coreach(i) <= supp_set)
         for i in supp
     }
-
-    sinks = set(q.sinks())
-    r_full = {
-        i: sum(
-            xi.ht(i) - xi.ht(j)
-            for j in q.reachable_from(i)
-            if j in sinks
-        )
-        for i in q.vertices
-    }
+    dim_proj = {i: tuple(1 if j in out_cl[i] else 0 for j in q.vertices) for i in supp}
+    dim_inj = {i: tuple(1 if j in in_cl[i] else 0 for j in q.vertices) for i in supp}
     r_sub = {i: sum(xi.ht(i) - xi.ht(j) for j in out_cl[i]) for i in supp}
 
     min_coeff = min(beta[i - 1] for i in supp)
@@ -435,7 +410,6 @@ def beta_combinatorics(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> BetaD
         in_closure=in_cl,
         dim_proj=dim_proj,
         dim_inj=dim_inj,
-        r_full=r_full,
         r_sub=r_sub,
         min_coeff_vertices=mset,
         pivot_candidates=iset,

@@ -2,6 +2,7 @@
 
 import pytest
 
+import qhammock.complexes as complexes
 from qhammock import (
     ZVertex,
     all_orientations,
@@ -18,9 +19,7 @@ from qhammock.complexes import (
     complex_to_json,
     cone,
     euler_char,
-    initial_ghost_complex,
     initial_hammock_complex,
-    initial_kr_complex,
     shift,
     single_complex,
     tensor_complex,
@@ -31,12 +30,14 @@ from qhammock.complexes import (
 )
 from qhammock.errors import (
     InconsistentConnector,
+    InvariantViolation,
     NegativeDegree,
     NotDominant,
     NotInSupport,
 )
 from qhammock.laurent import LaurentPoly, mono_from_dict, mono_key_str
-from qhammock.objects import hammock_object, kr_object, serre_tilt, unit_obj
+from qhammock.objects import ghost_object, hammock_object, kr_object, serre_tilt, unit_obj
+from qhammock.qchar import qchar_euler
 
 
 def a2():
@@ -85,9 +86,9 @@ def test_shift_degrees_and_signs():
 
 def test_tensor_unit_and_counts():
     q, xi = a2()
-    k = initial_kr_complex(q, xi, 1)
+    k = single_complex(kr_object(q, xi, 1), 0)
     assert tensor_complex(k, unit_complex()).summand_count() == 1
-    g = initial_ghost_complex(q, xi, 1)
+    g = single_complex(ghost_object(q, xi, translate_base(xi, 1)), 1)
     prod = tensor_complex(k, g)
     assert prod.degrees() == [1]
     assert tensor_complex(k, Complex()).is_zero()
@@ -238,3 +239,42 @@ def test_complex_json_schema():
         "0": [[0, 0, "eta_2", 1]],
         "1": [[0, 0, "eta_1", -1]],
     }
+
+
+def test_built_complex_is_read_only():
+    q = build_quiver("A", 3, [(1, 2), (2, 3)])
+    xi = default_height(q)
+    before = qchar_euler(q, xi, (1, 1, 1))
+    fc = build_complex(q, xi, (1, 1, 1))
+    for view in (fc.den, fc.num.terms, fc.num.diffs):
+        with pytest.raises(AttributeError):
+            view.clear()
+        with pytest.raises(TypeError):
+            view[0] = ()
+    assert qchar_euler(q, xi, (1, 1, 1)) == before
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_dangling_component_is_an_engine_error(side):
+    # the check must raise even under python -O, so not as an assert
+    q, xi = a2()
+    x = ZVertex(1, 1)
+    y = hammock_object(q, xi, x)
+    c = Complex({0: [y], 1: [serre_tilt(q, y, [x])]}, {0: [Component(0, 0, ("eta", 1), 1)]})
+    c.terms = {0: c.terms[0]}  # the component now points at a missing degree
+    pair = (c, single_complex(y, 0)) if side == "left" else (single_complex(y, 0), c)
+    with pytest.raises(InvariantViolation):
+        tensor_complex(*pair)
+
+
+@pytest.mark.parametrize("broken", ["leading_object", "cone"])
+def test_degree_zero_violation_is_an_engine_error(monkeypatch, broken):
+    # a forced pivot bypasses the build memo, so the check runs
+    q, xi = a2()
+    if broken == "leading_object":
+        monkeypatch.setattr(complexes, "leading_object", lambda *args: unit_obj())
+    else:
+        two = Complex({0: [unit_obj(), unit_obj()]})
+        monkeypatch.setattr(complexes, "cone", lambda *args, **kwargs: two)
+    with pytest.raises(InvariantViolation):
+        build_complex(q, xi, (1, 1), pivot=1)

@@ -27,7 +27,8 @@ from qhammock import (
     translate,
     window_vertices,
 )
-from qhammock.errors import TooLarge
+import qhammock.hammock as hammock
+from qhammock.errors import InvariantViolation, TooLarge
 from qhammock.hammock import preceq, qfun_defect
 
 from interval_oracle import ext1_dim, hom_dim, intervals
@@ -239,3 +240,26 @@ def test_dim_hom_axioms_window():
             assert len(vals) < 200  # finite support, materialized dict
             for y in win:
                 assert dim_hom(q, x, y) == dim_hom(q, y, serre(q, x))
+
+
+def test_hom_values_hands_out_a_read_only_view():
+    q = A(2)
+    v = ZVertex(1, 1)
+    vals = hom_values(q, v)
+    with pytest.raises(AttributeError):
+        vals.clear()
+    with pytest.raises(TypeError):
+        vals[v] = 0
+    assert dim_hom(q, v, v) == 1
+
+
+@pytest.mark.parametrize("bad", ["leak", "negative"])
+def test_hom_function_violation_is_an_engine_error(monkeypatch, bad):
+    # the two checks must raise even under python -O, so not as asserts
+    q = A(2)
+    x = ZVertex(1, 1)
+    knitted = {ZVertex(1, x.p + 20): 1} if bad == "leak" else {x: -1}
+    monkeypatch.setattr(hammock, "_GCACHE", {})
+    monkeypatch.setattr(hammock, "_knit", lambda *args: dict(knitted))
+    with pytest.raises(InvariantViolation):
+        hammock.hom_values(q, x)

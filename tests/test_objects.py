@@ -311,8 +311,8 @@ def test_absorb_and_tilt_identities_small():
 )
 def test_tilt_bookkeeping_failure_is_an_engine_error(monkeypatch, skew):
     # the two checks must raise even under python -O, so not as asserts
-    real = objects.factor_dominant
-    monkeypatch.setattr(objects, "factor_dominant", lambda q, xi, a: skew(real(q, xi, a)))
+    real = objects._max_recursion
+    monkeypatch.setattr(objects, "_max_recursion", lambda q, c, d: skew(real(q, c, d)))
     q = build_quiver("A", 3, [(1, 2), (3, 2)])
     with pytest.raises(InvariantViolation):
         objects.tilt_leading(q, default_height(q), (1, 1, 1), 1)

@@ -1,5 +1,7 @@
 """Dynkin quiver layer: shape validation, heights, roots, support data."""
 
+import itertools
+
 import pytest
 
 from qhammock import (
@@ -23,6 +25,7 @@ from qhammock.quiver import (
     root_sub,
     root_support,
 )
+from qhammock.objects import _omega_order
 
 
 def A(n, arrows=None):
@@ -307,3 +310,64 @@ def test_beta_combinatorics_rejects_bad_input():
         beta_combinatorics(q, xi, (0, 0))
     with pytest.raises(EmptySupport):
         beta_combinatorics(q, xi, (1, -1))
+
+
+# ------------------------------------------- referee for the closures
+
+
+def _closure_by_bfs(supp, i, step):
+    # the referee: a BFS along `step` that never leaves supp
+    seen = {i}
+    frontier = [i]
+    while frontier:
+        for w in step(frontier.pop()):
+            if w in supp and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
+
+
+REFEREE_SHAPES = [("A", n, None) for n in range(1, 6)] + [
+    ("D", 4, None),
+    ("D", 5, None),
+    ("E", 6, 3),
+    ("E", 7, 2),
+    ("E", 8, 2),
+]
+
+
+def _referee_quivers(family, rank, sample):
+    if sample is None:
+        return list(all_orientations(family, rank))
+    return sample_orientations(family, rank, sample, seed=1)
+
+
+@pytest.mark.parametrize(
+    "family,rank,sample", REFEREE_SHAPES, ids=[f"{f}{n}" for f, n, _ in REFEREE_SHAPES]
+)
+def test_support_closures_match_bfs_inside_support(family, rank, sample):
+    # entries in {0,1,2} (in {0,1} on E7/E8) give every support shape,
+    # disconnected ones included, and repeated minimal coefficients
+    top = 2 if rank >= 7 else 3
+    for q in _referee_quivers(family, rank, sample):
+        xi = default_height(q)
+        for beta in itertools.product(range(top), repeat=rank):
+            if not any(beta):
+                continue
+            bd = beta_combinatorics(q, xi, beta)
+            supp = set(bd.support)
+            for i in bd.support:
+                assert bd.out_closure[i] == _closure_by_bfs(supp, i, q.arrows_from), (
+                    q.arrows, beta, i)
+                assert bd.in_closure[i] == _closure_by_bfs(supp, i, q.arrows_to), (
+                    q.arrows, beta, i)
+
+
+@pytest.mark.parametrize(
+    "family,rank,sample", REFEREE_SHAPES, ids=[f"{f}{n}" for f, n, _ in REFEREE_SHAPES]
+)
+def test_omega_order_is_topological(family, rank, sample):
+    for q in _referee_quivers(family, rank, sample):
+        place = {k: n for n, k in enumerate(_omega_order(q))}
+        assert sorted(place) == list(q.vertices)
+        assert all(place[b] < place[a] for a, b in q.arrows), q.arrows
