@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from .errors import ConfigError, QHError, UnknownRoot
+from .errors import ConfigError, QHError, TooLarge, UnknownRoot
 from .laurent import LaurentPoly, mono_key_str
 from .quiver import (
     DynkinQuiver,
@@ -353,7 +353,14 @@ _CLAUSES = (
 )
 
 
+# the largest rank of any family: E stops at 8, and an A or D sweep expands
+# 2^(rank−1) orientations with a full exchange walk each
+_MAX_VERIFY_RANK = 8
+
+
 def _verify_quivers(args: argparse.Namespace) -> List[DynkinQuiver]:
+    if args.max_rank > _MAX_VERIFY_RANK:
+        raise TooLarge(f"--max-rank {args.max_rank} is above {_MAX_VERIFY_RANK}")
     types = [t.strip().upper() for t in args.types.split(",") if t.strip()]
     min_rank = {"A": 1, "D": 4, "E": 6}
     quivers: List[DynkinQuiver] = []

@@ -18,17 +18,22 @@ acceptance sweep):
 * cone(dom, cod): E_n = dom_{n+1} ⊕ cod_n, dom block kept, cod block
   negated, connector signs supplied by the caller.
 
-No fixed local rule for the connector signs survives the recursion: a
-connector square pairs a component of the absorb-side subcomplex against
-a component of the tilt-side subcomplex, and whether those carry equal
-or opposite signs depends on each one's own provenance (a shift-negated
+The cone's connectors form a chain map η from the absorb side to the
+tilt side, and only a connector carries a free sign: each composite it
+forms lands in one square dom_n[s] → cod_{n+1}[t], through the cod
+differential after it or the dom differential before it.  Every other
+composite group is the d² ledger of dom or cod alone, checked once per
+cone.  No fixed local rule for the connector signs survives the
+recursion: a square pairs a component of the absorb-side subcomplex
+against one of the tilt-side subcomplex, and whether those carry equal or
+opposite signs depends on each one's own provenance (a shift-negated
 block, a cone-negated block, or a connector) arbitrarily deep in two
 independent builds.  The builder therefore treats connector signs as
-unknowns in {±1} and solves the cancellation constraints — every
-composite group that is not excused by the path-vanishing rule must sum
-to zero — backtracking over the matching when isomorphic twin summands
-leave it ambiguous.  The degree-|out-closure| ghost factor is tensored
-on the right, where it imposes no Koszul twist on the carried
+unknowns in {±1}, requires every square that the path-vanishing rule does
+not excuse to cancel, and backtracks over the matching when isomorphic
+twin summands leave it ambiguous, cutting a branch as soon as the squares
+it has closed admit no signs.  The degree-|out-closure| ghost factor is
+tensored on the right, where it imposes no Koszul twist on the carried
 subcomplex.
 
 The recursive construction  C[β] = cone(dom → cod)  threads the absorb
@@ -144,16 +149,18 @@ class Complex:
         return "Complex(" + " ".join(bits) + ")"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FractionComplex:
     """A complex together with denominator exponents of base classes
-    (a read-only view, like the complex's terms)."""
+    (frozen, and den a read-only view, like the complex's terms)."""
 
     num: Complex
     den: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        self.den = MappingProxyType({i: e for i, e in self.den.items() if e})
+        object.__setattr__(
+            self, "den", MappingProxyType({i: e for i, e in self.den.items() if e})
+        )
 
 
 # ───────────────────────── constructors ─────────────────────────
@@ -324,71 +331,10 @@ def cone(
 # ───────────────────────── connector resolution ─────────────────────────
 
 
-def _symbolic_components(dom: Complex, cod: Complex, matching, tag):
-    """All components of cone(dom, cod) with connectors left symbolic.
-
-    Constant components carry ("c", sign); connector components carry
-    ("v", edge) with edge = (input_degree, dom_summand).  Indexing matches
-    cone() exactly.
-    """
-    comps: dict[int, list[tuple[int, int, tuple, tuple]]] = {}
-    for n, cs in dom.diffs.items():
-        for c in cs:
-            comps.setdefault(n - 1, []).append((c.src, c.dst, c.tag, ("c", c.sign)))
-    for n, cs in cod.diffs.items():
-        off_src = len(dom.terms.get(n + 1, ()))
-        off_dst = len(dom.terms.get(n + 2, ()))
-        for c in cs:
-            comps.setdefault(n, []).append(
-                (off_src + c.src, off_dst + c.dst, c.tag, ("c", -c.sign))
-            )
-    for (n, s), t in matching.items():
-        off_dst = len(dom.terms.get(n + 1, ()))
-        comps.setdefault(n - 1, []).append((s, off_dst + t, tag, ("v", (n, s))))
-    return comps
-
-
-def _cancellation_equations(q: DynkinQuiver, comps) -> list[tuple[int, tuple]] | None:
-    """Cancellation constraints for the composite groups of a symbolic cone.
-
-    Returns a list of equations const + Σ coeff·u_edge = 0, one per group
-    containing a non-excused composable pair; None when a group without
-    free connector signs fails outright.
-    """
-    groups: dict[tuple, list] = {}
-    for n in sorted(comps):
-        for src1, dst1, tag1, k1 in comps[n]:
-            for src2, dst2, tag2, k2 in comps.get(n + 1, ()):
-                if src2 != dst1:
-                    continue
-                key = (n, src1, dst2, tuple(sorted((tag1, tag2))))
-                excused = (
-                    tag1[0] == "eta"
-                    and tag2[0] == "eta"
-                    and q.has_path(tag2[1], tag1[1])
-                )
-                groups.setdefault(key, []).append((k1, k2, excused))
-    equations = []
-    for routes in groups.values():
-        if all(exc for _, _, exc in routes):
-            continue
-        const = 0
-        terms: list[tuple[int, tuple]] = []
-        for k1, k2, _ in routes:
-            if k1[0] == "c" and k2[0] == "c":
-                const += k1[1] * k2[1]
-            elif k1[0] == "c":
-                terms.append((k1[1], k2[1]))
-            elif k2[0] == "c":
-                terms.append((k2[1], k1[1]))
-            else:  # two connectors cannot compose: u lands in cod, starts in dom
-                raise InconsistentConnector("composable connector pair")
-        if not terms:
-            if const != 0:
-                return None
-            continue
-        equations.append((const, tuple(terms)))
-    return equations
+def _excused(q: DynkinQuiver, tag1: tuple, tag2: tuple) -> bool:
+    """η_a then η_b with a path b ⇝ a (a = b included): the composite
+    morphism is identically zero."""
+    return tag1[0] == "eta" and tag2[0] == "eta" and q.has_path(tag2[1], tag1[1])
 
 
 def _solve_sign_system(equations) -> dict | None:
@@ -450,13 +396,26 @@ def _solve_sign_system(equations) -> dict | None:
 def _resolve_connectors(
     q: DynkinQuiver, xi: HeightFunction, i: int, dom: Complex, cod: Complex
 ) -> dict[int, list[tuple[int, int, tuple, int]]]:
-    """Choose connector targets and signs making the cone's ledger close.
+    """Choose connector targets and signs that close the squares of η_i.
 
-    Every tiltable dom summand is matched to an isomorphic image among the
-    same-degree cod summands when possible; ambiguity between isomorphic
-    twins and the free ±1 signs are settled by requiring all non-excused
-    composite groups to cancel, with backtracking.
+    Only a connector dom_n[s] → cod_n[t] carries a free sign, and each
+    composite it forms lands in one square dom_m[s'] → cod_{m+1}[t']: the
+    connector at (m, s') followed by a cod component, or a dom component
+    s' → s'' followed by the connector at (m + 1, s'').  Every other
+    composite group of the cone is the d² ledger of dom or cod alone, which
+    no matching changes, so it is checked once.
+
+    Every tiltable dom summand is matched, depth-first, to a same-degree
+    cod summand isomorphic to its tilt when possible.  A square with a
+    non-excused route must cancel; its equation joins the ±1 sign system as
+    soon as every connector it reads is decided, and a branch whose system
+    has no solution is cut there.  Adding equations never makes a system
+    solvable, so the first matching that closes every square is the one a
+    search checking only complete matchings would find.
     """
+    failure = f"no connector matching closes the d² ledger for the tilt at {i}"
+    if not (verify_d_squared(q, dom)["ok"] and verify_d_squared(q, cod)["ok"]):
+        raise InconsistentConnector(failure)
     tx = translate_base(xi, i)
     tag = ("eta", i)
     keys: list[tuple[int, int]] = []
@@ -472,49 +431,71 @@ def _resolve_connectors(
             if opts:
                 keys.append((n, s))
                 cands[(n, s)] = opts
+    depth = {key: k for k, key in enumerate(keys)}
 
-    used: dict[int, set[int]] = {}
+    def closing(m: int, s: int) -> int:
+        """Depth at which every square out of dom_m[s] is final."""
+        read = [(m, s)] + [(m + 1, c.dst) for c in dom.diffs.get(m, ()) if c.src == s]
+        return max(depth[key] for key in read if key in depth)
+
+    # routes[k]: every composite of a candidate connector key → t whose
+    # square is final at depth k, as (key, t, square, coefficient, excused)
+    routes: list[list[tuple[tuple, int, tuple, int, bool]]] = [[] for _ in keys]
+    for n, s in keys:
+        for t in cands[(n, s)]:
+            for c in cod.diffs.get(n, ()):
+                if c.src == t:
+                    routes[closing(n, s)].append((
+                        (n, s), t, (n, s, c.dst, tuple(sorted((tag, c.tag)))),
+                        -c.sign, _excused(q, tag, c.tag),
+                    ))
+            for c in dom.diffs.get(n - 1, ()):
+                if c.dst == s:
+                    routes[closing(n - 1, c.src)].append((
+                        (n, s), t, (n - 1, c.src, t, tuple(sorted((c.tag, tag)))),
+                        c.sign, _excused(q, c.tag, tag),
+                    ))
+
     choice: dict[tuple[int, int], int | None] = {}
-    solution: list = []
 
-    def attempt() -> bool:
-        matching = {k: t for k, t in choice.items() if t is not None}
-        comps = _symbolic_components(dom, cod, matching, tag)
-        equations = _cancellation_equations(q, comps)
-        if equations is None:
-            return False
-        signs = _solve_sign_system(equations)
-        if signs is None:
-            return False
-        solution.append((matching, signs))
-        return True
+    def closed_at(k: int) -> list[tuple[int, tuple]]:
+        """Equations 0 + Σ coeff·u_key = 0 of the squares final at depth k."""
+        groups: dict[tuple, list[tuple[int, tuple, bool]]] = {}
+        for key, t, square, coeff, excused in routes[k]:
+            if choice[key] == t:
+                groups.setdefault(square, []).append((coeff, key, excused))
+        return [
+            (0, tuple((coeff, key) for coeff, key, _ in group))
+            for group in groups.values()
+            if not all(excused for _, _, excused in group)
+        ]
 
-    def dfs(idx: int) -> bool:
-        if idx == len(keys):
-            return attempt()
-        key = keys[idx]
-        n, _ = key
+    def dfs(k: int, equations: list, signs: dict) -> dict | None:
+        if k == len(keys):
+            return signs
+        key = keys[k]
+        taken = {choice[other] for other in keys[:k] if other[0] == key[0]}
         for t in cands[key] + (None,):
-            if t is not None and t in used.setdefault(n, set()):
+            if t is not None and t in taken:
                 continue
             choice[key] = t
-            if t is not None:
-                used[n].add(t)
-            if dfs(idx + 1):
-                return True
-            if t is not None:
-                used[n].discard(t)
+            new = closed_at(k)
+            system = equations + new
+            solved = _solve_sign_system(system) if new else signs
+            if solved is not None:
+                found = dfs(k + 1, system, solved)
+                if found is not None:
+                    return found
         del choice[key]
-        return False
+        return None
 
-    if not dfs(0):
-        raise InconsistentConnector(
-            f"no connector matching closes the d² ledger for the tilt at {i}"
-        )
-    matching, signs = solution[0]
+    signs = dfs(0, [], {})
+    if signs is None:
+        raise InconsistentConnector(failure)
     connectors: dict[int, list[tuple[int, int, tuple, int]]] = {}
-    for (n, s), t in sorted(matching.items()):
-        connectors.setdefault(n, []).append((s, t, tag, signs.get((n, s), 1)))
+    for (n, s), t in sorted(choice.items()):
+        if t is not None:
+            connectors.setdefault(n, []).append((s, t, tag, signs.get((n, s), 1)))
     return connectors
 
 
@@ -556,7 +537,7 @@ def build_complex(
     Connectors are auto-matched: a domain summand connects to a same-degree
     codomain summand isomorphic to its tilt at the translated base vertex
     of i, with twin ambiguities and the ±1 signs resolved so that every
-    non-excused composite group cancels (see _resolve_connectors).
+    non-excused square of the chain map cancels (see _resolve_connectors).
     """
     beta = tuple(beta)
     memo_key = None
@@ -697,12 +678,7 @@ def verify_d_squared(q: DynkinQuiver, c: Complex) -> dict:
         key = (n, c1.src, c2.dst, tuple(sorted((c1.tag, c2.tag))))
         groups[key] = groups.get(key, 0) + c1.sign * c2.sign
         members.setdefault(key, []).append((c1, c2))
-        ok_b = (
-            c1.tag[0] == "eta"
-            and c2.tag[0] == "eta"
-            and q.has_path(c2.tag[1], c1.tag[1])
-        )
-        excused[(n, c1, c2)] = ok_b
+        excused[(n, c1, c2)] = _excused(q, c1.tag, c2.tag)
     violations = []
     for key, total in groups.items():
         if total == 0:
@@ -770,9 +746,7 @@ def verify_exactness_smallrank(
             if comp.tag[0] != "eta" or comp.tag[1] not in supp:
                 fail(f"component tag {comp.tag} at degree {n} is not a support tilt")
     for n, c1, c2 in _composable_pairs(c):
-        if not (c1.tag[0] == "eta" and c2.tag[0] == "eta"):
-            continue
-        if not q.has_path(c2.tag[1], c1.tag[1]):
+        if not _excused(q, c1.tag, c2.tag):
             continue
         mid = c.terms[n + 1][c1.dst]
         routed = any(

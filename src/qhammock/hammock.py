@@ -27,9 +27,9 @@ ever replaced by extensions of themselves, so racing writers are harmless.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .errors import InvariantViolation, TooLarge
+from .errors import InvariantViolation
 from .quiver import DynkinQuiver
 from .repetition import ZVertex, check_vertex, section_through, serre, translate
 
@@ -40,7 +40,6 @@ __all__ = [
     "qfun_window",
     "qfun_defect",
     "qfun_equal",
-    "preceq",
     "dim_hom",
     "hom_values",
     "qfun_grid_tsv",
@@ -234,86 +233,6 @@ def qfun_equal(q: DynkinQuiver, f: QFun, g: QFun) -> bool:
             if val != qfun_eval(q, g, y):
                 return False
     return True
-
-
-# ───────────────────────── the covering order ─────────────────────────
-
-
-def preceq(
-    q: DynkinQuiver,
-    f: QFun,
-    g: QFun,
-    zmult: Iterable[ZVertex] | Mapping[ZVertex, int] | None = None,
-    max_size: int = 8,
-) -> bool:
-    """Is f below g in the covering order?
-
-    g must exceed f by a finite nonnegative sum of pointwise deltas; the
-    order holds when the deltas can be peeled off g one at a time, each
-    peel happening at a vertex where the current function's defect is
-    positive.  When zmult is given it must match g - f as a presentation.
-    Exhaustive search with memoization; multisets larger than max_size
-    raise TooLarge.
-    """
-    diff = g - f
-    if diff.gens:
-        return False
-    multiset = dict(diff.deltas)
-    if any(c < 0 for c in multiset.values()):
-        return False
-    if zmult is not None:
-        stated: dict[ZVertex, int] = {}
-        items = zmult.items() if isinstance(zmult, Mapping) else ((z, 1) for z in zmult)
-        for z, c in items:
-            z = ZVertex(*z)
-            stated[z] = stated.get(z, 0) + c
-        if {v: c for v, c in stated.items() if c} != multiset:
-            raise ValueError("stated delta multiset does not match g - f")
-    total = sum(multiset.values())
-    if total == 0:
-        return True
-    if total > max_size:
-        raise TooLarge(f"covering-order search over {total} deltas (cap {max_size})")
-
-    base_defect = qfun_defect(q, g)
-    memo: dict[frozenset, bool] = {}
-
-    def defect_at(removed: dict[ZVertex, int], z: ZVertex) -> int:
-        # defect of (g - sum of removed deltas) at z
-        val = base_defect.get(z, 0)
-        for w, c in removed.items():
-            if not c:
-                continue
-            if w == z:
-                val -= c
-            if translate(w, -1) == z:
-                val -= c
-            if z.i in q.neighbors(w.i) and z.p == w.p + 1:
-                val += c
-        return val
-
-    def search(remaining: dict[ZVertex, int], removed: dict[ZVertex, int]) -> bool:
-        key = frozenset((v, c) for v, c in remaining.items() if c)
-        if not key:
-            return True
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        ok = False
-        for z in sorted(v for v, c in remaining.items() if c):
-            if defect_at(removed, z) >= 1:
-                remaining[z] -= 1
-                removed[z] = removed.get(z, 0) + 1
-                if search(remaining, removed):
-                    ok = True
-                remaining[z] += 1
-                removed[z] -= 1
-                if ok:
-                    break
-        memo[key] = ok
-        return ok
-
-    return search(multiset, {})
 
 
 # ───────────────────────── hom dimensions ─────────────────────────

@@ -33,10 +33,11 @@ factors on the right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport, TooLarge
-from .hammock import QFun, dim_hom, hammock_fun, hom_values, qfun_defect, qfun_equal
+from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport
+from .hammock import QFun, hammock_fun, hom_values, qfun_defect, qfun_equal
 from .laurent import MONO_ONE, Mono, mono_from_dict, mono_mul
 from .quiver import (
     BetaData,
@@ -45,7 +46,6 @@ from .quiver import (
     Root,
     b_vector,
     beta_combinatorics,
-    coxeter_number,
     is_nonneg,
     root_sub,
 )
@@ -80,8 +80,6 @@ __all__ = [
     "absorb_frontier",
     "frontier_injection_factor",
     "tilt_leading",
-    "hom_space_dim",
-    "anchor_vertex",
 ]
 
 
@@ -91,8 +89,10 @@ __all__ = [
 class Obj:
     """A multiset of repetition-quiver vertices with an attached function.
 
-    kclass is an optional Grothendieck-class monomial; None means the class
-    is not defined for this object (e.g. after an explicit tilt).
+    mult is a read-only view, so the multiset of an object inside a
+    memoised build cannot be edited in place.  kclass is an optional
+    Grothendieck-class monomial; None means the class is not defined for
+    this object (e.g. after an explicit tilt).
     """
 
     __slots__ = ("mult", "fun", "kclass")
@@ -109,7 +109,7 @@ class Obj:
                 raise ValueError(f"negative multiplicity at {v}")
             if c:
                 m[ZVertex(*v)] = c
-        self.mult = m
+        self.mult: Mapping[ZVertex, int] = MappingProxyType(m)
         self.fun = fun if fun is not None else QFun()
         self.kclass = kclass
 
@@ -543,68 +543,3 @@ def tilt_leading(
     off pivot_step: ghost factors on the out-closure, H factors just
     outside the support, KR factors and the remainder β − dim P_i."""
     return pivot_step(q, xi, beta, i).tilt
-
-
-# ───────────────────────── hom spaces, anchors ─────────────────────────
-
-
-def _permanent(rows: list[list[int]]) -> int:
-    """Permanent by expansion over the first row (sizes are capped small)."""
-    if not rows:
-        return 1
-    first, rest = rows[0], rows[1:]
-    total = 0
-    for col, entry in enumerate(first):
-        if not entry:
-            continue
-        minor = [r[:col] + r[col + 1 :] for r in rest]
-        total += entry * _permanent(minor)
-    return total
-
-
-def hom_space_dim(q: DynkinQuiver, a: Obj, b: Obj, cap: int = 8) -> int:
-    """Morphism-count between objects: zero unless b is a Serre tilting of
-    a; otherwise the permanent of the pairwise hom-dimension matrix.
-
-    Multisets larger than cap raise TooLarge.
-    """
-    if a.size() != b.size():
-        return 0
-    if a.size() > cap:
-        raise TooLarge(f"multisets of size {a.size()} (cap {cap})")
-    removed: dict[ZVertex, int] = {}
-    added: dict[ZVertex, int] = {}
-    for v in set(a.mult) | set(b.mult):
-        gap = a.mult.get(v, 0) - b.mult.get(v, 0)
-        if gap > 0:
-            removed[v] = gap
-        elif gap < 0:
-            added[v] = -gap
-    images: dict[ZVertex, int] = {}
-    for z, cnt in removed.items():
-        _mult_add(images, {serre(q, z): cnt})
-    if images != added:
-        return 0
-    expected = a.fun.shift_deltas({z: -cnt for z, cnt in removed.items()})
-    if not qfun_equal(q, expected, b.fun):
-        return 0
-    xs = [v for v, cnt in sorted(a.mult.items()) for _ in range(cnt)]
-    ys = [v for v, cnt in sorted(b.mult.items()) for _ in range(cnt)]
-    matrix = [[dim_hom(q, x, y) for y in ys] for x in xs]
-    return _permanent(matrix)
-
-
-def anchor_vertex(q: DynkinQuiver, xi: HeightFunction) -> ZVertex:
-    """Leftmost vertex receiving a morphism from every translated base
-    vertex; scanned by slot then label over one full period window."""
-    lo = min(xi.ht(i) for i in q.vertices) - 2
-    hi = lo + 2 * coxeter_number(q) + 2
-    txs = [translate_base(xi, i) for i in q.vertices]
-    for p in range(lo, hi + 1):
-        for i in q.vertices:
-            y = ZVertex(i, p)
-            if (p - xi.ht(i)) % 2:
-                continue
-            if all(dim_hom(q, tx, y) >= 1 for tx in txs):
-                return y
-    raise RuntimeError("no anchor vertex in one period (unreachable for Dynkin data)")

@@ -248,6 +248,22 @@ def test_verify_random_orientations_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_max_rank_is_capped(capsys, monkeypatch):
+    import qhammock.cli as cli
+
+    def refuse(*_):
+        raise RuntimeError("a refused --max-rank reached the orientation sweep")
+
+    monkeypatch.setattr(cli, "all_orientations", refuse)
+    code = main(["verify", "--types", "A", "--max-rank", "9"])
+    assert code == 2
+    assert "TooLarge" in capsys.readouterr().err
+    # rank 8 is still allowed; with no orientations generated the sweep is empty
+    monkeypatch.setattr(cli, "all_orientations", lambda family, rank: iter(()))
+    code, out = run(capsys, "verify", "--types", "E", "--max-rank", "8")
+    assert code == 0 and json.loads(out)["quivers"] == 0
+
+
 NEGATIVE_CONTROL = textwrap.dedent(
     """
     import sys

@@ -1,11 +1,14 @@
 """Complex construction: shift/tensor/cone algebra and the beta recursion."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 import qhammock.complexes as complexes
 from qhammock import (
     ZVertex,
     all_orientations,
+    beta_combinatorics,
     build_quiver,
     default_height,
     positive_roots,
@@ -37,7 +40,9 @@ from qhammock.errors import (
 )
 from qhammock.laurent import LaurentPoly, mono_from_dict, mono_key_str
 from qhammock.objects import ghost_object, hammock_object, kr_object, serre_tilt, unit_obj
-from qhammock.qchar import qchar_euler
+from qhammock.qchar import qchar_euler, qchar_recursion
+
+from connector_oracle import resolve_connectors_per_leaf
 
 
 def a2():
@@ -252,6 +257,76 @@ def test_built_complex_is_read_only():
         with pytest.raises(TypeError):
             view[0] = ()
     assert qchar_euler(q, xi, (1, 1, 1)) == before
+
+
+def test_built_summands_are_read_only():
+    q = build_quiver("A", 3, [(1, 2), (2, 3)])
+    xi = default_height(q)
+    fc = build_complex(q, xi, (1, 1, 1))
+    for objs in fc.num.terms.values():
+        for obj in objs:
+            with pytest.raises(AttributeError):
+                obj.mult.clear()
+            with pytest.raises(TypeError):
+                obj.mult[ZVertex(1, 0)] = 1
+    assert validate_components(q, xi, build_complex(q, xi, (1, 1, 1)).num)
+
+
+def test_fraction_complex_is_frozen():
+    q = build_quiver("A", 3, [(1, 2), (2, 3)])
+    xi = default_height(q)
+    fc = build_complex(q, xi, (1, 1, 1))
+    den = dict(fc.den)
+    with pytest.raises(FrozenInstanceError):
+        fc.den = {9: 9}
+    with pytest.raises(FrozenInstanceError):
+        fc.num = unit_complex()
+    assert dict(build_complex(q, xi, (1, 1, 1)).den) == den
+
+
+# ------------------------------------------------------ connector search
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_connectors_match_per_leaf_oracle(monkeypatch, family, rank):
+    # every cone of every pivot build, sub-builds included (fresh memo)
+    library = complexes._resolve_connectors
+    matched = []
+
+    def refereed(q, xi, i, dom, cod):
+        got = library(q, xi, i, dom, cod)
+        assert got == resolve_connectors_per_leaf(q, xi, i, dom, cod)
+        matched.append(sum(len(conns) for conns in got.values()))
+        return got
+
+    monkeypatch.setattr(complexes, "_resolve_connectors", refereed)
+    monkeypatch.setattr(complexes, "_BUILD_CACHE", {})
+    for q in all_orientations(family, rank):
+        xi = default_height(q)
+        for beta in positive_roots(q):
+            for p in beta_combinatorics(q, xi, beta).pivot_candidates:
+                build_complex(q, xi, beta, pivot=p)
+    assert sum(matched) > 0
+
+
+def test_e6_euler_route_finishes(monkeypatch):
+    # a search that rebuilds the whole ledger at every complete matching
+    # passes 20,000 solver calls on (1,2,3,2,1,1) alone without finishing
+    q = list(all_orientations("E", 6))[1]
+    xi = default_height(q)
+    solve = complexes._solve_sign_system
+    calls = []
+
+    def budgeted(equations):
+        calls.append(1)
+        if len(calls) > 5000:
+            raise RuntimeError("connector search over its budget of 5,000 solver calls")
+        return solve(equations)
+
+    monkeypatch.setattr(complexes, "_solve_sign_system", budgeted)
+    monkeypatch.setattr(complexes, "_BUILD_CACHE", {})
+    for beta in positive_roots(q):
+        assert qchar_euler(q, xi, beta) == qchar_recursion(q, xi, beta), beta
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -28,8 +28,8 @@ from qhammock import (
     window_vertices,
 )
 import qhammock.hammock as hammock
-from qhammock.errors import InvariantViolation, TooLarge
-from qhammock.hammock import preceq, qfun_defect
+from qhammock.errors import InvariantViolation
+from qhammock.hammock import qfun_defect
 
 from interval_oracle import ext1_dim, hom_dim, intervals
 
@@ -143,41 +143,6 @@ def test_defect_of_generator_sits_at_source():
     q = A(2)
     x = ZVertex(1, 1)
     assert qfun_defect(q, hammock_fun(q, x)) == {x: 1}
-
-
-# ----------------------------------------------------------- covering order
-
-
-def test_preceq_basic():
-    q = A(2)
-    x = ZVertex(1, 1)
-    f = hammock_fun(q, x)
-    g = f + QFun({}, {x: 1})
-    assert preceq(q, f, g)
-    assert not preceq(q, g, f)
-    assert preceq(q, f, f)
-    assert preceq(q, f, g, zmult=[x])
-    with pytest.raises(ValueError):
-        preceq(q, f, g, zmult=[ZVertex(2, 0)])
-
-
-def test_preceq_size_cap():
-    q = A(2)
-    x = ZVertex(1, 1)
-    f = hammock_fun(q, x)
-    g = f + QFun({}, {x: 9})
-    with pytest.raises(TooLarge):
-        preceq(q, f, g)
-
-
-def test_preceq_respects_defect_gating():
-    # a lone delta carries its own +1 defect and peels freely, but a
-    # neighboring delta one step below cancels it and blocks the peel
-    q = A(2)
-    w, z = ZVertex(2, 0), ZVertex(1, 1)
-    zero = QFun({}, {})
-    assert preceq(q, zero, QFun({}, {z: 1}))
-    assert not preceq(q, QFun({}, {w: 1}), QFun({}, {w: 1, z: 1}))
 
 
 # ------------------------------------------------ morphism-space dimensions

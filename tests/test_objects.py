@@ -17,16 +17,14 @@ from qhammock import (
     translate_base,
     window_vertices,
 )
-from qhammock.errors import InvariantViolation, NotContained, NotDominant, TooLarge
+from qhammock.errors import InvariantViolation, NotContained, NotDominant
 from qhammock.laurent import mono_from_dict
 from qhammock.objects import (
     Obj,
-    anchor_vertex,
     dominant_exponents,
     factor_dominant,
     ghost_object,
     hammock_object,
-    hom_space_dim,
     is_dominant,
     is_iso,
     kr_object,
@@ -316,24 +314,3 @@ def test_tilt_bookkeeping_failure_is_an_engine_error(monkeypatch, skew):
     q = build_quiver("A", 3, [(1, 2), (3, 2)])
     with pytest.raises(InvariantViolation):
         objects.tilt_leading(q, default_height(q), (1, 1, 1), 1)
-
-
-# ----------------------------------------------------------- hom counting
-
-
-def test_hom_space_dim():
-    q, xi = a2()
-    x = ZVertex(1, 1)
-    y = hammock_object(q, xi, x)
-    assert hom_space_dim(q, y, y) == 1
-    t = serre_tilt(q, y, [x])
-    assert hom_space_dim(q, y, t) == 2
-    assert hom_space_dim(q, y, tensor_obj(y, y)) == 0  # size mismatch
-    big = obj_pow(y, 5)
-    with pytest.raises(TooLarge):
-        hom_space_dim(q, big, big, cap=8)
-
-
-def test_anchor_vertex_a2():
-    q, xi = a2()
-    assert anchor_vertex(q, xi) == ZVertex(1, -1)

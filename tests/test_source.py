@@ -1,6 +1,7 @@
 """Source-level checks on the library modules."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qhammock"
@@ -16,3 +17,17 @@ def test_library_has_no_assert_statements():
     ]
     assert sorted(SRC.glob("*.py")), SRC
     assert not found, found
+
+
+def test_all_names_exist():
+    # a deleted function must leave its module's __all__ too
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "qhammock" if path.stem == "__init__" else f"qhammock.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [
+            f"{name}.{entry}"
+            for entry in getattr(module, "__all__", ())
+            if not hasattr(module, entry)
+        ]
+    assert not missing, missing
