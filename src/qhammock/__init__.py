@@ -43,9 +43,7 @@ from .quiver import (
 )
 from .repetition import (
     ZVertex,
-    arrows_in,
     arrows_out,
-    base_section,
     base_vertex,
     check_vertex,
     serre,

@@ -52,7 +52,8 @@ __all__ = [
 class QFun:
     """A function presented as  Σ c_v · h_v  +  Σ d_z · (pointwise delta at z).
 
-    Immutable by convention; supports ring-module arithmetic.  Equality of
+    Immutable: gens and deltas are read-only views and neither can be
+    reassigned.  Supports ring-module arithmetic.  Equality of
     presentations is *syntactic*; use qfun_equal for equality of the
     presented functions.
     """
@@ -64,12 +65,13 @@ class QFun:
         gens: Mapping[ZVertex, int] | None = None,
         deltas: Mapping[ZVertex, int] | None = None,
     ):
-        self.gens: dict[ZVertex, int] = {
-            ZVertex(*v): c for v, c in (gens or {}).items() if c
-        }
-        self.deltas: dict[ZVertex, int] = {
-            ZVertex(*v): c for v, c in (deltas or {}).items() if c
-        }
+        object.__setattr__(self, "gens", _coefficients(gens))
+        object.__setattr__(self, "deltas", _coefficients(deltas))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"QFun is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
 
     def canonical(self) -> tuple:
         return (
@@ -117,6 +119,15 @@ class QFun:
             "gens": [[v.i, v.p, c] for v, c in sorted(self.gens.items())],
             "deltas": [[v.i, v.p, c] for v, c in sorted(self.deltas.items())],
         }
+
+
+def _coefficients(items: Mapping[ZVertex, int] | None) -> Mapping[ZVertex, int]:
+    """Read-only copy of the nonzero coefficients, keys coerced to ZVertex."""
+    return MappingProxyType(
+        {v if type(v) is ZVertex else ZVertex(*v): c for v, c in items.items() if c}
+        if items
+        else {}
+    )
 
 
 def hammock_fun(q: DynkinQuiver, x: ZVertex) -> QFun:

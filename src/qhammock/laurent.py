@@ -27,7 +27,6 @@ __all__ = [
     "Mono",
     "MONO_ONE",
     "mono_from_dict",
-    "mono_to_dict",
     "mono_mul",
     "mono_pow",
     "mono_div",
@@ -39,10 +38,6 @@ __all__ = [
 def mono_from_dict(powers: Mapping[VarKey, int]) -> Mono:
     """Canonical monomial from a {variable key: exponent} mapping."""
     return tuple(sorted((k, e) for k, e in powers.items() if e != 0))
-
-
-def mono_to_dict(m: Mono) -> dict[VarKey, int]:
-    return dict(m)
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:

@@ -12,11 +12,13 @@ needs:
   base vertex);
 * the Kirillov-Reshetikhin pair K_i = Y(translate base_i) tensor Y(base_i).
 
-Tensor product is multiset union plus function addition; Serre tilting
-replaces chosen multiset members by their Serre images while subtracting the
-matching pointwise deltas from the function.  A *dominant* object is one
-whose function is a nonnegative combination of generators sitting on the
-two base sections; those are classified by a coefficient vector in the
+Tensor product is multiset union plus function addition, and a tensor
+power a^n scales a's multiplicities, function and class by n, so no object
+is ever copied n times.  Serre tilting replaces chosen multiset members by
+their Serre images while subtracting the matching pointwise deltas from the
+function.  Objects and their functions are immutable.  A *dominant* object
+is one whose function is a nonnegative combination of generators sitting on
+the two base sections; those are classified by a coefficient vector in the
 positive orthant, recovered by a max-recursion over the quiver.
 
 The exchange step of β at a pivot (``pivot_step``) is worked out once, as
@@ -38,7 +40,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport
 from .hammock import QFun, hammock_fun, hom_values, qfun_defect, qfun_equal
-from .laurent import MONO_ONE, Mono, mono_from_dict, mono_mul
+from .laurent import MONO_ONE, Mono, mono_from_dict, mono_mul, mono_pow
 from .quiver import (
     BetaData,
     DynkinQuiver,
@@ -89,10 +91,10 @@ __all__ = [
 class Obj:
     """A multiset of repetition-quiver vertices with an attached function.
 
-    mult is a read-only view, so the multiset of an object inside a
-    memoised build cannot be edited in place.  kclass is an optional
-    Grothendieck-class monomial; None means the class is not defined for
-    this object (e.g. after an explicit tilt).
+    Immutable: mult is a read-only view and no field can be reassigned,
+    so an object inside a memoised build cannot be edited in place.
+    kclass is an optional Grothendieck-class monomial; None means the class
+    is not defined for this object (e.g. after an explicit tilt).
     """
 
     __slots__ = ("mult", "fun", "kclass")
@@ -103,15 +105,22 @@ class Obj:
         fun: QFun | None = None,
         kclass: Mono | None = MONO_ONE,
     ):
-        m: dict[ZVertex, int] = {}
-        for v, c in (mult or {}).items():
-            if c < 0:
-                raise ValueError(f"negative multiplicity at {v}")
-            if c:
-                m[ZVertex(*v)] = c
-        self.mult: Mapping[ZVertex, int] = MappingProxyType(m)
-        self.fun = fun if fun is not None else QFun()
-        self.kclass = kclass
+        m = {
+            v if type(v) is ZVertex else ZVertex(*v): c
+            for v, c in (mult or {}).items()
+            if c
+        }
+        if m and min(m.values()) < 0:
+            v = next(v for v, c in m.items() if c < 0)
+            raise ValueError(f"negative multiplicity at {v}")
+        object.__setattr__(self, "mult", MappingProxyType(m))
+        object.__setattr__(self, "fun", fun if fun is not None else QFun())
+        object.__setattr__(self, "kclass", kclass)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Obj is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
 
     def size(self) -> int:
         return sum(self.mult.values())
@@ -156,15 +165,6 @@ def unit_obj() -> Obj:
     return Obj({}, QFun(), MONO_ONE)
 
 
-def _mult_add(into: dict[ZVertex, int], items: Mapping[ZVertex, int], times: int = 1) -> None:
-    for v, c in items.items():
-        n = into.get(v, 0) + c * times
-        if n:
-            into[v] = n
-        else:
-            del into[v]
-
-
 def hammock_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
     """Y(x): the hom multiset of x with the generator function h_x.
 
@@ -185,13 +185,10 @@ def ghost_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
     vertices the construction never needs a class and None is carried.
     """
     x = check_vertex(q, x)
-    mult: dict[ZVertex, int] = {}
-    _mult_add(mult, {serre(q, x): 1})
-    _mult_add(mult, {suspend(q, x): 1})
     kclass: Mono | None = None
     if x == translate_base(xi, x.i):
         kclass = mono_from_dict({("f", x.i): 1})
-    return Obj(mult, QFun(), kclass)
+    return Obj({serre(q, x): 1, suspend(q, x): 1}, QFun(), kclass)
 
 
 def kr_object(q: DynkinQuiver, xi: HeightFunction, i: int) -> Obj:
@@ -202,26 +199,36 @@ def kr_object(q: DynkinQuiver, xi: HeightFunction, i: int) -> Obj:
     )
 
 
+def _tensor_powers(pairs: Iterable[tuple[Obj, int]]) -> Obj:
+    """⊗ a^n over (a, n ≥ 0) pairs, in one pass: multiplicities, generator
+    and delta coefficients are scaled by n and summed, and the class is
+    Π kclass^n (None once a factor with n > 0 has no class)."""
+    mult: dict[ZVertex, int] = {}
+    gens: dict[ZVertex, int] = {}
+    deltas: dict[ZVertex, int] = {}
+    kclass: Mono | None = MONO_ONE
+    for a, n in pairs:
+        if not n:
+            continue
+        for into, items in ((mult, a.mult), (gens, a.fun.gens), (deltas, a.fun.deltas)):
+            for v, c in items.items():
+                into[v] = into.get(v, 0) + c * n
+        if kclass is not None:
+            kclass = None if a.kclass is None else mono_mul(kclass, mono_pow(a.kclass, n))
+    return Obj(mult, QFun(gens, deltas), kclass)
+
+
 def tensor_obj(*objs: Obj) -> Obj:
     """Tensor product: multiset union, function sum, class product."""
-    mult: dict[ZVertex, int] = {}
-    fun = QFun()
-    kclass: Mono | None = MONO_ONE
-    for a in objs:
-        _mult_add(mult, a.mult)
-        fun = fun + a.fun
-        if kclass is None or a.kclass is None:
-            kclass = None
-        else:
-            kclass = mono_mul(kclass, a.kclass)
-    return Obj(mult, fun, kclass)
+    return _tensor_powers((a, 1) for a in objs)
 
 
 def obj_pow(a: Obj, n: int) -> Obj:
-    """n-fold tensor power (n ≥ 0)."""
+    """n-fold tensor power (n ≥ 0), by scaling a's multiplicities, function
+    and class by n rather than tensoring n copies."""
     if n < 0:
         raise ValueError("negative tensor power")
-    return tensor_obj(*([a] * n))
+    return _tensor_powers([(a, n)])
 
 
 # ───────────────────────── tilting ─────────────────────────
@@ -240,16 +247,15 @@ def serre_tilt(q: DynkinQuiver, a: Obj, zmult: Iterable[ZVertex] | Mapping[ZVert
         z = ZVertex(*z)
         chosen[z] = chosen.get(z, 0) + c
     mult = dict(a.mult)
-    extra: dict[ZVertex, int] = {}
     for z, c in chosen.items():
         if c < 0:
             raise ValueError("negative tilt multiplicity")
         if mult.get(z, 0) < c:
             raise NotContained(f"{z} (x{c}) not contained in the multiset")
-        _mult_add(mult, {z: -c})
-        _mult_add(extra, {z: -c})
-        _mult_add(mult, {serre(q, z): c})
-    return Obj(mult, a.fun.shift_deltas(extra), None)
+        mult[z] -= c
+        sz = serre(q, z)
+        mult[sz] = mult.get(sz, 0) + c
+    return Obj(mult, a.fun.shift_deltas({z: -c for z, c in chosen.items()}), None)
 
 
 def is_iso(q: DynkinQuiver, a: Obj, b: Obj) -> bool:
@@ -322,20 +328,19 @@ def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
     Exponents come from b_vector (b_i = β_i − Σ_{i→j} β_j over the full
     quiver): the positive part lands on the translated base section, the
     negative part on the base section (the latter only at vertices just
-    outside the support, pointing into it).
+    outside the support, pointing into it).  The b-vector entries are the
+    tensor exponents themselves; no power is built on the way.
     """
     if not is_nonneg(beta):
         negs = [k + 1 for k, v in enumerate(beta) if v]
         if len(negs) == 1 and beta[negs[0] - 1] == -1:
             return hammock_object(q, xi, base_vertex(xi, negs[0]))
         raise NotDominant("coefficient vector must be nonnegative")
-    factors: list[Obj] = []
-    for i, b in zip(q.vertices, b_vector(q, beta)):
-        if b > 0:
-            factors.append(obj_pow(hammock_object(q, xi, translate_base(xi, i)), b))
-        elif b < 0:
-            factors.append(obj_pow(hammock_object(q, xi, base_vertex(xi, i)), -b))
-    return tensor_obj(*factors)
+    return _tensor_powers(
+        (hammock_object(q, xi, translate_base(xi, i) if b > 0 else base_vertex(xi, i)), abs(b))
+        for i, b in zip(q.vertices, b_vector(q, beta))
+        if b
+    )
 
 
 # ───────────────────────── factorizations ─────────────────────────
@@ -363,13 +368,12 @@ def reconstruct_factorization(
     q: DynkinQuiver, xi: HeightFunction, fac: Factorization
 ) -> Obj:
     """Build the object a Factorization stands for (classes included)."""
-    factors = [ghost_object(q, xi, translate_base(xi, j)) for j in fac.f_list]
-    factors += [obj_pow(kr_object(q, xi, i), e) for i, e in fac.k_exp]
-    factors += [
-        obj_pow(hammock_object(q, xi, base_vertex(xi, l)), e) for l, e in fac.h_exp
-    ]
-    factors.append(leading_object(q, xi, fac.remainder))
-    return tensor_obj(*factors)
+    return _tensor_powers(
+        [(ghost_object(q, xi, translate_base(xi, j)), 1) for j in fac.f_list]
+        + [(kr_object(q, xi, i), e) for i, e in fac.k_exp]
+        + [(hammock_object(q, xi, base_vertex(xi, l)), e) for l, e in fac.h_exp]
+        + [(leading_object(q, xi, fac.remainder), 1)]
+    )
 
 
 def _omega_order(q: DynkinQuiver) -> list[int]:

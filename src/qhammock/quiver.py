@@ -43,7 +43,6 @@ __all__ = [
     "root_height",
     "root_support",
     "simple_root",
-    "root_add",
     "root_sub",
     "is_nonneg",
     "b_vector",
@@ -303,10 +302,6 @@ def nakayama_involution(q: DynkinQuiver, i: int) -> int:
 
 def simple_root(q: DynkinQuiver, i: int) -> Root:
     return tuple(1 if j == i else 0 for j in q.vertices)
-
-
-def root_add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def root_sub(a: Root, b: Root) -> Root:

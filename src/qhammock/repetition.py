@@ -23,14 +23,12 @@ __all__ = [
     "ZVertex",
     "check_vertex",
     "arrows_out",
-    "arrows_in",
     "translate",
     "section_through",
     "suspend",
     "serre",
     "base_vertex",
     "translate_base",
-    "base_section",
     "window_vertices",
     "zq_dot",
 ]
@@ -50,18 +48,13 @@ def check_vertex(q: DynkinQuiver, v: ZVertex) -> ZVertex:
         raise ParityViolation(f"vertex label {i} out of range for rank {q.rank}")
     if p % 2 != q.parity_class(i):
         raise ParityViolation(f"slot parity violated at ({i},{p})")
-    return ZVertex(i, p)
+    return v if type(v) is ZVertex else ZVertex(i, p)
 
 
 def arrows_out(q: DynkinQuiver, v: ZVertex) -> tuple[ZVertex, ...]:
     """Arrows leaving (i,p): one to (j, p+1) for every neighbor j of i."""
     i, p = v
     return tuple(ZVertex(j, p + 1) for j in q.neighbors(i))
-
-
-def arrows_in(q: DynkinQuiver, v: ZVertex) -> tuple[ZVertex, ...]:
-    i, p = v
-    return tuple(ZVertex(j, p - 1) for j in q.neighbors(i))
 
 
 def translate(v: ZVertex, steps: int = 1) -> ZVertex:
@@ -98,10 +91,6 @@ def base_vertex(xi: HeightFunction, i: int) -> ZVertex:
 
 def translate_base(xi: HeightFunction, i: int) -> ZVertex:
     return ZVertex(i, xi.ht(i) - 2)
-
-
-def base_section(q: DynkinQuiver, xi: HeightFunction) -> dict[int, int]:
-    return {i: xi.ht(i) for i in q.vertices}
 
 
 def window_vertices(

@@ -272,6 +272,27 @@ def test_built_summands_are_read_only():
     assert validate_components(q, xi, build_complex(q, xi, (1, 1, 1)).num)
 
 
+def test_built_summands_cannot_be_reassigned():
+    q = build_quiver("A", 3, [(1, 2), (2, 3)])
+    xi = default_height(q)
+    before = qchar_euler(q, xi, (1, 1, 1))
+    for objs in build_complex(q, xi, (1, 1, 1)).num.terms.values():
+        for obj in objs:
+            for name in ("kclass", "fun", "mult"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(obj, name)
+            for view in (obj.fun.gens, obj.fun.deltas):
+                with pytest.raises(AttributeError):
+                    view.clear()
+                with pytest.raises(TypeError):
+                    view[ZVertex(1, 0)] = 1
+            with pytest.raises(AttributeError):
+                obj.fun.gens = {}
+    assert qchar_euler(q, xi, (1, 1, 1)) == before
+
+
 def test_fraction_complex_is_frozen():
     q = build_quiver("A", 3, [(1, 2), (2, 3)])
     xi = default_height(q)

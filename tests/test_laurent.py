@@ -3,7 +3,7 @@
 import pytest
 
 from qhammock import LaurentPoly, MONO_ONE, mono_from_dict, mono_key_str
-from qhammock.laurent import mono_div, mono_mul, mono_pow, mono_to_dict
+from qhammock.laurent import mono_div, mono_mul, mono_pow
 from qhammock.errors import InexactDivision
 
 
@@ -20,7 +20,6 @@ def test_mono_canonical_form():
     m = mono_from_dict({X2: 3, X1: 1, Y: 0})
     assert m == ((X1, 1), (X2, 3))  # sorted, zero exponent dropped
     assert mono_from_dict({}) == MONO_ONE
-    assert mono_to_dict(m) == {X1: 1, X2: 3}
 
 
 def test_mono_arithmetic():

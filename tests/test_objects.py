@@ -1,5 +1,6 @@
 """Object calculus: constructors, tilts, factorization, exchange identities."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -38,6 +39,8 @@ from qhammock.objects import (
     unit_obj,
 )
 from qhammock.quiver import root_support
+
+from object_oracle import leading_object_by_copies
 
 
 def a2():
@@ -118,6 +121,37 @@ def test_tensor_and_power():
     # None class poisons the product
     t = serre_tilt(q, y, [ZVertex(1, 1)])
     assert tensor_obj(y, t).kclass is None
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
+def test_power_equals_repeated_tensor(family, rank):
+    # obj_pow scales by n; it must agree with tensoring n copies, class included
+    q = next(iter(all_orientations(family, rank)))
+    xi = default_height(q)
+    y = hammock_object(q, xi, base_vertex(xi, 1))
+    objs = [
+        y,
+        hammock_object(q, xi, ZVertex(1, xi.ht(1) + 2)),  # off the base sections: no class
+        ghost_object(q, xi, translate_base(xi, 2)),
+        kr_object(q, xi, rank),
+        serre_tilt(q, tensor_obj(y, y), [base_vertex(xi, 1)]),  # tilted: class None
+    ]
+    for a in objs:
+        for n in range(6):
+            pow_n, copies = obj_pow(a, n), tensor_obj(*[a] * n)
+            assert pow_n.canonical() == copies.canonical(), (a, n)
+            assert pow_n.kclass == copies.kclass, (a, n)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_leading_object_matches_copy_oracle(family, rank):
+    for q in all_orientations(family, rank):
+        xi = default_height(q)
+        for beta in itertools.product(range(7), repeat=rank):
+            if any(beta) and sum(beta) <= 6:
+                got, want = leading_object(q, xi, beta), leading_object_by_copies(q, xi, beta)
+                assert got.canonical() == want.canonical(), (q.arrows, beta)
+                assert got.kclass == want.kclass, (q.arrows, beta)
 
 
 # ------------------------------------------------------------------- tilts

@@ -3,9 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhammock import all_orientations, default_height
+from qhammock import LaurentPoly, all_orientations, default_height, sample_orientations
+from qhammock.cluster import initial_seed, mutate
 from qhammock.laurent import mono_from_dict, mono_mul, mono_pow
 from qhammock.qchar import nakajima_leq, variable_A
+
+from exchange_oracle import seed_key
 
 QUIVERS = [
     q
@@ -36,3 +39,49 @@ def test_nakajima_leq_holds_exactly_upwards(case):
         raised = mono_mul(raised, mono_pow(variable_A(q, xi, i), e))
     assert nakajima_leq(q, xi, m, raised)
     assert nakajima_leq(q, xi, raised, m) == (not any(k))
+
+
+# a few variables, small exponents and coefficients: products stay small
+monomials = st.dictionaries(
+    st.sampled_from([("x", 1), ("x", 2), ("Y", 1, 0)]), st.integers(-2, 2), max_size=3
+).map(mono_from_dict)
+laurent_polys = st.dictionaries(monomials, st.integers(-3, 3), max_size=4).map(LaurentPoly)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(laurent_polys, laurent_polys, laurent_polys)
+def test_laurent_ring_axioms(a, b, c):
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a * one == a and a + zero == a and a - a == zero
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(laurent_polys, laurent_polys.filter(bool))
+def test_exact_div_round_trip(a, b):
+    assert (a * b).exact_div(b) == a
+
+
+SEED_QUIVERS = [
+    q
+    for family, rank in (("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5))
+    for q in sample_orientations(family, rank, 2, seed=rank)
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(SEED_QUIVERS), st.lists(st.integers(0, 4), max_size=6), st.integers(0, 4))
+def test_mutation_is_an_involution(q, walk, k):
+    """μ_k∘μ_k = id on a seed reached by a short mutation walk."""
+    seed = initial_seed(q)
+    for step in walk:
+        seed = mutate(seed, seed.mutable_vertices()[step % q.rank])
+    v = seed.mutable_vertices()[k % q.rank]
+    back = mutate(mutate(seed, v), v)
+    assert seed_key(back) == seed_key(seed)
+    assert dict(back.matrix) == dict(seed.matrix)
+    assert dict(back.cluster) == dict(seed.cluster)

@@ -38,7 +38,6 @@ from qhammock.qchar import (
     variable_A,
     verify_beta,
 )
-from qhammock.quiver import root_add
 
 
 def a2():

@@ -20,7 +20,6 @@ from qhammock.errors import EmptySupport, ParityViolation, Reorientation, WrongS
 from qhammock.quiver import (
     expected_edges,
     is_nonneg,
-    root_add,
     root_height,
     root_sub,
     root_support,
@@ -256,7 +255,6 @@ def test_root_helpers():
     q = A(3)
     a1 = simple_root(q, 1)
     assert a1 == (1, 0, 0)
-    assert root_add(a1, simple_root(q, 2)) == (1, 1, 0)
     assert root_sub((1, 1, 0), a1) == (0, 1, 0)
     assert is_nonneg((0, 1, 0)) and not is_nonneg((1, -1, 0))
     assert root_height((1, 2, 1)) == 4

@@ -5,9 +5,7 @@ import pytest
 from qhammock import (
     ZVertex,
     all_orientations,
-    arrows_in,
     arrows_out,
-    base_section,
     base_vertex,
     build_quiver,
     check_vertex,
@@ -56,7 +54,6 @@ def test_translate_moves_left():
 def test_mesh_arrows():
     q = A(3)
     assert arrows_out(q, ZVertex(2, 0)) == (ZVertex(1, 1), ZVertex(3, 1))
-    assert arrows_in(q, ZVertex(2, 0)) == (ZVertex(1, -1), ZVertex(3, -1))
     # end of the chain has a single neighbor
     assert arrows_out(q, ZVertex(1, 1)) == (ZVertex(2, 2),)
     # fork vertex of D4 talks to three neighbors
@@ -95,7 +92,6 @@ def test_base_slice():
     xi = default_height(q)
     assert base_vertex(xi, 2) == ZVertex(2, 0)
     assert translate_base(xi, 2) == ZVertex(2, -2)
-    assert base_section(q, xi) == {1: 1, 2: 0, 3: -1}
     # knitting a section through any of its own vertices recovers it
     assert section_through(q, ZVertex(3, -1)) == {1: 1, 2: 0, 3: -1}
     assert section_through(q, ZVertex(1, 1)) == {1: 1, 2: 0, 3: -1}
