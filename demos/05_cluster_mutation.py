@@ -12,7 +12,6 @@ Run:  python3 demos/05_cluster_mutation.py
 
 from qhammock import (
     build_quiver,
-    cluster_variable_for_root,
     enumerate_cluster_variables,
     initial_seed,
     mutate,
@@ -63,4 +62,4 @@ for fam, n, arrows in [
 
 # variables are keyed by their denominator vectors; fetch one directly
 theta = (1, 1)
-print(f"variable with denominator {theta}:", cluster_variable_for_root(q, theta))
+print(f"variable with denominator {theta}:", enumerate_cluster_variables(q)[theta])

@@ -96,7 +96,6 @@ from .complexes import (
 )
 from .cluster import (
     Seed,
-    cluster_variable_for_root,
     enumerate_cluster_variables,
     initial_seed,
     mutate,

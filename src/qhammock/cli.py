@@ -65,6 +65,16 @@ class RunConfig:
     out: str | None
 
 
+def _config_int(value: object, what: str) -> int:
+    """An integer or an integer string; bools, floats and anything else raise."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def _parse_quiver_json(data: object) -> tuple[DynkinQuiver, HeightFunction]:
     if not isinstance(data, dict):
         raise ConfigError("quiver config must be a JSON object")
@@ -74,25 +84,19 @@ def _parse_quiver_json(data: object) -> tuple[DynkinQuiver, HeightFunction]:
     for key in ("type", "rank", "arrows"):
         if key not in data:
             raise ConfigError(f"quiver config is missing '{key}'")
-    try:
-        rank = int(data["rank"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"'rank' must be an integer, got {data['rank']!r}")
-    try:
-        arrows = [(int(a), int(b)) for a, b in data["arrows"]]
-    except (TypeError, ValueError):
+    rank = _config_int(data["rank"], "'rank'")
+    pairs = data["arrows"]
+    if not isinstance(pairs, list) or not all(isinstance(a, list) and len(a) == 2 for a in pairs):
         raise ConfigError("'arrows' must be a list of [source, target] pairs")
+    if rank < 1 or len(pairs) != rank - 1:
+        raise ConfigError(f"a Dynkin quiver of rank {rank} has rank - 1 arrows, got {len(pairs)}")
+    arrows = [(_config_int(a, "an arrow end"), _config_int(b, "an arrow end")) for a, b in pairs]
     q = build_quiver(str(data["type"]), rank, arrows)
     if "xi" in data and data["xi"] is not None:
         raw = data["xi"]
         if not isinstance(raw, dict):
             raise ConfigError("'xi' must map vertex labels to integers")
-        partial = {}
-        for k, v in raw.items():
-            try:
-                partial[int(k)] = int(v)
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad xi entry {k!r}: {v!r}")
+        partial = {_config_int(k, "an xi label"): _config_int(v, f"xi[{k!r}]") for k, v in raw.items()}
         xi = _extend_height(q, partial)
     else:
         xi = default_height(q)
@@ -164,6 +168,8 @@ def _parse_pair(raw: str, what: str) -> tuple[int, int]:
         a, b = (int(x) for x in raw.split(","))
     except ValueError:
         raise ConfigError(f"--{what} must be two comma-separated integers, got {raw!r}")
+    if what == "window" and a > b:
+        raise ConfigError(f"--window needs pmin <= pmax, got {raw!r}")
     return a, b
 
 
@@ -363,24 +369,25 @@ def _verify_quivers(args: argparse.Namespace) -> List[DynkinQuiver]:
         raise TooLarge(f"--max-rank {args.max_rank} is above {_MAX_VERIFY_RANK}")
     types = [t.strip().upper() for t in args.types.split(",") if t.strip()]
     min_rank = {"A": 1, "D": 4, "E": 6}
-    quivers: List[DynkinQuiver] = []
-    mode = args.orientations
     for fam in types:
         if fam not in min_rank:
             raise ConfigError(f"unknown family {fam!r} (expected A, D or E)")
-        for rank in range(min_rank[fam], args.max_rank + 1):
-            if fam == "E" and rank > 8:
-                break
-            if mode == "all":
-                quivers.extend(all_orientations(fam, rank))
-            elif mode.startswith("random:"):
-                try:
-                    k = int(mode.split(":", 1)[1])
-                except ValueError:
-                    raise ConfigError(f"bad --orientations {mode!r}")
-                quivers.extend(sample_orientations(fam, rank, k, seed=args.seed))
-            else:
-                raise ConfigError(f"--orientations must be 'all' or 'random:k', got {mode!r}")
+    pairs = [(fam, rank) for fam in types for rank in range(min_rank[fam], args.max_rank + 1)]
+    if not pairs:
+        raise ConfigError(f"--types {args.types!r} has no rank up to --max-rank {args.max_rank}")
+    quivers: List[DynkinQuiver] = []
+    mode = args.orientations
+    for fam, rank in pairs:
+        if mode == "all":
+            quivers.extend(all_orientations(fam, rank))
+        elif mode.startswith("random:"):
+            try:
+                k = int(mode.split(":", 1)[1])
+            except ValueError:
+                raise ConfigError(f"bad --orientations {mode!r}")
+            quivers.extend(sample_orientations(fam, rank, k, seed=args.seed))
+        else:
+            raise ConfigError(f"--orientations must be 'all' or 'random:k', got {mode!r}")
     return quivers
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from .errors import CensusFailure, TooLarge, UnknownRoot
+from .errors import CensusFailure, TooLarge
 from .laurent import LaurentPoly
 from .quiver import DynkinQuiver, Root, positive_roots, simple_root
 
@@ -62,7 +62,6 @@ __all__ = [
     "mutate",
     "exchange_binomial",
     "enumerate_cluster_variables",
-    "cluster_variable_for_root",
 ]
 
 
@@ -241,13 +240,3 @@ def _census(q: DynkinQuiver) -> Dict[Root, LaurentPoly]:
         )
 
     return out
-
-
-def cluster_variable_for_root(q: DynkinQuiver, beta: Root) -> LaurentPoly:
-    """Lookup by denominator vector; UnknownRoot if nothing sits there."""
-    table = enumerate_cluster_variables(q)
-    key = tuple(beta)
-    try:
-        return table[key]
-    except KeyError:
-        raise UnknownRoot(f"no cluster variable has denominator vector {key}") from None

@@ -31,7 +31,7 @@ from typing import Mapping
 
 from .errors import InvariantViolation
 from .quiver import DynkinQuiver
-from .repetition import ZVertex, check_vertex, section_through, serre, translate
+from .repetition import ZVertex, check_vertex, section_through, serre, translate, window_vertices
 
 __all__ = [
     "QFun",
@@ -47,6 +47,8 @@ __all__ = [
 
 
 # ───────────────────────── presentations ─────────────────────────
+
+_Coeffs = Mapping[ZVertex, int]
 
 
 class QFun:
@@ -185,9 +187,13 @@ def _hvalue(q: DynkinQuiver, v: ZVertex, y: ZVertex) -> int:
 
 def qfun_eval(q: DynkinQuiver, f: QFun, y: ZVertex) -> int:
     """Evaluate a presented function at one vertex."""
-    y = check_vertex(q, y)
-    total = f.deltas.get(y, 0)
-    for v, c in f.gens.items():
+    return _eval(q, f.gens, f.deltas, check_vertex(q, y))
+
+
+def _eval(q: DynkinQuiver, gens: _Coeffs, deltas: _Coeffs, y: ZVertex) -> int:
+    """Value at a valid vertex y of Σ c_v · h_v + Σ d_z · (delta at z)."""
+    total = deltas.get(y, 0)
+    for v, c in gens.items():
         total += c * _hvalue(q, v, y)
     return total
 
@@ -196,8 +202,6 @@ def qfun_window(
     q: DynkinQuiver, f: QFun, p_min: int, p_max: int
 ) -> dict[ZVertex, int]:
     """Evaluate on every parity-valid vertex with slot in [p_min, p_max]."""
-    from .repetition import window_vertices
-
     return {y: qfun_eval(q, f, y) for y in window_vertices(q, p_min, p_max)}
 
 
@@ -208,6 +212,11 @@ def qfun_defect(q: DynkinQuiver, f: QFun) -> dict[ZVertex, int]:
     contributes +1 at z, +1 at the inverse translate of z, and -1 at every
     head of an arrow out of z.
     """
+    return _defect(q, f.gens, f.deltas)
+
+
+def _defect(q: DynkinQuiver, gens: _Coeffs, deltas: _Coeffs) -> dict[ZVertex, int]:
+    """qfun_defect on the coefficient maps of a presentation."""
     out: dict[ZVertex, int] = {}
 
     def bump(v: ZVertex, c: int) -> None:
@@ -217,9 +226,9 @@ def qfun_defect(q: DynkinQuiver, f: QFun) -> dict[ZVertex, int]:
         else:
             out.pop(v, None)
 
-    for v, c in f.gens.items():
+    for v, c in gens.items():
         bump(v, c)
-    for z, c in f.deltas.items():
+    for z, c in deltas.items():
         bump(z, c)
         bump(translate(z, -1), c)
         for j in q.neighbors(z.i):
@@ -231,19 +240,29 @@ def qfun_equal(q: DynkinQuiver, f: QFun, g: QFun) -> bool:
     """Equality of presented functions.
 
     Both presentations vanish far enough left, so equality is equivalent to
-    the difference having zero defect; the far-left window comparison is
-    kept as a cheap independent guard.
+    the difference of their coefficients having zero defect.  A cheap
+    independent guard evaluates that difference on the two slots left of
+    every coefficient of f and g (by linearity, f(y) == g(y) there); it is
+    skipped when no generator is left, as the deltas then lie right of it.
     """
-    if qfun_defect(q, f - g):
+    gens = _difference(f.gens, g.gens)
+    deltas = _difference(f.deltas, g.deltas)
+    if _defect(q, gens, deltas):
         return False
-    slots = [v.p for v in f.gens] + [v.p for v in g.gens]
-    slots += [v.p for v in f.deltas] + [v.p for v in g.deltas]
-    if slots:
-        p0 = min(slots) - 1
-        for y, val in qfun_window(q, f, p0 - 1, p0).items():
-            if val != qfun_eval(q, g, y):
+    if gens:
+        p0 = min(v.p for m in (f.gens, g.gens, f.deltas, g.deltas) for v in m) - 1
+        for y in window_vertices(q, p0 - 1, p0):
+            if _eval(q, gens, deltas, y):
                 return False
     return True
+
+
+def _difference(a: _Coeffs, b: _Coeffs) -> dict[ZVertex, int]:
+    """a − b on coefficient maps, zero entries dropped."""
+    out = dict(a)
+    for v, c in b.items():
+        out[v] = out.get(v, 0) - c
+    return {v: c for v, c in out.items() if c}
 
 
 # ───────────────────────── hom dimensions ─────────────────────────

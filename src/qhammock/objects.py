@@ -35,6 +35,7 @@ factors on the right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -165,11 +166,14 @@ def unit_obj() -> Obj:
     return Obj({}, QFun(), MONO_ONE)
 
 
+@lru_cache(maxsize=None)
 def hammock_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
     """Y(x): the hom multiset of x with the generator function h_x.
 
     The class monomial is defined only when x lies on one of the two base
     sections (slot ξ(i) or ξ(i)-2); elsewhere the object carries no class.
+    Memoised per (quiver, height, vertex): equal arguments share one
+    immutable object.  An invalid vertex raises on every call.
     """
     x = check_vertex(q, x)
     kclass: Mono | None = None

@@ -1,4 +1,5 @@
-"""Leading objects by tensoring copies, for small ranks.
+"""Leading objects by tensoring copies, and equality of presented
+functions by evaluating both sides, for small ranks.
 
 Builds Y[β] the long way: one hammock object per unit of each b-vector
 entry, folded together one factor at a time, each step taking a multiset
@@ -7,12 +8,19 @@ factor by its exponent in a single pass instead; the two objects must be
 equal, class included.  It shares only ``b_vector``, ``hammock_object``,
 ``QFun`` addition and ``mono_mul`` with the library.  The cost grows
 with the coordinate sum of β, so keep the vectors small.
+
+``qfun_equal_by_evaluation`` decides equality the presentation way: it
+builds f − g as a ``QFun``, takes its defect, and then evaluates f and g
+separately over the two slots left of every coefficient of either.  The
+library subtracts the coefficients once and evaluates only the
+difference; the verdicts must agree.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import qhammock.hammock as hammock
 from qhammock.hammock import QFun
 from qhammock.laurent import MONO_ONE, mono_mul
 from qhammock.objects import Obj, hammock_object
@@ -34,3 +42,19 @@ def leading_object_by_copies(q: DynkinQuiver, xi: HeightFunction, beta: Root) ->
         fun = fun + a.fun
         kclass = None if kclass is None or a.kclass is None else mono_mul(kclass, a.kclass)
     return Obj(mult, fun, kclass)
+
+
+def qfun_equal_by_evaluation(q: DynkinQuiver, f: QFun, g: QFun) -> bool:
+    """f == g as functions: zero defect of f − g, and f(y) == g(y) on the
+    far-left window.  The defect is looked up on the module at call time,
+    so a test that switches it off compares the window checks alone."""
+    if hammock.qfun_defect(q, f - g):
+        return False
+    slots = [v.p for v in f.gens] + [v.p for v in g.gens]
+    slots += [v.p for v in f.deltas] + [v.p for v in g.deltas]
+    if slots:
+        p0 = min(slots) - 1
+        for y, val in hammock.qfun_window(q, f, p0 - 1, p0).items():
+            if val != hammock.qfun_eval(q, g, y):
+                return False
+    return True

@@ -314,7 +314,7 @@ def test_ar_view_dot(capsys):
 # ------------------------------------------------------------ config layer
 
 
-def test_config_rejections(capsys):
+def test_config_rejections(capsys, monkeypatch):
     bad = [
         '{"type":"A","rank":2,"arrows":[[1,2]],"bogus":3}',
         '{"type":"A","rank":2}',
@@ -322,10 +322,35 @@ def test_config_rejections(capsys):
         '{"type":"A","rank":2,"arrows":[[1,2]],"xi":{"9":1}}',
         '{"type":"A","rank":"x","arrows":[]}',
         '{"type":"A","rank":2,"arrows":[[1]]}',
+        # bools, floats and bare strings are not read as integers or pairs
+        '{"type":"A","rank":2.7,"arrows":[[1.9,2.2]]}',
+        '{"type":"A","rank":true,"arrows":[]}',
+        '{"type":"A","rank":2,"arrows":[[1,2]],"xi":{"1":1.5}}',
+        '{"type":"A","rank":2,"arrows":[[1,2]],"xi":{"1":false}}',
+        '{"type":"A","rank":2,"arrows":[[true,2]]}',
+        '{"type":"A","rank":2,"arrows":["12"]}',
+        # a rank the arrows cannot span is refused before the tree is built
+        '{"type":"A","rank":100000000,"arrows":[]}',
     ]
     for cfg in bad:
         code, _ = run(capsys, "roots", "--quiver", cfg)
         assert code == 2, cfg
+    # integer strings stay accepted
+    code, _ = run(capsys, "roots", "--quiver", '{"type":"A","rank":"2","arrows":[["1","2"]],"xi":{"1":"3"}}')
+    assert code == 0
+    # an empty sweep is refused before any orientation is generated
+    import qhammock.cli as cli
+
+    monkeypatch.setattr(cli, "all_orientations", lambda *_: pytest.fail("sweep was generated"))
+    for argv in [
+        ("verify", "--types", "E", "--max-rank", "5"),
+        ("verify", "--max-rank", "0"),
+        ("verify", "--types", ""),
+        ("hammock", "--quiver", A2, "--vertex", "1,1", "--window", "3,1"),
+        ("ar-view", "--quiver", A2, "--window", "3,1"),
+    ]:
+        code, out = run(capsys, *argv)
+        assert code == 2 and out == "", argv
 
 
 def test_quiver_config_from_file(tmp_path, capsys):

@@ -14,7 +14,6 @@ from qhammock import (
 )
 from qhammock.cli import main
 from qhammock.cluster import (
-    cluster_variable_for_root,
     enumerate_cluster_variables,
     exchange_binomial,
     initial_seed,
@@ -153,11 +152,13 @@ def test_variable_table_hands_out_copies():
     q = a2()
     xi = default_height(q)
     want = qchar_cluster(q, xi, (1, 1))
+    first = enumerate_cluster_variables(q)[(1, 1)]
+    kept = first.copy()
+    first.terms.clear()
     enumerate_cluster_variables(q)[(1, 1)].terms.clear()
-    cluster_variable_for_root(q, (1, 1)).terms.clear()
     assert qchar_cluster(q, xi, (1, 1)) == want != LaurentPoly.zero()
-    assert cluster_variable_for_root(q, (1, 1)) == enumerate_cluster_variables(q)[(1, 1)]
-    assert len(cluster_variable_for_root(q, (1, 1))) == 3
+    assert enumerate_cluster_variables(q)[(1, 1)] == kept != first
+    assert len(enumerate_cluster_variables(q)[(1, 1)]) == 3
 
 
 def test_e6_census():
@@ -184,12 +185,13 @@ def test_variable_keys_are_denominator_vectors():
 
 def test_variable_for_root_lookup():
     q = a2()
-    theta = cluster_variable_for_root(q, (1, 1))
+    theta = enumerate_cluster_variables(q)[(1, 1)]
     # hand-checked: two exchanges give x_theta = (X1 + x2 + x1 X2)/(x1 x2)
     num = V(("X", 1)) + V(("x", 2)) + V(("x", 1)) * V(("X", 2))
     assert theta == num.exact_div(V(("x", 1)) * V(("x", 2)))
+    assert (2, 1) not in enumerate_cluster_variables(q)
     with pytest.raises(UnknownRoot):
-        cluster_variable_for_root(q, (2, 1))
+        qchar_cluster(q, default_height(q), (2, 1))
 
 
 def test_positive_coefficients_everywhere():

@@ -5,12 +5,16 @@ from dataclasses import replace
 
 import pytest
 
+import qhammock.complexes as complexes
+import qhammock.hammock as hammock
 import qhammock.objects as objects
 from qhammock import (
     ZVertex,
     all_orientations,
     arrows_out,
     base_vertex,
+    beta_combinatorics,
+    build_complex,
     build_quiver,
     default_height,
     positive_roots,
@@ -18,7 +22,8 @@ from qhammock import (
     translate_base,
     window_vertices,
 )
-from qhammock.errors import InvariantViolation, NotContained, NotDominant
+from qhammock.errors import InvariantViolation, NotContained, NotDominant, ParityViolation
+from qhammock.hammock import QFun, hammock_fun, hom_values
 from qhammock.laurent import mono_from_dict
 from qhammock.objects import (
     Obj,
@@ -40,7 +45,7 @@ from qhammock.objects import (
 )
 from qhammock.quiver import root_support
 
-from object_oracle import leading_object_by_copies
+from object_oracle import leading_object_by_copies, qfun_equal_by_evaluation
 
 
 def a2():
@@ -152,6 +157,116 @@ def test_leading_object_matches_copy_oracle(family, rank):
                 got, want = leading_object(q, xi, beta), leading_object_by_copies(q, xi, beta)
                 assert got.canonical() == want.canonical(), (q.arrows, beta)
                 assert got.kclass == want.kclass, (q.arrows, beta)
+
+
+# ------------------------------------------------- shared hammock objects
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_hammock_object_is_built_once(family, rank):
+    # every vertex of both base sections and of a window off them
+    for q in all_orientations(family, rank):
+        xi = default_height(q)
+        for x in window_vertices(q, min(xi.values) - 6, max(xi.values) + 6):
+            obj = hammock_object(q, xi, x)
+            on_base = x.p in (xi.ht(x.i), xi.ht(x.i) - 2)
+            kclass = mono_from_dict({("Y", x.i, x.p): 1}) if on_base else None
+            fresh = Obj(hom_values(q, x), hammock_fun(q, x), kclass)
+            assert (obj.canonical(), obj.kclass) == (fresh.canonical(), kclass), x
+            by_tuple = hammock_object(q, xi, (x.i, x.p))
+            assert (by_tuple.canonical(), by_tuple.kclass) == (fresh.canonical(), kclass), x
+            assert hammock_object(q, xi, x) is obj
+
+
+def test_shared_hammock_object_cannot_be_edited():
+    q, xi = a2()
+    for x in (base_vertex(xi, 1), translate_base(xi, 2), ZVertex(1, 5)):
+        obj = hammock_object(q, xi, x)
+        before = (obj.canonical(), obj.kclass)
+        edits = [
+            lambda: setattr(obj, "kclass", None),
+            lambda: setattr(obj, "mult", {}),
+            lambda: delattr(obj, "fun"),
+            lambda: setattr(obj.fun, "gens", {}),
+            lambda: obj.mult.__setitem__(x, 5),
+            lambda: obj.fun.gens.__setitem__(x, 2),
+            lambda: obj.fun.deltas.__setitem__(x, 1),
+        ]
+        for edit in edits:
+            with pytest.raises((AttributeError, TypeError)):
+                edit()
+        again = hammock_object(q, xi, x)
+        assert again is obj and (again.canonical(), again.kclass) == before
+    # nothing is remembered for an invalid vertex: it raises every time
+    for _ in range(2):
+        for bad in (ZVertex(1, 0), (3, 1)):
+            with pytest.raises(ParityViolation):
+                hammock_object(q, xi, bad)
+
+
+def _perturbed(g: QFun) -> list[QFun]:
+    """g with an extra delta one translate left of its leftmost coefficient
+    v, with an extra generator at v, and with one generator moved one
+    translate to the right: each differs from g."""
+    v = min([*g.gens, *g.deltas], key=lambda z: (z.p, z.i))
+    out = [g.shift_deltas({translate(v): 1}), g + QFun({v: 1})]
+    if g.gens:
+        w = min(g.gens, key=lambda z: (z.p, z.i))
+        gens = dict(g.gens)
+        c = gens.pop(w)
+        gens[translate(w, -1)] = gens.get(translate(w, -1), 0) + c
+        out.append(QFun(gens, g.deltas))
+    return out
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_qfun_equal_matches_evaluation_oracle(monkeypatch, family, rank):
+    # every is_iso of every pivot build, sub-builds included (fresh memo)
+    library = hammock.qfun_equal
+    seen = []
+
+    def refereed(q, f, g):
+        got = library(q, f, g)
+        assert got == qfun_equal_by_evaluation(q, f, g), (q.arrows, f, g)
+        seen.append((q, f, g, got))
+        return got
+
+    monkeypatch.setattr(hammock, "qfun_equal", refereed)
+    monkeypatch.setattr(objects, "qfun_equal", refereed)
+    monkeypatch.setattr(complexes, "_BUILD_CACHE", {})
+    for q in all_orientations(family, rank):
+        xi = default_height(q)
+        for beta in positive_roots(q):
+            for p in beta_combinatorics(q, xi, beta).pivot_candidates:
+                build_complex(q, xi, beta, pivot=p)
+    assert seen
+    sample = [(q, f, g) for q, f, g, got in seen[:: max(1, len(seen) // 300)] if got]
+    for q, f, g in sample:
+        for h in _perturbed(g):
+            assert library(q, f, h) is qfun_equal_by_evaluation(q, f, h) is False, (f, h)
+    # The window guards alone, on an arbitrary stand-in for the generator
+    # values (the real ones vanish left of every coefficient): evaluating
+    # the difference once must give the verdicts of evaluating both sides,
+    # on the same window.  Perturbing twice puts a delta left of the
+    # generators while they differ.
+    monkeypatch.setattr(hammock, "_defect", lambda *args: {})
+    monkeypatch.setattr(hammock, "qfun_defect", lambda *args: {})
+    monkeypatch.setattr(hammock, "_hvalue", lambda q, v, y: (v.p - y.p + 3 * v.i + y.i) % 3 - 1)
+    windows = []
+    window_vertices = hammock.window_vertices
+    monkeypatch.setattr(
+        hammock, "window_vertices", lambda q, lo, hi: windows.append((lo, hi)) or window_vertices(q, lo, hi)
+    )
+    verdicts = []
+    for q, f, g in sample:
+        for h in [g, *_perturbed(g), *_perturbed(_perturbed(g)[0])]:
+            windows.clear()
+            verdicts.append(library(q, f, h))
+            evaluated = list(windows)
+            windows.clear()
+            assert verdicts[-1] == qfun_equal_by_evaluation(q, f, h), (f, h)
+            assert evaluated in ([], windows), (f, h)
+    assert False in verdicts and True in verdicts
 
 
 # ------------------------------------------------------------------- tilts

@@ -1,12 +1,18 @@
 """Property tests: randomised inputs, checked against definitions."""
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhammock import LaurentPoly, all_orientations, default_height, sample_orientations
+from qhammock import LaurentPoly, all_orientations, default_height, positive_roots, sample_orientations
+from qhammock.cli import main
 from qhammock.cluster import initial_seed, mutate
 from qhammock.laurent import mono_from_dict, mono_mul, mono_pow
 from qhammock.qchar import nakajima_leq, variable_A
+from qhammock.repetition import window_vertices
 
 from exchange_oracle import seed_key
 
@@ -85,3 +91,63 @@ def test_mutation_is_an_involution(q, walk, k):
     assert seed_key(back) == seed_key(seed)
     assert dict(back.matrix) == dict(seed.matrix)
     assert dict(back.cluster) == dict(seed.cluster)
+
+
+# JSON values of every kind a config file can hold; numbers stay small so a
+# config that happens to be valid is cheap to run
+_scalars = st.one_of(
+    st.integers(-2, 6),
+    st.integers(-2, 6).map(str),
+    st.floats(-2, 6),
+    st.booleans(),
+    st.none(),
+    st.text("AD1-x", max_size=2),
+)
+_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=5)
+_junk = st.text("0123-,. x", max_size=6)
+
+
+def _ints(n, lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(lambda xs: ",".join(map(str, xs)))
+
+
+_rarely = st.integers(0, 3).map(lambda k: k == 0)
+
+
+@st.composite
+def cli_calls(draw):
+    """roots, qchar or hammock on a small quiver, with fields and flags fuzzed."""
+    q = draw(st.sampled_from(QUIVERS))
+    cfg = {"type": q.family, "rank": q.rank, "arrows": [list(a) for a in q.arrows]}
+    # each field is fuzzed in about one call in four, so some calls are valid
+    if draw(_rarely):
+        cfg["xi"] = draw(st.dictionaries(st.sampled_from(["1", "2", "0", "x"]), _values, max_size=2))
+    if draw(_rarely) and q.arrows:
+        cfg["arrows"][0][draw(st.integers(0, 1))] = draw(_scalars)
+    if draw(_rarely):
+        cfg[draw(st.sampled_from(["type", "rank", "arrows", "xi", "bogus"]))] = draw(_values)
+    if draw(_rarely):
+        cfg = draw(_values)
+    command = draw(st.sampled_from(["roots", "qchar", "hammock"]))
+    argv = [command, f"--quiver={json.dumps(cfg)}"]
+    if command == "qchar":
+        root = st.sampled_from(positive_roots(q)).map(lambda b: ",".join(map(str, b)))
+        argv.append(f"--beta={draw(root | _ints(q.rank, -1, 2) | _ints(draw(st.integers(0, 5)), -3, 6) | _junk)}")
+    if command == "hammock":
+        vertex = st.sampled_from(window_vertices(q, -2, 4)).map(lambda v: f"{v.i},{v.p}")
+        argv.append(f"--vertex={draw(vertex | _ints(2, -3, 6) | _junk)}")
+        window = draw(st.none() | _ints(2, -4, 8) | _junk)
+        if window is not None:
+            argv.append(f"--window={window}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_calls())
+def test_fuzzed_cli_input_exits_0_or_2(argv):
+    """Malformed configs and flags exit 2 with a message, never a traceback."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), argv
+    assert (code == 2) == err.getvalue().startswith("error: "), argv
