@@ -1,8 +1,9 @@
 """Exact hammock calculus on repetition quivers, with three routes to
 truncated characters: Euler characteristics of recursively built
 complexes, a scalar leading-term recursion, and exchange-walk cluster
-variables.  Everything is integer/Fraction arithmetic — no floats
-anywhere, so every equality in the test suite is exact.
+variables.  Everything is integer arithmetic (Fraction only in the
+inverse Cartan matrix of the dominance order) — no floats anywhere, so
+every equality in the test suite is exact.
 """
 
 from .errors import (

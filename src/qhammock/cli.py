@@ -135,7 +135,13 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("this command needs --quiver (a JSON file or literal)")
     path = Path(spec)
     try:
-        text = path.read_text() if path.is_file() else spec
+        is_file = path.is_file()
+    except OSError:
+        # a name the system cannot look up, such as an inline JSON literal
+        # longer than a file name may be, is read as a literal
+        is_file = False
+    try:
+        text = path.read_text() if is_file else spec
     except OSError as exc:
         raise ConfigError(f"cannot read quiver config: {exc}")
     try:

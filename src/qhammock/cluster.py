@@ -125,30 +125,37 @@ def exchange_binomial(seed: Seed, k: SeedVertex) -> Tuple[LaurentPoly, LaurentPo
     return plus, minus
 
 
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def mutate(seed: Seed, k: SeedVertex) -> Seed:
-    """Mutation at a mutable vertex: matrix rule plus exact exchange."""
+    """Mutation at a mutable vertex: matrix rule plus exact exchange.
+
+    The matrix rule b'_{uv} = −b_{uv} if k ∈ {u, v}, else
+    b_{uv} + sgn(b_{uk})·max(b_{uk}·b_{kv}, 0), changes only row and
+    column k and the pairs with u → k → v, so only those are touched.
+    """
     if k not in seed.vertices:
         raise ValueError(f"{k} is not a vertex of this seed")
     if k[1] != MUTABLE:
         raise ValueError(f"cannot mutate the frozen vertex {k}")
 
-    new_matrix: Dict[Tuple[SeedVertex, SeedVertex], int] = {}
-    for u in seed.vertices:
-        for v in seed.vertices:
-            if u == v or (u[1] == FROZEN and v[1] == FROZEN):
+    new_matrix = dict(seed.matrix)
+    into_k: List[Tuple[SeedVertex, int]] = []
+    out_of_k: List[Tuple[SeedVertex, int]] = []
+    for v in seed.vertices:
+        w = seed.b(v, k)
+        if w:
+            new_matrix[(v, k)] = -w
+            new_matrix[(k, v)] = w
+            (into_k if w > 0 else out_of_k).append((v, abs(w)))
+    for u, a in into_k:
+        for v, c in out_of_k:
+            if u[1] == FROZEN and v[1] == FROZEN:
                 continue
-            if u == k or v == k:
-                w = -seed.b(u, v)
-            else:
-                buk = seed.b(u, k)
-                bkv = seed.b(k, v)
-                w = seed.b(u, v) + _sgn(buk) * max(buk * bkv, 0)
+            w = new_matrix.get((u, v), 0) + a * c
             if w:
                 new_matrix[(u, v)] = w
+                new_matrix[(v, u)] = -w
+            else:
+                del new_matrix[(u, v)], new_matrix[(v, u)]
 
     plus, minus = exchange_binomial(seed, k)
     new_var = (plus + minus).exact_div(seed.cluster[k])

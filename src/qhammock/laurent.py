@@ -6,14 +6,13 @@ nonzero exponents; variable keys are themselves tuples such as ("Y", i, p),
 lets the character and cluster layers share one arithmetic core.
 
 Division is exact or it is an error: ``LaurentPoly.exact_div`` clears
-denominators, runs ordinary multivariate long division over the rationals,
-and raises InexactDivision unless the remainder is zero and every quotient
-coefficient is an integer.
+denominators, runs ordinary multivariate long division over the integers,
+and raises InexactDivision at the first step whose leading coefficient the
+divisor's does not divide, or when a nonzero remainder is left.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InexactDivision
@@ -170,8 +169,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -221,35 +221,52 @@ class LaurentPoly:
 
         Variables not in the mapping pass through unchanged.  A mapped
         variable raised to a negative power requires the image to be a
-        single monomial (otherwise division would be needed), which is the
-        only case this routine refuses.
+        single monomial with coefficient ±1 (otherwise division would be
+        needed); those are the only cases this routine refuses.
+
+        Each term is folded in one pass: unmapped variables and monomial
+        images go into one exponent dict and one coefficient, and
+        polynomials are multiplied only for a non-monomial image.
         """
-        out = LaurentPoly()
+        out: dict[Mono, int] = {}
         for m, c in self.terms.items():
-            term = LaurentPoly({MONO_ONE: c})
+            powers: dict[VarKey, int] = {}
+            factors: list[LaurentPoly] = []
             for k, e in m:
                 img = mapping.get(k)
                 if img is None:
-                    term = term * LaurentPoly.variable(k, e)
-                elif e >= 0:
-                    term = term * img**e
-                else:
-                    if not img.is_monomial():
-                        raise InexactDivision(
-                            "negative power of a non-monomial image"
-                        )
-                    im, ic = img.as_monomial()
-                    if ic * ic != 1:
-                        raise InexactDivision(
-                            "cannot invert non-unit coefficient in substitution"
-                        )
-                    # ic is ±1, so its e-th power is ±1 as well; int ** negative
-                    # would silently promote to float
-                    term = term * LaurentPoly.monomial(
-                        mono_pow(im, e), ic if e % 2 else 1
+                    powers[k] = powers.get(k, 0) + e
+                    continue
+                if len(img.terms) != 1:
+                    if e < 0:
+                        raise InexactDivision("negative power of a non-monomial image")
+                    factors.append(img**e)
+                    continue
+                (im, ic), = img.terms.items()
+                if e >= 0:
+                    c *= ic**e
+                elif ic * ic != 1:
+                    raise InexactDivision(
+                        "cannot invert non-unit coefficient in substitution"
                     )
-            out = out + term
-        return out
+                elif e % 2:
+                    # ic is ±1, so its e-th power is ic or 1; int ** negative
+                    # would silently promote to float
+                    c *= ic
+                for kk, ee in im:
+                    powers[kk] = powers.get(kk, 0) + ee * e
+            mono = mono_from_dict(powers)
+            if not factors:
+                out[mono] = out.get(mono, 0) + c
+                continue
+            term = LaurentPoly.monomial(mono, c)
+            for f in factors:
+                term = term * f
+            for tm, tc in term.terms.items():
+                out[tm] = out.get(tm, 0) + tc
+        res = LaurentPoly()
+        res.terms = {m: c for m, c in out.items() if c}
+        return res
 
     # -- exact division ----------------------------------------------
 
@@ -258,11 +275,14 @@ class LaurentPoly:
 
         Strategy: strip the per-variable minimum exponent from numerator and
         denominator separately (a monomial factor each), divide the two
-        resulting honest polynomials by multivariate long division over ℚ in
+        resulting honest polynomials by multivariate long division over ℤ in
         graded-lex order, and reattach the monomial difference.  Exactness of
         the original Laurent division is equivalent to exactness of the
         stripped polynomial division, because per-variable minimal degrees
-        are additive over products.
+        are additive over products.  When the quotient is integral every
+        step's leading coefficient is a multiple of the divisor's (leading
+        terms multiply in a monomial order), so a step that does not divide
+        proves the division inexact.
         """
         if not other.terms:
             raise ZeroDivisionError("Laurent division by zero")
@@ -290,8 +310,8 @@ class LaurentPoly:
                 row[index[k]] = e
             return row
 
-        def stripped(poly: LaurentPoly) -> tuple[dict[tuple[int, ...], Fraction], list[int]]:
-            rows = {tuple(vec(m)): Fraction(c) for m, c in poly.terms.items()}
+        def stripped(poly: LaurentPoly) -> tuple[dict[tuple[int, ...], int], list[int]]:
+            rows = {tuple(vec(m)): c for m, c in poly.terms.items()}
             mins = [min(r[j] for r in rows) for j in range(nv)]
             shifted = {
                 tuple(a - b for a, b in zip(r, mins)): c for r, c in rows.items()
@@ -307,18 +327,22 @@ class LaurentPoly:
         lead_den = max(den, key=order_key)
         lead_den_c = den[lead_den]
 
-        quo: dict[tuple[int, ...], Fraction] = {}
+        # the leading exponent strictly falls at every step, so each quotient
+        # exponent is produced once
+        quo: dict[tuple[int, ...], int] = {}
         work = dict(num)
         while work:
             lead = max(work, key=order_key)
             diff = tuple(a - b for a, b in zip(lead, lead_den))
             if any(d < 0 for d in diff):
                 raise InexactDivision("remainder is nonzero")
-            coeff = work[lead] / lead_den_c
-            quo[diff] = quo.get(diff, Fraction(0)) + coeff
+            coeff, rem = divmod(work[lead], lead_den_c)
+            if rem:
+                raise InexactDivision("quotient has fractional coefficient")
+            quo[diff] = coeff
             for dv, dc in den.items():
                 tgt = tuple(a + b for a, b in zip(diff, dv))
-                newc = work.get(tgt, Fraction(0)) - coeff * dc
+                newc = work.get(tgt, 0) - coeff * dc
                 if newc:
                     work[tgt] = newc
                 else:
@@ -326,16 +350,12 @@ class LaurentPoly:
 
         out_terms: dict[Mono, int] = {}
         for v, c in quo.items():
-            if c == 0:
-                continue
-            if c.denominator != 1:
-                raise InexactDivision("quotient has fractional coefficient")
             powers = {}
             for j in range(nv):
                 e = v[j] + num_shift[j] - den_shift[j]
                 if e:
                     powers[vars_sorted[j]] = e
-            out_terms[mono_from_dict(powers)] = int(c)
+            out_terms[mono_from_dict(powers)] = c
         res = LaurentPoly()
         res.terms = out_terms
         if res * other != self:

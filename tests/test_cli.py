@@ -5,12 +5,15 @@ broken involution table cannot leak into this process's caches.
 """
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import qhammock
 from qhammock.cli import main
 
 A2 = '{"type":"A","rank":2,"arrows":[[1,2]]}'
@@ -295,6 +298,18 @@ def test_verify_negative_control_subprocess():
     assert all("error" in row or "clauses" in row for row in j["failures"])
 
 
+def test_verify_survives_optimized_mode():
+    # invariants are checked by raising, not by assert, so python -O must
+    # verify the same sweep and print the same bytes
+    src = str(Path(qhammock.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["-m", "qhammock.cli", "verify", "--types", "A", "--max-rank", "3"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env)
+    assert plain.returncode == 0 and optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+
+
 # ---------------------------------------------------------------- ar-view
 
 
@@ -337,6 +352,10 @@ def test_config_rejections(capsys, monkeypatch):
         assert code == 2, cfg
     # integer strings stay accepted
     code, _ = run(capsys, "roots", "--quiver", '{"type":"A","rank":"2","arrows":[["1","2"]],"xi":{"1":"3"}}')
+    assert code == 0
+    # an inline literal longer than a file name may be is still read as JSON
+    long_literal = '{"type":"A","rank":2,"arrows":[[1,2]],' + " " * 300 + '"xi":null}'
+    code, _ = run(capsys, "roots", "--quiver", long_literal)
     assert code == 0
     # an empty sweep is refused before any orientation is generated
     import qhammock.cli as cli

@@ -1,9 +1,11 @@
 """Exchange-pattern enumeration with frozen shadow variables."""
 
+import random
+
 import pytest
 
 import qhammock.cluster as cluster
-from exchange_oracle import exchange_graph_seeds, exchange_graph_variables, seed_key
+from exchange_oracle import exchange_graph_seeds, exchange_graph_variables, mutated_matrix, seed_key
 from qhammock import (
     all_orientations,
     build_quiver,
@@ -14,6 +16,7 @@ from qhammock import (
 )
 from qhammock.cli import main
 from qhammock.cluster import (
+    FROZEN,
     enumerate_cluster_variables,
     exchange_binomial,
     initial_seed,
@@ -96,6 +99,41 @@ def test_matrix_mutation_rule_pentagon():
         k = (1, 0) if step % 2 == 0 else (2, 0)
         cur = mutate(cur, k)
     assert seed_key(cur) == seed_key(s)
+
+
+def _checked_mutate(seen):
+    """``mutate`` that asserts the full matrix rule on every step it makes."""
+
+    def checked(seed, k):
+        out = mutate(seed, k)
+        assert dict(out.matrix) == mutated_matrix(seed, k), k
+        assert not any(u[1] == v[1] == FROZEN for u, v in out.matrix)
+        seen.append(k)
+        return out
+
+    return checked
+
+
+def test_mutation_matrix_matches_full_rule_on_gate_sink_walks(monkeypatch):
+    gate = [q for n in (2, 3, 4, 5) for q in all_orientations("A", n)]
+    gate += [*all_orientations("D", 4), *sample_orientations("D", 5, 8, seed=20260816)]
+    assert len(gate) == 46
+    seen = []
+    monkeypatch.setattr(cluster, "mutate", _checked_mutate(seen))
+    for q in gate:
+        before = len(seen)
+        cluster._sink_walk(q)
+        assert len(seen) > before, q.arrows
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("E", 6)])
+def test_mutation_matrix_matches_full_rule_on_random_walks(family, rank):
+    rng = random.Random(rank)
+    check = _checked_mutate([])
+    for q in sample_orientations(family, rank, 2, seed=rank):
+        seed = initial_seed(q)
+        for _ in range(20):
+            seed = check(seed, rng.choice(seed.mutable_vertices()))
 
 
 SEED_AND_VARIABLE_COUNTS = [

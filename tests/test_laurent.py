@@ -62,6 +62,22 @@ def test_laurent_negative_powers():
     assert (xinv * xinv * x) == xinv
 
 
+def test_pow_is_the_repeated_product_without_a_wasted_square(monkeypatch):
+    p = V(X1) + 2 * V(X2) - V(Y, -1)
+    products = [LaurentPoly.one()]
+    for _ in range(6):
+        products.append(products[-1] * p)
+    assert [p**n for n in range(7)] == products
+    calls = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for n, most in ((1, 1), (2, 2)):
+        calls.clear()
+        power = p**n
+        assert len(calls) <= most, (n, len(calls))
+        assert power == products[n]
+
+
 def test_pow_negative_refused():
     x = V(X1)
     with pytest.raises(ValueError):
@@ -84,6 +100,8 @@ def test_exact_div_general_and_refusal():
         (x + y).exact_div(x - y)
     with pytest.raises(InexactDivision):
         (x + y + LaurentPoly.one()).exact_div(x + x)  # 2x doesn't divide
+    with pytest.raises(InexactDivision):
+        (x + LaurentPoly.one()).exact_div(2 * (x + LaurentPoly.one()))  # quotient 1/2
 
 
 def test_exact_div_laurent_shift():
@@ -111,6 +129,8 @@ def test_substitute_negative_power_needs_monomial():
         inv.substitute({X1: x + y})
     with pytest.raises(InexactDivision):
         inv.substitute({X1: y + y})  # coefficient 2 is not invertible over Z
+    with pytest.raises(InexactDivision):
+        inv.substitute({X1: LaurentPoly.zero()})
 
 
 def test_substitute_keeps_integer_coefficients():

@@ -4,16 +4,19 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhammock import LaurentPoly, all_orientations, default_height, positive_roots, sample_orientations
 from qhammock.cli import main
 from qhammock.cluster import initial_seed, mutate
+from qhammock.errors import InexactDivision
 from qhammock.laurent import mono_from_dict, mono_mul, mono_pow
 from qhammock.qchar import nakajima_leq, variable_A
 from qhammock.repetition import window_vertices
 
+import laurent_oracle
 from exchange_oracle import seed_key
 
 QUIVERS = [
@@ -48,9 +51,8 @@ def test_nakajima_leq_holds_exactly_upwards(case):
 
 
 # a few variables, small exponents and coefficients: products stay small
-monomials = st.dictionaries(
-    st.sampled_from([("x", 1), ("x", 2), ("Y", 1, 0)]), st.integers(-2, 2), max_size=3
-).map(mono_from_dict)
+LAURENT_VARS = [("x", 1), ("x", 2), ("Y", 1, 0)]
+monomials = st.dictionaries(st.sampled_from(LAURENT_VARS), st.integers(-2, 2), max_size=3).map(mono_from_dict)
 laurent_polys = st.dictionaries(monomials, st.integers(-3, 3), max_size=4).map(LaurentPoly)
 
 
@@ -70,6 +72,68 @@ def test_laurent_ring_axioms(a, b, c):
 @given(laurent_polys, laurent_polys.filter(bool))
 def test_exact_div_round_trip(a, b):
     assert (a * b).exact_div(b) == a
+
+
+def _agrees_with_referee(ours, referee):
+    """Same polynomial from both, or InexactDivision from both."""
+    try:
+        expected = referee()
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            ours()
+        return
+    got = ours()
+    assert got == expected
+    assert all(type(c) is int for c in got.terms.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(laurent_polys, laurent_polys.filter(bool), st.integers(-3, 3), st.integers(-3, 3).filter(bool))
+def test_exact_div_matches_fraction_referee(a, b, k, m):
+    """Exact, scaled and inexact divisions: the integer division decides as ℚ does."""
+    _agrees_with_referee(lambda: (a * b * k).exact_div(b * m), lambda: laurent_oracle.exact_div(a * b * k, b * m))
+    _agrees_with_referee(lambda: a.exact_div(b), lambda: laurent_oracle.exact_div(a, b))
+
+
+# images are drawn over the substituted variables, so they collide with
+# unmapped ones
+unit_monomial_images = st.builds(
+    LaurentPoly.monomial, monomials, st.sampled_from([1, -1])
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(laurent_polys, st.dictionaries(st.sampled_from(LAURENT_VARS), unit_monomial_images, max_size=2))
+def test_substitute_monomial_images_match_referee(p, mapping):
+    """Negative exponents, ±1 coefficients and collisions: never refused."""
+    expected = laurent_oracle.substitute(p, mapping)
+    got = p.substitute(mapping)
+    assert got == expected
+    assert all(type(c) is int for c in got.terms.values())
+
+
+polynomials = st.dictionaries(
+    st.dictionaries(st.sampled_from(LAURENT_VARS), st.integers(0, 2), max_size=3).map(mono_from_dict),
+    st.integers(-3, 3),
+    max_size=4,
+).map(LaurentPoly)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    polynomials,
+    st.dictionaries(st.sampled_from(LAURENT_VARS), laurent_polys.filter(lambda f: len(f) > 1), min_size=1, max_size=2),
+)
+def test_substitute_non_monomial_images_match_referee(p, mapping):
+    """Nonnegative powers of polynomial images: multiplied out, never refused."""
+    assert p.substitute(mapping) == laurent_oracle.substitute(p, mapping)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(laurent_polys, st.dictionaries(st.sampled_from(LAURENT_VARS), laurent_polys, max_size=3))
+def test_substitute_any_images_match_referee(p, mapping):
+    """Non-monomial, zero and non-unit images: same result or same refusal."""
+    _agrees_with_referee(lambda: p.substitute(mapping), lambda: laurent_oracle.substitute(p, mapping))
 
 
 SEED_QUIVERS = [
