@@ -41,6 +41,7 @@ would only add noise to the matrix comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
@@ -204,27 +205,16 @@ def _denominator_vector(q: DynkinQuiver, poly: LaurentPoly) -> Root:
     return tuple(dvec)
 
 
-_VARIABLE_CACHE: dict[DynkinQuiver, Dict[Root, LaurentPoly]] = {}
-
-
+@lru_cache(maxsize=None)
 def enumerate_cluster_variables(q: DynkinQuiver) -> Mapping[Root, LaurentPoly]:
     """Every cluster variable, keyed by denominator vector.
 
     Initial variables land on the negated unit vectors, everything else
     on a positive root; the key set is checked against the root system
     and every coefficient is checked positive before returning.  The
-    table is cached per quiver; each call returns a read-only view of
-    fresh copies, so a caller that edits a variable leaves the cache
-    intact.
+    table is cached per quiver, and every call shares one read-only view
+    of it (a LaurentPoly cannot be edited).
     """
-    table = _VARIABLE_CACHE.get(q)
-    if table is None:
-        table = _VARIABLE_CACHE[q] = _census(q)
-    return MappingProxyType({key: poly.copy() for key, poly in table.items()})
-
-
-def _census(q: DynkinQuiver) -> Dict[Root, LaurentPoly]:
-    """The sink walk's variables by denominator vector, census checked."""
     out: Dict[Root, LaurentPoly] = {}
     for poly in _sink_walk(q):
         dvec = _denominator_vector(q, poly)
@@ -245,5 +235,4 @@ def _census(q: DynkinQuiver) -> Dict[Root, LaurentPoly]:
             f"denominator vectors do not match the root system "
             f"(missing {sorted(missing)}, extra {sorted(extra)})"
         )
-
-    return out
+    return MappingProxyType(out)

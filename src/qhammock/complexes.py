@@ -46,14 +46,15 @@ the leading object times the carried denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import (InconsistentConnector, InvariantViolation, NegativeDegree,
-                     NotDominant, TooLarge)
-from .laurent import MONO_ONE, LaurentPoly
+from .errors import InconsistentConnector, InvariantViolation, NegativeDegree, TooLarge
+from .laurent import MONO_ONE, LaurentPoly, mono_from_dict
 from .objects import (
     Obj,
+    _negative_simple,
     ghost_object,
     hammock_object,
     is_dominant,
@@ -71,9 +72,7 @@ from .quiver import (
     DynkinQuiver,
     HeightFunction,
     Root,
-    is_nonneg,
     root_support,
-    simple_root,
 )
 from .repetition import base_vertex, serre, translate_base
 
@@ -502,9 +501,6 @@ def _resolve_connectors(
 # ───────────────────────── the recursive build ─────────────────────────
 
 
-_BUILD_CACHE: dict[tuple, FractionComplex] = {}
-
-
 def _objs_for_exponents(
     q: DynkinQuiver, xi: HeightFunction, base_exp: Iterable[tuple[int, int]]
 ) -> list[Obj]:
@@ -538,27 +534,29 @@ def build_complex(
     codomain summand isomorphic to its tilt at the translated base vertex
     of i, with twin ambiguities and the ±1 signs resolved so that every
     non-excused square of the chain map cancels (see _resolve_connectors).
+
+    Builds at the canonical pivot are memoised per (quiver, height, β) and
+    shared; a forced pivot is built afresh (its sub-builds are not).
     """
     beta = tuple(beta)
-    memo_key = None
     if pivot is None:
-        memo_key = (q, xi, beta)
-        hit = _BUILD_CACHE.get(memo_key)
-        if hit is not None:
-            return hit
+        return _canonical_build(q, xi, beta)
+    return _build(q, xi, beta, pivot)
 
+
+@lru_cache(maxsize=None)
+def _canonical_build(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> FractionComplex:
+    return _build(q, xi, beta, None)
+
+
+def _build(
+    q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None
+) -> FractionComplex:
     if not any(beta):
-        result = FractionComplex(unit_complex(), {})
-        if memo_key:
-            _BUILD_CACHE[memo_key] = result
-        return result
-    if not is_nonneg(beta):
-        negs = [k + 1 for k, v in enumerate(beta) if v < 0]
-        if len(negs) == 1 and beta == tuple(
-            -v for v in simple_root(q, negs[0])
-        ):
-            return FractionComplex(initial_hammock_complex(q, xi, negs[0]), {})
-        raise NotDominant(f"{beta} is neither nonnegative nor a negative simple root")
+        return FractionComplex(unit_complex(), {})
+    j = _negative_simple(beta)
+    if j is not None:
+        return FractionComplex(initial_hammock_complex(q, xi, j), {})
 
     step = pivot_step(q, xi, beta, pivot)
     i, fac = step.pivot, step.tilt
@@ -606,10 +604,7 @@ def build_complex(
     if not is_iso(q, zero_row[0], expected):
         raise InvariantViolation(f"degree-0 identity failed for {beta}")
 
-    result = FractionComplex(num, den)
-    if memo_key:
-        _BUILD_CACHE[memo_key] = result
-    return result
+    return FractionComplex(num, den)
 
 
 # ───────────────────────── Euler characteristic ─────────────────────────
@@ -641,12 +636,8 @@ def euler_char(
         }
         if subs:
             total = total.substitute(subs)
-    denom = LaurentPoly.one()
-    for i, e in sorted(fc.den.items()):
-        denom = denom * LaurentPoly.monomial(
-            ((("Y", i, xi.ht(i)), e),), 1
-        )
-    return total.exact_div(denom)
+    denom = mono_from_dict({("Y", i, xi.ht(i)): e for i, e in fc.den.items()})
+    return total.exact_div(LaurentPoly.monomial(denom))
 
 
 # ───────────────────────── structural verification ─────────────────────────

@@ -20,12 +20,14 @@ Two families of knitted functions matter here:
   are dimensions of morphism spaces out of x, supported on the closed band
   between the sections through x and through Serre(x).
 
-Caches are per-process dicts keyed by (quiver, vertex); entries are only
-ever replaced by extensions of themselves, so racing writers are harmless.
+Both are cached per process, keyed by (quiver, vertex): g_x by lru_cache,
+h_x in a dict whose entries are only ever replaced by extensions of
+themselves, so racing writers are harmless.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -165,10 +167,10 @@ def _knit(
     return values
 
 
-# generator-value cache: (quiver, vertex) -> (horizon, values)
+# generator values: (quiver, vertex) -> (horizon, values).  The one memo
+# not kept by lru_cache: it is not a function of its key, since an entry is
+# knitted again further right whenever a query reaches past its horizon.
 _HCACHE: dict[tuple, tuple[int, dict[ZVertex, int]]] = {}
-# hom-function cache: (quiver, vertex) -> read-only values on the support band
-_GCACHE: dict[tuple, Mapping[ZVertex, int]] = {}
 
 
 def _hvalue(q: DynkinQuiver, v: ZVertex, y: ZVertex) -> int:
@@ -268,6 +270,7 @@ def _difference(a: _Coeffs, b: _Coeffs) -> dict[ZVertex, int]:
 # ───────────────────────── hom dimensions ─────────────────────────
 
 
+@lru_cache(maxsize=None)
 def hom_values(q: DynkinQuiver, x: ZVertex) -> Mapping[ZVertex, int]:
     """All nonzero morphism-space dimensions out of x, as a read-only
     vertex -> dim map.
@@ -277,10 +280,6 @@ def hom_values(q: DynkinQuiver, x: ZVertex) -> Mapping[ZVertex, int]:
     Serre shift of x, with nonnegative values throughout; violations would
     mean a convention bug, so they raise InvariantViolation.
     """
-    key = (q, x)
-    cached = _GCACHE.get(key)
-    if cached is not None:
-        return cached
     x = check_vertex(q, x)
     sx = serre(q, x)
     sec_x = section_through(q, x)
@@ -302,8 +301,7 @@ def hom_values(q: DynkinQuiver, x: ZVertex) -> Mapping[ZVertex, int]:
             raise InvariantViolation(f"negative hom dimension at {v} from {x}")
         if val:
             out[v] = val
-    view = _GCACHE[key] = MappingProxyType(out)
-    return view
+    return MappingProxyType(out)
 
 
 def dim_hom(q: DynkinQuiver, x: ZVertex, y: ZVertex) -> int:

@@ -13,6 +13,7 @@ divisor's does not divide, or when a nonzero remainder is left.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InexactDivision
@@ -77,12 +78,16 @@ def mono_key_str(m: Mono) -> str:
 
 
 class LaurentPoly:
-    """Integer-coefficient Laurent polynomial in structured variables."""
+    """Integer-coefficient Laurent polynomial in structured variables.
+
+    Immutable: terms is a read-only view and cannot be reassigned, so a
+    memoised polynomial is safe to hand to every caller.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Mono, int] | None = None):
-        self.terms: dict[Mono, int] = {}
+        out: dict[Mono, int] = {}
         if terms:
             for m, c in terms.items():
                 # bool is an int subclass but never a sensible coefficient;
@@ -90,8 +95,14 @@ class LaurentPoly:
                 if type(c) is not int:
                     raise TypeError(f"coefficient {c!r} is not an int")
                 if c:
-                    self.terms[m] = self.terms.get(m, 0) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+                    out[m] = out.get(m, 0) + c
+            out = {m: c for m, c in out.items() if c}
+        object.__setattr__(self, "terms", MappingProxyType(out))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"LaurentPoly is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
 
     # -- constructors ------------------------------------------------
 
@@ -111,30 +122,20 @@ class LaurentPoly:
     def variable(cls, key: VarKey, power: int = 1) -> "LaurentPoly":
         return cls({mono_from_dict({key: power}): 1})
 
-    def copy(self) -> "LaurentPoly":
-        """An independent copy: the term dict is not shared."""
-        res = LaurentPoly()
-        res.terms = dict(self.terms)
-        return res
-
     # -- ring structure ----------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
+        out = self.terms.copy()
         for m, c in other.terms.items():
             s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
-        res = LaurentPoly()
-        res.terms = out
-        return res
+        return _wrap(out)
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -143,21 +144,18 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            res = LaurentPoly()
-            res.terms = {m: c * other for m, c in self.terms.items()}
-            return res
+            return _wrap({m: c * other for m, c in self.terms.items()})
         out: dict[Mono, int] = {}
+        other_terms = other.terms.items()
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+            for mb, cb in other_terms:
                 m = mono_mul(ma, mb)
                 s = out.get(m, 0) + ca * cb
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        res = LaurentPoly()
-        res.terms = out
-        return res
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -264,9 +262,7 @@ class LaurentPoly:
                 term = term * f
             for tm, tc in term.terms.items():
                 out[tm] = out.get(tm, 0) + tc
-        res = LaurentPoly()
-        res.terms = {m: c for m, c in out.items() if c}
-        return res
+        return _wrap({m: c for m, c in out.items() if c})
 
     # -- exact division ----------------------------------------------
 
@@ -296,9 +292,7 @@ class LaurentPoly:
                 if r:
                     raise InexactDivision("coefficient not divisible")
                 out[mono_div(m, bm)] = q
-            res = LaurentPoly()
-            res.terms = out
-            return res
+            return _wrap(out)
 
         vars_sorted = sorted(self.variables() | other.variables())
         index = {k: n for n, k in enumerate(vars_sorted)}
@@ -356,8 +350,7 @@ class LaurentPoly:
                 if e:
                     powers[vars_sorted[j]] = e
             out_terms[mono_from_dict(powers)] = c
-        res = LaurentPoly()
-        res.terms = out_terms
+        res = _wrap(out_terms)
         if res * other != self:
             raise InexactDivision("verification of exact division failed")
         return res
@@ -383,3 +376,11 @@ class LaurentPoly:
     def to_json_dict(self) -> dict[str, int]:
         """JSON-friendly {monomial string: coefficient} with sorted keys."""
         return {mono_key_str(m): c for m, c in self.sorted_terms()}
+
+
+def _wrap(terms: dict[Mono, int]) -> LaurentPoly:
+    """A polynomial around a dict that is already clean (int coefficients,
+    no zeros) and that no one else holds; skips __init__'s checks."""
+    res = object.__new__(LaurentPoly)
+    object.__setattr__(res, "terms", MappingProxyType(terms))
+    return res

@@ -325,6 +325,17 @@ def tiltable(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _negative_simple(beta: Root) -> int | None:
+    """The base case of a build or recursion step: i for β = −α_i, None
+    for a nonnegative β, and NotDominant for any other vector."""
+    if is_nonneg(beta):
+        return None
+    negs = [k + 1 for k, v in enumerate(beta) if v]
+    if len(negs) == 1 and beta[negs[0] - 1] == -1:
+        return negs[0]
+    raise NotDominant(f"{tuple(beta)} is neither nonnegative nor a negative simple root")
+
+
 def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
     """Y[β]: the dominant object classified by β (any positive-orthant β;
     a negative simple −α_j yields the base hammock object at j).
@@ -335,11 +346,9 @@ def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
     outside the support, pointing into it).  The b-vector entries are the
     tensor exponents themselves; no power is built on the way.
     """
-    if not is_nonneg(beta):
-        negs = [k + 1 for k, v in enumerate(beta) if v]
-        if len(negs) == 1 and beta[negs[0] - 1] == -1:
-            return hammock_object(q, xi, base_vertex(xi, negs[0]))
-        raise NotDominant("coefficient vector must be nonnegative")
+    j = _negative_simple(beta)
+    if j is not None:
+        return hammock_object(q, xi, base_vertex(xi, j))
     return _tensor_powers(
         (hammock_object(q, xi, translate_base(xi, i) if b > 0 else base_vertex(xi, i)), abs(b))
         for i, b in zip(q.vertices, b_vector(q, beta))

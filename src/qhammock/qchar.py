@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Mapping, Tuple
 
-from .errors import Incomparable, InvariantViolation, NotDominant, UnknownRoot
+from .errors import Incomparable, InvariantViolation, UnknownRoot
 from .laurent import (
     MONO_ONE,
     LaurentPoly,
@@ -57,10 +57,8 @@ from .quiver import (
     HeightFunction,
     Root,
     expected_edges,
-    is_nonneg,
-    simple_root,
 )
-from .objects import kr_object, leading_object, pivot_step
+from .objects import _negative_simple, kr_object, leading_object, pivot_step
 from .complexes import build_complex, euler_char
 from .cluster import enumerate_cluster_variables
 
@@ -146,9 +144,6 @@ def qchar_euler(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPoly:
 # ──────────────────────── route 2: scalar recursion ────────────────────────
 
 
-_REC_CACHE: dict[tuple, LaurentPoly] = {}
-
-
 def qchar_recursion(
     q: DynkinQuiver,
     xi: HeightFunction,
@@ -170,22 +165,18 @@ def qchar_recursion(
     breaks route agreement on every root whose pivot has an out-frontier
     inside the support.
 
-    Results are memoised per (quiver, height, β); each call returns its
-    own copy, so a caller that edits it leaves the memo intact.
+    Results at the canonical pivot are memoised per (quiver, height, β)
+    and shared: a LaurentPoly cannot be edited.
     """
     beta = tuple(beta)
-    memo_key = None
     if pivot is None:
-        memo_key = (q, xi, beta)
-        hit = _REC_CACHE.get(memo_key)
-        if hit is not None:
-            return hit.copy()
+        return _canonical_recursion(q, xi, beta)
+    return _qchar_recursion_step(q, xi, beta, pivot)
 
-    result = _qchar_recursion_step(q, xi, beta, pivot)
-    if memo_key is not None:
-        _REC_CACHE[memo_key] = result
-        return result.copy()
-    return result
+
+@lru_cache(maxsize=None)
+def _canonical_recursion(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPoly:
+    return _qchar_recursion_step(q, xi, beta, None)
 
 
 def _kr_class(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
@@ -200,11 +191,9 @@ def _qchar_recursion_step(
 ) -> LaurentPoly:
     if not any(beta):
         return LaurentPoly.one()
-    if not is_nonneg(beta):
-        negs = [k + 1 for k, v in enumerate(beta) if v < 0]
-        if len(negs) == 1 and beta == tuple(-v for v in simple_root(q, negs[0])):
-            return LaurentPoly.variable(("Y", negs[0], xi.ht(negs[0])))
-        raise NotDominant(f"{beta} is neither nonnegative nor a negative simple root")
+    j = _negative_simple(beta)
+    if j is not None:
+        return LaurentPoly.variable(("Y", j, xi.ht(j)))
 
     step = pivot_step(q, xi, beta, pivot)
     i, fac = step.pivot, step.tilt

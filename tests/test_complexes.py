@@ -321,7 +321,7 @@ def test_connectors_match_per_leaf_oracle(monkeypatch, family, rank):
         return got
 
     monkeypatch.setattr(complexes, "_resolve_connectors", refereed)
-    monkeypatch.setattr(complexes, "_BUILD_CACHE", {})
+    complexes._canonical_build.cache_clear()
     for q in all_orientations(family, rank):
         xi = default_height(q)
         for beta in positive_roots(q):
@@ -345,7 +345,7 @@ def test_e6_euler_route_finishes(monkeypatch):
         return solve(equations)
 
     monkeypatch.setattr(complexes, "_solve_sign_system", budgeted)
-    monkeypatch.setattr(complexes, "_BUILD_CACHE", {})
+    complexes._canonical_build.cache_clear()
     for beta in positive_roots(q):
         assert qchar_euler(q, xi, beta) == qchar_recursion(q, xi, beta), beta
 

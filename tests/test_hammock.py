@@ -224,7 +224,7 @@ def test_hom_function_violation_is_an_engine_error(monkeypatch, bad):
     q = A(2)
     x = ZVertex(1, 1)
     knitted = {ZVertex(1, x.p + 20): 1} if bad == "leak" else {x: -1}
-    monkeypatch.setattr(hammock, "_GCACHE", {})
+    hammock.hom_values.cache_clear()
     monkeypatch.setattr(hammock, "_knit", lambda *args: dict(knitted))
     with pytest.raises(InvariantViolation):
         hammock.hom_values(q, x)

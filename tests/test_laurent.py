@@ -55,6 +55,31 @@ def test_poly_equality_is_canonical():
     assert p.canonical() == q.canonical()
 
 
+def test_poly_cannot_be_edited():
+    # memoised characters and cluster variables are shared with every caller
+    p = V(X1) + 2 * V(X2)
+    with pytest.raises(TypeError):
+        p.terms[MONO_ONE] = 1
+    with pytest.raises(TypeError):
+        del p.terms[mono_from_dict({X1: 1})]
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    with pytest.raises(AttributeError):
+        del p.terms
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert p == LaurentPoly({mono_from_dict({X1: 1}): 1, mono_from_dict({X2: 1}): 2})
+
+
+def test_arithmetic_leaves_its_operands_unchanged():
+    x, y = V(X1), V(X2, -1)
+    p, q = x + y, x - 3 * y
+    want = (p.canonical(), q.canonical())
+    p + q, p - q, -p, p * q, p * 3, p * 0, p**3, p.exact_div(V(X1)), (p * q).exact_div(q)
+    p.substitute({X1: q, X2: x})
+    assert (p.canonical(), q.canonical()) == want
+
+
 def test_laurent_negative_powers():
     xinv = V(X1, -1)
     x = V(X1)

@@ -233,7 +233,7 @@ def test_qfun_equal_matches_evaluation_oracle(monkeypatch, family, rank):
 
     monkeypatch.setattr(hammock, "qfun_equal", refereed)
     monkeypatch.setattr(objects, "qfun_equal", refereed)
-    monkeypatch.setattr(complexes, "_BUILD_CACHE", {})
+    complexes._canonical_build.cache_clear()
     for q in all_orientations(family, rank):
         xi = default_height(q)
         for beta in positive_roots(q):

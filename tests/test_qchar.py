@@ -1,6 +1,7 @@
 """Truncated characters along three independent routes, plus the dominance
 order machinery used to certify extremal monomials."""
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,14 @@ from qhammock import (
     positive_roots,
     sample_orientations,
 )
-from qhammock.errors import Incomparable, InvariantViolation, NotInSupport, UnknownRoot
+from qhammock.complexes import build_complex
+from qhammock.errors import (
+    Incomparable,
+    InvariantViolation,
+    NotDominant,
+    NotInSupport,
+    UnknownRoot,
+)
 from qhammock.laurent import (
     MONO_ONE,
     LaurentPoly,
@@ -24,7 +32,7 @@ from qhammock.laurent import (
     mono_mul,
     mono_pow,
 )
-from qhammock.objects import Obj
+from qhammock.objects import Obj, leading_object
 from qhammock.qchar import (
     TruncatedRing,
     dominant_monomial,
@@ -135,14 +143,68 @@ def test_recursion_pivot_choice_is_free():
         qchar_recursion(q, xi, (1, 0), pivot=2)
 
 
-def test_recursion_hands_out_copies():
-    # the memo must not be reachable through a returned polynomial
+def test_recursion_result_cannot_be_edited():
+    # the memo hands the same polynomial to every caller, so none may edit it
     q, xi = a2()
     first = qchar_recursion(q, xi, (1, 1))
     want = first.canonical()
-    first.terms.clear()
-    assert qchar_recursion(q, xi, (1, 1)).canonical() == want
-    assert qchar_recursion(q, xi, (1, 1)) == qchar_euler(q, xi, (1, 1))
+    with pytest.raises(TypeError):
+        first.terms[MONO_ONE] = 1
+    with pytest.raises(AttributeError):
+        first.terms = {}
+    assert qchar_recursion(q, xi, (1, 1)) is first
+    assert first.canonical() == want
+    assert first == qchar_euler(q, xi, (1, 1))
+
+
+@pytest.mark.parametrize("beta", [(1, -1), (0, -2), (-1, -1)])
+@pytest.mark.parametrize("route", [build_complex, qchar_recursion, leading_object])
+def test_base_cases_refuse_other_vectors_with_a_negative_entry(route, beta):
+    # only a nonnegative β or a negative simple root −α_i may enter a step
+    q, xi = a2()
+    with pytest.raises(NotDominant):
+        route(q, xi, beta)
+
+
+def _library_caches():
+    """Every lru_cache bound in a loaded qhammock module, once each."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "qhammock" or name.startswith("qhammock."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_info"):
+                    found[value.__qualname__] = value
+    return found
+
+
+def test_routes_agree_from_cold_caches():
+    q = build_quiver("D", 4, [(2, 1), (3, 2), (2, 4)])
+    xi = default_height(q)
+    routes = (qchar_euler, qchar_recursion, qchar_cluster)
+    roots = positive_roots(q)
+    warm = [route(q, xi, beta).canonical() for route in routes for beta in roots]
+    caches = _library_caches()
+    assert set(caches) == {
+        "positive_roots",
+        "_inverse_cartan",
+        "hom_values",
+        "hammock_object",
+        "_canonical_build",
+        "_canonical_recursion",
+        "enumerate_cluster_variables",
+    }
+    for cache in caches.values():
+        cache.cache_clear()
+    assert all(cache.cache_info().currsize == 0 for cache in caches.values())
+    assert [route(q, xi, beta).canonical() for route in routes for beta in roots] == warm
+    memos = [
+        caches[name]
+        for name in ("_canonical_build", "_canonical_recursion", "enumerate_cluster_variables")
+    ]
+    before = [memo.cache_info().hits for memo in memos]
+    for route in routes:
+        route(q, xi, roots[-1])
+    assert all(memo.cache_info().hits > hits for memo, hits in zip(memos, before))
 
 
 def test_three_routes_small_sweep():

@@ -31,3 +31,18 @@ def test_all_names_exist():
             if not hasattr(module, entry)
         ]
     assert not missing, missing
+
+
+def test_only_the_generator_table_is_a_hand_written_cache():
+    # every memo keyed by its own arguments is a functools.lru_cache, which
+    # gives cache_clear() and cache_info(); hammock._HCACHE is the exception
+    # because an entry grows to whatever horizon a query asks for
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "qhammock" if path.stem == "__init__" else f"qhammock.{path.stem}"
+        found += [
+            f"{name}.{entry}"
+            for entry in vars(importlib.import_module(name))
+            if entry.endswith("CACHE")
+        ]
+    assert found == ["qhammock.hammock._HCACHE"], found
