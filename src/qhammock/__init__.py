@@ -62,7 +62,6 @@ from .hammock import (
     qfun_equal,
     qfun_eval,
     qfun_grid_tsv,
-    qfun_window,
 )
 from .objects import (
     Factorization,

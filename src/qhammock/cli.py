@@ -154,7 +154,10 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit(cfg_out: str | None, text: str) -> None:
     if cfg_out:
-        Path(cfg_out).write_text(text)
+        try:
+            Path(cfg_out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -20,9 +20,9 @@ Two families of knitted functions matter here:
   are dimensions of morphism spaces out of x, supported on the closed band
   between the sections through x and through Serre(x).
 
-Both are cached per process, keyed by (quiver, vertex): g_x by lru_cache,
-h_x in a dict whose entries are only ever replaced by extensions of
-themselves, so racing writers are harmless.
+Only g_x is knitted, once per (quiver, vertex) by lru_cache.  Knitting is
+linear, so g_x = h_x + h_{τ⁻¹Sx}, and h_x is the alternating sum of the g
+over the orbit x_m = (τ⁻¹S)^m x: h_x(y) = Σ_{m≥0} (−1)^m dim Hom(x_m, y).
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InvariantViolation
-from .quiver import DynkinQuiver
-from .repetition import ZVertex, check_vertex, section_through, serre, translate, window_vertices
+from .quiver import DynkinQuiver, coxeter_number, nakayama_involution
+from .repetition import ZVertex, check_vertex, section_through, serre, translate
 
 __all__ = [
     "QFun",
     "hammock_fun",
     "qfun_eval",
-    "qfun_window",
     "qfun_defect",
     "qfun_equal",
     "dim_hom",
@@ -150,8 +149,6 @@ def _knit(
 ) -> dict[ZVertex, int]:
     """Knit values on the staircase between `sec` and slot `horizon`."""
     values: dict[ZVertex, int] = {}
-    if horizon < min(sec.values()):
-        return values
     for p in range(min(sec.values()), horizon + 1):
         for i in q.vertices:
             s = sec[i]
@@ -167,44 +164,31 @@ def _knit(
     return values
 
 
-# generator values: (quiver, vertex) -> (horizon, values).  The one memo
-# not kept by lru_cache: it is not a function of its key, since an entry is
-# knitted again further right whenever a query reaches past its horizon.
-_HCACHE: dict[tuple, tuple[int, dict[ZVertex, int]]] = {}
-
-
 def _hvalue(q: DynkinQuiver, v: ZVertex, y: ZVertex) -> int:
-    """Value of the hammock generator h_v at y (0 strictly left of v's section)."""
-    if y.p < v.p - q.potential(v.i) + q.potential(y.i):
+    """Value of the hammock generator h_v at y, from the hom table.
+
+    h_v(y) = Σ_{m≥0} (−1)^m dim Hom(v_m, y) with v_m = (ν^m i, p + m·h) for
+    v = (i, p) and h the Coxeter number.  Hom(x, y) ≠ 0 only for
+    x.p ≤ y.p ≤ Serre(x).p = x.p + h − 2, so the one term that can be
+    nonzero has m = ⌊(y.p − v.p)/h⌋.  v_m and y are moved left by the same
+    even amount, so the table is keyed only by v and by (ν i, p + (h mod 2)).
+    """
+    h = coxeter_number(q)
+    m = (y.p - v.p) // h
+    if m < 0:
         return 0
-    key = (q, v)
-    cached = _HCACHE.get(key)
-    if cached is None or cached[0] < y.p:
-        horizon = max(y.p, v.p + 4)
-        values = _knit(q, section_through(q, v), {v: 1}, horizon)
-        _HCACHE[key] = (horizon, values)
-        return values.get(y, 0)
-    return cached[1].get(y, 0)
+    odd = m * h % 2
+    x = ZVertex(nakayama_involution(q, v.i) if m % 2 else v.i, v.p + odd)
+    return (-1) ** m * hom_values(q, x).get(ZVertex(y.i, y.p - m * h + odd), 0)
 
 
 def qfun_eval(q: DynkinQuiver, f: QFun, y: ZVertex) -> int:
     """Evaluate a presented function at one vertex."""
-    return _eval(q, f.gens, f.deltas, check_vertex(q, y))
-
-
-def _eval(q: DynkinQuiver, gens: _Coeffs, deltas: _Coeffs, y: ZVertex) -> int:
-    """Value at a valid vertex y of Σ c_v · h_v + Σ d_z · (delta at z)."""
-    total = deltas.get(y, 0)
-    for v, c in gens.items():
+    y = check_vertex(q, y)
+    total = f.deltas.get(y, 0)
+    for v, c in f.gens.items():
         total += c * _hvalue(q, v, y)
     return total
-
-
-def qfun_window(
-    q: DynkinQuiver, f: QFun, p_min: int, p_max: int
-) -> dict[ZVertex, int]:
-    """Evaluate on every parity-valid vertex with slot in [p_min, p_max]."""
-    return {y: qfun_eval(q, f, y) for y in window_vertices(q, p_min, p_max)}
 
 
 def qfun_defect(q: DynkinQuiver, f: QFun) -> dict[ZVertex, int]:
@@ -242,21 +226,9 @@ def qfun_equal(q: DynkinQuiver, f: QFun, g: QFun) -> bool:
     """Equality of presented functions.
 
     Both presentations vanish far enough left, so equality is equivalent to
-    the difference of their coefficients having zero defect.  A cheap
-    independent guard evaluates that difference on the two slots left of
-    every coefficient of f and g (by linearity, f(y) == g(y) there); it is
-    skipped when no generator is left, as the deltas then lie right of it.
+    the difference of their coefficients having zero defect.
     """
-    gens = _difference(f.gens, g.gens)
-    deltas = _difference(f.deltas, g.deltas)
-    if _defect(q, gens, deltas):
-        return False
-    if gens:
-        p0 = min(v.p for m in (f.gens, g.gens, f.deltas, g.deltas) for v in m) - 1
-        for y in window_vertices(q, p0 - 1, p0):
-            if _eval(q, gens, deltas, y):
-                return False
-    return True
+    return not _defect(q, _difference(f.gens, g.gens), _difference(f.deltas, g.deltas))
 
 
 def _difference(a: _Coeffs, b: _Coeffs) -> dict[ZVertex, int]:

@@ -3,8 +3,9 @@
 The truncated ring for a height assignment ξ is the Laurent ring on the
 two base sections only: variables ("Y", i, ξ(i)−2) and ("Y", i, ξ(i))
 for every vertex i (plus the ghost symbols ("f", i) before they are
-specialized away).  Everything the engine produces lives there, and
-``TruncatedRing.check`` enforces it.
+specialized away).  Everything the engine produces lives there;
+``TruncatedRing.check`` tests that, but the library never calls it, only
+the test suite does.
 
 Three routes to the same polynomial:
 

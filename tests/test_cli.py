@@ -396,6 +396,11 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert len(json.loads(target.read_text())) == 3
+    # a directory, or a path in a missing directory, is a config error
+    for bad in (tmp_path, tmp_path / "missing" / "out.json"):
+        code, out = run(capsys, "roots", "--quiver", A2, "--out", str(bad))
+        assert code == 2, bad
+        assert out == ""
 
 
 def test_byte_identical_repeat(capsys):

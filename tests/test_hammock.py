@@ -22,6 +22,7 @@ from qhammock import (
     qfun_equal,
     qfun_eval,
     qfun_grid_tsv,
+    sample_orientations,
     serre,
     suspend,
     translate,
@@ -32,6 +33,7 @@ from qhammock.errors import InvariantViolation
 from qhammock.hammock import qfun_defect
 
 from interval_oracle import ext1_dim, hom_dim, intervals
+from object_oracle import hammock_values_by_knitting
 
 
 def A(n, arrows=None):
@@ -110,6 +112,40 @@ def test_grid_a4_mixed_orientation():
     q = build_quiver("A", 4, [(1, 2), (2, 3), (4, 3)])
     f = hammock_fun(q, ZVertex(3, -1))
     assert qfun_grid_tsv(q, f, -3, 5) == GRID_A4_MIXED
+
+
+def _orientations(family, rank):
+    if family == "E":
+        return sample_orientations("E", rank, 2, seed=rank)
+    return all_orientations(family, rank)
+
+
+@pytest.mark.parametrize(
+    "family,ranks",
+    [("A", range(1, 7)), ("D", range(4, 7)), ("E", range(6, 9))],
+)
+def test_hammock_values_match_knitting_oracle(family, ranks):
+    # the alternating sum over the hom table against h_v knitted from its
+    # defect, from 2h left of v to 5h right of it, on one v per label
+    for rank in ranks:
+        for q in _orientations(family, rank):
+            h = coxeter_number(q)
+            for v in window_vertices(q, 0, 1):
+                knitted = hammock_values_by_knitting(q, v, v.p + 5 * h)
+                f = hammock_fun(q, v)
+                for y in window_vertices(q, v.p - 2 * h, v.p + 5 * h):
+                    assert qfun_eval(q, f, y) == knitted.get(y, 0), (q.arrows, v, y)
+
+
+def test_hammock_values_have_no_horizon():
+    # far right of the generator the values still follow the knitted tail
+    q = A(2)
+    v = ZVertex(1, 1)
+    knitted = hammock_values_by_knitting(q, v, 1010)
+    f = hammock_fun(q, v)
+    window = window_vertices(q, 1001, 1010)
+    assert [qfun_eval(q, f, y) for y in window] == [knitted[y] for y in window]
+    assert any(knitted[y] for y in window)
 
 
 # ------------------------------------------------------------ mesh relation

@@ -33,10 +33,9 @@ def test_all_names_exist():
     assert not missing, missing
 
 
-def test_only_the_generator_table_is_a_hand_written_cache():
-    # every memo keyed by its own arguments is a functools.lru_cache, which
-    # gives cache_clear() and cache_info(); hammock._HCACHE is the exception
-    # because an entry grows to whatever horizon a query asks for
+def test_no_hand_written_cache():
+    # every memo is a functools.lru_cache keyed by its own arguments, which
+    # gives cache_clear() and cache_info(); no module keeps a *CACHE table
     found = []
     for path in sorted(SRC.glob("*.py")):
         name = "qhammock" if path.stem == "__init__" else f"qhammock.{path.stem}"
@@ -45,4 +44,4 @@ def test_only_the_generator_table_is_a_hand_written_cache():
             for entry in vars(importlib.import_module(name))
             if entry.endswith("CACHE")
         ]
-    assert found == ["qhammock.hammock._HCACHE"], found
+    assert not found, found
