@@ -48,20 +48,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import InconsistentConnector, InvariantViolation, NegativeDegree, TooLarge
-from .laurent import MONO_ONE, LaurentPoly, mono_from_dict
+from .laurent import MONO_ONE, LaurentPoly, Mono, mono_from_dict
 from .objects import (
     Obj,
+    _factor_pairs,
     _negative_simple,
+    _tensor_powers,
     ghost_object,
     hammock_object,
     is_dominant,
     is_iso,
-    kr_object,
     leading_object,
-    obj_pow,
     pivot_step,
     serre_tilt,
     tensor_obj,
@@ -252,6 +252,19 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
                             comp.sign * koszul,
                         )
                     )
+    return Complex(terms, diffs)
+
+
+def _tensor_between(l: Obj, k: int, c: Complex, r: Obj, m: int) -> Complex:
+    """single_complex(l, k) ⊗ c ⊗ single_complex(r, m) in one pass: each
+    summand x becomes l ⊗ x ⊗ r in degree n + k + m, and every component
+    keeps its indices and takes the Koszul sign (−1)^k."""
+    flip = -1 if k % 2 else 1
+    terms = {n + k + m: [tensor_obj(l, x, r) for x in objs] for n, objs in c.terms.items()}
+    diffs = {
+        n + k + m: [(s, t, tag, sign * flip) for s, t, tag, sign in comps]
+        for n, comps in c.diffs.items()
+    }
     return Complex(terms, diffs)
 
 
@@ -501,16 +514,6 @@ def _resolve_connectors(
 # ───────────────────────── the recursive build ─────────────────────────
 
 
-def _objs_for_exponents(
-    q: DynkinQuiver, xi: HeightFunction, base_exp: Iterable[tuple[int, int]]
-) -> list[Obj]:
-    return [
-        obj_pow(hammock_object(q, xi, base_vertex(xi, k)), e)
-        for k, e in sorted(base_exp)
-        if e
-    ]
-
-
 def build_complex(
     q: DynkinQuiver,
     xi: HeightFunction,
@@ -570,25 +573,18 @@ def _build(
     eq_inj = {k: den[k] - sub_inj.den.get(k, 0) for k in den}
     eq_proj = {k: den[k] - sub_proj.den.get(k, 0) for k in den}
 
-    dom_head = tensor_obj(
-        obj_pow(kr_object(q, xi, i), step.eps),
-        *_objs_for_exponents(q, xi, step.hin),
-        *_objs_for_exponents(q, xi, eq_inj.items()),
+    dom_head = _tensor_powers(
+        _factor_pairs(q, xi, [(i, step.eps)], [*step.hin, *sorted(eq_inj.items())])
     )
-    dom = tensor_complex(single_complex(dom_head, 0), shift(sub_inj.num, +1))
+    dom = _tensor_between(dom_head, 1, sub_inj.num, unit_obj(), 0)
 
     ghost_block = tensor_obj(
         *[ghost_object(q, xi, translate_base(xi, j)) for j in fac.f_list]
     )
-    cod_head = tensor_obj(
-        *[obj_pow(kr_object(q, xi, k), e) for k, e in fac.k_exp],
-        *_objs_for_exponents(q, xi, fac.h_exp),
-        *_objs_for_exponents(q, xi, eq_proj.items()),
+    cod_head = _tensor_powers(
+        _factor_pairs(q, xi, fac.k_exp, [*fac.h_exp, *sorted(eq_proj.items())])
     )
-    cod = tensor_complex(
-        tensor_complex(single_complex(cod_head, 0), sub_proj.num),
-        single_complex(ghost_block, len(fac.f_list)),
-    )
+    cod = _tensor_between(cod_head, 0, sub_proj.num, ghost_block, len(fac.f_list))
 
     connectors = _resolve_connectors(q, xi, i, dom, cod)
     num = cone(dom, cod, connectors, ctx=(q, xi))
@@ -598,8 +594,8 @@ def _build(
     zero_row = num.terms.get(0, ())
     if len(zero_row) != 1:
         raise InvariantViolation(f"degree-0 term of the build of {beta} is not a single summand")
-    expected = tensor_obj(
-        leading_object(q, xi, beta), *_objs_for_exponents(q, xi, den.items())
+    expected = _tensor_powers(
+        [(leading_object(q, xi, beta), 1), *_factor_pairs(q, xi, (), sorted(den.items()))]
     )
     if not is_iso(q, zero_row[0], expected):
         raise InvariantViolation(f"degree-0 identity failed for {beta}")
@@ -621,13 +617,14 @@ def euler_char(
     With specialize_f given (the interesting value is −1), every extra
     symbol f_i is replaced by that constant before the division.
     """
-    total = LaurentPoly.zero()
+    terms: dict[Mono, int] = {}
     for n, objs in fc.num.terms.items():
         sign = -1 if n % 2 else 1
         for obj in objs:
             if obj.kclass is None:
                 raise ValueError(f"degree-{n} summand has no class: {obj!r}")
-            total = total + LaurentPoly.monomial(obj.kclass, sign)
+            terms[obj.kclass] = terms.get(obj.kclass, 0) + sign
+    total = LaurentPoly(terms)
     if specialize_f is not None:
         subs = {
             var: LaurentPoly.monomial(MONO_ONE, specialize_f)

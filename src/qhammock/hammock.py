@@ -95,13 +95,13 @@ class QFun:
         d = dict(self.deltas)
         for v, c in other.deltas.items():
             d[v] = d.get(v, 0) + c
-        return QFun(g, d)
+        return _qfun(g, d)
 
     def __sub__(self, other: "QFun") -> "QFun":
         return self + other.scaled(-1)
 
     def scaled(self, k: int) -> "QFun":
-        return QFun(
+        return _qfun(
             {v: k * c for v, c in self.gens.items()},
             {v: k * c for v, c in self.deltas.items()},
         )
@@ -131,6 +131,16 @@ def _coefficients(items: Mapping[ZVertex, int] | None) -> Mapping[ZVertex, int]:
         if items
         else {}
     )
+
+
+def _qfun(gens: _Coeffs, deltas: _Coeffs) -> QFun:
+    """A presentation around coefficient maps whose keys are already
+    ZVertex (read from valid presentations): zero entries are dropped and
+    the copies wrapped read-only, skipping QFun's key coercion."""
+    f = object.__new__(QFun)
+    object.__setattr__(f, "gens", MappingProxyType({v: c for v, c in gens.items() if c}))
+    object.__setattr__(f, "deltas", MappingProxyType({v: c for v, c in deltas.items() if c}))
+    return f
 
 
 def hammock_fun(q: DynkinQuiver, x: ZVertex) -> QFun:

@@ -16,10 +16,12 @@ Tensor product is multiset union plus function addition, and a tensor
 power a^n scales a's multiplicities, function and class by n, so no object
 is ever copied n times.  Serre tilting replaces chosen multiset members by
 their Serre images while subtracting the matching pointwise deltas from the
-function.  Objects and their functions are immutable.  A *dominant* object
-is one whose function is a nonnegative combination of generators sitting on
-the two base sections; those are classified by a coefficient vector in the
-positive orthant, recovered by a max-recursion over the quiver.
+function.  Objects and their functions are immutable; products and tilts
+of valid objects are wrapped by _obj and hammock._qfun without re-checking
+their keys.  A *dominant* object is one whose function is a nonnegative
+combination of generators sitting on the two base sections; those are
+classified by a coefficient vector in the positive orthant, recovered by a
+max-recursion over the quiver.
 
 The exchange step of β at a pivot (``pivot_step``) is worked out once, as
 one value that both the complex build and the scalar recursion read;
@@ -40,8 +42,8 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport
-from .hammock import QFun, hammock_fun, hom_values, qfun_defect, qfun_equal
-from .laurent import MONO_ONE, Mono, mono_from_dict, mono_mul, mono_pow
+from .hammock import QFun, _qfun, hammock_fun, hom_values, qfun_defect, qfun_equal
+from .laurent import MONO_ONE, Mono, mono_from_dict
 from .quiver import (
     BetaData,
     DynkinQuiver,
@@ -161,6 +163,17 @@ class Obj:
         return out
 
 
+def _obj(mult: Mapping[ZVertex, int], fun: QFun, kclass: Mono | None) -> Obj:
+    """An object around a multiplicity map built from valid objects (keys
+    already ZVertex, counts nonnegative): zero entries are dropped and the
+    copy wrapped read-only, skipping Obj's key coercion and sign scan."""
+    a = object.__new__(Obj)
+    object.__setattr__(a, "mult", MappingProxyType({v: c for v, c in mult.items() if c}))
+    object.__setattr__(a, "fun", fun)
+    object.__setattr__(a, "kclass", kclass)
+    return a
+
+
 def unit_obj() -> Obj:
     """The empty object: unit for the tensor product, class 1."""
     return Obj({}, QFun(), MONO_ONE)
@@ -197,29 +210,45 @@ def ghost_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
 
 def kr_object(q: DynkinQuiver, xi: HeightFunction, i: int) -> Obj:
     """K_i = Y(τ base_i) ⊗ Y(base_i); class Y[i,ξ(i)-2]·Y[i,ξ(i)]."""
-    return tensor_obj(
-        hammock_object(q, xi, translate_base(xi, i)),
-        hammock_object(q, xi, base_vertex(xi, i)),
-    )
+    return _tensor_powers(_factor_pairs(q, xi, [(i, 1)], ()))
+
+
+def _factor_pairs(
+    q: DynkinQuiver,
+    xi: HeightFunction,
+    k_exp: Iterable[tuple[int, int]],
+    h_exp: Iterable[tuple[int, int]],
+) -> list[tuple[Obj, int]]:
+    """⊗_i K_i^{k_i} ⊗ ⊗_l Y(base_l)^{h_l} as (hammock object, exponent)
+    pairs for _tensor_powers, K_i^e expanded to Y(τ base_i)^e, Y(base_i)^e."""
+    kr = [
+        (hammock_object(q, xi, x), e)
+        for i, e in k_exp
+        for x in (translate_base(xi, i), base_vertex(xi, i))
+    ]
+    return kr + [(hammock_object(q, xi, base_vertex(xi, l)), e) for l, e in h_exp]
 
 
 def _tensor_powers(pairs: Iterable[tuple[Obj, int]]) -> Obj:
     """⊗ a^n over (a, n ≥ 0) pairs, in one pass: multiplicities, generator
-    and delta coefficients are scaled by n and summed, and the class is
-    Π kclass^n (None once a factor with n > 0 has no class)."""
+    and delta coefficients are scaled by n and summed, and so are the class
+    exponents (no class once a factor with n > 0 has none)."""
     mult: dict[ZVertex, int] = {}
     gens: dict[ZVertex, int] = {}
     deltas: dict[ZVertex, int] = {}
-    kclass: Mono | None = MONO_ONE
+    powers: dict[tuple, int] | None = {}
     for a, n in pairs:
         if not n:
             continue
         for into, items in ((mult, a.mult), (gens, a.fun.gens), (deltas, a.fun.deltas)):
             for v, c in items.items():
                 into[v] = into.get(v, 0) + c * n
-        if kclass is not None:
-            kclass = None if a.kclass is None else mono_mul(kclass, mono_pow(a.kclass, n))
-    return Obj(mult, QFun(gens, deltas), kclass)
+        if a.kclass is None:
+            powers = None
+        elif powers is not None:
+            for k, e in a.kclass:
+                powers[k] = powers.get(k, 0) + e * n
+    return _obj(mult, _qfun(gens, deltas), None if powers is None else mono_from_dict(powers))
 
 
 def tensor_obj(*objs: Obj) -> Obj:
@@ -251,15 +280,17 @@ def serre_tilt(q: DynkinQuiver, a: Obj, zmult: Iterable[ZVertex] | Mapping[ZVert
         z = ZVertex(*z)
         chosen[z] = chosen.get(z, 0) + c
     mult = dict(a.mult)
+    deltas = dict(a.fun.deltas)
     for z, c in chosen.items():
         if c < 0:
             raise ValueError("negative tilt multiplicity")
         if mult.get(z, 0) < c:
             raise NotContained(f"{z} (x{c}) not contained in the multiset")
-        mult[z] -= c
+        mult[z] = mult.get(z, 0) - c
         sz = serre(q, z)
         mult[sz] = mult.get(sz, 0) + c
-    return Obj(mult, a.fun.shift_deltas({z: -c for z, c in chosen.items()}), None)
+        deltas[z] = deltas.get(z, 0) - c
+    return _obj(mult, _qfun(a.fun.gens, deltas), None)
 
 
 def is_iso(q: DynkinQuiver, a: Obj, b: Obj) -> bool:
@@ -383,8 +414,7 @@ def reconstruct_factorization(
     """Build the object a Factorization stands for (classes included)."""
     return _tensor_powers(
         [(ghost_object(q, xi, translate_base(xi, j)), 1) for j in fac.f_list]
-        + [(kr_object(q, xi, i), e) for i, e in fac.k_exp]
-        + [(hammock_object(q, xi, base_vertex(xi, l)), e) for l, e in fac.h_exp]
+        + _factor_pairs(q, xi, fac.k_exp, fac.h_exp)
         + [(leading_object(q, xi, fac.remainder), 1)]
     )
 

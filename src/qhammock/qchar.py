@@ -59,7 +59,8 @@ from .quiver import (
     Root,
     expected_edges,
 )
-from .objects import _negative_simple, kr_object, leading_object, pivot_step
+from .repetition import base_vertex, translate_base
+from .objects import _negative_simple, hammock_object, leading_object, pivot_step
 from .complexes import build_complex, euler_char
 from .cluster import enumerate_cluster_variables
 
@@ -181,10 +182,12 @@ def _canonical_recursion(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Lau
 
 
 def _kr_class(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
-    mono = kr_object(q, xi, i).kclass
-    if mono is None:
+    """Class of K_i = Y(τ base_i) ⊗ Y(base_i), from the two hammock objects."""
+    a = hammock_object(q, xi, translate_base(xi, i)).kclass
+    b = hammock_object(q, xi, base_vertex(xi, i)).kclass
+    if a is None or b is None:
         raise InvariantViolation(f"KR object at vertex {i} has no class")
-    return mono
+    return mono_mul(a, b)
 
 
 def _qchar_recursion_step(

@@ -1,5 +1,7 @@
 """Complex construction: shift/tensor/cone algebra and the beta recursion."""
 
+import hashlib
+import json
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -328,6 +330,49 @@ def test_connectors_match_per_leaf_oracle(monkeypatch, family, rank):
             for p in beta_combinatorics(q, xi, beta).pivot_candidates:
                 build_complex(q, xi, beta, pivot=p)
     assert sum(matched) > 0
+
+
+def _pivot_builds(families):
+    """(q, xi, build) for every pivot candidate of every positive root of
+    every orientation, in all_orientations / positive_roots order."""
+    for family, rank in families:
+        for q in all_orientations(family, rank):
+            xi = default_height(q)
+            for beta in positive_roots(q):
+                for p in beta_combinatorics(q, xi, beta).pivot_candidates:
+                    yield q, xi, build_complex(q, xi, beta, pivot=p)
+
+
+def test_pivot_builds_match_golden_digest():
+    # the Euler-route builds are facts: any change to the object or complex
+    # layer must leave every byte that complex_to_json prints unchanged
+    families = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
+    digest = hashlib.sha256()
+    count = 0
+    for _, _, fc in _pivot_builds(families):
+        digest.update(json.dumps(complex_to_json(fc), sort_keys=True).encode())
+        count += 1
+    assert count == 929
+    assert digest.hexdigest() == "0fcce6d4190d7c52db65feb6e545b47adc0cbd84441622e9a0caead187e8734b"
+
+
+def _term_data(c):
+    return {n: [(o.canonical(), o.kclass) for o in objs] for n, objs in c.terms.items()}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_one_pass_tensor_matches_tensor_complex(family, rank):
+    # _tensor_between(l, k, C, r, m) is single(l, k) ⊗ C ⊗ single(r, m)
+    for q, xi, fc in _pivot_builds([(family, rank)]):
+        l = kr_object(q, xi, 1)
+        r = ghost_object(q, xi, translate_base(xi, rank))
+        for k in range(3):
+            for m in range(3):
+                got = complexes._tensor_between(l, k, fc.num, r, m)
+                want = tensor_complex(
+                    tensor_complex(single_complex(l, k), fc.num), single_complex(r, m)
+                )
+                assert (_term_data(got), got.diffs) == (_term_data(want), want.diffs), (k, m)
 
 
 def test_e6_euler_route_finishes(monkeypatch):

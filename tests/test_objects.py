@@ -262,6 +262,65 @@ def test_serre_tilt_moves_member():
         serre_tilt(q, y, {x: 2})
 
 
+def _assert_as_if_checked(o: Obj) -> None:
+    """o, made by the trusted constructors, equals the same data passed
+    through the checking ones, holds no zero entry, and refuses edits."""
+    fresh = Obj(dict(o.mult), QFun(dict(o.fun.gens), dict(o.fun.deltas)), o.kclass)
+    assert (o.canonical(), o.kclass) == (fresh.canonical(), fresh.kclass), o
+    for coeffs in (o.mult, o.fun.gens, o.fun.deltas):
+        assert all(type(v) is ZVertex and c for v, c in coeffs.items()), (o, coeffs)
+    v = ZVertex(1, 1)
+    edits = [
+        lambda: setattr(o, "mult", {}),
+        lambda: setattr(o.fun, "deltas", {}),
+        lambda: o.mult.__setitem__(v, 1),
+        lambda: o.fun.gens.__setitem__(v, 1),
+        lambda: o.fun.deltas.__setitem__(v, 1),
+    ]
+    for edit in edits:
+        with pytest.raises((AttributeError, TypeError)):
+            edit()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_trusted_objects_match_checked_construction(family, rank):
+    # every summand of every canonical and forced build, and leading_object
+    # over a small orthant, come out of _tensor_powers and serre_tilt
+    for q in all_orientations(family, rank):
+        xi = default_height(q)
+        for beta in positive_roots(q):
+            pivots = beta_combinatorics(q, xi, beta).pivot_candidates
+            for p in (None, *pivots):
+                for objs in build_complex(q, xi, beta, pivot=p).num.terms.values():
+                    for o in objs:
+                        _assert_as_if_checked(o)
+        for beta in itertools.product(range(4), repeat=rank):
+            if any(beta) and sum(beta) <= 4:
+                _assert_as_if_checked(leading_object(q, xi, beta))
+
+
+def test_trusted_construction_edge_cases():
+    q, xi = a2()
+    x = ZVertex(1, 1)
+    y = hammock_object(q, xi, x)
+    # the tilted member's count drops to zero: its key vanishes
+    t = serre_tilt(q, y, [x])
+    assert x not in t.mult and t.mult == {ZVertex(2, 2): 2}
+    assert t.fun.deltas == {x: -1}
+    # a tilt of count 0, at a member and off the multiset, changes nothing
+    for z in (x, ZVertex(2, 0)):
+        same = serre_tilt(q, y, {z: 0})
+        assert same.canonical() == y.canonical() and same.kclass is None
+        _assert_as_if_checked(same)
+    # a tensor whose deltas (or generators) cancel keeps no zero entry
+    back = tensor_obj(t, Obj({}, QFun({}, {x: 1})))
+    assert back.fun.deltas == {} and back.kclass is None
+    flat = tensor_obj(y, Obj({}, QFun({x: -1})))
+    assert flat.fun.gens == {}
+    for o in (t, back, flat, tensor_obj(y, unit_obj()), obj_pow(y, 3)):
+        _assert_as_if_checked(o)
+
+
 def test_tiltable_detects_admissible_vertices():
     q, xi = a2()
     assert tiltable(q, xi, kr_object(q, xi, 1)) == (1,)

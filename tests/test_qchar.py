@@ -10,10 +10,12 @@ import qhammock.qchar as qchar
 from dominance_oracle import oracle_extremal
 from qhammock import (
     all_orientations,
+    base_vertex,
     build_quiver,
     default_height,
     positive_roots,
     sample_orientations,
+    translate_base,
 )
 from qhammock.complexes import build_complex
 from qhammock.errors import (
@@ -334,6 +336,22 @@ def test_classless_leading_object_is_an_engine_error(monkeypatch):
     monkeypatch.setattr(qchar, "leading_object", lambda q, xi, beta: Obj(kclass=None))
     with pytest.raises(InvariantViolation):
         dominant_monomial(q, xi, (1, 1))
+
+
+@pytest.mark.parametrize("side", ["translated", "base"])
+def test_classless_kr_factor_is_an_engine_error(monkeypatch, side):
+    # the class of K_i is read off Y(τ base_i) and Y(base_i); either one
+    # without a class must raise, not multiply None (a forced pivot runs it)
+    q, xi = a2()
+    library = qchar.hammock_object
+    bad = translate_base(xi, 1) if side == "translated" else base_vertex(xi, 1)
+
+    def classless(q, xi, x):
+        return Obj(kclass=None) if x == bad else library(q, xi, x)
+
+    monkeypatch.setattr(qchar, "hammock_object", classless)
+    with pytest.raises(InvariantViolation, match="KR object at vertex 1"):
+        qchar_recursion(q, xi, (1, 1), pivot=1)
 
 
 # ------------------------------------------- dominance against the oracle

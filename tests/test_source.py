@@ -45,3 +45,56 @@ def test_no_hand_written_cache():
             if entry.endswith("CACHE")
         ]
     assert not found, found
+
+
+def _object_dunder(call: ast.Call, name: str) -> str | None:
+    """For a call C.<name>(x, ...), the class C, or for object.<name>(x, ...)
+    the name x ("?" when x is not a plain name); None for other calls."""
+    f = call.func
+    if not (isinstance(f, ast.Attribute) and f.attr == name and isinstance(f.value, ast.Name)):
+        return None
+    if f.value.id != "object":
+        return f.value.id
+    return call.args[0].id if call.args and isinstance(call.args[0], ast.Name) else "?"
+
+
+def test_trusted_constructors_stay_in_one_place():
+    # Obj and QFun skip their checks only in objects._obj and hammock._qfun:
+    # no other function makes one with __new__, and object.__setattr__ sets
+    # only `self` in a class's own method (in Obj and QFun, only __init__)
+    # or an instance that the same function made with __new__
+    guarded, trusted = {"Obj", "QFun"}, {"objects._obj", "hammock._qfun"}
+    found, makers = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {
+            fn: cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            where = f"{path.stem}.{fn.name}"
+            made = {
+                t.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and _object_dunder(node.value, "__new__")
+                for t in node.targets
+                if isinstance(t, ast.Name)
+            }
+            for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
+                if _object_dunder(call, "__new__") in guarded:
+                    makers.add(where)
+                    if where not in trusted:
+                        found.append(f"{where}:{call.lineno} calls __new__")
+                target = _object_dunder(call, "__setattr__")
+                if target is None or target in made:
+                    continue
+                own = fn in owner and (owner[fn] not in guarded or fn.name == "__init__")
+                if not (target == "self" and own):
+                    found.append(f"{where}:{call.lineno} sets attributes on {target}")
+    assert makers == trusted, makers
+    assert not found, found
