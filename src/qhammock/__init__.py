@@ -88,7 +88,6 @@ from .complexes import (
     complex_to_json,
     cone,
     euler_char,
-    shift,
     single_complex,
     tensor_complex,
     unit_complex,

@@ -485,9 +485,8 @@ def cmd_ar_view(args: argparse.Namespace) -> int:
 # ───────────────────────── parser wiring ─────────────────────────
 
 
-def _add_common(sub: argparse.ArgumentParser, need_quiver: bool = True) -> None:
-    if need_quiver:
-        sub.add_argument("--quiver", required=True, help="quiver config: JSON file or literal")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--quiver", required=True, help="quiver config: JSON file or literal")
     sub.add_argument(
         "--format",
         default="text",

@@ -5,7 +5,7 @@ differentials are lists of elementary components (source summand, target
 summand, tag, sign).  Tags name which canonical morphism a component is
 a copy of — almost always ("eta", i), the tilt at the translated base
 vertex of i — and signs exist purely so the d² bookkeeping of Koszul /
-shift / cone conventions can be checked.  No scalar matrices: the engine
+cone conventions can be checked.  No scalar matrices: the engine
 never needs them, and the source material pins morphisms only up to the
 generating choices anyway.
 
@@ -14,7 +14,9 @@ acceptance sweep):
 
 * tensor: d(a ⊗ b) = da ⊗ b + (−1)^{|a|} a ⊗ db, the sign landing on the
   right factor's components;
-* shift by k: every component sign is multiplied by (−1)^k;
+* l ⊗ C ⊗ r with l in degree k (_tensor_between): every component sign
+  of C is multiplied by (−1)^k, the tensor rule for a one-summand left
+  factor; with k = 1 this moves the cone's domain up one degree;
 * cone(dom, cod): E_n = dom_{n+1} ⊕ cod_n, dom block kept, cod block
   negated, connector signs supplied by the caller.
 
@@ -26,15 +28,23 @@ composite group is the d² ledger of dom or cod alone, checked once per
 cone.  No fixed local rule for the connector signs survives the
 recursion: a square pairs a component of the absorb-side subcomplex
 against one of the tilt-side subcomplex, and whether those carry equal or
-opposite signs depends on each one's own provenance (a shift-negated
+opposite signs depends on each one's own provenance (a Koszul-negated
 block, a cone-negated block, or a connector) arbitrarily deep in two
 independent builds.  The builder therefore treats connector signs as
-unknowns in {±1}, requires every square that the path-vanishing rule does
-not excuse to cancel, and backtracks over the matching when isomorphic
-twin summands leave it ambiguous, cutting a branch as soon as the squares
-it has closed admit no signs.  The degree-|out-closure| ghost factor is
-tensored on the right, where it imposes no Koszul twist on the carried
-subcomplex.
+unknowns in {±1} and requires every square that the path-vanishing rule
+does not excuse to cancel.  A square has at most two routes, on two
+different connectors: at most one runs connector then cod component
+(a connector has one target, and no built complex has two parallel
+components with the same tag, since tensor and cone keep index ranges
+disjoint), and at most one runs dom component then connector (connector
+targets in one degree are distinct).  So a square is a parity constraint
+u_a = ±u_b, or a single route that can never cancel, and the signs are
+parity classes: each class's least connector is +1, the rest follow.
+Only the matching is searched, backtracking when isomorphic twin summands
+leave it ambiguous and cutting a branch as soon as the squares it has
+closed have an odd parity cycle or a single route.  The
+degree-|out-closure| ghost factor is tensored on the right, where it
+imposes no Koszul twist on the carried subcomplex.
 
 The recursive construction  C[β] = cone(dom → cod)  threads the absorb
 step (dom side, one degree up) against the tilt step (cod side, ghost
@@ -83,7 +93,6 @@ __all__ = [
     "unit_complex",
     "single_complex",
     "initial_hammock_complex",
-    "shift",
     "tensor_complex",
     "cone",
     "build_complex",
@@ -180,22 +189,7 @@ def initial_hammock_complex(q: DynkinQuiver, xi: HeightFunction, i: int) -> Comp
     return single_complex(hammock_object(q, xi, base_vertex(xi, i)), 0)
 
 
-# ───────────────────────── shift / tensor / cone ─────────────────────────
-
-
-def shift(c: Complex, k: int) -> Complex:
-    """Move degree n to n + k; component signs pick up (−1)^k."""
-    if c.is_zero():
-        return Complex()
-    if min(c.terms) + k < 0:
-        raise NegativeDegree(f"shift by {k} drops degree {min(c.terms)} below zero")
-    flip = -1 if k % 2 else 1
-    terms = {n + k: list(objs) for n, objs in c.terms.items()}
-    diffs = {
-        n + k: [Component(s, t, tag, sign * flip) for s, t, tag, sign in comps]
-        for n, comps in c.diffs.items()
-    }
-    return Complex(terms, diffs)
+# ───────────────────────── tensor / cone ─────────────────────────
 
 
 def tensor_complex(c: Complex, d: Complex) -> Complex:
@@ -272,16 +266,17 @@ def cone(
     dom: Complex,
     cod: Complex,
     connectors: Mapping[int, list[tuple[int, int, tuple, int]]] | None = None,
-    ctx: tuple[DynkinQuiver, HeightFunction] | None = None,
 ) -> Complex:
     """Mapping cone: E_n = dom_{n+1} ⊕ cod_n.
 
     connectors[n] lists (dom_n summand, cod_n summand, tag, sign) in
     input-degree indexing; they become the lower-left block.  The cod
     block's signs are negated; the dom block is taken as-is (the caller has
-    already shifted the domain, which is where the [−1] sign lives).  With
-    ctx given, every connector is checked to be an actual tilt: target ≅
-    serre_tilt(source) at the tag's vertex.
+    already moved the domain up one degree, which is where the [−1] sign
+    lives).  Each connector's indices, sign and degree are checked, not
+    that it is the tilt it claims: build_complex takes its connectors from
+    _resolve_connectors, which offers only targets isomorphic to the tilt,
+    and validate_components checks a finished complex.
     """
     connectors = dict(connectors or {})
     if dom.is_zero() and cod.is_zero():
@@ -325,15 +320,6 @@ def cone(
                 raise InconsistentConnector(f"connector indices ({s},{t}) at input degree {n}")
             if sign not in (1, -1):
                 raise InconsistentConnector(f"connector sign {sign}")
-            if ctx is not None:
-                q, xi = ctx
-                if tag[0] != "eta":
-                    raise InconsistentConnector(f"connector tagged {tag}")
-                tilted = serre_tilt(q, dom_row[s], [translate_base(xi, tag[1])])
-                if not is_iso(q, tilted, cod_row[t]):
-                    raise InconsistentConnector(
-                        f"connector at input degree {n} is not the tilt it claims"
-                    )
             diffs.setdefault(e, []).append(
                 Component(s, off_dst + t, tuple(tag), sign)
             )
@@ -349,60 +335,41 @@ def _excused(q: DynkinQuiver, tag1: tuple, tag2: tuple) -> bool:
     return tag1[0] == "eta" and tag2[0] == "eta" and q.has_path(tag2[1], tag1[1])
 
 
-def _solve_sign_system(equations) -> dict | None:
-    """Assign ±1 to connector edges satisfying const + Σ coeff·u = 0."""
-    edges = sorted({e for _, terms in equations for _, e in terms})
-    assign: dict[tuple, int] = {}
+def _join_parities(
+    classes: Mapping[tuple, tuple[tuple, int]], equations
+) -> Mapping[tuple, tuple[tuple, int]] | None:
+    """Extend parity classes of connector signs by square equations.
 
-    def propagate() -> bool | None:
-        changed = True
-        while changed:
-            changed = False
-            for const, terms in equations:
-                total = const
-                unknown = []
-                for coeff, e in terms:
-                    if e in assign:
-                        total += coeff * assign[e]
-                    else:
-                        unknown.append((coeff, e))
-                if not unknown:
-                    if total != 0:
-                        return False
-                elif len(unknown) == 1:
-                    coeff, e = unknown[0]
-                    val = -total * coeff
-                    if val not in (1, -1):
-                        return False
-                    assign[e] = val
-                    changed = True
-        return True
-
-    def search() -> bool:
-        snapshot = dict(assign)
-        if propagate() is False:
-            assign.clear()
-            assign.update(snapshot)
-            return False
-        free = [e for e in edges if e not in assign]
-        if not free:
-            return True
-        e = free[0]
-        for val in (1, -1):
-            snap = dict(assign)
-            assign[e] = val
-            if search():
-                return True
-            assign.clear()
-            assign.update(snap)
-        return False
-
-    if not search():
-        return None
-    for _, terms in equations:
-        for _, e in terms:
-            assign.setdefault(e, 1)
-    return assign
+    classes maps a key to (least key of its class, ±1): u_key is that
+    sign times u_least.  Each equation is the terms (coeff, key) of
+    Σ coeff·u_key = 0 with coeff = ±1.  A one-term equation can never
+    cancel and an odd parity cycle has no solution: both give None.
+    The classes passed in are never edited; they are copied at the
+    first equation that merges two classes.
+    """
+    joined = classes
+    for terms in equations:
+        if len(terms) > 2:
+            raise InvariantViolation(f"a square of the chain map has {len(terms)} routes")
+        if len(terms) == 1:
+            return None
+        (ca, a), (cb, b) = terms
+        ra, pa = joined.get(a, (a, 1))
+        rb, pb = joined.get(b, (b, 1))
+        parity = -ca * cb * pa * pb  # u_ra = parity · u_rb
+        if ra == rb:
+            if parity != 1:
+                return None
+            continue
+        low, high = min(ra, rb), max(ra, rb)
+        if joined is classes:
+            joined = dict(classes)
+        joined.setdefault(a, (a, 1))
+        joined.setdefault(b, (b, 1))
+        for key, (least, sign) in list(joined.items()):
+            if least == high:
+                joined[key] = (low, sign * parity)
+    return joined
 
 
 def _resolve_connectors(
@@ -418,12 +385,21 @@ def _resolve_connectors(
     no matching changes, so it is checked once.
 
     Every tiltable dom summand is matched, depth-first, to a same-degree
-    cod summand isomorphic to its tilt when possible.  A square with a
-    non-excused route must cancel; its equation joins the ±1 sign system as
-    soon as every connector it reads is decided, and a branch whose system
-    has no solution is cut there.  Adding equations never makes a system
-    solvable, so the first matching that closes every square is the one a
-    search checking only complete matchings would find.
+    cod summand isomorphic to its tilt when possible, so every connector
+    offered is a tilt.  A square with a non-excused route must cancel, and
+    it has at most two routes: one through the connector at (m, s'), whose
+    one target meets at most one cod component of each tag, and one
+    through a connector at (m + 1, s''), since connector targets in one
+    degree are distinct.  Its equation is therefore a parity constraint
+    u_a = ±u_b on two connectors in different degrees, or a single route
+    that can never cancel.  It joins the parity classes (_join_parities)
+    as soon as every connector it reads is decided, and a branch is cut at
+    a single route or an odd parity cycle.  Adding constraints never makes
+    them satisfiable, so the first matching that closes every square is
+    the one a search checking only complete matchings would find.  A
+    connector's sign is its parity relative to the least key of its class,
+    which is +1, and a connector in no square is +1: the first ±1 solution
+    in key order.
     """
     failure = f"no connector matching closes the d² ledger for the tilt at {i}"
     if not (verify_d_squared(q, dom)["ok"] and verify_d_squared(q, cod)["ok"]):
@@ -470,21 +446,21 @@ def _resolve_connectors(
 
     choice: dict[tuple[int, int], int | None] = {}
 
-    def closed_at(k: int) -> list[tuple[int, tuple]]:
-        """Equations 0 + Σ coeff·u_key = 0 of the squares final at depth k."""
+    def closed_at(k: int) -> list[tuple]:
+        """Equations Σ coeff·u_key = 0 of the squares final at depth k."""
         groups: dict[tuple, list[tuple[int, tuple, bool]]] = {}
         for key, t, square, coeff, excused in routes[k]:
             if choice[key] == t:
                 groups.setdefault(square, []).append((coeff, key, excused))
         return [
-            (0, tuple((coeff, key) for coeff, key, _ in group))
+            tuple((coeff, key) for coeff, key, _ in group)
             for group in groups.values()
             if not all(excused for _, _, excused in group)
         ]
 
-    def dfs(k: int, equations: list, signs: dict) -> dict | None:
+    def dfs(k: int, classes: Mapping) -> Mapping | None:
         if k == len(keys):
-            return signs
+            return classes
         key = keys[k]
         taken = {choice[other] for other in keys[:k] if other[0] == key[0]}
         for t in cands[key] + (None,):
@@ -492,22 +468,22 @@ def _resolve_connectors(
                 continue
             choice[key] = t
             new = closed_at(k)
-            system = equations + new
-            solved = _solve_sign_system(system) if new else signs
-            if solved is not None:
-                found = dfs(k + 1, system, solved)
+            joined = _join_parities(classes, new) if new else classes
+            if joined is not None:
+                found = dfs(k + 1, joined)
                 if found is not None:
                     return found
         del choice[key]
         return None
 
-    signs = dfs(0, [], {})
-    if signs is None:
+    classes = dfs(0, {})
+    if classes is None:
         raise InconsistentConnector(failure)
     connectors: dict[int, list[tuple[int, int, tuple, int]]] = {}
     for (n, s), t in sorted(choice.items()):
         if t is not None:
-            connectors.setdefault(n, []).append((s, t, tag, signs.get((n, s), 1)))
+            sign = classes.get((n, s), (None, 1))[1]
+            connectors.setdefault(n, []).append((s, t, tag, sign))
     return connectors
 
 
@@ -587,7 +563,7 @@ def _build(
     cod = _tensor_between(cod_head, 0, sub_proj.num, ghost_block, len(fac.f_list))
 
     connectors = _resolve_connectors(q, xi, i, dom, cod)
-    num = cone(dom, cod, connectors, ctx=(q, xi))
+    num = cone(dom, cod, connectors)
     den[i] = den.get(i, 0) + 1
 
     # degree-0 sanity: one summand, isomorphic to Y[β] ⊗ the denominator object

@@ -65,7 +65,7 @@ class TooLarge(QHError):
 
 
 class NegativeDegree(QHError):
-    """A shift would move a complex below homological degree zero."""
+    """A term would sit below homological degree zero."""
 
 
 class InconsistentConnector(QHError):

@@ -6,18 +6,79 @@ signs left symbolic, regroups every composite of the cone, and solves the
 resulting sign system; the first matching whose system is solvable wins.
 The library's search closes the chain map's squares one DFS depth at a
 time and checks the dom and cod ledgers once; it must choose exactly the
-same connectors.  It shares only the tilt test (``tiltable``,
-``serre_tilt``, ``is_iso``) and the ±1 solver with the library.  The cost
+same connectors.  It carries its own general ±1 solver, where the
+library keeps parity classes, and shares only the tilt test
+(``tiltable``, ``serre_tilt``, ``is_iso``) with the library.  The cost
 is one full ledger per leaf, so keep it to rank ≤ 4.
 """
 
 from __future__ import annotations
 
-from qhammock.complexes import Complex, _solve_sign_system
+from qhammock.complexes import Complex
 from qhammock.errors import InconsistentConnector
 from qhammock.objects import is_iso, serre_tilt, tiltable
 from qhammock.quiver import DynkinQuiver, HeightFunction
 from qhammock.repetition import translate_base
+
+
+def solve_sign_system(equations) -> dict | None:
+    """Assign ±1 to connector edges satisfying const + Σ coeff·u = 0.
+
+    A general search: unit propagation, then branching on the least free
+    edge, +1 before −1, so it returns the first solution in edge order.
+    """
+    edges = sorted({e for _, terms in equations for _, e in terms})
+    assign: dict[tuple, int] = {}
+
+    def propagate() -> bool | None:
+        changed = True
+        while changed:
+            changed = False
+            for const, terms in equations:
+                total = const
+                unknown = []
+                for coeff, e in terms:
+                    if e in assign:
+                        total += coeff * assign[e]
+                    else:
+                        unknown.append((coeff, e))
+                if not unknown:
+                    if total != 0:
+                        return False
+                elif len(unknown) == 1:
+                    coeff, e = unknown[0]
+                    val = -total * coeff
+                    if val not in (1, -1):
+                        return False
+                    assign[e] = val
+                    changed = True
+        return True
+
+    def search() -> bool:
+        snapshot = dict(assign)
+        if propagate() is False:
+            assign.clear()
+            assign.update(snapshot)
+            return False
+        free = [e for e in edges if e not in assign]
+        if not free:
+            return True
+        e = free[0]
+        for val in (1, -1):
+            snap = dict(assign)
+            assign[e] = val
+            if search():
+                return True
+            assign.clear()
+            assign.update(snap)
+        return False
+
+    if not search():
+        return None
+    for _, terms in equations:
+        for _, e in terms:
+            assign.setdefault(e, 1)
+    return assign
 
 
 def _symbolic_components(dom: Complex, cod: Complex, matching, tag):
@@ -123,7 +184,7 @@ def resolve_connectors_per_leaf(
         equations = _cancellation_equations(q, comps)
         if equations is None:
             return False
-        signs = _solve_sign_system(equations)
+        signs = solve_sign_system(equations)
         if signs is None:
             return False
         solution.append((matching, signs))

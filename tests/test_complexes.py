@@ -1,4 +1,4 @@
-"""Complex construction: shift/tensor/cone algebra and the beta recursion."""
+"""Complex construction: tensor/cone algebra and the beta recursion."""
 
 import hashlib
 import json
@@ -25,7 +25,6 @@ from qhammock.complexes import (
     cone,
     euler_char,
     initial_hammock_complex,
-    shift,
     single_complex,
     tensor_complex,
     unit_complex,
@@ -74,23 +73,6 @@ def test_complex_container_checks():
     assert not c.is_zero() and Complex().is_zero()
 
 
-def test_shift_degrees_and_signs():
-    q, xi = a2()
-    x = ZVertex(1, 1)
-    y = hammock_object(q, xi, x)
-    t = serre_tilt(q, y, [x])
-    c = Complex({0: [y], 1: [t]}, {0: [Component(0, 0, ("eta", 1), 1)]})
-    s = shift(c, 2)
-    assert s.degrees() == [2, 3]
-    assert s.diffs[2][0].sign == 1  # even shift keeps signs
-    s1 = shift(c, 1)
-    assert s1.diffs[1][0].sign == -1  # odd shift flips
-    assert shift(shift(c, 1), 1).diffs[2][0].sign == 1
-    with pytest.raises(NegativeDegree):
-        shift(c, -1)
-    assert shift(Complex(), 5).is_zero()
-
-
 def test_tensor_unit_and_counts():
     q, xi = a2()
     k = single_complex(kr_object(q, xi, 1), 0)
@@ -117,14 +99,15 @@ def test_tensor_koszul_sign():
 
 
 def test_cone_blocks_and_guards():
-    # connectors are tagged by label; with ctx the target must be the tilt
-    # of the source at that label's translated base vertex
+    # connectors are tagged by label; validate_components tells whether the
+    # target is the tilt of the source at that label's translated base vertex
     q, xi = a2()
     k1 = kr_object(q, xi, 1)
     t = serre_tilt(q, k1, [translate_base(xi, 1)])
     dom = single_complex(k1, 1)
     cod = single_complex(t, 1)
-    e = cone(dom, cod, {1: [(0, 0, ("eta", 1), 1)]}, ctx=(q, xi))
+    e = cone(dom, cod, {1: [(0, 0, ("eta", 1), 1)]})
+    assert validate_components(q, xi, e)
     assert e.degrees() == [0, 1]
     assert e.diffs[0][0] == Component(0, 0, ("eta", 1), 1)
     # cod block sign negation
@@ -133,9 +116,9 @@ def test_cone_blocks_and_guards():
     assert e2.diffs[0][0].sign == -1
     with pytest.raises(NegativeDegree):
         cone(single_complex(k1, 0), Complex())
-    with pytest.raises(InconsistentConnector):
-        # target is not the tilt of the source
-        cone(dom, single_complex(k1, 1), {1: [(0, 0, ("eta", 1), 1)]}, ctx=(q, xi))
+    # target is not the tilt of the source
+    wrong = cone(dom, single_complex(k1, 1), {1: [(0, 0, ("eta", 1), 1)]})
+    assert not validate_components(q, xi, wrong)
     with pytest.raises(InconsistentConnector):
         cone(dom, cod, {1: [(0, 5, ("eta", 1), 1)]})
 
@@ -380,16 +363,16 @@ def test_e6_euler_route_finishes(monkeypatch):
     # passes 20,000 solver calls on (1,2,3,2,1,1) alone without finishing
     q = list(all_orientations("E", 6))[1]
     xi = default_height(q)
-    solve = complexes._solve_sign_system
+    join = complexes._join_parities
     calls = []
 
-    def budgeted(equations):
+    def budgeted(classes, equations):
         calls.append(1)
         if len(calls) > 5000:
             raise RuntimeError("connector search over its budget of 5,000 solver calls")
-        return solve(equations)
+        return join(classes, equations)
 
-    monkeypatch.setattr(complexes, "_solve_sign_system", budgeted)
+    monkeypatch.setattr(complexes, "_join_parities", budgeted)
     complexes._canonical_build.cache_clear()
     for beta in positive_roots(q):
         assert qchar_euler(q, xi, beta) == qchar_recursion(q, xi, beta), beta

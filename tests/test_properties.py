@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from qhammock import LaurentPoly, all_orientations, default_height, positive_roots, sample_orientations
 from qhammock.cli import main
 from qhammock.cluster import initial_seed, mutate
-from qhammock.errors import InexactDivision
+from qhammock.complexes import _join_parities
+from qhammock.errors import InexactDivision, InvariantViolation
 from qhammock.laurent import mono_from_dict, mono_mul, mono_pow
 from qhammock.qchar import nakajima_leq, variable_A
 from qhammock.repetition import window_vertices
 
 import laurent_oracle
+from connector_oracle import solve_sign_system
 from exchange_oracle import seed_key
 
 QUIVERS = [
@@ -155,6 +157,58 @@ def test_mutation_is_an_involution(q, walk, k):
     assert seed_key(back) == seed_key(seed)
     assert dict(back.matrix) == dict(seed.matrix)
     assert dict(back.cluster) == dict(seed.cluster)
+
+
+# connector keys are (degree, summand) pairs, compared in that order
+SIGN_KEYS = [(n, s) for n in (1, 2) for s in range(4)]
+
+
+@st.composite
+def parity_batches(draw):
+    """Batches of equations Σ c·u = 0, c = ±1, over at most 8 keys: mostly
+    two terms (a repeated key or pair included), sometimes one or three.
+    Most two-term equations hold under one hidden assignment, so both
+    solvable systems and odd cycles are common."""
+    keys = draw(st.lists(st.sampled_from(SIGN_KEYS), min_size=1, max_size=8, unique=True))
+    hidden = {key: draw(st.sampled_from((1, -1))) for key in keys}
+    coeff, key = st.sampled_from((1, -1)), st.sampled_from(keys)
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        batch = []
+        for _ in range(draw(st.integers(1, 4))):
+            size = draw(st.sampled_from((2,) * 12 + (1, 3)))
+            terms = [(draw(coeff), draw(key)) for _ in range(size)]
+            if size == 2 and draw(st.integers(0, 7)):
+                (ca, a), (_, b) = terms
+                terms[1] = (-ca * hidden[a] * hidden[b], b)
+            batch.append(tuple(terms))
+        batches.append(batch)
+    return batches
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(parity_batches())
+def test_parity_classes_match_general_sign_solver(batches):
+    """Joined one batch at a time, the classes give what the general ±1
+    search of the connector oracle gives for the whole system so far."""
+    classes, system = {}, []
+    for batch in batches:
+        wide = [terms for terms in batch if len(terms) > 2]
+        if wide:  # a square of a built cone never has three routes
+            with pytest.raises(InvariantViolation):
+                _join_parities(classes, wide[:1])
+            return
+        system += [(0, terms) for terms in batch]
+        before = dict(classes)
+        joined = _join_parities(classes, batch)
+        assert dict(classes) == before  # the caller's classes stay as they were
+        solved = solve_sign_system(system)
+        if joined is None:
+            assert solved is None, system
+            return
+        assert solved is not None, system
+        assert {key: joined.get(key, (key, 1))[1] for key in solved} == solved, system
+        classes = joined
 
 
 # JSON values of every kind a config file can hold; numbers stay small so a
