@@ -42,12 +42,12 @@ print("D4 orientations:", len(list(all_orientations("D", 4))))
 # exactly one.  The default pins vertex 1 to its two-coloring class, which
 # keeps vertex/slot parities aligned across every module in the package.
 xi = default_height(q)
-print("default heights:", xi.as_dict())
+print("default heights:", dict(zip(q.vertices, xi.values)))
 
 # You can also supply a full assignment; anything that fails to drop by
 # one along an arrow is rejected with ParityViolation.
 xi_shift = height_from_values(q, {1: 3, 2: 2, 3: 1, 4: 2})
-print("pinned at 3:   ", xi_shift.as_dict())
+print("pinned at 3:   ", dict(zip(q.vertices, xi_shift.values)))
 
 # ----------------------------------------------------------------- symmetry
 

@@ -58,7 +58,7 @@ for beta in [(1, 0), (0, 1), (1, 1), (3, 2)]:
 # remaining leading part -- a unique factorization.
 prod = tensor_obj(k1, leading_object(q, xi, (1, 1)))
 fac = factor_dominant(q, xi, prod)
-print("factor KR^1 * Y[(1,1)]:", "kr exponents", fac.k_dict(), "remainder", fac.remainder)
+print("factor KR^1 * Y[(1,1)]:", "kr exponents", dict(fac.k_exp), "remainder", fac.remainder)
 
 # ---------------------------------------------------- the mutation move
 

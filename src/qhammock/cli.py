@@ -104,29 +104,19 @@ def _parse_quiver_json(data: object) -> tuple[DynkinQuiver, HeightFunction]:
 
 
 def _extend_height(q: DynkinQuiver, partial: Dict[int, int]) -> HeightFunction:
-    """Propagate a partial height along the tree (adaptedness is rigid)."""
+    """Extend a partial height: an adapted height on a tree is the
+    potential shifted, so the least pinned vertex fixes the shift."""
     for i in partial:
         if i not in q.vertices:
             raise ConfigError(f"xi names vertex {i}, not in 1..{q.rank}")
     if not partial:
         return default_height(q)
-    values = dict(partial)
-    # arrows force ξ(target) = ξ(source) − 1; walk until stable
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in q.arrows:
-            if a in values and b not in values:
-                values[b] = values[a] - 1
-                changed = True
-            elif b in values and a not in values:
-                values[a] = values[b] + 1
-                changed = True
-            elif a in values and b in values and values[b] != values[a] - 1:
-                raise ConfigError(f"xi is not adapted across the arrow {a}→{b}")
-    if set(values) != set(q.vertices):
-        raise ConfigError("xi does not reach every vertex")
-    return height_from_values(q, values)
+    least = min(partial)
+    shift = partial[least] - q.potential(least)
+    wrong = [i for i in sorted(partial) if partial[i] != q.potential(i) + shift]
+    if wrong:
+        raise ConfigError(f"xi is not adapted: vertices {wrong} disagree with vertex {least}")
+    return height_from_values(q, {i: q.potential(i) + shift for i in q.vertices})
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:

@@ -40,11 +40,12 @@ disjoint), and at most one runs dom component then connector (connector
 targets in one degree are distinct).  So a square is a parity constraint
 u_a = ±u_b, or a single route that can never cancel, and the signs are
 parity classes: each class's least connector is +1, the rest follow.
-Only the matching is searched, backtracking when isomorphic twin summands
-leave it ambiguous and cutting a branch as soon as the squares it has
-closed have an odd parity cycle or a single route.  The
-degree-|out-closure| ghost factor is tensored on the right, where it
-imposes no Koszul twist on the carried subcomplex.
+Only the matching is searched: each tiltable dom summand takes one of
+its cod summands isomorphic to its tilt, or none.  A square is final once
+every key that has a route into it is decided, and the search cuts a
+branch as soon as its final squares have an odd parity cycle or a single
+route.  The degree-|out-closure| ghost factor is tensored on the right,
+where it imposes no Koszul twist on the carried subcomplex.
 
 The recursive construction  C[β] = cone(dom → cod)  threads the absorb
 step (dom side, one degree up) against the tilt step (cod side, ghost
@@ -392,9 +393,11 @@ def _resolve_connectors(
     through a connector at (m + 1, s''), since connector targets in one
     degree are distinct.  Its equation is therefore a parity constraint
     u_a = ±u_b on two connectors in different degrees, or a single route
-    that can never cancel.  It joins the parity classes (_join_parities)
-    as soon as every connector it reads is decided, and a branch is cut at
-    a single route or an odd parity cycle.  Adding constraints never makes
+    that can never cancel.  The square table, built once, lists every
+    route each candidate (key, t) can give each square.  A square is final
+    once every key that has a route into it is decided, and then its live
+    routes join the parity classes (_join_parities); a branch is cut at a
+    single route or an odd parity cycle.  Adding constraints never makes
     them satisfiable, so the first matching that closes every square is
     the one a search checking only complete matchings would find.  A
     connector's sign is its parity relative to the least key of its class,
@@ -419,44 +422,38 @@ def _resolve_connectors(
             if opts:
                 keys.append((n, s))
                 cands[(n, s)] = opts
-    depth = {key: k for k, key in enumerate(keys)}
-
-    def closing(m: int, s: int) -> int:
-        """Depth at which every square out of dom_m[s] is final."""
-        read = [(m, s)] + [(m + 1, c.dst) for c in dom.diffs.get(m, ()) if c.src == s]
-        return max(depth[key] for key in read if key in depth)
-
-    # routes[k]: every composite of a candidate connector key → t whose
-    # square is final at depth k, as (key, t, square, coefficient, excused)
-    routes: list[list[tuple[tuple, int, tuple, int, bool]]] = [[] for _ in keys]
+    # squares[square]: every route a candidate connector key → t gives it,
+    # as (key, t, coefficient, excused); final[k]: the squares whose
+    # deepest route key is keys[k]
+    squares: dict[tuple, list[tuple[tuple, int, int, bool]]] = {}
     for n, s in keys:
         for t in cands[(n, s)]:
             for c in cod.diffs.get(n, ()):
                 if c.src == t:
-                    routes[closing(n, s)].append((
-                        (n, s), t, (n, s, c.dst, tuple(sorted((tag, c.tag)))),
-                        -c.sign, _excused(q, tag, c.tag),
-                    ))
+                    square = (n, s, c.dst, tuple(sorted((tag, c.tag))))
+                    squares.setdefault(square, []).append(
+                        ((n, s), t, -c.sign, _excused(q, tag, c.tag)))
             for c in dom.diffs.get(n - 1, ()):
                 if c.dst == s:
-                    routes[closing(n - 1, c.src)].append((
-                        (n, s), t, (n - 1, c.src, t, tuple(sorted((c.tag, tag)))),
-                        c.sign, _excused(q, c.tag, tag),
-                    ))
+                    square = (n - 1, c.src, t, tuple(sorted((c.tag, tag))))
+                    squares.setdefault(square, []).append(
+                        ((n, s), t, c.sign, _excused(q, c.tag, tag)))
+    depth = {key: k for k, key in enumerate(keys)}
+    final: list[list[list[tuple]]] = [[] for _ in keys]
+    for routes in squares.values():
+        final[max(depth[key] for key, *_ in routes)].append(routes)
 
     choice: dict[tuple[int, int], int | None] = {}
 
-    def closed_at(k: int) -> list[tuple]:
-        """Equations Σ coeff·u_key = 0 of the squares final at depth k."""
-        groups: dict[tuple, list[tuple[int, tuple, bool]]] = {}
-        for key, t, square, coeff, excused in routes[k]:
-            if choice[key] == t:
-                groups.setdefault(square, []).append((coeff, key, excused))
-        return [
-            tuple((coeff, key) for coeff, key, _ in group)
-            for group in groups.values()
-            if not all(excused for _, _, excused in group)
-        ]
+    def equations(k: int) -> list[tuple]:
+        """Σ coeff·u_key = 0 over the live routes of each square final at
+        depth k, unless all of them are excused (as in an empty square)."""
+        out = []
+        for routes in final[k]:
+            live = [(coeff, key, excused) for key, t, coeff, excused in routes if choice[key] == t]
+            if not all(excused for *_, excused in live):
+                out.append(tuple((coeff, key) for coeff, key, _ in live))
+        return out
 
     def dfs(k: int, classes: Mapping) -> Mapping | None:
         if k == len(keys):
@@ -467,7 +464,7 @@ def _resolve_connectors(
             if t is not None and t in taken:
                 continue
             choice[key] = t
-            new = closed_at(k)
+            new = equations(k)
             joined = _join_parities(classes, new) if new else classes
             if joined is not None:
                 found = dfs(k + 1, joined)

@@ -106,12 +106,6 @@ class QFun:
             {v: k * c for v, c in self.deltas.items()},
         )
 
-    def shift_deltas(self, extra: Mapping[ZVertex, int]) -> "QFun":
-        d = dict(self.deltas)
-        for v, c in extra.items():
-            d[v] = d.get(v, 0) + c
-        return QFun(self.gens, d)
-
     def __repr__(self) -> str:
         gs = " + ".join(f"{c}*h{tuple(v)}" for v, c in sorted(self.gens.items()))
         ds = " + ".join(f"{c}*e{tuple(v)}" for v, c in sorted(self.deltas.items()))

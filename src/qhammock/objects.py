@@ -404,9 +404,6 @@ class Factorization:
     h_exp: tuple[tuple[int, int], ...]
     remainder: Root
 
-    def k_dict(self) -> dict[int, int]:
-        return dict(self.k_exp)
-
 
 def reconstruct_factorization(
     q: DynkinQuiver, xi: HeightFunction, fac: Factorization

@@ -161,9 +161,6 @@ class DynkinQuiver:
     def arrows_to(self, i: int) -> tuple[int, ...]:
         return self._in[i]
 
-    def has_arrow(self, i: int, j: int) -> bool:
-        return j in self._out[i]
-
     def has_path(self, i: int, j: int) -> bool:
         """Directed reachability i ⇝ j (trivial path included)."""
         return j in self._reach[i]
@@ -175,9 +172,6 @@ class DynkinQuiver:
     def coreachable_to(self, i: int) -> frozenset[int]:
         """All j with a directed path j ⇝ i, including i itself."""
         return self._coreach[i]
-
-    def sinks(self) -> tuple[int, ...]:
-        return tuple(i for i in self.vertices if not self._out[i])
 
     def parity_class(self, i: int) -> int:
         """Two-coloring of the tree: (distance to vertex 1 + 1) mod 2."""
@@ -240,9 +234,6 @@ class HeightFunction:
 
     def ht(self, i: int) -> int:
         return self.values[i - 1]
-
-    def as_dict(self) -> dict[int, int]:
-        return {i + 1: v for i, v in enumerate(self.values)}
 
 
 def default_height(q: DynkinQuiver) -> HeightFunction:
@@ -322,7 +313,7 @@ def root_support(a: Root) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def positive_roots(q: DynkinQuiver) -> tuple[Root, ...]:
-    """All positive roots, by closing the simples under simple reflections.
+    """All positive roots: the simples' closure under simple reflections.
 
     Sorted by (height, coefficient vector) so output order is reproducible.
     """

@@ -9,7 +9,7 @@ time and checks the dom and cod ledgers once; it must choose exactly the
 same connectors.  It carries its own general ±1 solver, where the
 library keeps parity classes, and shares only the tilt test
 (``tiltable``, ``serre_tilt``, ``is_iso``) with the library.  The cost
-is one full ledger per leaf, so keep it to rank ≤ 4.
+is one full ledger per leaf, so keep it to rank ≤ 5 (D5 takes about 2 s).
 """
 
 from __future__ import annotations

@@ -335,6 +335,7 @@ def test_config_rejections(capsys, monkeypatch):
         '{"type":"A","rank":2}',
         "not json at all",
         '{"type":"A","rank":2,"arrows":[[1,2]],"xi":{"9":1}}',
+        '{"type":"A","rank":2,"arrows":[[1,2]],"xi":{"1":3,"2":3}}',
         '{"type":"A","rank":"x","arrows":[]}',
         '{"type":"A","rank":2,"arrows":[[1]]}',
         # bools, floats and bare strings are not read as integers or pairs
@@ -386,6 +387,9 @@ def test_partial_height_propagates(capsys):
     assert code == 0
     # slots follow the shifted height
     assert out.splitlines()[0].split("\t")[1] == "1"
+    # a pinned value the potential agrees with changes nothing
+    full = '{"type":"A","rank":2,"arrows":[[1,2]],"xi":{"1":3,"2":2}}'
+    assert run(capsys, "hammock", "--quiver", full, "--vertex", "1,3", "--format", "tsv") == (0, out)
 
 
 def test_output_file(tmp_path, capsys):

@@ -293,11 +293,21 @@ def test_fraction_complex_is_frozen():
 # ------------------------------------------------------ connector search
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+@pytest.mark.parametrize(
+    "family,rank", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
+)
 def test_connectors_match_per_leaf_oracle(monkeypatch, family, rank):
-    # every cone of every pivot build, sub-builds included (fresh memo)
+    # every cone of every pivot build, sub-builds included (fresh memo);
+    # on D5 the search cuts branches, so the referee sees it backtrack
     library = complexes._resolve_connectors
+    join = complexes._join_parities
     matched = []
+    cuts = []
+
+    def counted(classes, equations):
+        joined = join(classes, equations)
+        cuts.append(joined is None)
+        return joined
 
     def refereed(q, xi, i, dom, cod):
         got = library(q, xi, i, dom, cod)
@@ -306,6 +316,7 @@ def test_connectors_match_per_leaf_oracle(monkeypatch, family, rank):
         return got
 
     monkeypatch.setattr(complexes, "_resolve_connectors", refereed)
+    monkeypatch.setattr(complexes, "_join_parities", counted)
     complexes._canonical_build.cache_clear()
     for q in all_orientations(family, rank):
         xi = default_height(q)
@@ -313,6 +324,8 @@ def test_connectors_match_per_leaf_oracle(monkeypatch, family, rank):
             for p in beta_combinatorics(q, xi, beta).pivot_candidates:
                 build_complex(q, xi, beta, pivot=p)
     assert sum(matched) > 0
+    if (family, rank) == ("D", 5):
+        assert sum(cuts) > 0
 
 
 def _pivot_builds(families):
@@ -358,10 +371,14 @@ def test_one_pass_tensor_matches_tensor_complex(family, rank):
                 assert (_term_data(got), got.diffs) == (_term_data(want), want.diffs), (k, m)
 
 
-def test_e6_euler_route_finishes(monkeypatch):
+@pytest.mark.parametrize("orientation", [1, 9, 22, 25])
+def test_e6_euler_route_finishes(monkeypatch, orientation):
     # a search that rebuilds the whole ledger at every complete matching
-    # passes 20,000 solver calls on (1,2,3,2,1,1) alone without finishing
-    q = list(all_orientations("E", 6))[1]
+    # passes 20,000 solver calls on (1,2,3,2,1,1) of orientation 1 alone
+    # without finishing; one that closes a square only once every key
+    # read from its dom summand is decided makes over 230,000 calls on
+    # each of orientations 9, 22 and 25
+    q = list(all_orientations("E", 6))[orientation]
     xi = default_height(q)
     join = complexes._join_parities
     calls = []

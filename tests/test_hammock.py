@@ -52,7 +52,6 @@ def test_qfun_presentation_arithmetic():
     assert (f - g) == QFun({x: 1}, {y: 1})
     assert (f + g).gens == {x: 3}
     assert f.scaled(-1) == QFun({x: -2}, {y: -1})
-    assert f.shift_deltas({y: 2}) == QFun({x: 2}, {y: 3})
     assert hash(QFun({x: 1}, {y: 0})) == hash(QFun({x: 1}, {}))
 
 

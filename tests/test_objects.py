@@ -209,7 +209,7 @@ def _perturbed(g: QFun) -> list[QFun]:
     v, with an extra generator at v, and with one generator moved one
     translate to the right: each differs from g."""
     v = min([*g.gens, *g.deltas], key=lambda z: (z.p, z.i))
-    out = [g.shift_deltas({translate(v): 1}), g + QFun({v: 1})]
+    out = [g + QFun({}, {translate(v): 1}), g + QFun({v: 1})]
     if g.gens:
         w = min(g.gens, key=lambda z: (z.p, z.i))
         gens = dict(g.gens)
@@ -389,7 +389,7 @@ def test_factor_dominant_round_trip():
     k1 = kr_object(q, xi, 1)
     a = tensor_obj(k1, leading_object(q, xi, (1, 1)))
     fac = factor_dominant(q, xi, a)
-    assert fac.k_dict() == {1: 1}
+    assert fac.k_exp == ((1, 1),)
     assert fac.remainder == (1, 1)
     assert is_iso(q, a, reconstruct_factorization(q, xi, fac))
 

@@ -89,7 +89,6 @@ def test_quiver_navigation():
     q = A(3, [(1, 2), (3, 2)])
     assert q.arrows_from(1) == (2,)
     assert q.arrows_to(2) == (1, 3)
-    assert q.sinks() == (2,)
     assert q.neighbors(2) == (1, 3)
     assert q.has_path(1, 2) and not q.has_path(1, 3)
 
@@ -148,7 +147,6 @@ def table_quivers():
 
 def test_graph_tables_match_arrow_scans():
     for q in table_quivers():
-        assert q.sinks() == tuple(i for i in q.vertices if not any(a == i for a, _ in q.arrows))
         assert default_height(q).values == walked_height(q)
         for i in q.vertices:
             assert q.neighbors(i) == scan_neighbors(q, i)
@@ -158,7 +156,6 @@ def test_graph_tables_match_arrow_scans():
             assert q.coreachable_to(i) == bfs_closure(q, i, forward=False)
             assert q.parity_class(i) == (bfs_distance(q, 1, i) + 1) % 2
             for j in q.vertices:
-                assert q.has_arrow(i, j) == ((i, j) in q.arrows)
                 assert q.has_path(i, j) == (j in bfs_closure(q, i, forward=True))
 
 
