@@ -2,9 +2,10 @@
 
 The builder runs a recursion on the root vector: each step tilts the
 current leading object at a pivot vertex and splices the result into a
-mapping cone.  The outcome is a bounded complex of formal objects whose
-Euler characteristic, after specializing the connector symbols to -1 and
-dividing by the frontier denominator, is the truncated character.
+mapping cone.  The outcome is a bounded complex of formal objects, each
+kept as its class monomial, whose Euler characteristic, after
+specializing the connector symbols to -1 and dividing by the frontier
+denominator, is the truncated character.
 
 Run:  python3 demos/04_building_complexes.py
 """
@@ -14,6 +15,7 @@ import json
 from qhammock import (
     build_complex,
     build_quiver,
+    class_object,
     complex_to_json,
     default_height,
     euler_char,
@@ -29,9 +31,10 @@ fc = build_complex(q, xi, theta)
 
 print(f"complex for beta={theta}:")
 print("  denominator exponents:", fc.den)
+# each summand is its class; class_object rebuilds the object it names
 for n in sorted(fc.num.terms):
-    for idx, ob in enumerate(fc.num.terms[n]):
-        print(f"  degree {n}[{idx}]: {ob}  class={ob.kclass}")
+    for idx, m in enumerate(fc.num.terms[n]):
+        print(f"  degree {n}[{idx}]: {class_object(q, xi, m)}  class={m}")
 for n in sorted(fc.num.diffs):
     for comp in fc.num.diffs[n]:
         print(f"  d{n}: {comp.src} -> {comp.dst}  tag={comp.tag} sign={comp.sign:+d}")
@@ -57,4 +60,4 @@ print("  all pivots give the same character:", all(c == chis[0] for c in chis))
 
 # The whole structure serializes to JSON for external tooling.
 print()
-print(json.dumps(complex_to_json(fc), indent=1)[:400], "...")
+print(json.dumps(complex_to_json(q, xi, fc), indent=1)[:400], "...")

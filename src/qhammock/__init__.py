@@ -66,6 +66,7 @@ from .hammock import (
 from .objects import (
     Factorization,
     Obj,
+    class_object,
     factor_dominant,
     ghost_object,
     hammock_object,
@@ -78,7 +79,6 @@ from .objects import (
     serre_tilt,
     tensor_obj,
     tilt_leading,
-    unit_obj,
 )
 from .complexes import (
     Complex,

@@ -7,7 +7,7 @@ is involved) produces byte-identical bytes; that is what makes the
 golden-file tests meaningful.
 
 Exit codes: 0 success, 1 a verification ran and failed, 2 invalid input
-(bad config file, malformed flags, unknown root, parity violations).
+(bad config or flags, unknown root, parity violations, recursion too deep).
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     q, xi = cfg.quiver, cfg.height
     rows = []
-    for beta in sorted(positive_roots(q), key=lambda b: (root_height(b), b)):
+    for beta in positive_roots(q):
         bd = beta_combinatorics(q, xi, beta)
         rows.append(
             {
@@ -273,12 +273,10 @@ def cmd_complex(args: argparse.Namespace) -> int:
         for n in sorted(fc.num.terms):
             row = fc.num.terms[n]
             lines.append(f"degree {n}: {len(row)} summand(s)")
-            for obj in row:
-                k = mono_key_str(obj.kclass) if obj.kclass is not None else "?"
-                lines.append(f"    {k}")
+            lines.extend(f"    {mono_key_str(m)}" for m in row)
         _emit(cfg.out, "\n".join(lines) + "\n")
     elif args.emit == "json":
-        _emit(cfg.out, _json_dumps(complex_to_json(fc)))
+        _emit(cfg.out, _json_dumps(complex_to_json(q, xi, fc)))
     elif args.emit == "chi":
         chi = euler_char(q, xi, fc, specialize_f=-1)
         _emit(cfg.out, _poly_text(chi, cfg.fmt if cfg.fmt != "dot" else "text"))
@@ -384,6 +382,8 @@ def _verify_quivers(args: argparse.Namespace) -> List[DynkinQuiver]:
                 k = int(mode.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"bad --orientations {mode!r}")
+            if k < 1:
+                raise ConfigError(f"--orientations {mode!r} samples no quiver")
             quivers.extend(sample_orientations(fam, rank, k, seed=args.seed))
         else:
             raise ConfigError(f"--orientations must be 'all' or 'random:k', got {mode!r}")
@@ -556,6 +556,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except QHError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the vector is too deep for the recursion limit", file=sys.stderr)
         return 2
 
 

@@ -1,7 +1,10 @@
 """Bounded complexes over the object calculus and the recursive build.
 
-Terms are formal direct sums (lists) of objects per nonnegative degree;
-differentials are lists of elementary components (source summand, target
+Terms are formal direct sums (lists) of summand classes per nonnegative
+degree: a summand is a product of hammock objects on the two base sections
+and ghost objects at τ base_i, so its Obj.kclass monomial names it, and
+objects.class_object builds the object only to verify or print it.
+Differentials are lists of elementary components (source summand, target
 summand, tag, sign).  Tags name which canonical morphism a component is
 a copy of — almost always ("eta", i), the tilt at the translated base
 vertex of i — and signs exist purely so the d² bookkeeping of Koszul /
@@ -40,12 +43,15 @@ disjoint), and at most one runs dom component then connector (connector
 targets in one degree are distinct).  So a square is a parity constraint
 u_a = ±u_b, or a single route that can never cancel, and the signs are
 parity classes: each class's least connector is +1, the rest follow.
-Only the matching is searched: each tiltable dom summand takes one of
-its cod summands isomorphic to its tilt, or none.  A square is final once
-every key that has a route into it is decided, and the search cuts a
-branch as soon as its final squares have an odd parity cycle or a single
-route.  The degree-|out-closure| ghost factor is tensored on the right,
-where it imposes no Koszul twist on the carried subcomplex.
+Only the matching is searched: each dom summand takes one same-degree cod
+summand of its tilt's class, or none.  By the mesh identity, tilting
+Y(τ base_i) ⊗ Y(base_i) at τ base_i gives F(τ base_i) ⊗ ⊗ Y(w) over the
+arrows τ base_i → w, so the tilt multiplies a class by f_i·A_i⁻¹.  A
+square is final once every key that has a route into it is decided, and
+the search cuts a branch as soon as its final squares have an odd parity
+cycle or a single route.  The degree-|out-closure| ghost factor is
+tensored on the right, where it imposes no Koszul twist on the carried
+subcomplex.
 
 The recursive construction  C[β] = cone(dom → cod)  threads the absorb
 step (dom side, one degree up) against the tilt step (cod side, ghost
@@ -62,22 +68,19 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import InconsistentConnector, InvariantViolation, NegativeDegree, TooLarge
-from .laurent import MONO_ONE, LaurentPoly, Mono, mono_from_dict
+from .laurent import MONO_ONE, LaurentPoly, Mono, mono_div, mono_from_dict, mono_mul
 from .objects import (
     Obj,
     _factor_pairs,
     _negative_simple,
     _tensor_powers,
-    ghost_object,
-    hammock_object,
+    class_object,
     is_dominant,
     is_iso,
     leading_object,
     pivot_step,
     serre_tilt,
-    tensor_obj,
-    tiltable,
-    unit_obj,
+    variable_A,
 )
 from .quiver import (
     DynkinQuiver,
@@ -85,7 +88,7 @@ from .quiver import (
     Root,
     root_support,
 )
-from .repetition import base_vertex, serre, translate_base
+from .repetition import serre, translate_base
 
 __all__ = [
     "Component",
@@ -113,7 +116,7 @@ class Component(NamedTuple):
 
 
 class Complex:
-    """Bounded nonneg-degree complex: summand lists plus tagged components.
+    """Bounded nonneg-degree complex: summand class lists plus tagged components.
 
     terms and diffs are read-only views of tuples, so a built complex that
     the memo hands out cannot be edited in place.
@@ -123,11 +126,11 @@ class Complex:
 
     def __init__(
         self,
-        terms: Mapping[int, list[Obj]] | None = None,
+        terms: Mapping[int, list[Mono]] | None = None,
         diffs: Mapping[int, list[Component]] | None = None,
     ):
-        self.terms: Mapping[int, tuple[Obj, ...]] = MappingProxyType({
-            n: tuple(objs) for n, objs in (terms or {}).items() if objs
+        self.terms: Mapping[int, tuple[Mono, ...]] = MappingProxyType({
+            n: tuple(row) for n, row in (terms or {}).items() if row
         })
         self.diffs: Mapping[int, tuple[Component, ...]] = MappingProxyType({
             n: tuple(Component(*c) for c in comps)
@@ -176,18 +179,18 @@ class FractionComplex:
 
 
 def unit_complex() -> Complex:
-    return Complex({0: [unit_obj()]})
+    return Complex({0: [MONO_ONE]})
 
 
-def single_complex(obj: Obj, degree: int = 0) -> Complex:
+def single_complex(m: Mono, degree: int = 0) -> Complex:
     if degree < 0:
         raise NegativeDegree(f"degree {degree}")
-    return Complex({degree: [obj]})
+    return Complex({degree: [m]})
 
 
 def initial_hammock_complex(q: DynkinQuiver, xi: HeightFunction, i: int) -> Complex:
-    """H_i: the base hammock object in degree 0."""
-    return single_complex(hammock_object(q, xi, base_vertex(xi, i)), 0)
+    """H_i: the class of the base hammock object Y(base_i) in degree 0."""
+    return single_complex(mono_from_dict({("Y", i, xi.ht(i)): 1}), 0)
 
 
 # ───────────────────────── tensor / cone ─────────────────────────
@@ -197,7 +200,7 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
     """Degreewise tensor with Koszul signs on the right factor."""
     if c.is_zero() or d.is_zero():
         return Complex()
-    terms: dict[int, list[Obj]] = {}
+    terms: dict[int, list[Mono]] = {}
     offsets: dict[tuple[int, int], int] = {}
     for a in sorted(c.terms):
         for b in sorted(d.terms):
@@ -206,7 +209,7 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
             offsets[(a, b)] = len(row)
             for x in c.terms[a]:
                 for y in d.terms[b]:
-                    row.append(tensor_obj(x, y))
+                    row.append(mono_mul(x, y))
 
     diffs: dict[int, list[Component]] = {}
     for a, comps in c.diffs.items():
@@ -250,12 +253,13 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
     return Complex(terms, diffs)
 
 
-def _tensor_between(l: Obj, k: int, c: Complex, r: Obj, m: int) -> Complex:
+def _tensor_between(l: Mono, k: int, c: Complex, r: Mono, m: int) -> Complex:
     """single_complex(l, k) ⊗ c ⊗ single_complex(r, m) in one pass: each
-    summand x becomes l ⊗ x ⊗ r in degree n + k + m, and every component
+    summand x becomes l·x·r in degree n + k + m, and every component
     keeps its indices and takes the Koszul sign (−1)^k."""
     flip = -1 if k % 2 else 1
-    terms = {n + k + m: [tensor_obj(l, x, r) for x in objs] for n, objs in c.terms.items()}
+    lr = mono_mul(l, r)
+    terms = {n + k + m: [mono_mul(lr, x) for x in row] for n, row in c.terms.items()}
     diffs = {
         n + k + m: [(s, t, tag, sign * flip) for s, t, tag, sign in comps]
         for n, comps in c.diffs.items()
@@ -276,13 +280,14 @@ def cone(
     already moved the domain up one degree, which is where the [−1] sign
     lives).  Each connector's indices, sign and degree are checked, not
     that it is the tilt it claims: build_complex takes its connectors from
-    _resolve_connectors, which offers only targets isomorphic to the tilt,
-    and validate_components checks a finished complex.
+    _resolve_connectors, which offers only targets of the source's class
+    times f_i·A_i⁻¹ (the tilt's class, by the mesh identity), and
+    validate_components checks a finished complex on its objects.
     """
     connectors = dict(connectors or {})
     if dom.is_zero() and cod.is_zero():
         return Complex()
-    terms: dict[int, list[Obj]] = {}
+    terms: dict[int, list[Mono]] = {}
     degrees = set()
     for n in dom.terms:
         if n - 1 >= 0:
@@ -378,24 +383,17 @@ def _resolve_connectors(
 ) -> dict[int, list[tuple[int, int, tuple, int]]]:
     """Choose connector targets and signs that close the squares of η_i.
 
-    Only a connector dom_n[s] → cod_n[t] carries a free sign, and each
-    composite it forms lands in one square dom_m[s'] → cod_{m+1}[t']: the
-    connector at (m, s') followed by a cod component, or a dom component
-    s' → s'' followed by the connector at (m + 1, s'').  Every other
-    composite group of the cone is the d² ledger of dom or cod alone, which
-    no matching changes, so it is checked once.
-
-    Every tiltable dom summand is matched, depth-first, to a same-degree
-    cod summand isomorphic to its tilt when possible, so every connector
-    offered is a tilt.  A square with a non-excused route must cancel, and
-    it has at most two routes: one through the connector at (m, s'), whose
-    one target meets at most one cod component of each tag, and one
-    through a connector at (m + 1, s''), since connector targets in one
-    degree are distinct.  Its equation is therefore a parity constraint
-    u_a = ±u_b on two connectors in different degrees, or a single route
-    that can never cancel.  The square table, built once, lists every
-    route each candidate (key, t) can give each square.  A square is final
-    once every key that has a route into it is decided, and then its live
+    The candidates of a dom summand are the same-degree cod summands of
+    its class times f_i·A_i⁻¹, the class of its tilt by the mesh identity
+    (see the module docstring): one lookup in a table of the cod summands
+    by class, in ascending index order, so every connector offered is a
+    tilt.  Only the squares dom_m[s'] → cod_{m+1}[t'] of the chain map
+    depend on the matching; the d² ledgers of dom and cod alone are
+    checked once.  A square has at most two routes (module docstring), so
+    its equation is a parity constraint u_a = ±u_b or a single route that
+    can never cancel.  The square table, built once, lists every route
+    each candidate (key, t) can give each square.  A square is final once
+    every key that has a route into it is decided, and then its live
     routes join the parity classes (_join_parities); a branch is cut at a
     single route or an odd parity cycle.  Adding constraints never makes
     them satisfiable, so the first matching that closes every square is
@@ -407,21 +405,17 @@ def _resolve_connectors(
     failure = f"no connector matching closes the d² ledger for the tilt at {i}"
     if not (verify_d_squared(q, dom)["ok"] and verify_d_squared(q, cod)["ok"]):
         raise InconsistentConnector(failure)
-    tx = translate_base(xi, i)
     tag = ("eta", i)
-    keys: list[tuple[int, int]] = []
+    shift = mono_div(mono_from_dict({("f", i): 1}), variable_A(q, xi, i))
     cands: dict[tuple[int, int], tuple[int, ...]] = {}
     for n in sorted(set(dom.terms) & set(cod.terms)):
-        for s, src_obj in enumerate(dom.terms[n]):
-            if i not in tiltable(q, xi, src_obj):
-                continue
-            tilted = serre_tilt(q, src_obj, [tx])
-            opts = tuple(
-                t for t, dst in enumerate(cod.terms[n]) if is_iso(q, tilted, dst)
-            )
-            if opts:
-                keys.append((n, s))
+        by_class: dict[Mono, tuple[int, ...]] = {}
+        for t, m in enumerate(cod.terms[n]):
+            by_class[m] = by_class.get(m, ()) + (t,)
+        for s, m in enumerate(dom.terms[n]):
+            if opts := by_class.get(mono_mul(m, shift)):
                 cands[(n, s)] = opts
+    keys = list(cands)
     # squares[square]: every route a candidate connector key → t gives it,
     # as (key, t, coefficient, excused); final[k]: the squares whose
     # deepest route key is keys[k]
@@ -506,10 +500,10 @@ def build_complex(
              ⊗ build(β − dim P_i);
       num := cone(dom, cod, connectors η_i), den := max(dens) + e_i.
 
-    Connectors are auto-matched: a domain summand connects to a same-degree
-    codomain summand isomorphic to its tilt at the translated base vertex
-    of i, with twin ambiguities and the ±1 signs resolved so that every
-    non-excused square of the chain map cancels (see _resolve_connectors).
+    Connectors are auto-matched (see _resolve_connectors): a domain
+    summand connects to a same-degree codomain summand of its tilt's class
+    at τ base_i, with twin ambiguities and the ±1 signs resolved so that
+    every non-excused square of the chain map cancels.
 
     Builds at the canonical pivot are memoised per (quiver, height, β) and
     shared; a forced pivot is built afresh (its sub-builds are not).
@@ -548,15 +542,13 @@ def _build(
 
     dom_head = _tensor_powers(
         _factor_pairs(q, xi, [(i, step.eps)], [*step.hin, *sorted(eq_inj.items())])
-    )
-    dom = _tensor_between(dom_head, 1, sub_inj.num, unit_obj(), 0)
+    ).kclass
+    dom = _tensor_between(dom_head, 1, sub_inj.num, MONO_ONE, 0)
 
-    ghost_block = tensor_obj(
-        *[ghost_object(q, xi, translate_base(xi, j)) for j in fac.f_list]
-    )
+    ghost_block = mono_from_dict({("f", j): 1 for j in fac.f_list})
     cod_head = _tensor_powers(
         _factor_pairs(q, xi, fac.k_exp, [*fac.h_exp, *sorted(eq_proj.items())])
-    )
+    ).kclass
     cod = _tensor_between(cod_head, 0, sub_proj.num, ghost_block, len(fac.f_list))
 
     connectors = _resolve_connectors(q, xi, i, dom, cod)
@@ -570,7 +562,7 @@ def _build(
     expected = _tensor_powers(
         [(leading_object(q, xi, beta), 1), *_factor_pairs(q, xi, (), sorted(den.items()))]
     )
-    if not is_iso(q, zero_row[0], expected):
+    if not is_iso(q, class_object(q, xi, zero_row[0]), expected):
         raise InvariantViolation(f"degree-0 identity failed for {beta}")
 
     return FractionComplex(num, den)
@@ -591,12 +583,10 @@ def euler_char(
     symbol f_i is replaced by that constant before the division.
     """
     terms: dict[Mono, int] = {}
-    for n, objs in fc.num.terms.items():
+    for n, row in fc.num.terms.items():
         sign = -1 if n % 2 else 1
-        for obj in objs:
-            if obj.kclass is None:
-                raise ValueError(f"degree-{n} summand has no class: {obj!r}")
-            terms[obj.kclass] = terms.get(obj.kclass, 0) + sign
+        for m in row:
+            terms[m] = terms.get(m, 0) + sign
     total = LaurentPoly(terms)
     if specialize_f is not None:
         subs = {
@@ -657,14 +647,20 @@ def verify_d_squared(q: DynkinQuiver, c: Complex) -> dict:
     return {"ok": not violations, "violations": violations}
 
 
+def _objects(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> dict[Mono, Obj]:
+    """The object of every summand class of c, each built once."""
+    return {m: class_object(q, xi, m) for row in c.terms.values() for m in row}
+
+
 def validate_components(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> bool:
-    """Every eta component's target must be the tilt of its source."""
+    """Every eta component's target must be the tilt of its source, as objects."""
+    objs = _objects(q, xi, c)
     for n, comps in c.diffs.items():
         for comp in comps:
             if comp.tag[0] != "eta":
                 return False
-            src = c.terms[n][comp.src]
-            dst = c.terms[n + 1][comp.dst]
+            src = objs[c.terms[n][comp.src]]
+            dst = objs[c.terms[n + 1][comp.dst]]
             tilted = serre_tilt(q, src, [translate_base(xi, comp.tag[1])])
             if not is_iso(q, tilted, dst):
                 return False
@@ -696,10 +692,11 @@ def verify_exactness_smallrank(
         report["failures"].append(msg)
 
     c = fc.num
+    objs = _objects(q, xi, c)
     if any(n < 0 for n in c.terms):
         fail("negative degree present")
-    for obj in c.terms.get(0, ()):
-        if not is_dominant(q, xi, obj):
+    for m in c.terms.get(0, ()):
+        if not is_dominant(q, xi, objs[m]):
             fail("degree-0 summand not dominant")
     supp = set(root_support(beta))
     for n, comps in c.diffs.items():
@@ -709,7 +706,7 @@ def verify_exactness_smallrank(
     for n, c1, c2 in _composable_pairs(c):
         if not _excused(q, c1.tag, c2.tag):
             continue
-        mid = c.terms[n + 1][c1.dst]
+        mid = objs[c.terms[n + 1][c1.dst]]
         routed = any(
             serre(q, translate_base(xi, k)) in mid.mult
             for k in q.vertices
@@ -729,12 +726,14 @@ def _tag_str(tag: tuple) -> str:
     return "_".join(str(t) for t in tag)
 
 
-def complex_to_json(fc: FractionComplex) -> dict:
+def complex_to_json(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -> dict:
+    """The complex with every summand printed as the object its class names."""
+    objs = _objects(q, xi, fc.num)
     return {
         "denominator": {str(i): e for i, e in sorted(fc.den.items())},
         "terms": {
-            str(n): [obj.to_json_dict() for obj in objs]
-            for n, objs in sorted(fc.num.terms.items())
+            str(n): [objs[m].to_json_dict() for m in row]
+            for n, row in sorted(fc.num.terms.items())
         },
         "differentials": {
             str(n): [[c.src, c.dst, _tag_str(c.tag), c.sign] for c in comps]

@@ -31,7 +31,9 @@ are reads of it.
 Classes (kclass) are carried only where the constructions define them:
 constructors, tensor products, and the factorization lemmas.  A tilt wipes
 the class; the factorization routines reattach classes to the canonical
-factors on the right-hand side.
+factors on the right-hand side.  A product of hammock objects on the two
+base sections and ghosts at τ base_i is named by its class, from which
+``class_object`` builds it again.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport
-from .hammock import QFun, _qfun, hammock_fun, hom_values, qfun_defect, qfun_equal
-from .laurent import MONO_ONE, Mono, mono_from_dict
+from .hammock import QFun, _qfun, hammock_fun, hom_values, qfun_equal
+from .laurent import MONO_ONE, Mono, VarKey, mono_from_dict
 from .quiver import (
     BetaData,
     DynkinQuiver,
@@ -66,17 +68,17 @@ from .repetition import (
 __all__ = [
     "Obj",
     "Factorization",
-    "unit_obj",
     "hammock_object",
     "ghost_object",
     "kr_object",
+    "class_object",
+    "variable_A",
     "tensor_obj",
     "serre_tilt",
     "is_iso",
     "is_dominant",
     "dominant_exponents",
     "root_of_dominant",
-    "tiltable",
     "leading_object",
     "factor_dominant",
     "reconstruct_factorization",
@@ -174,11 +176,6 @@ def _obj(mult: Mapping[ZVertex, int], fun: QFun, kclass: Mono | None) -> Obj:
     return a
 
 
-def unit_obj() -> Obj:
-    """The empty object: unit for the tensor product, class 1."""
-    return Obj({}, QFun(), MONO_ONE)
-
-
 @lru_cache(maxsize=None)
 def hammock_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
     """Y(x): the hom multiset of x with the generator function h_x.
@@ -211,6 +208,37 @@ def ghost_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
 def kr_object(q: DynkinQuiver, xi: HeightFunction, i: int) -> Obj:
     """K_i = Y(τ base_i) ⊗ Y(base_i); class Y[i,ξ(i)-2]·Y[i,ξ(i)]."""
     return _tensor_powers(_factor_pairs(q, xi, [(i, 1)], ()))
+
+
+def class_object(q: DynkinQuiver, xi: HeightFunction, m: Mono) -> Obj:
+    """The object a summand class names, in one pass: Y(i, p)^e for
+    ("Y", i, p) with p = ξ(i) or ξ(i)−2, and F(τ base_i)^e for ("f", i).
+    Any other factor raises ValueError, as a Complex is public input."""
+    pairs = []
+    for key, e in m:
+        i = key[1] if len(key) > 1 else None
+        known = e >= 0 and i in q.vertices
+        if known and key == ("f", i):
+            pairs.append((ghost_object(q, xi, translate_base(xi, i)), e))
+        elif known and key in (("Y", i, xi.ht(i)), ("Y", i, xi.ht(i) - 2)):
+            pairs.append((hammock_object(q, xi, ZVertex(i, key[2])), e))
+        else:
+            raise ValueError(f"class factor {key}^{e} is not a power on the two base sections")
+    return _tensor_powers(pairs)
+
+
+def variable_A(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
+    """The root monomial at vertex i, sitting between the two sections.
+
+    Both sections of i appear once; each neighbor contributes the inverse
+    of whichever of its own two sections lies at height ξ(i) − 1, so the
+    monomial never leaves the truncated ring.
+    """
+    p = xi.ht(i)
+    powers: dict[VarKey, int] = {("Y", i, p - 2): 1, ("Y", i, p): 1}
+    for j in q.neighbors(i):
+        powers[("Y", j, p - 1)] = powers.get(("Y", j, p - 1), 0) - 1
+    return mono_from_dict(powers)
 
 
 def _factor_pairs(
@@ -342,18 +370,6 @@ def root_of_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Root:
     factors (see factor_dominant).
     """
     return factor_dominant(q, xi, a).remainder
-
-
-def tiltable(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> tuple[int, ...]:
-    """Vertices i whose translated base vertex sits in the multiset with
-    positive function defect — the admissible single tilts."""
-    defect = qfun_defect(q, a.fun)
-    out = []
-    for i in q.vertices:
-        tx = translate_base(xi, i)
-        if a.mult.get(tx, 0) > 0 and defect.get(tx, 0) > 0:
-            out.append(i)
-    return tuple(out)
 
 
 def _negative_simple(beta: Root) -> int | None:

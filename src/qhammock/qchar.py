@@ -60,7 +60,7 @@ from .quiver import (
     expected_edges,
 )
 from .repetition import base_vertex, translate_base
-from .objects import _negative_simple, hammock_object, leading_object, pivot_step
+from .objects import _negative_simple, hammock_object, leading_object, pivot_step, variable_A
 from .complexes import build_complex, euler_char
 from .cluster import enumerate_cluster_variables
 
@@ -111,20 +111,6 @@ class TruncatedRing:
 
 def _y(i: int, p: int, e: int = 1) -> Mono:
     return mono_from_dict({("Y", i, p): e})
-
-
-def variable_A(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
-    """The root monomial at vertex i, sitting between the two sections.
-
-    Both sections of i appear once; each neighbor contributes the inverse
-    of whichever of its own two sections lies at height ξ(i) − 1, so the
-    monomial never leaves the truncated ring.
-    """
-    p = xi.ht(i)
-    powers: Dict[VarKey, int] = {("Y", i, p - 2): 1, ("Y", i, p): 1}
-    for j in q.neighbors(i):
-        powers[("Y", j, p - 1)] = powers.get(("Y", j, p - 1), 0) - 1
-    return mono_from_dict(powers)
 
 
 def dominant_monomial(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Mono:
@@ -358,12 +344,7 @@ def extremal_monomials(
 # ───────────────────────── the bundled report ─────────────────────────
 
 
-def verify_beta(
-    q: DynkinQuiver,
-    xi: HeightFunction,
-    beta: Root,
-    include_cluster: bool = True,
-) -> dict:
+def verify_beta(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> dict:
     """One root, every invariant; the "ok" key folds the clauses together.
 
     Clauses: (1) all available routes agree, (2) the greatest monomial is
@@ -373,12 +354,10 @@ def verify_beta(
     beta = tuple(beta)
     chi = qchar_euler(q, xi, beta)
     rec = qchar_recursion(q, xi, beta)
-    cluster: LaurentPoly | None = None
-    if include_cluster:
-        try:
-            cluster = qchar_cluster(q, xi, beta)
-        except UnknownRoot:
-            cluster = None
+    try:
+        cluster: LaurentPoly | None = qchar_cluster(q, xi, beta)
+    except UnknownRoot:
+        cluster = None
 
     routes = chi == rec and (cluster is None or cluster == chi)
 

@@ -93,8 +93,6 @@ class DynkinQuiver:
             raise Reorientation(
                 f"arrows are not an orientation of the {self.family}_{self.rank} tree"
             )
-        if len(set(got)) != len(got):
-            raise Reorientation("duplicate arrows")
         self._build_tables()
 
     def _build_tables(self) -> None:

@@ -7,18 +7,35 @@ resulting sign system; the first matching whose system is solvable wins.
 The library's search closes the chain map's squares one DFS depth at a
 time and checks the dom and cod ledgers once; it must choose exactly the
 same connectors.  It carries its own general ±1 solver, where the
-library keeps parity classes, and shares only the tilt test
-(``tiltable``, ``serre_tilt``, ``is_iso``) with the library.  The cost
-is one full ledger per leaf, so keep it to rank ≤ 5 (D5 takes about 2 s).
+library keeps parity classes.  It finds connector targets on objects: each
+summand class is materialised (``class_object``), and a target is a cod
+summand isomorphic (``is_iso``) to the ``serre_tilt`` of a ``tiltable``
+dom summand, where the library looks up the class times f_i·A_i⁻¹; so it
+referees the library's class rule too.  ``tiltable`` lives only here.  The
+cost is one full ledger per leaf, so keep it to rank ≤ 5 (D5 takes about
+2 s).
 """
 
 from __future__ import annotations
 
 from qhammock.complexes import Complex
 from qhammock.errors import InconsistentConnector
-from qhammock.objects import is_iso, serre_tilt, tiltable
+from qhammock.hammock import qfun_defect
+from qhammock.objects import Obj, class_object, is_iso, serre_tilt
 from qhammock.quiver import DynkinQuiver, HeightFunction
 from qhammock.repetition import translate_base
+
+
+def tiltable(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> tuple[int, ...]:
+    """Vertices i whose translated base vertex sits in the multiset with
+    positive function defect — the admissible single tilts."""
+    defect = qfun_defect(q, a.fun)
+    out = []
+    for i in q.vertices:
+        tx = translate_base(xi, i)
+        if a.mult.get(tx, 0) > 0 and defect.get(tx, 0) > 0:
+            out.append(i)
+    return tuple(out)
 
 
 def solve_sign_system(equations) -> dict | None:
@@ -163,12 +180,14 @@ def resolve_connectors_per_leaf(
     keys: list[tuple[int, int]] = []
     cands: dict[tuple[int, int], tuple[int, ...]] = {}
     for n in sorted(set(dom.terms) & set(cod.terms)):
-        for s, src_obj in enumerate(dom.terms[n]):
+        targets = [class_object(q, xi, m) for m in cod.terms[n]]
+        for s, m in enumerate(dom.terms[n]):
+            src_obj = class_object(q, xi, m)
             if i not in tiltable(q, xi, src_obj):
                 continue
             tilted = serre_tilt(q, src_obj, [tx])
             opts = tuple(
-                t for t, dst in enumerate(cod.terms[n]) if is_iso(q, tilted, dst)
+                t for t, dst in enumerate(targets) if is_iso(q, tilted, dst)
             )
             if opts:
                 keys.append((n, s))

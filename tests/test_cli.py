@@ -184,6 +184,15 @@ def test_qchar_non_root_all_routes(capsys):
     assert code == 2
 
 
+def test_qchar_too_deep_exits_2_without_traceback(capsys):
+    # a vector deeper than the recursion limit is refused input, not a
+    # failed verification (exit 1) and not a traceback
+    code = main(["qchar", "--quiver", A2, "--beta", "400,400", "--route", "recursion"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_qchar_non_root_euler_only(capsys):
     code, out = run(
         capsys, "qchar", "--quiver", A2, "--beta", "2,1", "--route", "euler",
@@ -366,6 +375,8 @@ def test_config_rejections(capsys, monkeypatch):
         ("verify", "--types", "E", "--max-rank", "5"),
         ("verify", "--max-rank", "0"),
         ("verify", "--types", ""),
+        ("verify", "--orientations", "random:0"),
+        ("verify", "--orientations", "random:-3"),
         ("hammock", "--quiver", A2, "--vertex", "1,1", "--window", "3,1"),
         ("ar-view", "--quiver", A2, "--window", "3,1"),
     ]:

@@ -19,7 +19,6 @@ from qhammock import (
 from qhammock.complexes import (
     Complex,
     Component,
-    FractionComplex,
     build_complex,
     complex_to_json,
     cone,
@@ -39,8 +38,22 @@ from qhammock.errors import (
     NotDominant,
     NotInSupport,
 )
-from qhammock.laurent import LaurentPoly, mono_from_dict, mono_key_str
-from qhammock.objects import ghost_object, hammock_object, kr_object, serre_tilt, unit_obj
+from qhammock.laurent import (
+    MONO_ONE,
+    LaurentPoly,
+    mono_div,
+    mono_from_dict,
+    mono_key_str,
+    mono_mul,
+)
+from qhammock.objects import (
+    Obj,
+    class_object,
+    ghost_object,
+    hammock_object,
+    kr_object,
+    variable_A,
+)
 from qhammock.qchar import qchar_euler, qchar_recursion
 
 from connector_oracle import resolve_connectors_per_leaf
@@ -55,12 +68,18 @@ def Y(i, p, e=1):
     return LaurentPoly.variable(("Y", i, p), e)
 
 
+def k1_and_tilt(q, xi):
+    """The class of K_1 and of its tilt at τ base_1, K_1·f_1·A_1⁻¹."""
+    k1 = kr_object(q, xi, 1).kclass
+    return k1, mono_mul(k1, mono_div(mono_from_dict({("f", 1): 1}), variable_A(q, xi, 1)))
+
+
 # ------------------------------------------------------------ raw algebra
 
 
 def test_complex_container_checks():
     q, xi = a2()
-    y = hammock_object(q, xi, ZVertex(1, 1))
+    y = hammock_object(q, xi, ZVertex(1, 1)).kclass
     with pytest.raises(NegativeDegree):
         Complex({-1: [y]})
     with pytest.raises(NegativeDegree):
@@ -75,9 +94,9 @@ def test_complex_container_checks():
 
 def test_tensor_unit_and_counts():
     q, xi = a2()
-    k = single_complex(kr_object(q, xi, 1), 0)
+    k = single_complex(kr_object(q, xi, 1).kclass, 0)
     assert tensor_complex(k, unit_complex()).summand_count() == 1
-    g = single_complex(ghost_object(q, xi, translate_base(xi, 1)), 1)
+    g = single_complex(ghost_object(q, xi, translate_base(xi, 1)).kclass, 1)
     prod = tensor_complex(k, g)
     assert prod.degrees() == [1]
     assert tensor_complex(k, Complex()).is_zero()
@@ -85,10 +104,9 @@ def test_tensor_unit_and_counts():
 
 def test_tensor_koszul_sign():
     q, xi = a2()
-    x = ZVertex(1, 1)
-    y = hammock_object(q, xi, x)
-    t = serre_tilt(q, y, [x])
-    c = Complex({0: [y], 1: [t]}, {0: [Component(0, 0, ("eta", 1), 1)]})
+    y = hammock_object(q, xi, ZVertex(1, 1)).kclass
+    k1, t = k1_and_tilt(q, xi)
+    c = Complex({0: [k1], 1: [t]}, {0: [Component(0, 0, ("eta", 1), 1)]})
     # put a degree-1 term on the left; the right factor's differential
     # must pick up the Koszul twist
     left = single_complex(y, 1)
@@ -102,8 +120,8 @@ def test_cone_blocks_and_guards():
     # connectors are tagged by label; validate_components tells whether the
     # target is the tilt of the source at that label's translated base vertex
     q, xi = a2()
-    k1 = kr_object(q, xi, 1)
-    t = serre_tilt(q, k1, [translate_base(xi, 1)])
+    k1, t = k1_and_tilt(q, xi)
+    assert t == mono_from_dict({("f", 1): 1, ("Y", 2, 0): 1})
     dom = single_complex(k1, 1)
     cod = single_complex(t, 1)
     e = cone(dom, cod, {1: [(0, 0, ("eta", 1), 1)]})
@@ -149,10 +167,7 @@ def test_a2_complex_shapes_frozen():
     for beta, (den, rows) in A2_SHAPES.items():
         fc = build_complex(q, xi, beta)
         assert fc.den == den
-        got = [
-            [mono_key_str(o.kclass) for o in fc.num.terms[n]]
-            for n in fc.num.degrees()
-        ]
+        got = [[mono_key_str(m) for m in fc.num.terms[n]] for n in fc.num.degrees()]
         assert got == rows, beta
 
 
@@ -165,14 +180,6 @@ def test_a2_euler_characteristics_golden():
     assert chi[(1, 0)] == Y(1, -1) + Y(2, 0) * Y(1, 1, -1)
     assert chi[(0, 1)] == Y(1, -1) * Y(1, 1) * Y(2, 0, -1) + Y(1, 1) * Y(2, -2)
     assert chi[(1, 1)] == Y(1, -1) * Y(2, 0, -1) + Y(1, 1, -1) + Y(2, -2)
-
-
-def test_euler_requires_classes():
-    q, xi = a2()
-    y = hammock_object(q, xi, ZVertex(1, 3))  # classless object
-    fc = FractionComplex(single_complex(y, 0), {})
-    with pytest.raises(ValueError):
-        euler_char(q, xi, fc)
 
 
 def test_pivot_invariance_and_guard():
@@ -218,7 +225,7 @@ def test_structure_checks_over_a3_roots():
 
 def test_complex_json_schema():
     q, xi = a2()
-    j = complex_to_json(build_complex(q, xi, (1, 1)))
+    j = complex_to_json(q, xi, build_complex(q, xi, (1, 1)))
     assert set(j) == {"denominator", "terms", "differentials"}
     assert j["denominator"] == {"1": 1, "2": 1}
     assert set(j["terms"]) == {"0", "1", "2"}
@@ -244,12 +251,31 @@ def test_built_complex_is_read_only():
     assert qchar_euler(q, xi, (1, 1, 1)) == before
 
 
-def test_built_summands_are_read_only():
+def test_built_summands_are_classes():
+    # a summand is its class: a Mono, an immutable tuple of (variable,
+    # exponent) pairs in canonical order (Obj is covered in test_objects.py)
     q = build_quiver("A", 3, [(1, 2), (2, 3)])
     xi = default_height(q)
     fc = build_complex(q, xi, (1, 1, 1))
-    for objs in fc.num.terms.values():
-        for obj in objs:
+    for row in fc.num.terms.values():
+        assert type(row) is tuple
+        for m in row:
+            assert type(m) is tuple and m == mono_from_dict(dict(m)), m
+            assert all(type(key) is tuple and type(e) is int for key, e in m), m
+    assert validate_components(q, xi, fc.num)
+
+
+def test_built_summands_are_read_only():
+    # a built summand is an immutable class tuple, and the object it
+    # materialises to is read-only as well
+    q = build_quiver("A", 3, [(1, 2), (2, 3)])
+    xi = default_height(q)
+    fc = build_complex(q, xi, (1, 1, 1))
+    for row in fc.num.terms.values():
+        for m in row:
+            with pytest.raises(TypeError):
+                m[0] = ((1, 0), 1)
+            obj = class_object(q, xi, m)
             with pytest.raises(AttributeError):
                 obj.mult.clear()
             with pytest.raises(TypeError):
@@ -261,20 +287,20 @@ def test_built_summands_cannot_be_reassigned():
     q = build_quiver("A", 3, [(1, 2), (2, 3)])
     xi = default_height(q)
     before = qchar_euler(q, xi, (1, 1, 1))
-    for objs in build_complex(q, xi, (1, 1, 1)).num.terms.values():
-        for obj in objs:
-            for name in ("kclass", "fun", "mult"):
-                with pytest.raises(AttributeError):
-                    setattr(obj, name, None)
-                with pytest.raises(AttributeError):
-                    delattr(obj, name)
-            for view in (obj.fun.gens, obj.fun.deltas):
-                with pytest.raises(AttributeError):
-                    view.clear()
-                with pytest.raises(TypeError):
-                    view[ZVertex(1, 0)] = 1
+    for m in (m for row in build_complex(q, xi, (1, 1, 1)).num.terms.values() for m in row):
+        obj = class_object(q, xi, m)
+        for name in ("kclass", "fun", "mult"):
             with pytest.raises(AttributeError):
-                obj.fun.gens = {}
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        for view in (obj.fun.gens, obj.fun.deltas):
+            with pytest.raises(AttributeError):
+                view.clear()
+            with pytest.raises(TypeError):
+                view[ZVertex(1, 0)] = 1
+        with pytest.raises(AttributeError):
+            obj.fun.gens = {}
     assert qchar_euler(q, xi, (1, 1, 1)) == before
 
 
@@ -345,30 +371,26 @@ def test_pivot_builds_match_golden_digest():
     families = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
     digest = hashlib.sha256()
     count = 0
-    for _, _, fc in _pivot_builds(families):
-        digest.update(json.dumps(complex_to_json(fc), sort_keys=True).encode())
+    for q, xi, fc in _pivot_builds(families):
+        digest.update(json.dumps(complex_to_json(q, xi, fc), sort_keys=True).encode())
         count += 1
     assert count == 929
     assert digest.hexdigest() == "0fcce6d4190d7c52db65feb6e545b47adc0cbd84441622e9a0caead187e8734b"
-
-
-def _term_data(c):
-    return {n: [(o.canonical(), o.kclass) for o in objs] for n, objs in c.terms.items()}
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
 def test_one_pass_tensor_matches_tensor_complex(family, rank):
     # _tensor_between(l, k, C, r, m) is single(l, k) ⊗ C ⊗ single(r, m)
     for q, xi, fc in _pivot_builds([(family, rank)]):
-        l = kr_object(q, xi, 1)
-        r = ghost_object(q, xi, translate_base(xi, rank))
+        l = kr_object(q, xi, 1).kclass
+        r = ghost_object(q, xi, translate_base(xi, rank)).kclass
         for k in range(3):
             for m in range(3):
                 got = complexes._tensor_between(l, k, fc.num, r, m)
                 want = tensor_complex(
                     tensor_complex(single_complex(l, k), fc.num), single_complex(r, m)
                 )
-                assert (_term_data(got), got.diffs) == (_term_data(want), want.diffs), (k, m)
+                assert (got.terms, got.diffs) == (want.terms, want.diffs), (k, m)
 
 
 @pytest.mark.parametrize("orientation", [1, 9, 22, 25])
@@ -393,15 +415,19 @@ def test_e6_euler_route_finishes(monkeypatch, orientation):
     complexes._canonical_build.cache_clear()
     for beta in positive_roots(q):
         assert qchar_euler(q, xi, beta) == qchar_recursion(q, xi, beta), beta
+        # the class lookup's connectors are real tilts on E6 too
+        fc = build_complex(q, xi, beta)
+        assert validate_components(q, xi, fc.num), beta
+        assert verify_d_squared(q, fc.num)["ok"], beta
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_dangling_component_is_an_engine_error(side):
     # the check must raise even under python -O, so not as an assert
     q, xi = a2()
-    x = ZVertex(1, 1)
-    y = hammock_object(q, xi, x)
-    c = Complex({0: [y], 1: [serre_tilt(q, y, [x])]}, {0: [Component(0, 0, ("eta", 1), 1)]})
+    y = hammock_object(q, xi, ZVertex(1, 1)).kclass
+    k1, t = k1_and_tilt(q, xi)
+    c = Complex({0: [k1], 1: [t]}, {0: [Component(0, 0, ("eta", 1), 1)]})
     c.terms = {0: c.terms[0]}  # the component now points at a missing degree
     pair = (c, single_complex(y, 0)) if side == "left" else (single_complex(y, 0), c)
     with pytest.raises(InvariantViolation):
@@ -413,9 +439,9 @@ def test_degree_zero_violation_is_an_engine_error(monkeypatch, broken):
     # a forced pivot bypasses the build memo, so the check runs
     q, xi = a2()
     if broken == "leading_object":
-        monkeypatch.setattr(complexes, "leading_object", lambda *args: unit_obj())
+        monkeypatch.setattr(complexes, "leading_object", lambda *args: Obj())
     else:
-        two = Complex({0: [unit_obj(), unit_obj()]})
+        two = Complex({0: [MONO_ONE, MONO_ONE]})
         monkeypatch.setattr(complexes, "cone", lambda *args, **kwargs: two)
     with pytest.raises(InvariantViolation):
         build_complex(q, xi, (1, 1), pivot=1)

@@ -27,6 +27,7 @@ from qhammock.hammock import QFun, hammock_fun, hom_values
 from qhammock.laurent import mono_from_dict
 from qhammock.objects import (
     Obj,
+    class_object,
     dominant_exponents,
     factor_dominant,
     ghost_object,
@@ -40,11 +41,10 @@ from qhammock.objects import (
     root_of_dominant,
     serre_tilt,
     tensor_obj,
-    tiltable,
-    unit_obj,
 )
 from qhammock.quiver import root_support
 
+from connector_oracle import tiltable
 from object_oracle import leading_object_by_copies, qfun_equal_by_evaluation
 
 
@@ -63,7 +63,7 @@ def test_obj_invariants():
     assert a.mult == {ZVertex(2, 0): 2}
     assert a.size() == 2
     assert repr(a) == "Obj{(2,0)^2}"
-    u = unit_obj()
+    u = Obj()
     assert u.size() == 0 and u.kclass == ()
 
 
@@ -114,13 +114,32 @@ def test_ghost_object():
     assert ghost_object(q, xi, ZVertex(1, 1)).kclass is None
 
 
+def test_class_object_refuses_keys_no_summand_has():
+    # a Complex is public input, so a class is checked when it is read
+    q, xi = a2()
+    k1 = kr_object(q, xi, 1)
+    assert class_object(q, xi, k1.kclass) == k1
+    f2 = ghost_object(q, xi, translate_base(xi, 2))
+    assert class_object(q, xi, mono_from_dict({("f", 2): 2})) == obj_pow(f2, 2)
+    for bad in (
+        {("Y", 1, 1): -1},  # a negative exponent
+        {("f", 1): 1, ("Y", 2, -2): 2, ("Y", 2, 0): -1},
+        {("Y", 1, 3): 1},  # vertex 1 sits at slots 1 and -1
+        {("Y", 3, 0): 1},  # no vertex 3
+        {("f", 0): 1},
+        {("x", 1): 1},
+    ):
+        with pytest.raises(ValueError):
+            class_object(q, xi, mono_from_dict(bad))
+
+
 def test_tensor_and_power():
     q, xi = a2()
     y = hammock_object(q, xi, ZVertex(1, 1))
     sq = tensor_obj(y, y)
     assert sq == obj_pow(y, 2)
     assert sq.mult == {ZVertex(1, 1): 2, ZVertex(2, 2): 2}
-    assert obj_pow(y, 0) == unit_obj()
+    assert obj_pow(y, 0) == Obj()
     with pytest.raises(ValueError):
         obj_pow(y, -1)
     # None class poisons the product
@@ -284,15 +303,18 @@ def _assert_as_if_checked(o: Obj) -> None:
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
 def test_trusted_objects_match_checked_construction(family, rank):
-    # every summand of every canonical and forced build, and leading_object
-    # over a small orthant, come out of _tensor_powers and serre_tilt
+    # the object of every summand class of every canonical and forced
+    # build, and leading_object over a small orthant, come out of
+    # _tensor_powers and serre_tilt
     for q in all_orientations(family, rank):
         xi = default_height(q)
         for beta in positive_roots(q):
             pivots = beta_combinatorics(q, xi, beta).pivot_candidates
             for p in (None, *pivots):
-                for objs in build_complex(q, xi, beta, pivot=p).num.terms.values():
-                    for o in objs:
+                for row in build_complex(q, xi, beta, pivot=p).num.terms.values():
+                    for m in row:
+                        o = class_object(q, xi, m)
+                        assert o.kclass == m
                         _assert_as_if_checked(o)
         for beta in itertools.product(range(4), repeat=rank):
             if any(beta) and sum(beta) <= 4:
@@ -317,7 +339,7 @@ def test_trusted_construction_edge_cases():
     assert back.fun.deltas == {} and back.kclass is None
     flat = tensor_obj(y, Obj({}, QFun({x: -1})))
     assert flat.fun.gens == {}
-    for o in (t, back, flat, tensor_obj(y, unit_obj()), obj_pow(y, 3)):
+    for o in (t, back, flat, tensor_obj(y, Obj()), obj_pow(y, 3)):
         _assert_as_if_checked(o)
 
 
