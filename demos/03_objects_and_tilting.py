@@ -1,8 +1,9 @@
 """Object calculus: formal tensor products of hammock generators.
 
-An `Obj` is a multiset of repetition-quiver vertices (its generators),
-a quasi-additive function (its shadow), and an optional symbolic class.
-Serre tilting swaps chosen generators for their Serre shifts while
+An `Obj` is a multiset of repetition-quiver vertices (its generators)
+and a quasi-additive function (its shadow).  A product of hammock objects
+on the two base sections and ghosts is named by a symbolic class, a
+monomial from which `class_object` builds it again.  Serre tilting swaps chosen generators for their Serre shifts while
 adjusting the function; the dominant ones among these objects encode
 root vectors, and that encoding is exactly invertible.
 
@@ -11,6 +12,7 @@ Run:  python3 demos/03_objects_and_tilting.py
 
 from qhammock import (
     build_quiver,
+    class_object,
     default_height,
     factor_dominant,
     ghost_object,
@@ -19,6 +21,7 @@ from qhammock import (
     is_iso,
     kr_object,
     leading_object,
+    mono_from_dict,
     obj_pow,
     root_of_dominant,
     serre_tilt,
@@ -32,11 +35,16 @@ xi = default_height(q)
 y1 = hammock_object(q, xi, translate_base(xi, 1))
 k1 = kr_object(q, xi, 1)
 g1 = ghost_object(q, xi, translate_base(xi, 1))
-print("generator object:", y1, " class:", y1.kclass)
-print("kirillov-reshetikhin object:", k1, " class:", k1.kclass)
-print("ghost object:", g1, " class:", g1.kclass)
+for name, obj, powers in [
+    ("generator object", y1, {("Y", 1, -1): 1}),
+    ("kirillov-reshetikhin object", k1, {("Y", 1, -1): 1, ("Y", 1, 1): 1}),
+    ("ghost object", g1, {("f", 1): 1}),
+]:
+    mono = mono_from_dict(powers)
+    assert class_object(q, xi, mono) == obj
+    print(f"{name}:", obj, " class:", mono)
 
-# tensoring concatenates multisets, adds functions, multiplies classes
+# tensoring concatenates multisets and adds functions
 sq = tensor_obj(y1, y1)
 print("square:", sq, "=", obj_pow(y1, 2))
 

@@ -2,8 +2,10 @@
 
 Terms are formal direct sums (lists) of summand classes per nonnegative
 degree: a summand is a product of hammock objects on the two base sections
-and ghost objects at τ base_i, so its Obj.kclass monomial names it, and
-objects.class_object builds the object only to verify or print it.
+and ghost objects at τ base_i, so its class monomial names it, and
+objects.class_object builds the object only to verify or print it.  The
+classes come from objects (the exchange step's head classes and
+_section_class), which alone spells their variable keys.
 Differentials are lists of elementary components (source summand, target
 summand, tag, sign).  Tags name which canonical morphism a component is
 a copy of — almost always ("eta", i), the tilt at the translated base
@@ -57,7 +59,10 @@ The recursive construction  C[β] = cone(dom → cod)  threads the absorb
 step (dom side, one degree up) against the tilt step (cod side, ghost
 block in degree |out-closure|), with both sides tensored up by frontier
 and denominator-equalizing factors so that the degree-0 term is exactly
-the leading object times the carried denominator.
+the leading object times the carried denominator.  Each build checks two
+exchange identities on objects: that degree-0 identity, and the tilt of
+Y[β] ⊗ Y(base_i) over the out-closure against the object of the tilt's
+factorization (ghost block, head class, Y[β − dim P_i]).
 """
 
 from __future__ import annotations
@@ -68,18 +73,20 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import InconsistentConnector, InvariantViolation, NegativeDegree, TooLarge
-from .laurent import MONO_ONE, LaurentPoly, Mono, mono_div, mono_from_dict, mono_mul
+from .laurent import MONO_ONE, LaurentPoly, Mono, _mono_json, mono_div, mono_mul
 from .objects import (
     Obj,
-    _factor_pairs,
     _negative_simple,
-    _tensor_powers,
+    _section_class,
     class_object,
+    hammock_object,
     is_dominant,
     is_iso,
     leading_object,
     pivot_step,
+    reconstruct_factorization,
     serre_tilt,
+    tensor_obj,
     variable_A,
 )
 from .quiver import (
@@ -88,7 +95,7 @@ from .quiver import (
     Root,
     root_support,
 )
-from .repetition import serre, translate_base
+from .repetition import base_vertex, serre, translate_base
 
 __all__ = [
     "Component",
@@ -190,7 +197,7 @@ def single_complex(m: Mono, degree: int = 0) -> Complex:
 
 def initial_hammock_complex(q: DynkinQuiver, xi: HeightFunction, i: int) -> Complex:
     """H_i: the class of the base hammock object Y(base_i) in degree 0."""
-    return single_complex(mono_from_dict({("Y", i, xi.ht(i)): 1}), 0)
+    return single_complex(_section_class(xi, (), [(i, 1)]), 0)
 
 
 # ───────────────────────── tensor / cone ─────────────────────────
@@ -406,7 +413,7 @@ def _resolve_connectors(
     if not (verify_d_squared(q, dom)["ok"] and verify_d_squared(q, cod)["ok"]):
         raise InconsistentConnector(failure)
     tag = ("eta", i)
-    shift = mono_div(mono_from_dict({("f", i): 1}), variable_A(q, xi, i))
+    shift = mono_div(_section_class(xi, (), (), [i]), variable_A(q, xi, i))
     cands: dict[tuple[int, int], tuple[int, ...]] = {}
     for n in sorted(set(dom.terms) & set(cod.terms)):
         by_class: dict[Mono, tuple[int, ...]] = {}
@@ -540,30 +547,35 @@ def _build(
     eq_inj = {k: den[k] - sub_inj.den.get(k, 0) for k in den}
     eq_proj = {k: den[k] - sub_proj.den.get(k, 0) for k in den}
 
-    dom_head = _tensor_powers(
-        _factor_pairs(q, xi, [(i, step.eps)], [*step.hin, *sorted(eq_inj.items())])
-    ).kclass
+    dom_head = mono_mul(step.absorb_class, _section_class(xi, (), eq_inj.items()))
     dom = _tensor_between(dom_head, 1, sub_inj.num, MONO_ONE, 0)
 
-    ghost_block = mono_from_dict({("f", j): 1 for j in fac.f_list})
-    cod_head = _tensor_powers(
-        _factor_pairs(q, xi, fac.k_exp, [*fac.h_exp, *sorted(eq_proj.items())])
-    ).kclass
+    ghost_block = _section_class(xi, (), (), fac.f_list)
+    cod_head = mono_mul(step.tilt_class, _section_class(xi, (), eq_proj.items()))
     cod = _tensor_between(cod_head, 0, sub_proj.num, ghost_block, len(fac.f_list))
 
     connectors = _resolve_connectors(q, xi, i, dom, cod)
     num = cone(dom, cod, connectors)
     den[i] = den.get(i, 0) + 1
 
-    # degree-0 sanity: one summand, isomorphic to Y[β] ⊗ the denominator object
+    # the two exchange identities on objects: the degree-0 term is one
+    # summand, Y[β] ⊗ the denominator object, and the tilt of
+    # Y[β] ⊗ Y(base_i) over the out-closure is the object of the tilt's
+    # factorization, ghost block ⊗ head ⊗ Y[β − dim P_i]
     zero_row = num.terms.get(0, ())
     if len(zero_row) != 1:
         raise InvariantViolation(f"degree-0 term of the build of {beta} is not a single summand")
-    expected = _tensor_powers(
-        [(leading_object(q, xi, beta), 1), *_factor_pairs(q, xi, (), sorted(den.items()))]
-    )
-    if not is_iso(q, class_object(q, xi, zero_row[0]), expected):
+    lead = leading_object(q, xi, beta)
+    den_obj = class_object(q, xi, _section_class(xi, (), den.items()))
+    if not is_iso(q, class_object(q, xi, zero_row[0]), tensor_obj(lead, den_obj)):
         raise InvariantViolation(f"degree-0 identity failed for {beta}")
+    tilted = serre_tilt(
+        q,
+        tensor_obj(lead, hammock_object(q, xi, base_vertex(xi, i))),
+        [translate_base(xi, j) for j in fac.f_list],
+    )
+    if not is_iso(q, tilted, reconstruct_factorization(q, xi, fac)):
+        raise InvariantViolation(f"tilt identity failed for {beta} at pivot {i}")
 
     return FractionComplex(num, den)
 
@@ -596,8 +608,7 @@ def euler_char(
         }
         if subs:
             total = total.substitute(subs)
-    denom = mono_from_dict({("Y", i, xi.ht(i)): e for i, e in fc.den.items()})
-    return total.exact_div(LaurentPoly.monomial(denom))
+    return total.exact_div(LaurentPoly.monomial(_section_class(xi, (), fc.den.items())))
 
 
 # ───────────────────────── structural verification ─────────────────────────
@@ -727,12 +738,13 @@ def _tag_str(tag: tuple) -> str:
 
 
 def complex_to_json(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -> dict:
-    """The complex with every summand printed as the object its class names."""
+    """The complex with every summand printed as the object its class
+    names, followed by the class itself."""
     objs = _objects(q, xi, fc.num)
     return {
         "denominator": {str(i): e for i, e in sorted(fc.den.items())},
         "terms": {
-            str(n): [objs[m].to_json_dict() for m in row]
+            str(n): [{**objs[m].to_json_dict(), "kclass": _mono_json(m)} for m in row]
             for n, row in sorted(fc.num.terms.items())
         },
         "differentials": {

@@ -77,6 +77,11 @@ def mono_key_str(m: Mono) -> str:
     return " ".join(parts)
 
 
+def _mono_json(m: Mono) -> dict[str, int]:
+    """A monomial as a JSON object, e.g. {"Y:2:-1": 1, "f:1": 1}."""
+    return {":".join(str(piece) for piece in k): e for k, e in m}
+
+
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial in structured variables.
 

@@ -1,20 +1,18 @@
 """Multiset-with-function objects and the dominant-object calculus.
 
 An object here is a pair (multiset of repetition-quiver vertices, attached
-quasi-additive function), optionally tagged with a Grothendieck-class
-monomial.  The constructors below produce the three families the engine
-needs:
+quasi-additive function).  The constructors below produce the three
+families the engine needs:
 
 * hammock objects Y(x): the hom multiset of x together with the generator
   function h_x;
 * ghost objects F(x): the two-element multiset {Serre x, suspend x} with the
-  zero function (the class is the extra symbol f_i when x is a translated
-  base vertex);
+  zero function;
 * the Kirillov-Reshetikhin pair K_i = Y(translate base_i) tensor Y(base_i).
 
 Tensor product is multiset union plus function addition, and a tensor
-power a^n scales a's multiplicities, function and class by n, so no object
-is ever copied n times.  Serre tilting replaces chosen multiset members by
+power a^n scales a's multiplicities and function by n, so no object is
+ever copied n times.  Serre tilting replaces chosen multiset members by
 their Serre images while subtracting the matching pointwise deltas from the
 function.  Objects and their functions are immutable; products and tilts
 of valid objects are wrapped by _obj and hammock._qfun without re-checking
@@ -23,17 +21,17 @@ combination of generators sitting on the two base sections; those are
 classified by a coefficient vector in the positive orthant, recovered by a
 max-recursion over the quiver.
 
-The exchange step of β at a pivot (``pivot_step``) is worked out once, as
-one value that both the complex build and the scalar recursion read;
-``absorb_frontier``, ``frontier_injection_factor`` and ``tilt_leading``
-are reads of it.
+Objects carry no Grothendieck class.  A product of hammock objects on the
+two base sections and ghosts at τ base_i is named by its class, a monomial
+in Y(i, ξ(i)), Y(i, ξ(i)−2) and f_i that is computed directly
+(``_section_class``, ``dominant_monomial``), and ``class_object`` builds
+the object a class names.  The complex build and the scalar recursion
+take every class they multiply by from here.
 
-Classes (kclass) are carried only where the constructions define them:
-constructors, tensor products, and the factorization lemmas.  A tilt wipes
-the class; the factorization routines reattach classes to the canonical
-factors on the right-hand side.  A product of hammock objects on the two
-base sections and ghosts at τ base_i is named by its class, from which
-``class_object`` builds it again.
+The exchange step of β at a pivot (``pivot_step``) is worked out once, as
+one value that both the complex build and the scalar recursion read, head
+classes included; ``absorb_frontier``, ``frontier_injection_factor`` and
+``tilt_leading`` are reads of it.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport
 from .hammock import QFun, _qfun, hammock_fun, hom_values, qfun_equal
-from .laurent import MONO_ONE, Mono, VarKey, mono_from_dict
+from .laurent import Mono, VarKey, mono_from_dict, mono_mul
 from .quiver import (
     BetaData,
     DynkinQuiver,
@@ -73,6 +71,7 @@ __all__ = [
     "kr_object",
     "class_object",
     "variable_A",
+    "dominant_monomial",
     "tensor_obj",
     "serre_tilt",
     "is_iso",
@@ -98,18 +97,11 @@ class Obj:
 
     Immutable: mult is a read-only view and no field can be reassigned,
     so an object inside a memoised build cannot be edited in place.
-    kclass is an optional Grothendieck-class monomial; None means the class
-    is not defined for this object (e.g. after an explicit tilt).
     """
 
-    __slots__ = ("mult", "fun", "kclass")
+    __slots__ = ("mult", "fun")
 
-    def __init__(
-        self,
-        mult: Mapping[ZVertex, int] | None = None,
-        fun: QFun | None = None,
-        kclass: Mono | None = MONO_ONE,
-    ):
+    def __init__(self, mult: Mapping[ZVertex, int] | None = None, fun: QFun | None = None):
         m = {
             v if type(v) is ZVertex else ZVertex(*v): c
             for v, c in (mult or {}).items()
@@ -120,7 +112,6 @@ class Obj:
             raise ValueError(f"negative multiplicity at {v}")
         object.__setattr__(self, "mult", MappingProxyType(m))
         object.__setattr__(self, "fun", fun if fun is not None else QFun())
-        object.__setattr__(self, "kclass", kclass)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"Obj is immutable: cannot change {name}")
@@ -150,29 +141,22 @@ class Obj:
 
     def to_json_dict(self) -> dict:
         fun = self.fun.to_json_dict()
-        out = {
+        return {
             "multiset": [
                 [f"{v.i},{v.p}", c] for v, c in sorted(self.mult.items())
             ],
             "gens": fun["gens"],
             "deltas": fun["deltas"],
         }
-        if self.kclass is not None:
-            out["kclass"] = {
-                ":".join(str(part) for part in key): exp
-                for key, exp in self.kclass
-            }
-        return out
 
 
-def _obj(mult: Mapping[ZVertex, int], fun: QFun, kclass: Mono | None) -> Obj:
+def _obj(mult: Mapping[ZVertex, int], fun: QFun) -> Obj:
     """An object around a multiplicity map built from valid objects (keys
     already ZVertex, counts nonnegative): zero entries are dropped and the
     copy wrapped read-only, skipping Obj's key coercion and sign scan."""
     a = object.__new__(Obj)
     object.__setattr__(a, "mult", MappingProxyType({v: c for v, c in mult.items() if c}))
     object.__setattr__(a, "fun", fun)
-    object.__setattr__(a, "kclass", kclass)
     return a
 
 
@@ -180,34 +164,24 @@ def _obj(mult: Mapping[ZVertex, int], fun: QFun, kclass: Mono | None) -> Obj:
 def hammock_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
     """Y(x): the hom multiset of x with the generator function h_x.
 
-    The class monomial is defined only when x lies on one of the two base
-    sections (slot ξ(i) or ξ(i)-2); elsewhere the object carries no class.
     Memoised per (quiver, height, vertex): equal arguments share one
     immutable object.  An invalid vertex raises on every call.
     """
     x = check_vertex(q, x)
-    kclass: Mono | None = None
-    if x.p == xi.ht(x.i) or x.p == xi.ht(x.i) - 2:
-        kclass = mono_from_dict({("Y", x.i, x.p): 1})
-    return Obj(hom_values(q, x), hammock_fun(q, x), kclass)
+    return Obj(hom_values(q, x), hammock_fun(q, x))
 
 
+@lru_cache(maxsize=None)
 def ghost_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
-    """F(x): multiset {Serre x, suspend x}, zero function.
-
-    At x = translate(base_i) the class is the extra symbol f_i; at other
-    vertices the construction never needs a class and None is carried.
-    """
+    """F(x): multiset {Serre x, suspend x}, zero function; memoised like
+    hammock_object."""
     x = check_vertex(q, x)
-    kclass: Mono | None = None
-    if x == translate_base(xi, x.i):
-        kclass = mono_from_dict({("f", x.i): 1})
-    return Obj({serre(q, x): 1, suspend(q, x): 1}, QFun(), kclass)
+    return Obj({serre(q, x): 1, suspend(q, x): 1}, QFun())
 
 
 def kr_object(q: DynkinQuiver, xi: HeightFunction, i: int) -> Obj:
-    """K_i = Y(τ base_i) ⊗ Y(base_i); class Y[i,ξ(i)-2]·Y[i,ξ(i)]."""
-    return _tensor_powers(_factor_pairs(q, xi, [(i, 1)], ()))
+    """K_i = Y(τ base_i) ⊗ Y(base_i), the object of the class Y(i, ξ(i)−2)·Y(i, ξ(i))."""
+    return class_object(q, xi, _section_class(xi, [(i, 1)], ()))
 
 
 def class_object(q: DynkinQuiver, xi: HeightFunction, m: Mono) -> Obj:
@@ -241,52 +215,48 @@ def variable_A(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
     return mono_from_dict(powers)
 
 
-def _factor_pairs(
-    q: DynkinQuiver,
+def _section_class(
     xi: HeightFunction,
     k_exp: Iterable[tuple[int, int]],
     h_exp: Iterable[tuple[int, int]],
-) -> list[tuple[Obj, int]]:
-    """⊗_i K_i^{k_i} ⊗ ⊗_l Y(base_l)^{h_l} as (hammock object, exponent)
-    pairs for _tensor_powers, K_i^e expanded to Y(τ base_i)^e, Y(base_i)^e."""
-    kr = [
-        (hammock_object(q, xi, x), e)
-        for i, e in k_exp
-        for x in (translate_base(xi, i), base_vertex(xi, i))
-    ]
-    return kr + [(hammock_object(q, xi, base_vertex(xi, l)), e) for l, e in h_exp]
+    f_list: Iterable[int] = (),
+) -> Mono:
+    """The class of ⊗_j F(τ base_j) ⊗ ⊗_k K_k^{e_k} ⊗ ⊗_l Y(base_l)^{h_l}:
+    f_j · ∏ (Y(k, ξ(k)−2)·Y(k, ξ(k)))^{e_k} · ∏ Y(l, ξ(l))^{h_l}.
+    Exponents may be negative (a denominator); zero ones drop out."""
+    powers: dict[VarKey, int] = {("f", j): 1 for j in f_list}
+    for k, e in k_exp:
+        for key in (("Y", k, xi.ht(k) - 2), ("Y", k, xi.ht(k))):
+            powers[key] = powers.get(key, 0) + e
+    for l, e in h_exp:
+        key = ("Y", l, xi.ht(l))
+        powers[key] = powers.get(key, 0) + e
+    return mono_from_dict(powers)
 
 
 def _tensor_powers(pairs: Iterable[tuple[Obj, int]]) -> Obj:
     """⊗ a^n over (a, n ≥ 0) pairs, in one pass: multiplicities, generator
-    and delta coefficients are scaled by n and summed, and so are the class
-    exponents (no class once a factor with n > 0 has none)."""
+    and delta coefficients are scaled by n and summed."""
     mult: dict[ZVertex, int] = {}
     gens: dict[ZVertex, int] = {}
     deltas: dict[ZVertex, int] = {}
-    powers: dict[tuple, int] | None = {}
     for a, n in pairs:
         if not n:
             continue
         for into, items in ((mult, a.mult), (gens, a.fun.gens), (deltas, a.fun.deltas)):
             for v, c in items.items():
                 into[v] = into.get(v, 0) + c * n
-        if a.kclass is None:
-            powers = None
-        elif powers is not None:
-            for k, e in a.kclass:
-                powers[k] = powers.get(k, 0) + e * n
-    return _obj(mult, _qfun(gens, deltas), None if powers is None else mono_from_dict(powers))
+    return _obj(mult, _qfun(gens, deltas))
 
 
 def tensor_obj(*objs: Obj) -> Obj:
-    """Tensor product: multiset union, function sum, class product."""
+    """Tensor product: multiset union, function sum."""
     return _tensor_powers((a, 1) for a in objs)
 
 
 def obj_pow(a: Obj, n: int) -> Obj:
-    """n-fold tensor power (n ≥ 0), by scaling a's multiplicities, function
-    and class by n rather than tensoring n copies."""
+    """n-fold tensor power (n ≥ 0), by scaling a's multiplicities and
+    function by n rather than tensoring n copies."""
     if n < 0:
         raise ValueError("negative tensor power")
     return _tensor_powers([(a, n)])
@@ -300,7 +270,6 @@ def serre_tilt(q: DynkinQuiver, a: Obj, zmult: Iterable[ZVertex] | Mapping[ZVert
     the matching pointwise delta from the function.
 
     Raises NotContained if the multiset does not hold the requested copies.
-    The class does not survive a tilt.
     """
     chosen: dict[ZVertex, int] = {}
     items = zmult.items() if isinstance(zmult, Mapping) else ((z, 1) for z in zmult)
@@ -318,11 +287,11 @@ def serre_tilt(q: DynkinQuiver, a: Obj, zmult: Iterable[ZVertex] | Mapping[ZVert
         sz = serre(q, z)
         mult[sz] = mult.get(sz, 0) + c
         deltas[z] = deltas.get(z, 0) - c
-    return _obj(mult, _qfun(a.fun.gens, deltas), None)
+    return _obj(mult, _qfun(a.fun.gens, deltas))
 
 
 def is_iso(q: DynkinQuiver, a: Obj, b: Obj) -> bool:
-    """Same multiset and equal attached functions (classes not compared)."""
+    """Same multiset and equal attached functions."""
     return a.mult == b.mult and qfun_equal(q, a.fun, b.fun)
 
 
@@ -383,24 +352,37 @@ def _negative_simple(beta: Root) -> int | None:
     raise NotDominant(f"{tuple(beta)} is neither nonnegative nor a negative simple root")
 
 
-def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
-    """Y[β]: the dominant object classified by β (any positive-orthant β;
-    a negative simple −α_j yields the base hammock object at j).
-
-    Exponents come from b_vector (b_i = β_i − Σ_{i→j} β_j over the full
-    quiver): the positive part lands on the translated base section, the
-    negative part on the base section (the latter only at vertices just
-    outside the support, pointing into it).  The b-vector entries are the
-    tensor exponents themselves; no power is built on the way.
-    """
+def _leading_factors(
+    q: DynkinQuiver, xi: HeightFunction, beta: Root
+) -> list[tuple[ZVertex, int]]:
+    """Y[β] as (hammock vertex, exponent) pairs: the base vertex of j for a
+    negative simple −α_j, and otherwise one pair per nonzero b-vector entry
+    (b_i = β_i − Σ_{i→j} β_j over the full quiver), the positive part on
+    the translated base section and the negative part on the base section
+    (the latter only at vertices just outside the support, pointing into
+    it)."""
     j = _negative_simple(beta)
     if j is not None:
-        return hammock_object(q, xi, base_vertex(xi, j))
-    return _tensor_powers(
-        (hammock_object(q, xi, translate_base(xi, i) if b > 0 else base_vertex(xi, i)), abs(b))
+        return [(base_vertex(xi, j), 1)]
+    return [
+        (translate_base(xi, i) if b > 0 else base_vertex(xi, i), abs(b))
         for i, b in zip(q.vertices, b_vector(q, beta))
         if b
-    )
+    ]
+
+
+def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
+    """Y[β]: the dominant object classified by β (any positive-orthant β;
+    a negative simple −α_j yields the base hammock object at j).  The
+    b-vector entries are the tensor exponents themselves; no power is
+    built on the way."""
+    return _tensor_powers((hammock_object(q, xi, x), e) for x, e in _leading_factors(q, xi, beta))
+
+
+def dominant_monomial(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Mono:
+    """The class of Y[β], read off its factors without building it: the
+    head every route must share."""
+    return mono_from_dict({("Y", x.i, x.p): e for x, e in _leading_factors(q, xi, beta)})
 
 
 # ───────────────────────── factorizations ─────────────────────────
@@ -424,12 +406,9 @@ class Factorization:
 def reconstruct_factorization(
     q: DynkinQuiver, xi: HeightFunction, fac: Factorization
 ) -> Obj:
-    """Build the object a Factorization stands for (classes included)."""
-    return _tensor_powers(
-        [(ghost_object(q, xi, translate_base(xi, j)), 1) for j in fac.f_list]
-        + _factor_pairs(q, xi, fac.k_exp, fac.h_exp)
-        + [(leading_object(q, xi, fac.remainder), 1)]
-    )
+    """Build the object a Factorization stands for, from its class."""
+    head = _section_class(xi, fac.k_exp, fac.h_exp, fac.f_list)
+    return class_object(q, xi, mono_mul(head, dominant_monomial(q, xi, fac.remainder)))
 
 
 def _omega_order(q: DynkinQuiver) -> list[int]:
@@ -488,7 +467,10 @@ class PivotStep:
     * hin: the frontier injection factors (l, m_l) of that absorption, for
       l outside the support, m_l arrows from l into the in-closure of i;
     * tilt: the iterated tilt of Y[β] ⊗ Y(base_i) over the out-closure of
-      i, as a Factorization with remainder β − dim P_i (the tilt side).
+      i, as a Factorization with remainder β − dim P_i (the tilt side);
+    * absorb_class, tilt_class: the head classes of the two sides,
+      K_i^eps · ∏ Y(base_l)^{m_l} and ∏ K_k^{e_k} · ∏ Y(base_l)^{h_l} of
+      the tilt (its ghost block f_j over tilt.f_list apart).
 
     Together:  Y[β] ⊗ Y(base_i) ≅ K_i^eps ⊗ ⊗_l Y(base_l)^{m_l} ⊗ Y[beta_inj].
     """
@@ -498,6 +480,8 @@ class PivotStep:
     beta_inj: Root
     hin: tuple[tuple[int, int], ...]
     tilt: Factorization
+    absorb_class: Mono
+    tilt_class: Mono
 
 
 def pivot_step(
@@ -514,12 +498,17 @@ def pivot_step(
     if i not in bd.support:
         raise NotInSupport(f"pivot {i} outside the support of {beta}")
     b = b_vector(q, beta)
+    eps = 1 if b[i - 1] > 0 else 0
+    hin = _frontier(q, bd, bd.in_closure[i], q.arrows_from)
+    tilt = _tilt(q, beta, b, bd, i)
     return PivotStep(
         pivot=i,
-        eps=1 if b[i - 1] > 0 else 0,
+        eps=eps,
         beta_inj=root_sub(beta, bd.dim_inj[i]),
-        hin=_frontier(q, bd, bd.in_closure[i], q.arrows_from),
-        tilt=_tilt(q, beta, b, bd, i),
+        hin=hin,
+        tilt=tilt,
+        absorb_class=_section_class(xi, [(i, eps)], hin),
+        tilt_class=_section_class(xi, tilt.k_exp, tilt.h_exp),
     )
 
 

@@ -42,13 +42,12 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Mapping, Tuple
 
-from .errors import Incomparable, InvariantViolation, UnknownRoot
+from .errors import Incomparable, UnknownRoot
 from .laurent import (
-    MONO_ONE,
     LaurentPoly,
     Mono,
     VarKey,
-    mono_from_dict,
+    _mono_json,
     mono_key_str,
     mono_mul,
     mono_pow,
@@ -59,8 +58,7 @@ from .quiver import (
     Root,
     expected_edges,
 )
-from .repetition import base_vertex, translate_base
-from .objects import _negative_simple, hammock_object, leading_object, pivot_step, variable_A
+from .objects import _negative_simple, _section_class, dominant_monomial, pivot_step, variable_A
 from .complexes import build_complex, euler_char
 from .cluster import enumerate_cluster_variables
 
@@ -109,18 +107,6 @@ class TruncatedRing:
         return poly
 
 
-def _y(i: int, p: int, e: int = 1) -> Mono:
-    return mono_from_dict({("Y", i, p): e})
-
-
-def dominant_monomial(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Mono:
-    """Class of the leading object: the head every route must share."""
-    mono = leading_object(q, xi, beta).kclass
-    if mono is None:
-        raise InvariantViolation(f"leading object of {beta} has no class")
-    return mono
-
-
 # ───────────────────────── route 1: Euler sums ─────────────────────────
 
 
@@ -141,9 +127,9 @@ def qchar_recursion(
     """Two-term recursion over the absorb / tilt split — no complexes.
 
     At the pivot i, the exchange step (objects.pivot_step, which the
-    complex build reads too) gives ε and β_inj from the frontier
-    absorption, the injective frontier factor H^in, and the iterated-tilt
-    factorization (K powers, H powers, remainder β_proj):
+    complex build reads too) gives β_inj from the frontier absorption,
+    the remainder β_proj of the iterated tilt, and the head classes of
+    both sides, X_i^ε · mono(H^in) and mono(K) · mono(H):
 
         χ(β) · Y(i, ξ(i)) = X_i^ε · mono(H^in) · χ(β_inj)
                             + mono(K) · mono(H) · χ(β_proj)
@@ -167,15 +153,6 @@ def _canonical_recursion(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Lau
     return _qchar_recursion_step(q, xi, beta, None)
 
 
-def _kr_class(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
-    """Class of K_i = Y(τ base_i) ⊗ Y(base_i), from the two hammock objects."""
-    a = hammock_object(q, xi, translate_base(xi, i)).kclass
-    b = hammock_object(q, xi, base_vertex(xi, i)).kclass
-    if a is None or b is None:
-        raise InvariantViolation(f"KR object at vertex {i} has no class")
-    return mono_mul(a, b)
-
-
 def _qchar_recursion_step(
     q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None
 ) -> LaurentPoly:
@@ -183,26 +160,14 @@ def _qchar_recursion_step(
         return LaurentPoly.one()
     j = _negative_simple(beta)
     if j is not None:
-        return LaurentPoly.variable(("Y", j, xi.ht(j)))
+        return LaurentPoly.monomial(_section_class(xi, (), [(j, 1)]))
 
     step = pivot_step(q, xi, beta, pivot)
-    i, fac = step.pivot, step.tilt
-
-    inj_head = mono_pow(_kr_class(q, xi, i), step.eps)
-    for l, e in step.hin:
-        inj_head = mono_mul(inj_head, _y(l, xi.ht(l), e))
-
-    proj_head = MONO_ONE
-    for k, e in fac.k_exp:
-        proj_head = mono_mul(proj_head, mono_pow(_kr_class(q, xi, k), e))
-    for l, e in fac.h_exp:
-        proj_head = mono_mul(proj_head, _y(l, xi.ht(l), e))
-
-    total = LaurentPoly.monomial(inj_head) * qchar_recursion(q, xi, step.beta_inj)
-    total = total + LaurentPoly.monomial(proj_head) * qchar_recursion(
-        q, xi, fac.remainder
+    total = LaurentPoly.monomial(step.absorb_class) * qchar_recursion(q, xi, step.beta_inj)
+    total = total + LaurentPoly.monomial(step.tilt_class) * qchar_recursion(
+        q, xi, step.tilt.remainder
     )
-    return total * LaurentPoly.monomial(_y(i, xi.ht(i), -1))
+    return total * LaurentPoly.monomial(_section_class(xi, (), [(step.pivot, -1)]))
 
 
 # ──────────────────────── route 3: exchange walk ────────────────────────
@@ -220,11 +185,8 @@ def qchar_cluster(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPol
         raise UnknownRoot(f"no cluster variable has denominator vector {key}")
     mapping: Dict[VarKey, LaurentPoly] = {}
     for i in q.vertices:
-        p = xi.ht(i)
-        mapping[("x", i)] = LaurentPoly.variable(("Y", i, p))
-        mapping[("X", i)] = LaurentPoly.monomial(
-            mono_from_dict({("Y", i, p - 2): 1, ("Y", i, p): 1})
-        )
+        mapping[("x", i)] = LaurentPoly.monomial(_section_class(xi, (), [(i, 1)]))
+        mapping[("X", i)] = LaurentPoly.monomial(_section_class(xi, [(i, 1)], ()))
     return var[key].substitute(mapping)
 
 
@@ -392,10 +354,6 @@ def verify_beta(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> dict:
 
 
 # ───────────────────────── emission ─────────────────────────
-
-
-def _mono_json(m: Mono) -> Dict[str, int]:
-    return {":".join(str(p) for p in k): e for k, e in m}
 
 
 def qchar_to_json(poly: LaurentPoly) -> List[dict]:

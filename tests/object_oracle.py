@@ -3,11 +3,10 @@ functions by evaluating both sides, for small ranks.
 
 Builds Y[β] the long way: one hammock object per unit of each b-vector
 entry, folded together one factor at a time, each step taking a multiset
-union, a ``QFun`` sum and a class product.  The library scales each
-factor by its exponent in a single pass instead; the two objects must be
-equal, class included.  It shares only ``b_vector``, ``hammock_object``,
-``QFun`` addition and ``mono_mul`` with the library.  The cost grows
-with the coordinate sum of β, so keep the vectors small.
+union and a ``QFun`` sum.  The library scales each factor by its exponent
+in a single pass instead; the two objects must be equal.  It shares only
+``b_vector``, ``hammock_object`` and ``QFun`` addition with the library.
+The cost grows with the coordinate sum of β, so keep the vectors small.
 
 ``qfun_equal_by_evaluation`` decides equality the presentation way: it
 builds f − g as a ``QFun``, takes its defect, and then evaluates f and g
@@ -27,7 +26,6 @@ from collections import Counter
 
 import qhammock.hammock as hammock
 from qhammock.hammock import QFun
-from qhammock.laurent import MONO_ONE, mono_mul
 from qhammock.objects import Obj, hammock_object
 from qhammock.quiver import DynkinQuiver, HeightFunction, Root, b_vector
 from qhammock.repetition import ZVertex, base_vertex, section_through, translate_base, window_vertices
@@ -41,12 +39,10 @@ def leading_object_by_copies(q: DynkinQuiver, xi: HeightFunction, beta: Root) ->
         copies += [hammock_object(q, xi, x)] * abs(b)
     mult: Counter = Counter()
     fun = QFun()
-    kclass = MONO_ONE
     for a in copies:
         mult.update(a.mult)
         fun = fun + a.fun
-        kclass = None if kclass is None or a.kclass is None else mono_mul(kclass, a.kclass)
-    return Obj(mult, fun, kclass)
+    return Obj(mult, fun)
 
 
 def qfun_equal_by_evaluation(q: DynkinQuiver, f: QFun, g: QFun) -> bool:

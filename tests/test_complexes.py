@@ -14,7 +14,6 @@ from qhammock import (
     build_quiver,
     default_height,
     positive_roots,
-    translate_base,
 )
 from qhammock.complexes import (
     Complex,
@@ -46,14 +45,7 @@ from qhammock.laurent import (
     mono_key_str,
     mono_mul,
 )
-from qhammock.objects import (
-    Obj,
-    class_object,
-    ghost_object,
-    hammock_object,
-    kr_object,
-    variable_A,
-)
+from qhammock.objects import Obj, class_object, variable_A
 from qhammock.qchar import qchar_euler, qchar_recursion
 
 from connector_oracle import resolve_connectors_per_leaf
@@ -68,10 +60,20 @@ def Y(i, p, e=1):
     return LaurentPoly.variable(("Y", i, p), e)
 
 
+def K(xi, i):
+    """The class of K_i = Y(τ base_i) ⊗ Y(base_i)."""
+    return mono_from_dict({("Y", i, xi.ht(i) - 2): 1, ("Y", i, xi.ht(i)): 1})
+
+
+def F(i):
+    """The class of the ghost F(τ base_i)."""
+    return mono_from_dict({("f", i): 1})
+
+
 def k1_and_tilt(q, xi):
     """The class of K_1 and of its tilt at τ base_1, K_1·f_1·A_1⁻¹."""
-    k1 = kr_object(q, xi, 1).kclass
-    return k1, mono_mul(k1, mono_div(mono_from_dict({("f", 1): 1}), variable_A(q, xi, 1)))
+    k1 = K(xi, 1)
+    return k1, mono_mul(k1, mono_div(F(1), variable_A(q, xi, 1)))
 
 
 # ------------------------------------------------------------ raw algebra
@@ -79,7 +81,7 @@ def k1_and_tilt(q, xi):
 
 def test_complex_container_checks():
     q, xi = a2()
-    y = hammock_object(q, xi, ZVertex(1, 1)).kclass
+    y = mono_from_dict({("Y", 1, 1): 1})
     with pytest.raises(NegativeDegree):
         Complex({-1: [y]})
     with pytest.raises(NegativeDegree):
@@ -94,9 +96,9 @@ def test_complex_container_checks():
 
 def test_tensor_unit_and_counts():
     q, xi = a2()
-    k = single_complex(kr_object(q, xi, 1).kclass, 0)
+    k = single_complex(K(xi, 1), 0)
     assert tensor_complex(k, unit_complex()).summand_count() == 1
-    g = single_complex(ghost_object(q, xi, translate_base(xi, 1)).kclass, 1)
+    g = single_complex(F(1), 1)
     prod = tensor_complex(k, g)
     assert prod.degrees() == [1]
     assert tensor_complex(k, Complex()).is_zero()
@@ -104,7 +106,7 @@ def test_tensor_unit_and_counts():
 
 def test_tensor_koszul_sign():
     q, xi = a2()
-    y = hammock_object(q, xi, ZVertex(1, 1)).kclass
+    y = mono_from_dict({("Y", 1, 1): 1})
     k1, t = k1_and_tilt(q, xi)
     c = Complex({0: [k1], 1: [t]}, {0: [Component(0, 0, ("eta", 1), 1)]})
     # put a degree-1 term on the left; the right factor's differential
@@ -145,7 +147,7 @@ def test_cone_blocks_and_guards():
 
 
 A2_SHAPES = {
-    # beta -> (denominator, kclass keys per degree)
+    # beta -> (denominator, class keys per degree)
     (1, 0): ({1: 1}, [["Y:1:-1^1 Y:1:1^1"], ["Y:2:0^1 f:1^1"]]),
     (0, 1): (
         {2: 1},
@@ -289,7 +291,7 @@ def test_built_summands_cannot_be_reassigned():
     before = qchar_euler(q, xi, (1, 1, 1))
     for m in (m for row in build_complex(q, xi, (1, 1, 1)).num.terms.values() for m in row):
         obj = class_object(q, xi, m)
-        for name in ("kclass", "fun", "mult"):
+        for name in ("fun", "mult"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
             with pytest.raises(AttributeError):
@@ -382,8 +384,7 @@ def test_pivot_builds_match_golden_digest():
 def test_one_pass_tensor_matches_tensor_complex(family, rank):
     # _tensor_between(l, k, C, r, m) is single(l, k) ⊗ C ⊗ single(r, m)
     for q, xi, fc in _pivot_builds([(family, rank)]):
-        l = kr_object(q, xi, 1).kclass
-        r = ghost_object(q, xi, translate_base(xi, rank)).kclass
+        l, r = K(xi, 1), F(rank)
         for k in range(3):
             for m in range(3):
                 got = complexes._tensor_between(l, k, fc.num, r, m)
@@ -425,7 +426,7 @@ def test_e6_euler_route_finishes(monkeypatch, orientation):
 def test_dangling_component_is_an_engine_error(side):
     # the check must raise even under python -O, so not as an assert
     q, xi = a2()
-    y = hammock_object(q, xi, ZVertex(1, 1)).kclass
+    y = mono_from_dict({("Y", 1, 1): 1})
     k1, t = k1_and_tilt(q, xi)
     c = Complex({0: [k1], 1: [t]}, {0: [Component(0, 0, ("eta", 1), 1)]})
     c.terms = {0: c.terms[0]}  # the component now points at a missing degree
@@ -434,12 +435,15 @@ def test_dangling_component_is_an_engine_error(side):
         tensor_complex(*pair)
 
 
-@pytest.mark.parametrize("broken", ["leading_object", "cone"])
+@pytest.mark.parametrize("broken", ["leading_object", "cone", "serre_tilt"])
 def test_degree_zero_violation_is_an_engine_error(monkeypatch, broken):
-    # a forced pivot bypasses the build memo, so the check runs
+    # a forced pivot bypasses the build memo, so the checks run; an
+    # untilted Y[β] ⊗ Y(base_i) fails the build's tilt identity
     q, xi = a2()
     if broken == "leading_object":
         monkeypatch.setattr(complexes, "leading_object", lambda *args: Obj())
+    elif broken == "serre_tilt":
+        monkeypatch.setattr(complexes, "serre_tilt", lambda q, a, zmult: a)
     else:
         two = Complex({0: [MONO_ONE, MONO_ONE]})
         monkeypatch.setattr(complexes, "cone", lambda *args, **kwargs: two)

@@ -24,11 +24,12 @@ from qhammock import (
 )
 from qhammock.errors import InvariantViolation, NotContained, NotDominant, ParityViolation
 from qhammock.hammock import QFun, hammock_fun, hom_values
-from qhammock.laurent import mono_from_dict
+from qhammock.laurent import mono_from_dict, mono_mul
 from qhammock.objects import (
     Obj,
     class_object,
     dominant_exponents,
+    dominant_monomial,
     factor_dominant,
     ghost_object,
     hammock_object,
@@ -37,6 +38,7 @@ from qhammock.objects import (
     kr_object,
     leading_object,
     obj_pow,
+    pivot_step,
     reconstruct_factorization,
     root_of_dominant,
     serre_tilt,
@@ -64,15 +66,9 @@ def test_obj_invariants():
     assert a.size() == 2
     assert repr(a) == "Obj{(2,0)^2}"
     u = Obj()
-    assert u.size() == 0 and u.kclass == ()
-
-
-def test_obj_equality_ignores_kclass():
-    # syntactic equality compares multiset and function; the class rides along
-    a = Obj({ZVertex(1, 1): 1}, kclass=mono_from_dict({("f", 1): 1}))
-    b = Obj({ZVertex(1, 1): 1}, kclass=None)
-    assert a == b
-    assert hash(a) == hash(b)
+    assert u.size() == 0 and u == Obj({}, QFun())
+    # an object is its multiset and function; classes are computed apart
+    assert Obj.__slots__ == ("mult", "fun")
 
 
 def test_hammock_object_carries_hom_multiset():
@@ -80,18 +76,14 @@ def test_hammock_object_carries_hom_multiset():
     x = ZVertex(1, 1)
     a = hammock_object(q, xi, x)
     assert a.mult == {ZVertex(1, 1): 1, ZVertex(2, 2): 1}
-    assert a.kclass == mono_from_dict({("Y", 1, 1): 1})
-    # off the two base sections the class is undefined
-    assert hammock_object(q, xi, ZVertex(1, 3)).kclass is None
-    assert hammock_object(q, xi, ZVertex(1, -1)).kclass == mono_from_dict(
-        {("Y", 1, -1): 1}
-    )
 
 
 def test_kr_object_class():
     q, xi = a2()
     k1 = kr_object(q, xi, 1)
-    assert k1.kclass == mono_from_dict({("Y", 1, -1): 1, ("Y", 1, 1): 1})
+    assert k1 == tensor_obj(
+        hammock_object(q, xi, translate_base(xi, 1)), hammock_object(q, xi, base_vertex(xi, 1))
+    )
     # Y(1,-1) carries {(1,-1),(2,0)}, Y(1,1) carries {(1,1),(2,2)}
     assert k1.size() == 4
     assert k1.mult == {
@@ -109,16 +101,21 @@ def test_ghost_object():
     from qhammock import serre, suspend
 
     assert f1.mult == {serre(q, tx1): 1, suspend(q, tx1): 1}
-    assert f1.kclass == mono_from_dict({("f", 1): 1})
-    # ghosts away from the translated base slice carry no class
-    assert ghost_object(q, xi, ZVertex(1, 1)).kclass is None
+    assert f1.fun == QFun()
+    # memoised like hammock_object; an invalid vertex raises on every call
+    assert ghost_object(q, xi, tx1) is f1
+    x = ZVertex(1, 1)
+    assert ghost_object(q, xi, x).mult == {serre(q, x): 1, suspend(q, x): 1}
+    for _ in range(2):
+        with pytest.raises(ParityViolation):
+            ghost_object(q, xi, ZVertex(1, 0))
 
 
 def test_class_object_refuses_keys_no_summand_has():
     # a Complex is public input, so a class is checked when it is read
     q, xi = a2()
     k1 = kr_object(q, xi, 1)
-    assert class_object(q, xi, k1.kclass) == k1
+    assert class_object(q, xi, mono_from_dict({("Y", 1, -1): 1, ("Y", 1, 1): 1})) == k1
     f2 = ghost_object(q, xi, translate_base(xi, 2))
     assert class_object(q, xi, mono_from_dict({("f", 2): 2})) == obj_pow(f2, 2)
     for bad in (
@@ -142,40 +139,37 @@ def test_tensor_and_power():
     assert obj_pow(y, 0) == Obj()
     with pytest.raises(ValueError):
         obj_pow(y, -1)
-    # None class poisons the product
-    t = serre_tilt(q, y, [ZVertex(1, 1)])
-    assert tensor_obj(y, t).kclass is None
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
 def test_power_equals_repeated_tensor(family, rank):
-    # obj_pow scales by n; it must agree with tensoring n copies, class included
+    # obj_pow scales by n; it must agree with tensoring n copies
     q = next(iter(all_orientations(family, rank)))
     xi = default_height(q)
     y = hammock_object(q, xi, base_vertex(xi, 1))
     objs = [
         y,
-        hammock_object(q, xi, ZVertex(1, xi.ht(1) + 2)),  # off the base sections: no class
+        hammock_object(q, xi, ZVertex(1, xi.ht(1) + 2)),  # off the base sections
         ghost_object(q, xi, translate_base(xi, 2)),
         kr_object(q, xi, rank),
-        serre_tilt(q, tensor_obj(y, y), [base_vertex(xi, 1)]),  # tilted: class None
+        serre_tilt(q, tensor_obj(y, y), [base_vertex(xi, 1)]),  # tilted
     ]
     for a in objs:
         for n in range(6):
             pow_n, copies = obj_pow(a, n), tensor_obj(*[a] * n)
             assert pow_n.canonical() == copies.canonical(), (a, n)
-            assert pow_n.kclass == copies.kclass, (a, n)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
 def test_leading_object_matches_copy_oracle(family, rank):
+    # and dominant_monomial, read off the same factors, names Y[β]
     for q in all_orientations(family, rank):
         xi = default_height(q)
         for beta in itertools.product(range(7), repeat=rank):
             if any(beta) and sum(beta) <= 6:
                 got, want = leading_object(q, xi, beta), leading_object_by_copies(q, xi, beta)
                 assert got.canonical() == want.canonical(), (q.arrows, beta)
-                assert got.kclass == want.kclass, (q.arrows, beta)
+                assert class_object(q, xi, dominant_monomial(q, xi, beta)) == got, (q.arrows, beta)
 
 
 # ------------------------------------------------- shared hammock objects
@@ -188,12 +182,9 @@ def test_hammock_object_is_built_once(family, rank):
         xi = default_height(q)
         for x in window_vertices(q, min(xi.values) - 6, max(xi.values) + 6):
             obj = hammock_object(q, xi, x)
-            on_base = x.p in (xi.ht(x.i), xi.ht(x.i) - 2)
-            kclass = mono_from_dict({("Y", x.i, x.p): 1}) if on_base else None
-            fresh = Obj(hom_values(q, x), hammock_fun(q, x), kclass)
-            assert (obj.canonical(), obj.kclass) == (fresh.canonical(), kclass), x
-            by_tuple = hammock_object(q, xi, (x.i, x.p))
-            assert (by_tuple.canonical(), by_tuple.kclass) == (fresh.canonical(), kclass), x
+            fresh = Obj(hom_values(q, x), hammock_fun(q, x))
+            assert obj.canonical() == fresh.canonical(), x
+            assert hammock_object(q, xi, (x.i, x.p)).canonical() == fresh.canonical(), x
             assert hammock_object(q, xi, x) is obj
 
 
@@ -201,9 +192,8 @@ def test_shared_hammock_object_cannot_be_edited():
     q, xi = a2()
     for x in (base_vertex(xi, 1), translate_base(xi, 2), ZVertex(1, 5)):
         obj = hammock_object(q, xi, x)
-        before = (obj.canonical(), obj.kclass)
+        before = obj.canonical()
         edits = [
-            lambda: setattr(obj, "kclass", None),
             lambda: setattr(obj, "mult", {}),
             lambda: delattr(obj, "fun"),
             lambda: setattr(obj.fun, "gens", {}),
@@ -215,7 +205,7 @@ def test_shared_hammock_object_cannot_be_edited():
             with pytest.raises((AttributeError, TypeError)):
                 edit()
         again = hammock_object(q, xi, x)
-        assert again is obj and (again.canonical(), again.kclass) == before
+        assert again is obj and again.canonical() == before
     # nothing is remembered for an invalid vertex: it raises every time
     for _ in range(2):
         for bad in (ZVertex(1, 0), (3, 1)):
@@ -274,7 +264,6 @@ def test_serre_tilt_moves_member():
     y = hammock_object(q, xi, x)
     t = serre_tilt(q, y, [x])
     assert t.mult == {ZVertex(2, 2): 2}
-    assert t.kclass is None
     with pytest.raises(NotContained):
         serre_tilt(q, y, [ZVertex(2, 0)])
     with pytest.raises(NotContained):
@@ -284,8 +273,8 @@ def test_serre_tilt_moves_member():
 def _assert_as_if_checked(o: Obj) -> None:
     """o, made by the trusted constructors, equals the same data passed
     through the checking ones, holds no zero entry, and refuses edits."""
-    fresh = Obj(dict(o.mult), QFun(dict(o.fun.gens), dict(o.fun.deltas)), o.kclass)
-    assert (o.canonical(), o.kclass) == (fresh.canonical(), fresh.kclass), o
+    fresh = Obj(dict(o.mult), QFun(dict(o.fun.gens), dict(o.fun.deltas)))
+    assert o.canonical() == fresh.canonical(), o
     for coeffs in (o.mult, o.fun.gens, o.fun.deltas):
         assert all(type(v) is ZVertex and c for v, c in coeffs.items()), (o, coeffs)
     v = ZVertex(1, 1)
@@ -313,9 +302,7 @@ def test_trusted_objects_match_checked_construction(family, rank):
             for p in (None, *pivots):
                 for row in build_complex(q, xi, beta, pivot=p).num.terms.values():
                     for m in row:
-                        o = class_object(q, xi, m)
-                        assert o.kclass == m
-                        _assert_as_if_checked(o)
+                        _assert_as_if_checked(class_object(q, xi, m))
         for beta in itertools.product(range(4), repeat=rank):
             if any(beta) and sum(beta) <= 4:
                 _assert_as_if_checked(leading_object(q, xi, beta))
@@ -332,11 +319,11 @@ def test_trusted_construction_edge_cases():
     # a tilt of count 0, at a member and off the multiset, changes nothing
     for z in (x, ZVertex(2, 0)):
         same = serre_tilt(q, y, {z: 0})
-        assert same.canonical() == y.canonical() and same.kclass is None
+        assert same.canonical() == y.canonical()
         _assert_as_if_checked(same)
     # a tensor whose deltas (or generators) cancel keeps no zero entry
     back = tensor_obj(t, Obj({}, QFun({}, {x: 1})))
-    assert back.fun.deltas == {} and back.kclass is None
+    assert back.fun.deltas == {}
     flat = tensor_obj(y, Obj({}, QFun({x: -1})))
     assert flat.fun.gens == {}
     for o in (t, back, flat, tensor_obj(y, Obj()), obj_pow(y, 3)):
@@ -373,7 +360,8 @@ def test_leading_object_a2_classes():
         (1, 1): {("Y", 2, -2): 1},
     }
     for beta, mono in want.items():
-        assert leading_object(q, xi, beta).kclass == mono_from_dict(mono)
+        assert dominant_monomial(q, xi, beta) == mono_from_dict(mono)
+        assert class_object(q, xi, mono_from_dict(mono)) == leading_object(q, xi, beta)
 
 
 def test_leading_object_negative_simple():
@@ -491,6 +479,24 @@ def _tilt_identity_holds(q, xi, beta, i):
     return is_iso(q, tilted, reconstruct_factorization(q, xi, fac))
 
 
+def _head_classes_hold(q, xi, beta, i):
+    """The exchange step's head classes name the heads of both identities:
+    class_object(absorb_class) ⊗ Y[β_inj] ≅ Y[β] ⊗ Y(base_i), and the
+    tilt of Y[β] ⊗ Y(base_i) over the out-closure of i is
+    class_object(f-block · tilt_class) ⊗ Y[β − dim P_i]."""
+    step = pivot_step(q, xi, beta, i)
+    out_cl = sorted(beta_combinatorics(q, xi, beta).out_closure[i])
+    lhs = tensor_obj(leading_object(q, xi, beta), hammock_object(q, xi, base_vertex(xi, i)))
+    absorbed = tensor_obj(
+        class_object(q, xi, step.absorb_class), leading_object(q, xi, step.beta_inj)
+    )
+    tilted = serre_tilt(q, lhs, [translate_base(xi, j) for j in out_cl])
+    ghosts = mono_from_dict({("f", j): 1 for j in out_cl})
+    tilt_head = class_object(q, xi, mono_mul(ghosts, step.tilt_class))
+    remainder = leading_object(q, xi, step.tilt.remainder)
+    return is_iso(q, lhs, absorbed) and is_iso(q, tilted, tensor_obj(tilt_head, remainder))
+
+
 def test_absorb_and_tilt_identities_small():
     for q in all_orientations("A", 2):
         xi = default_height(q)
@@ -504,6 +510,13 @@ def test_absorb_and_tilt_identities_small():
         for i in root_support(beta):
             assert _absorb_identity_holds(q, xi, beta, i)
             assert _tilt_identity_holds(q, xi, beta, i)
+    # the head classes, at every support pivot of every root of A2–A5 and D4
+    for family, rank in [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4)]:
+        for q in all_orientations(family, rank):
+            xi = default_height(q)
+            for beta in positive_roots(q):
+                for i in root_support(beta):
+                    assert _head_classes_hold(q, xi, beta, i), (q.arrows, beta, i)
 
 
 @pytest.mark.parametrize(

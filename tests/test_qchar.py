@@ -6,21 +6,17 @@ from itertools import combinations
 
 import pytest
 
-import qhammock.qchar as qchar
 from dominance_oracle import oracle_extremal
 from qhammock import (
     all_orientations,
-    base_vertex,
     build_quiver,
     default_height,
     positive_roots,
     sample_orientations,
-    translate_base,
 )
 from qhammock.complexes import build_complex
 from qhammock.errors import (
     Incomparable,
-    InvariantViolation,
     NotDominant,
     NotInSupport,
     UnknownRoot,
@@ -34,7 +30,7 @@ from qhammock.laurent import (
     mono_mul,
     mono_pow,
 )
-from qhammock.objects import Obj, leading_object
+from qhammock.objects import leading_object
 from qhammock.qchar import (
     TruncatedRing,
     dominant_monomial,
@@ -191,6 +187,7 @@ def test_routes_agree_from_cold_caches():
         "_inverse_cartan",
         "hom_values",
         "hammock_object",
+        "ghost_object",
         "_canonical_build",
         "_canonical_recursion",
         "enumerate_cluster_variables",
@@ -329,29 +326,6 @@ def test_rank_one_powers():
     xi = default_height(q)
     for k in range(2, 5):
         assert qchar_euler(q, xi, (k,)) == qchar_euler(q, xi, (1,)) ** k
-
-
-def test_classless_leading_object_is_an_engine_error(monkeypatch):
-    q, xi = a2()
-    monkeypatch.setattr(qchar, "leading_object", lambda q, xi, beta: Obj(kclass=None))
-    with pytest.raises(InvariantViolation):
-        dominant_monomial(q, xi, (1, 1))
-
-
-@pytest.mark.parametrize("side", ["translated", "base"])
-def test_classless_kr_factor_is_an_engine_error(monkeypatch, side):
-    # the class of K_i is read off Y(τ base_i) and Y(base_i); either one
-    # without a class must raise, not multiply None (a forced pivot runs it)
-    q, xi = a2()
-    library = qchar.hammock_object
-    bad = translate_base(xi, 1) if side == "translated" else base_vertex(xi, 1)
-
-    def classless(q, xi, x):
-        return Obj(kclass=None) if x == bad else library(q, xi, x)
-
-    monkeypatch.setattr(qchar, "hammock_object", classless)
-    with pytest.raises(InvariantViolation, match="KR object at vertex 1"):
-        qchar_recursion(q, xi, (1, 1), pivot=1)
 
 
 # ------------------------------------------- dominance against the oracle

@@ -47,6 +47,19 @@ def test_no_hand_written_cache():
     assert not found, found
 
 
+def test_complexes_spell_no_variable_key():
+    # a class in Y(i, p) and f_i is spelled only in objects (_section_class
+    # and its neighbours): complexes reads head classes, never builds keys
+    path = SRC / "complexes.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Tuple) and node.elts
+        and isinstance(node.elts[0], ast.Constant) and node.elts[0].value in ("Y", "f")
+    ]
+    assert not found, found
+
+
 def _object_dunder(call: ast.Call, name: str) -> str | None:
     """For a call C.<name>(x, ...), the class C, or for object.<name>(x, ...)
     the name x ("?" when x is not a plain name); None for other calls."""
