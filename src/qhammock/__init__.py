@@ -1,9 +1,8 @@
 """Exact hammock calculus on repetition quivers, with three routes to
 truncated characters: Euler characteristics of recursively built
 complexes, a scalar leading-term recursion, and exchange-walk cluster
-variables.  Everything is integer arithmetic (Fraction only in the
-inverse Cartan matrix of the dominance order) — no floats anywhere, so
-every equality in the test suite is exact.
+variables.  Everything is integer arithmetic — no fractions or floats
+anywhere, so every equality in the test suite is exact.
 """
 
 from .errors import (
@@ -100,7 +99,6 @@ from .cluster import (
     mutate,
 )
 from .qchar import (
-    TruncatedRing,
     dominant_monomial,
     extremal_monomials,
     nakajima_leq,

@@ -678,12 +678,11 @@ def validate_components(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> bool
     return True
 
 
+_EXACTNESS_MAX_RANK = 3
+
+
 def verify_exactness_smallrank(
-    q: DynkinQuiver,
-    xi: HeightFunction,
-    fc: FractionComplex,
-    beta: Root,
-    max_rank: int = 3,
+    q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex, beta: Root
 ) -> dict:
     """Mechanizable shadow of the strong-exactness structure, small ranks.
 
@@ -694,8 +693,8 @@ def verify_exactness_smallrank(
         whose label has a path to the first tag's vertex — the anchor-leg
         routing that makes the composite vanish.
     """
-    if q.rank > max_rank:
-        raise TooLarge(f"rank {q.rank} above the small-rank bound {max_rank}")
+    if q.rank > _EXACTNESS_MAX_RANK:
+        raise TooLarge(f"rank {q.rank} above the small-rank bound {_EXACTNESS_MAX_RANK}")
     report = {"ok": True, "failures": []}
 
     def fail(msg: str) -> None:

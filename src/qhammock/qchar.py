@@ -3,9 +3,7 @@
 The truncated ring for a height assignment ξ is the Laurent ring on the
 two base sections only: variables ("Y", i, ξ(i)−2) and ("Y", i, ξ(i))
 for every vertex i (plus the ghost symbols ("f", i) before they are
-specialized away).  Everything the engine produces lives there;
-``TruncatedRing.check`` tests that, but the library never calls it, only
-the test suite does.
+specialized away).  Everything the engine produces lives there.
 
 Three routes to the same polynomial:
 
@@ -24,23 +22,19 @@ clauses into one report.
 
 The dominance order compares monomials by whether their ratio is a
 product of the root monomials A_i (each a pure monomial here because the
-ring is truncated to two sections).  The per-vertex sum of the two section
-exponents of A_j is the j-th column of the Cartan matrix C, so the
-exponent vector of a ratio is C⁻¹ applied to its section sums, followed by
-an exact reconstruction check, since the section *split* carries more
-information than the sums.  C⁻¹ depends only on the Dynkin tree and is
-computed once per (family, rank).  ``extremal_monomials`` solves one
-exponent vector per term against the first term; the extrema are then the
-componentwise max and min, with no pairwise comparison.
+ring is truncated to two sections).  A_i touches only vertex i and its
+neighbours, so the exponent vector of a ratio is read off in one pass over
+the vertices, arrow targets first: the ratio's lower section at i fixes
+k_i, and its upper sections and every other variable must then match.
+``extremal_monomials`` reads one exponent vector per term against the
+first term; the extrema are then the componentwise max and min, with no
+pairwise comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import Incomparable, UnknownRoot
 from .laurent import (
@@ -52,18 +46,19 @@ from .laurent import (
     mono_mul,
     mono_pow,
 )
-from .quiver import (
-    DynkinQuiver,
-    HeightFunction,
-    Root,
-    expected_edges,
+from .quiver import DynkinQuiver, HeightFunction, Root
+from .objects import (
+    _negative_simple,
+    _omega_order,
+    _section_class,
+    dominant_monomial,
+    pivot_step,
+    variable_A,
 )
-from .objects import _negative_simple, _section_class, dominant_monomial, pivot_step, variable_A
 from .complexes import build_complex, euler_char
 from .cluster import enumerate_cluster_variables
 
 __all__ = [
-    "TruncatedRing",
     "variable_A",
     "dominant_monomial",
     "qchar_euler",
@@ -75,36 +70,6 @@ __all__ = [
     "qchar_to_json",
     "qchar_to_tsv",
 ]
-
-
-# ───────────────────────── the truncated ring ─────────────────────────
-
-
-@dataclass(frozen=True)
-class TruncatedRing:
-    """Variable universe for a quiver with a fixed height assignment."""
-
-    quiver: DynkinQuiver
-    height: HeightFunction
-
-    def variables(self, with_ghosts: bool = True) -> frozenset:
-        out = set()
-        for i in self.quiver.vertices:
-            p = self.height.ht(i)
-            out.add(("Y", i, p - 2))
-            out.add(("Y", i, p))
-            if with_ghosts:
-                out.add(("f", i))
-        return frozenset(out)
-
-    def contains(self, poly: LaurentPoly, with_ghosts: bool = True) -> bool:
-        return poly.variables() <= self.variables(with_ghosts)
-
-    def check(self, poly: LaurentPoly, with_ghosts: bool = True) -> LaurentPoly:
-        stray = poly.variables() - self.variables(with_ghosts)
-        if stray:
-            raise ValueError(f"polynomial leaves the truncated ring: {sorted(stray)}")
-        return poly
 
 
 # ───────────────────────── route 1: Euler sums ─────────────────────────
@@ -193,76 +158,36 @@ def qchar_cluster(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPol
 # ───────────────────────── dominance order ─────────────────────────
 
 
-@lru_cache(maxsize=None)
-def _inverse_cartan(family: str, rank: int) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-    """C⁻¹ of the Dynkin tree as (integer numerators, common denominator).
-
-    Gauss–Jordan on [C | I] with exact fractions.  C is positive definite,
-    so every diagonal pivot is nonzero and no row swaps are needed.
-    """
-    n = rank
-    rows = [[Fraction(0)] * (2 * n) for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = Fraction(2)
-        rows[i][n + i] = Fraction(1)
-    for a, b in (tuple(e) for e in expected_edges(family, rank)):
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = Fraction(-1)
-    for col in range(n):
-        lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
-        for r in range(n):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    den = lcm(*(x.denominator for row in rows for x in row[n:]))
-    return tuple(tuple(int(x * den) for x in row[n:]) for row in rows), den
-
-
 def _a_exponents(
-    q: DynkinQuiver,
-    xi: HeightFunction,
-    roots: List[Mono],
-    lower: Dict[VarKey, int],
-    upper: Dict[VarKey, int],
+    q: DynkinQuiver, xi: HeightFunction, lower: Mono, upper: Mono
 ) -> Tuple[int, ...] | None:
     """The k with upper = lower · ∏ A_i^{k_i}, or None when there is none.
 
-    ``roots`` are the root monomials A_i in vertex order, and lower/upper
-    are monomials as exponent dicts.  k is pinned by C⁻¹ applied to the
-    per-vertex section sums of upper / lower, then checked by exact
-    reconstruction: the sums do not see how exponents split across the
-    two sections, nor any variable off them.
+    A_i is +1 on both sections of i, −1 on the upper section of each arrow
+    target of i and −1 on the lower section of each arrow source.  So the
+    ratio's exponent on Y(i, ξ(i)−2) is k_i − Σ_{i→j} k_j, which fixes k
+    targets first; the exponent on Y(i, ξ(i)) must then be
+    k_i − Σ_{j→i} k_j, and any other variable must cancel.
     """
-    sums = []
+    ratio = dict(upper)
+    for key, e in lower:
+        ratio[key] = ratio.get(key, 0) - e
+    k: Dict[int, int] = {}
+    for i in _omega_order(q):
+        k[i] = ratio.pop(("Y", i, xi.ht(i) - 2), 0) + sum(k[j] for j in q.arrows_from(i))
     for i in q.vertices:
-        p = xi.ht(i)
-        sums.append(
-            upper.get(("Y", i, p - 2), 0) + upper.get(("Y", i, p), 0)
-            - lower.get(("Y", i, p - 2), 0) - lower.get(("Y", i, p), 0)
-        )
-    num, den = _inverse_cartan(q.family, q.rank)
-    k = []
-    for row in num:
-        t = sum(a * s for a, s in zip(row, sums))
-        if t % den:
+        if ratio.pop(("Y", i, xi.ht(i)), 0) != k[i] - sum(k[j] for j in q.arrows_to(i)):
             return None
-        k.append(t // den)
-    rebuilt = dict(lower)
-    for a_mono, e in zip(roots, k):
-        if e:
-            for key, a in a_mono:
-                rebuilt[key] = rebuilt.get(key, 0) + a * e
-    if {key: e for key, e in rebuilt.items() if e} != upper:
+    if any(ratio.values()):
         return None
-    return tuple(k)
+    return tuple(k[i] for i in q.vertices)
 
 
 def nakajima_leq(
     q: DynkinQuiver, xi: HeightFunction, lower: Mono, upper: Mono
 ) -> bool:
     """Dominance: upper / lower is a nonnegative product of root monomials."""
-    roots = [variable_A(q, xi, i) for i in q.vertices]
-    k = _a_exponents(q, xi, roots, dict(lower), dict(upper))
+    k = _a_exponents(q, xi, lower, upper)
     return k is not None and all(e >= 0 for e in k)
 
 
@@ -281,11 +206,9 @@ def extremal_monomials(
     monos = list(poly.terms)
     if not monos:
         raise Incomparable("the zero polynomial has no extremal monomials")
-    roots = [variable_A(q, xi, i) for i in q.vertices]
-    base = dict(monos[0])
     ks = []
     for m in monos:
-        k = _a_exponents(q, xi, roots, base, dict(m))
+        k = _a_exponents(q, xi, monos[0], m)
         if k is None:
             # m is incomparable with m₀, so no term lies above or below all
             highest = lowest = []

@@ -1,12 +1,13 @@
 """Truncated characters along three independent routes, plus the dominance
 order machinery used to certify extremal monomials."""
 
+import random
 import sys
 from itertools import combinations
 
 import pytest
 
-from dominance_oracle import oracle_extremal
+from dominance_oracle import oracle_extremal, solve_cartan
 from qhammock import (
     all_orientations,
     build_quiver,
@@ -32,7 +33,7 @@ from qhammock.laurent import (
 )
 from qhammock.objects import leading_object
 from qhammock.qchar import (
-    TruncatedRing,
+    _a_exponents,
     dominant_monomial,
     extremal_monomials,
     nakajima_leq,
@@ -60,25 +61,6 @@ def YP(i, p, e=1):
 
 
 # --------------------------------------------------------------- the ring
-
-
-def test_truncated_ring_universe():
-    q, xi = a2()
-    ring = TruncatedRing(q, xi)
-    assert sorted(ring.variables(with_ghosts=False)) == [
-        ("Y", 1, -1),
-        ("Y", 1, 1),
-        ("Y", 2, -2),
-        ("Y", 2, 0),
-    ]
-    assert ("f", 1) in ring.variables()
-    good = YP(1, -1) + YP(2, 0) * YP(1, 1, -1)
-    assert ring.contains(good)
-    stray = YP(1, 3)
-    assert not ring.contains(stray)
-    with pytest.raises(ValueError):
-        ring.check(stray)
-    assert ring.check(good) is good
 
 
 def test_variable_a_monomials():
@@ -184,7 +166,6 @@ def test_routes_agree_from_cold_caches():
     caches = _library_caches()
     assert set(caches) == {
         "positive_roots",
-        "_inverse_cartan",
         "hom_values",
         "hammock_object",
         "ghost_object",
@@ -222,9 +203,9 @@ def test_three_routes_small_sweep():
 def test_characters_live_in_truncated_ring():
     q = build_quiver("A", 4, [(1, 2), (2, 3), (4, 3)])
     xi = default_height(q)
-    ring = TruncatedRing(q, xi)
+    sections = {("Y", i, xi.ht(i) - shift) for i in q.vertices for shift in (0, 2)}
     for beta in positive_roots(q):
-        ring.check(qchar_euler(q, xi, beta), with_ghosts=False)
+        assert qchar_euler(q, xi, beta).variables() <= sections
 
 
 # ----------------------------------------------------------- dominance order
@@ -387,6 +368,39 @@ def test_extremal_monomials_single_monomial():
     for m in (MONO_ONE, Y(1, -1), mono_from_dict({("f", 1): 1, ("Y", 2, 0): -3})):
         poly = LaurentPoly.monomial(m, 5)
         assert extremal_monomials(q, xi, poly) == (m, m) == oracle_extremal(q, xi, poly)
+
+
+def test_a_exponents_recover_k_exactly():
+    quivers = [
+        q
+        for family, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
+        for q in all_orientations(family, rank)
+    ] + [q for rank in (6, 7, 8) for q in sample_orientations("E", rank, 2, seed=rank)]
+    rng = random.Random(20261019)
+    for q in quivers:
+        xi = default_height(q)
+        k = [rng.randint(-3, 3) for _ in q.vertices]
+        k[rng.randrange(q.rank)] = rng.randint(-3, -1)
+        sections = [("Y", i, xi.ht(i) - shift) for i in q.vertices for shift in (0, 2)]
+        # a ghost and a variable off the two sections ride along on both sides
+        i = rng.choice(q.vertices)
+        powers = {key: rng.randint(-3, 3) for key in sections}
+        powers.update({("f", i): 2, ("Y", i, xi.ht(i) + 2): -1})
+        base = mono_from_dict(powers)
+        raised = base
+        for v, e in zip(q.vertices, k):
+            raised = mono_mul(raised, mono_pow(variable_A(q, xi, v), e))
+        assert _a_exponents(q, xi, base, raised) == tuple(k), q.arrows
+        ratio = dict(mono_div(raised, base))
+        sums = [sum(ratio.get(("Y", v, xi.ht(v) - s), 0) for s in (0, 2)) for v in q.vertices]
+        assert solve_cartan(q, sums) == k, q.arrows
+        for key in sections:
+            for e in (1, -1):
+                moved = mono_mul(raised, mono_from_dict({key: e}))
+                assert _a_exponents(q, xi, base, moved) is None, (q.arrows, key, e)
+        stray = mono_from_dict({("Y", i, xi.ht(i) - 4): 1})
+        assert _a_exponents(q, xi, base, mono_mul(raised, stray)) is None, q.arrows
+        assert _a_exponents(q, xi, mono_mul(base, stray), raised) is None, q.arrows
 
 
 # ------------------------------------------------------------- emission

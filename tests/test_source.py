@@ -19,6 +19,18 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
+def test_library_imports_no_fractions():
+    # the package computes in integers only; Fraction lives in the test referees
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    assert not found, found
+
+
 def test_all_names_exist():
     # a deleted function must leave its module's __all__ too
     missing = []
