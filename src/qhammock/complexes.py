@@ -57,12 +57,16 @@ subcomplex.
 
 The recursive construction  C[β] = cone(dom → cod)  threads the absorb
 step (dom side, one degree up) against the tilt step (cod side, ghost
-block in degree |out-closure|), with both sides tensored up by frontier
-and denominator-equalizing factors so that the degree-0 term is exactly
-the leading object times the carried denominator.  Each build checks two
-exchange identities on objects: that degree-0 identity, and the tilt of
-Y[β] ⊗ Y(base_i) over the out-closure against the object of the tilt's
-factorization (ghost block, head class, Y[β − dim P_i]).
+block in degree |out-closure|).  C[β] lives over Y^β = ∏ Y(k, ξ(k))^{β_k},
+so its degree-0 term is exactly the leading object times Y^β.  Each side
+is tensored up by its head class and by the closure its sub-build
+dropped, the pivot i apart: ∏ Y(k, ξ(k)) over the in-closure on the dom
+side, over the out-closure on the cod side.  The closures meet only in i,
+since a vertex in both would close an oriented cycle, so both sides land
+on β − e_i.  Each build checks two exchange identities on objects: that
+degree-0 identity, and the tilt of Y[β] ⊗ Y(base_i) over the out-closure
+against the object of the tilt's factorization (ghost block, head class,
+Y[β − dim P_i]).
 """
 
 from __future__ import annotations
@@ -171,7 +175,8 @@ class Complex:
 @dataclass(frozen=True)
 class FractionComplex:
     """A complex together with denominator exponents of base classes
-    (frozen, and den a read-only view, like the complex's terms)."""
+    (frozen, and den a read-only view, like the complex's terms); the build
+    of a nonnegative β has den = β."""
 
     num: Complex
     den: Mapping[int, int]
@@ -500,12 +505,18 @@ def build_complex(
     The recursion at the chosen support vertex i reads the exchange step
     (objects.pivot_step) that the scalar recursion reads too:
 
-      dom := K_i^ε ⊗ (frontier injection factors) ⊗ (denominator
-             equalizers) ⊗ build(β − dim I_i) shifted up one degree;
+      dom := K_i^ε ⊗ (frontier injection factors) ⊗ (Y(base_k) over the
+             in-closure of i without i) ⊗ build(β − dim I_i) shifted up
+             one degree;
       cod := (ghost block of the out-closure, in degree |out-closure|)
-             ⊗ H/K factors of the iterated tilt ⊗ (equalizers)
-             ⊗ build(β − dim P_i);
-      num := cone(dom, cod, connectors η_i), den := max(dens) + e_i.
+             ⊗ H/K factors of the iterated tilt ⊗ (Y(base_k) over the
+             out-closure of i without i) ⊗ build(β − dim P_i);
+      num := cone(dom, cod, connectors η_i), and C[β] lives over Y^β.
+
+    Why, by induction on height: C[0] lives over 1, each sub-build over
+    its own vector, and the two lifts take β − 1_in and β − 1_out up to
+    β − 1_{in ∩ out} = β − e_i, since the closures meet only in i (a
+    vertex in both would close an oriented cycle); the pivot adds e_i.
 
     Connectors are auto-matched (see _resolve_connectors): a domain
     summand connects to a same-degree codomain summand of its tilt's class
@@ -538,25 +549,25 @@ def _build(
     step = pivot_step(q, xi, beta, pivot)
     i, fac = step.pivot, step.tilt
 
-    sub_inj = build_complex(q, xi, step.beta_inj)
-    sub_proj = build_complex(q, xi, fac.remainder)
-    den = {
-        k: max(sub_inj.den.get(k, 0), sub_proj.den.get(k, 0))
-        for k in set(sub_inj.den) | set(sub_proj.den)
-    }
-    eq_inj = {k: den[k] - sub_inj.den.get(k, 0) for k in den}
-    eq_proj = {k: den[k] - sub_proj.den.get(k, 0) for k in den}
+    # C[β] lives over Y^β, and each sub-build over its own vector; the two
+    # sides are lifted to β − e_i by the closure each dropped, without i
+    def lift(sub: Root) -> Mono:
+        return _section_class(
+            xi, (), [(k, b - s - (k == i)) for k, (b, s) in enumerate(zip(beta, sub), 1)]
+        )
 
-    dom_head = mono_mul(step.absorb_class, _section_class(xi, (), eq_inj.items()))
+    sub_inj = build_complex(q, xi, step.beta_inj)
+    dom_head = mono_mul(step.absorb_class, lift(step.beta_inj))
     dom = _tensor_between(dom_head, 1, sub_inj.num, MONO_ONE, 0)
 
+    sub_proj = build_complex(q, xi, fac.remainder)
     ghost_block = _section_class(xi, (), (), fac.f_list)
-    cod_head = mono_mul(step.tilt_class, _section_class(xi, (), eq_proj.items()))
+    cod_head = mono_mul(step.tilt_class, lift(fac.remainder))
     cod = _tensor_between(cod_head, 0, sub_proj.num, ghost_block, len(fac.f_list))
 
     connectors = _resolve_connectors(q, xi, i, dom, cod)
     num = cone(dom, cod, connectors)
-    den[i] = den.get(i, 0) + 1
+    den = {k: b for k, b in enumerate(beta, 1) if b}
 
     # the two exchange identities on objects: the degree-0 term is one
     # summand, Y[β] ⊗ the denominator object, and the tilt of

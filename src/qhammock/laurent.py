@@ -14,7 +14,7 @@ divisor's does not divide, or when a nonzero remainder is left.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import InexactDivision
 

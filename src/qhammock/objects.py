@@ -28,10 +28,11 @@ in Y(i, ξ(i)), Y(i, ξ(i)−2) and f_i that is computed directly
 the object a class names.  The complex build and the scalar recursion
 take every class they multiply by from here.
 
-The exchange step of β at a pivot (``pivot_step``) is worked out once, as
-one value that both the complex build and the scalar recursion read, head
-classes included; ``absorb_frontier``, ``frontier_injection_factor`` and
-``tilt_leading`` are reads of it.
+The exchange step of β at a pivot (``pivot_step``) is one function that
+returns one value, head classes included; the complex build and the
+scalar recursion each call it, so each computes its own copy.
+``absorb_frontier``, ``frontier_injection_factor`` and ``tilt_leading``
+are reads of it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .quiver import (
     b_vector,
     beta_combinatorics,
     is_nonneg,
-    root_sub,
 )
 from .repetition import (
     ZVertex,
@@ -504,12 +504,17 @@ def pivot_step(
     return PivotStep(
         pivot=i,
         eps=eps,
-        beta_inj=root_sub(beta, bd.dim_inj[i]),
+        beta_inj=_drop(beta, bd.in_closure[i]),
         hin=hin,
         tilt=tilt,
         absorb_class=_section_class(xi, [(i, eps)], hin),
         tilt_class=_section_class(xi, tilt.k_exp, tilt.h_exp),
     )
+
+
+def _drop(beta: Root, closure: frozenset[int]) -> Root:
+    """β minus the indicator vector of a closure: β − dim I_i or β − dim P_i."""
+    return tuple(c - (k in closure) for k, c in enumerate(beta, 1))
 
 
 def _frontier(
@@ -548,7 +553,7 @@ def _tilt(
         if c[k] < 0 or d[k] < 0:
             raise NotDominant(f"tilt bookkeeping went negative at {k}")
     fac = _max_recursion(q, c, d)
-    expected = root_sub(beta, bd.dim_proj[i])
+    expected = _drop(beta, out_cl)
     if fac.remainder != expected:
         raise InvariantViolation(
             f"tilt remainder {fac.remainder} disagrees with β − dim P = {expected}"

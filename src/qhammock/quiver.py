@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import EmptySupport, ParityViolation, Reorientation, WrongShape
 
@@ -43,7 +43,6 @@ __all__ = [
     "root_height",
     "root_support",
     "simple_root",
-    "root_sub",
     "is_nonneg",
     "b_vector",
     "beta_combinatorics",
@@ -72,6 +71,21 @@ def expected_edges(family: str, rank: int) -> frozenset[frozenset[int]]:
     else:
         raise WrongShape(f"unknown family {family!r}")
     return frozenset(frozenset(p) for p in pairs)
+
+
+def _walk(
+    i: int, step: Callable[[int], Iterable[int]], inside: Collection[int]
+) -> frozenset[int]:
+    """i and every vertex that a walk along step reaches from i without
+    leaving inside."""
+    seen = {i}
+    frontier = [i]
+    while frontier:
+        for w in step(frontier.pop()):
+            if w in inside and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
 
 
 @dataclass(frozen=True)
@@ -111,16 +125,6 @@ class DynkinQuiver:
         in_t = {i: tuple(sorted(js)) for i, js in inn.items()}
         nbrs = {i: tuple(sorted(out[i] + inn[i])) for i in self.vertices}
 
-        def closure(i: int, step: dict[int, tuple[int, ...]]) -> frozenset[int]:
-            seen = {i}
-            frontier = [i]
-            while frontier:
-                for w in step[frontier.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            return frozenset(seen)
-
         # walk the tree from vertex 1, which sits at height 1; the height
         # drops by one along every arrow, so its parity is the two-colouring
         height = {1: 1}
@@ -137,8 +141,7 @@ class DynkinQuiver:
             "_neighbors": nbrs,
             "_out": out_t,
             "_in": in_t,
-            "_reach": {i: closure(i, out_t) for i in self.vertices},
-            "_coreach": {i: closure(i, in_t) for i in self.vertices},
+            "_reach": {i: _walk(i, out_t.__getitem__, self.vertices) for i in self.vertices},
             "_height": tuple(height[i] for i in self.vertices),
         }
         for name, value in tables.items():
@@ -162,14 +165,6 @@ class DynkinQuiver:
     def has_path(self, i: int, j: int) -> bool:
         """Directed reachability i ⇝ j (trivial path included)."""
         return j in self._reach[i]
-
-    def reachable_from(self, i: int) -> frozenset[int]:
-        """All j with a directed path i ⇝ j, including i itself."""
-        return self._reach[i]
-
-    def coreachable_to(self, i: int) -> frozenset[int]:
-        """All j with a directed path j ⇝ i, including i itself."""
-        return self._coreach[i]
 
     def parity_class(self, i: int) -> int:
         """Two-coloring of the tree: (distance to vertex 1 + 1) mod 2."""
@@ -293,10 +288,6 @@ def simple_root(q: DynkinQuiver, i: int) -> Root:
     return tuple(1 if j == i else 0 for j in q.vertices)
 
 
-def root_sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def is_nonneg(a: Root) -> bool:
     return all(x >= 0 for x in a)
 
@@ -344,58 +335,43 @@ def b_vector(q: DynkinQuiver, beta: Root) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BetaData:
-    """Combinatorial data attached to a nonzero nonnegative vector beta.
+    """Support closures and the pivot choice for a nonzero nonnegative β.
 
-    All path closures are taken inside the full subquiver on the support:
-    j lies in out_closure[i] when the directed tree path i ⇝ j, which is
-    reachable_from(i) ∩ coreachable_to(j), stays inside the support (and
-    in_closure dually).  dim_proj[i] / dim_inj[i] are the dimension vectors
-    of the projective / injective cover at i of the support subquiver, used
-    as the downward steps of the two tilting recursions.
+    out_closure[i] holds i and every j that a walk along the arrows from i
+    reaches without leaving the support; in_closure[i] walks against the
+    arrows.  Their indicator vectors are dim P_i and dim I_i of the support
+    subquiver, the downward steps of the two sides of the exchange step.
+    pivot_candidates are the support vertices of least coefficient that
+    minimise Σ_{j ∈ out_closure[i]} (ξ(i) − ξ(j)); pivot is the first.
     """
 
     support: tuple[int, ...]
     out_closure: dict[int, frozenset[int]] = field(hash=False)
     in_closure: dict[int, frozenset[int]] = field(hash=False)
-    dim_proj: dict[int, Root] = field(hash=False)
-    dim_inj: dict[int, Root] = field(hash=False)
-    r_sub: dict[int, int] = field(hash=False)
-    min_coeff_vertices: tuple[int, ...]
     pivot_candidates: tuple[int, ...]
     pivot: int
 
 
 def beta_combinatorics(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> BetaData:
-    """Support subquiver statistics and the pivot-selection data for beta."""
+    """Support closures and the pivot-selection data for beta."""
     if not any(beta) or not is_nonneg(beta):
         raise EmptySupport("need a nonzero nonnegative coefficient vector")
     supp = root_support(beta)
-    supp_set = frozenset(supp)
-    reach, coreach = q.reachable_from, q.coreachable_to
-    out_cl = {
-        i: frozenset(j for j in reach(i) & supp_set if reach(i) & coreach(j) <= supp_set)
+    inside = frozenset(supp)
+    out_cl = {i: _walk(i, q.arrows_from, inside) for i in supp}
+    in_cl = {i: _walk(i, q.arrows_to, inside) for i in supp}
+    least = min(beta[i - 1] for i in supp)
+    r_sum = {
+        i: sum(xi.ht(i) - xi.ht(j) for j in out_cl[i])
         for i in supp
+        if beta[i - 1] == least
     }
-    in_cl = {
-        i: frozenset(j for j in coreach(i) & supp_set if reach(j) & coreach(i) <= supp_set)
-        for i in supp
-    }
-    dim_proj = {i: tuple(1 if j in out_cl[i] else 0 for j in q.vertices) for i in supp}
-    dim_inj = {i: tuple(1 if j in in_cl[i] else 0 for j in q.vertices) for i in supp}
-    r_sub = {i: sum(xi.ht(i) - xi.ht(j) for j in out_cl[i]) for i in supp}
-
-    min_coeff = min(beta[i - 1] for i in supp)
-    mset = tuple(sorted(i for i in supp if beta[i - 1] == min_coeff))
-    best_r = min(r_sub[i] for i in mset)
-    iset = tuple(sorted(i for i in mset if r_sub[i] == best_r))
+    best = min(r_sum.values())
+    iset = tuple(i for i, r in r_sum.items() if r == best)
     return BetaData(
         support=supp,
         out_closure=out_cl,
         in_closure=in_cl,
-        dim_proj=dim_proj,
-        dim_inj=dim_inj,
-        r_sub=r_sub,
-        min_coeff_vertices=mset,
         pivot_candidates=iset,
         pivot=iset[0],
     )

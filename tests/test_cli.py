@@ -102,6 +102,38 @@ def test_hammock_degenerate_window(capsys):
     assert out == "i\\p\t1\n1\t1\n2\t.\n"
 
 
+def test_hammock_json_and_dot_exact(capsys):
+    window = ("hammock", "--quiver", A2, "--vertex", "1,1", "--window=-1,3")
+    code, out = run(capsys, *window, "--format", "json")
+    assert code == 0
+    assert out == (
+        '{\n'
+        '  "1,-1": 0,\n'
+        '  "1,1": 1,\n'
+        '  "1,3": 0,\n'
+        '  "2,0": 0,\n'
+        '  "2,2": 1\n'
+        '}\n'
+    )
+    code, out = run(capsys, *window, "--format", "dot")
+    assert code == 0
+    assert out == (
+        'digraph zq {\n'
+        '  graph [rankdir=LR, splines=line];\n'
+        '  node [shape=box, fontsize=10, margin="0.04,0.02"];\n'
+        '  v1_m1 [label="0", pos="-1,-1!"];\n'
+        '  v1_1 [label="1", style=filled, fillcolor="gray85", pos="1,-1!"];\n'
+        '  v1_3 [label="0", pos="3,-1!"];\n'
+        '  v2_0 [label="0", pos="0,-2!"];\n'
+        '  v2_2 [label="1", pos="2,-2!"];\n'
+        '  v1_m1 -> v2_0;\n'
+        '  v1_1 -> v2_2;\n'
+        '  v2_0 -> v1_1;\n'
+        '  v2_2 -> v1_3;\n'
+        '}\n'
+    )
+
+
 def test_hammock_bad_vertex(capsys):
     code, _ = run(capsys, "hammock", "--quiver", A2, "--vertex", "1,0")
     assert code == 2  # parity violation -> config-level rejection
@@ -210,6 +242,19 @@ def test_cluster_list_keys(capsys):
     assert code == 0
     j = json.loads(out)
     assert set(j) == {"-1,0", "0,-1", "0,1", "1,0", "1,1"}
+
+
+def test_cluster_list_tsv_exact(capsys):
+    code, out = run(capsys, "cluster", "--quiver", A2, "--format", "tsv")
+    assert code == 0
+    assert out == (
+        "dvector\tpolynomial\n"
+        "-1,0\tx:1^1\n"
+        "0,-1\tx:2^1\n"
+        "0,1\tX:1^1 x:2^-1 + X:2^1 x:1^1 x:2^-1\n"
+        "1,0\tX:1^1 x:1^-1 + x:1^-1 x:2^1\n"
+        "1,1\tX:1^1 x:1^-1 x:2^-1 + X:2^1 x:2^-1 + x:1^-1\n"
+    )
 
 
 def test_cluster_single_beta(capsys):

@@ -404,6 +404,25 @@ def test_factor_dominant_round_trip():
     assert is_iso(q, a, reconstruct_factorization(q, xi, fac))
 
 
+
+def test_factor_dominant_frontier_slack():
+    # off the Y[β] family the max-recursion clamps a negative raw exponent,
+    # and what it clamps away comes back as a Y(base_l) factor in h_exp
+    q, xi = a2()
+    a = hammock_object(q, xi, base_vertex(xi, 1))
+    fac = factor_dominant(q, xi, a)
+    assert fac.h_exp == ((1, 1),)
+    assert fac.remainder == (0, 0)
+    assert is_iso(q, a, reconstruct_factorization(q, xi, fac))
+    q = build_quiver("A", 3, [(1, 2), (2, 3)])
+    xi = default_height(q)
+    a = tensor_obj(leading_object(q, xi, (0, 1, 1)), hammock_object(q, xi, base_vertex(xi, 1)))
+    fac = factor_dominant(q, xi, a)
+    assert fac.h_exp == ((1, 1),)
+    assert fac.remainder == (0, 1, 1)
+    assert is_iso(q, a, reconstruct_factorization(q, xi, fac))
+
+
 # --------------------------------------------------- exchange identities
 
 
@@ -443,9 +462,7 @@ def test_mutation_identity_spec_instance():
 
 def _absorb_identity_holds(q, xi, beta, i):
     from qhammock.objects import absorb_frontier, frontier_injection_factor
-    from qhammock.quiver import beta_combinatorics, root_sub
 
-    bd = beta_combinatorics(q, xi, beta)
     eps, beta_next = absorb_frontier(q, xi, beta, i)
     hin = frontier_injection_factor(q, xi, beta, i)
     lhs = tensor_obj(

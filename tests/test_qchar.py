@@ -146,6 +146,21 @@ def test_base_cases_refuse_other_vectors_with_a_negative_entry(route, beta):
         route(q, xi, beta)
 
 
+@pytest.mark.parametrize(
+    "family,arrows", [("A", [(1, 2)]), ("D", [(2, 1), (3, 2), (2, 4)])], ids=["A2", "D4"]
+)
+def test_negative_simple_gives_its_base_variable_on_every_route(family, arrows):
+    # χ(−α_j) = Y(j, ξ(j)): the base case of the recursion, the one-summand
+    # build, and the initial cluster variable
+    q = build_quiver(family, len(arrows) + 1, arrows)
+    xi = default_height(q)
+    if family == "A":
+        assert xi.values == (1, 0)  # so the answers are Y(1, 1) and Y(2, 0)
+    for j in q.vertices:
+        beta = tuple(-1 if k == j else 0 for k in q.vertices)
+        for route in (qchar_euler, qchar_recursion, qchar_cluster):
+            assert route(q, xi, beta) == YP(j, xi.ht(j)), (route.__name__, j)
+
 def _library_caches():
     """Every lru_cache bound in a loaded qhammock module, once each."""
     found = {}

@@ -21,7 +21,6 @@ from qhammock.quiver import (
     expected_edges,
     is_nonneg,
     root_height,
-    root_sub,
     root_support,
 )
 from qhammock.objects import _omega_order
@@ -104,12 +103,11 @@ def scan_neighbors(q, i):
     return tuple(sorted([b for a, b in q.arrows if a == i] + [a for a, b in q.arrows if b == i]))
 
 
-def bfs_closure(q, i, forward):
+def bfs_closure(q, i):
     seen, frontier = {i}, [i]
     while frontier:
         v = frontier.pop()
-        step = [b for a, b in q.arrows if a == v] if forward else [a for a, b in q.arrows if b == v]
-        for w in step:
+        for w in [b for a, b in q.arrows if a == v]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
@@ -152,11 +150,9 @@ def test_graph_tables_match_arrow_scans():
             assert q.neighbors(i) == scan_neighbors(q, i)
             assert q.arrows_from(i) == tuple(sorted(b for a, b in q.arrows if a == i))
             assert q.arrows_to(i) == tuple(sorted(a for a, b in q.arrows if b == i))
-            assert q.reachable_from(i) == bfs_closure(q, i, forward=True)
-            assert q.coreachable_to(i) == bfs_closure(q, i, forward=False)
             assert q.parity_class(i) == (bfs_distance(q, 1, i) + 1) % 2
             for j in q.vertices:
-                assert q.has_path(i, j) == (j in bfs_closure(q, i, forward=True))
+                assert q.has_path(i, j) == (j in bfs_closure(q, i))
 
 
 def test_tables_leave_equality_hash_and_repr_alone():
@@ -252,7 +248,6 @@ def test_root_helpers():
     q = A(3)
     a1 = simple_root(q, 1)
     assert a1 == (1, 0, 0)
-    assert root_sub((1, 1, 0), a1) == (0, 1, 0)
     assert is_nonneg((0, 1, 0)) and not is_nonneg((1, -1, 0))
     assert root_height((1, 2, 1)) == 4
     assert root_support((0, 2, 1)) == (2, 3)
@@ -268,24 +263,23 @@ def test_beta_combinatorics_theta_a2():
     assert bd.support == (1, 2)
     assert bd.out_closure == {1: frozenset({1, 2}), 2: frozenset({2})}
     assert bd.in_closure == {1: frozenset({1}), 2: frozenset({1, 2})}
-    assert bd.dim_proj == {1: (1, 1), 2: (0, 1)}
-    assert bd.dim_inj == {1: (1, 0), 2: (1, 1)}
-    assert bd.min_coeff_vertices == (1, 2)
     # pivot selection is a policy choice (any support vertex gives the same
     # character; invariance is covered by the complex-level tests), but it
-    # must be deterministic and drawn from the candidates
-    assert bd.pivot in bd.pivot_candidates
-    assert set(bd.pivot_candidates) <= set(bd.support)
+    # must be deterministic: both coefficients are least, and the out-closure
+    # of 2 drops no height while that of 1 drops one
+    assert bd.pivot_candidates == (2,)
+    assert bd.pivot == 2
 
 
 def test_beta_combinatorics_closures_respect_orientation():
     q = A(3, [(2, 1), (2, 3)])  # source in the middle
     xi = default_height(q)
     bd = beta_combinatorics(q, xi, (1, 1, 1))
-    assert bd.out_closure[2] == frozenset({1, 2, 3})
-    assert bd.in_closure[2] == frozenset({2})
-    assert bd.dim_proj[2] == (1, 1, 1)
-    assert bd.dim_inj[2] == (0, 1, 0)
+    assert bd.out_closure == {1: frozenset({1}), 2: frozenset({1, 2, 3}), 3: frozenset({3})}
+    assert bd.in_closure == {1: frozenset({1, 2}), 2: frozenset({2}), 3: frozenset({2, 3})}
+    # the two sinks tie, and the source's out-closure drops two heights
+    assert bd.pivot_candidates == (1, 3)
+    assert bd.pivot == 1
 
 
 def test_beta_combinatorics_support_subquiver_only():
@@ -294,8 +288,10 @@ def test_beta_combinatorics_support_subquiver_only():
     xi = default_height(q)
     bd = beta_combinatorics(q, xi, (2, 0, 1))
     assert bd.support == (1, 3)
-    assert bd.out_closure[1] == frozenset({1})
-    assert bd.dim_proj[1] == (1, 0, 0)
+    assert bd.out_closure == {1: frozenset({1}), 3: frozenset({3})}
+    assert bd.in_closure == {1: frozenset({1}), 3: frozenset({3})}
+    # the least coefficient sits at 3 alone
+    assert bd.pivot_candidates == (3,)
 
 
 def test_beta_combinatorics_rejects_bad_input():
@@ -310,16 +306,12 @@ def test_beta_combinatorics_rejects_bad_input():
 # ------------------------------------------- referee for the closures
 
 
-def _closure_by_bfs(supp, i, step):
-    # the referee: a BFS along `step` that never leaves supp
-    seen = {i}
-    frontier = [i]
-    while frontier:
-        for w in step(frontier.pop()):
-            if w in supp and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
+def _closure_by_paths(q, supp, i, j):
+    # the referee, from the definition: i ⇝ j, and every vertex on a path
+    # from i to j lies in supp (has_path is checked against arrow scans above)
+    return q.has_path(i, j) and all(
+        k in supp for k in q.vertices if q.has_path(i, k) and q.has_path(k, j)
+    )
 
 
 REFEREE_SHAPES = [("A", n, None) for n in range(1, 6)] + [
@@ -352,10 +344,11 @@ def test_support_closures_match_bfs_inside_support(family, rank, sample):
             bd = beta_combinatorics(q, xi, beta)
             supp = set(bd.support)
             for i in bd.support:
-                assert bd.out_closure[i] == _closure_by_bfs(supp, i, q.arrows_from), (
-                    q.arrows, beta, i)
-                assert bd.in_closure[i] == _closure_by_bfs(supp, i, q.arrows_to), (
-                    q.arrows, beta, i)
+                for j in q.vertices:
+                    assert (j in bd.out_closure[i]) == _closure_by_paths(q, supp, i, j), (
+                        q.arrows, beta, i, j)
+                    assert (j in bd.in_closure[i]) == _closure_by_paths(q, supp, j, i), (
+                        q.arrows, beta, i, j)
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,29 @@ def test_library_imports_no_fractions():
     assert not found, found
 
 
+def test_library_imports_only_what_it_uses():
+    # an import nothing reads is dead code; __init__ re-exports, so it is
+    # exempt, and a name in a module's __all__ counts as used
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(vars(importlib.import_module(f"qhammock.{path.stem}")).get("__all__", ()))
+        found += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert not found, found
+
+
 def test_all_names_exist():
     # a deleted function must leave its module's __all__ too
     missing = []
