@@ -3,9 +3,10 @@
 Terms are formal direct sums (lists) of summand classes per nonnegative
 degree: a summand is a product of hammock objects on the two base sections
 and ghost objects at τ base_i, so its class monomial names it, and
-objects.class_object builds the object only to verify or print it.  The
-classes come from objects (the exchange step's head classes and
-_section_class), which alone spells their variable keys.
+objects.class_object builds the object only to print it or for the
+small-rank exactness check.  The classes come from objects (the exchange
+step's head classes and _section_class), which alone spells their
+variable keys.
 Differentials are lists of elementary components (source summand, target
 summand, tag, sign).  Tags name which canonical morphism a component is
 a copy of — almost always ("eta", i), the tilt at the translated base
@@ -63,10 +64,12 @@ is tensored up by its head class and by the closure its sub-build
 dropped, the pivot i apart: ∏ Y(k, ξ(k)) over the in-closure on the dom
 side, over the out-closure on the cod side.  The closures meet only in i,
 since a vertex in both would close an oriented cycle, so both sides land
-on β − e_i.  Each build checks two exchange identities on objects: that
+on β − e_i.  Each build checks two exchange identities, on classes
+(objects._tilt_holds, exact by additivity; see the objects module): that
 degree-0 identity, and the tilt of Y[β] ⊗ Y(base_i) over the out-closure
-against the object of the tilt's factorization (ghost block, head class,
-Y[β − dim P_i]).
+against the tilt's factorization (ghost block, head class,
+Y[β − dim P_i]).  validate_components checks every component the same
+way, so neither builds a summand object.
 """
 
 from __future__ import annotations
@@ -82,15 +85,11 @@ from .objects import (
     Obj,
     _negative_simple,
     _section_class,
+    _tilt_holds,
     class_object,
-    hammock_object,
+    dominant_monomial,
     is_dominant,
-    is_iso,
-    leading_object,
     pivot_step,
-    reconstruct_factorization,
-    serre_tilt,
-    tensor_obj,
     variable_A,
 )
 from .quiver import (
@@ -99,7 +98,7 @@ from .quiver import (
     Root,
     root_support,
 )
-from .repetition import base_vertex, serre, translate_base
+from .repetition import serre, translate_base
 
 __all__ = [
     "Component",
@@ -294,7 +293,7 @@ def cone(
     that it is the tilt it claims: build_complex takes its connectors from
     _resolve_connectors, which offers only targets of the source's class
     times f_i·A_i⁻¹ (the tilt's class, by the mesh identity), and
-    validate_components checks a finished complex on its objects.
+    validate_components checks a finished complex's tilts on its classes.
     """
     connectors = dict(connectors or {})
     if dom.is_zero() and cod.is_zero():
@@ -523,6 +522,11 @@ def build_complex(
     at τ base_i, with twin ambiguities and the ±1 signs resolved so that
     every non-excused square of the chain map cancels.
 
+    Each build checks its degree-0 term against Y[β] times Y^β and the
+    tilt of Y[β] ⊗ Y(base_i) over the out-closure against the tilt's
+    factorization, both on classes (objects._tilt_holds): no summand
+    object is built, and a failure is an InvariantViolation.
+
     Builds at the canonical pivot are memoised per (quiver, height, β) and
     shared; a forced pivot is built afresh (its sub-builds are not).
     """
@@ -569,23 +573,26 @@ def _build(
     num = cone(dom, cod, connectors)
     den = {k: b for k, b in enumerate(beta, 1) if b}
 
-    # the two exchange identities on objects: the degree-0 term is one
-    # summand, Y[β] ⊗ the denominator object, and the tilt of
-    # Y[β] ⊗ Y(base_i) over the out-closure is the object of the tilt's
-    # factorization, ghost block ⊗ head ⊗ Y[β − dim P_i]
+    # the two exchange identities, checked on classes (objects._tilt_holds):
+    # the degree-0 term is one summand, Y[β] times Y^β, and the tilt of
+    # Y[β] ⊗ Y(base_i) over the out-closure is the ghost block times the
+    # tilt's head class times Y[β − dim P_i]
     zero_row = num.terms.get(0, ())
     if len(zero_row) != 1:
         raise InvariantViolation(f"degree-0 term of the build of {beta} is not a single summand")
-    lead = leading_object(q, xi, beta)
-    den_obj = class_object(q, xi, _section_class(xi, (), den.items()))
-    if not is_iso(q, class_object(q, xi, zero_row[0]), tensor_obj(lead, den_obj)):
+    lead = dominant_monomial(q, xi, beta)
+    seen: dict = {}
+    if not _tilt_holds(
+        q, xi, mono_mul(lead, _section_class(xi, (), den.items())), zero_row[0], (), seen
+    ):
         raise InvariantViolation(f"degree-0 identity failed for {beta}")
-    tilted = serre_tilt(
-        q,
-        tensor_obj(lead, hammock_object(q, xi, base_vertex(xi, i))),
-        [translate_base(xi, j) for j in fac.f_list],
+    tilt_src = mono_mul(lead, _section_class(xi, (), [(i, 1)]))
+    tilt_dst = mono_mul(
+        mono_mul(ghost_block, step.tilt_class), dominant_monomial(q, xi, fac.remainder)
     )
-    if not is_iso(q, tilted, reconstruct_factorization(q, xi, fac)):
+    if not _tilt_holds(
+        q, xi, tilt_src, tilt_dst, [translate_base(xi, j) for j in fac.f_list], seen
+    ):
         raise InvariantViolation(f"tilt identity failed for {beta} at pivot {i}")
 
     return FractionComplex(num, den)
@@ -675,16 +682,20 @@ def _objects(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> dict[Mono, Obj]
 
 
 def validate_components(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> bool:
-    """Every eta component's target must be the tilt of its source, as objects."""
-    objs = _objects(q, xi, c)
+    """Every component must be an eta whose target is the tilt of its
+    source at τ base_i, checked on the two classes (objects._tilt_holds):
+    no summand object is built, and each distinct (ratio, tag) is compared
+    once per call.  A source or target class with a factor off the two
+    base sections raises ValueError, and a source whose object does not
+    hold τ base_i raises NotContained."""
+    seen: dict = {}
     for n, comps in c.diffs.items():
         for comp in comps:
             if comp.tag[0] != "eta":
                 return False
-            src = objs[c.terms[n][comp.src]]
-            dst = objs[c.terms[n + 1][comp.dst]]
-            tilted = serre_tilt(q, src, [translate_base(xi, comp.tag[1])])
-            if not is_iso(q, tilted, dst):
+            src = c.terms[n][comp.src]
+            dst = c.terms[n + 1][comp.dst]
+            if not _tilt_holds(q, xi, src, dst, [translate_base(xi, comp.tag[1])], seen):
                 return False
     return True
 

@@ -28,6 +28,18 @@ in Y(i, ξ(i)), Y(i, ξ(i)−2) and f_i that is computed directly
 the object a class names.  The complex build and the scalar recursion
 take every class they multiply by from here.
 
+A tilt identity between two classes is checked on the classes
+(``_tilt_holds``), with no summand object built.  This is exact:
+``class_object`` is additive (it sums multiplicities, generator and delta
+coefficients scaled by exponents), so it extends to a Laurent monomial
+with signed sums; ``is_iso`` is linear (equal multisets, and zero defect
+of the function difference); and ``serre_tilt(a, Z)`` adds
+Σ c_z·(S z − z) to the multiset and −c_z·δ_z to the deltas, provided a
+holds Z.  So is_iso(serre_tilt(class_object(s), Z), class_object(t))
+holds exactly when s's object holds Z and the signed sums of t/s equal
+the tilt's change; t/s is a handful of factors (f_i·A_i⁻¹ for a
+connector of the complex build).
+
 The exchange step of β at a pivot (``pivot_step``) is one function that
 returns one value, head classes included; the complex build and the
 scalar recursion each call it, so each computes its own copy.
@@ -44,7 +56,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport
 from .hammock import QFun, _qfun, hammock_fun, hom_values, qfun_equal
-from .laurent import Mono, VarKey, mono_from_dict, mono_mul
+from .laurent import Mono, VarKey, mono_div, mono_from_dict, mono_mul
 from .quiver import (
     BetaData,
     DynkinQuiver,
@@ -188,17 +200,19 @@ def class_object(q: DynkinQuiver, xi: HeightFunction, m: Mono) -> Obj:
     """The object a summand class names, in one pass: Y(i, p)^e for
     ("Y", i, p) with p = ξ(i) or ξ(i)−2, and F(τ base_i)^e for ("f", i).
     Any other factor raises ValueError, as a Complex is public input."""
-    pairs = []
-    for key, e in m:
-        i = key[1] if len(key) > 1 else None
-        known = e >= 0 and i in q.vertices
-        if known and key == ("f", i):
-            pairs.append((ghost_object(q, xi, translate_base(xi, i)), e))
-        elif known and key in (("Y", i, xi.ht(i)), ("Y", i, xi.ht(i) - 2)):
-            pairs.append((hammock_object(q, xi, ZVertex(i, key[2])), e))
-        else:
-            raise ValueError(f"class factor {key}^{e} is not a power on the two base sections")
-    return _tensor_powers(pairs)
+    return _tensor_powers((_factor_object(q, xi, key, e), e) for key, e in m)
+
+
+def _factor_object(q: DynkinQuiver, xi: HeightFunction, key: VarKey, e: int) -> Obj:
+    """The cached object of one class factor key^e, checked as class_object
+    checks it."""
+    i = key[1] if len(key) > 1 else None
+    if e >= 0 and i in q.vertices:
+        if key == ("f", i):
+            return ghost_object(q, xi, translate_base(xi, i))
+        if key in (("Y", i, xi.ht(i)), ("Y", i, xi.ht(i) - 2)):
+            return hammock_object(q, xi, ZVertex(i, key[2]))
+    raise ValueError(f"class factor {key}^{e} is not a power on the two base sections")
 
 
 def variable_A(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
@@ -235,8 +249,16 @@ def _section_class(
 
 
 def _tensor_powers(pairs: Iterable[tuple[Obj, int]]) -> Obj:
-    """⊗ a^n over (a, n ≥ 0) pairs, in one pass: multiplicities, generator
-    and delta coefficients are scaled by n and summed."""
+    """⊗ a^n over (a, n ≥ 0) pairs, in one pass (_power_sums)."""
+    mult, gens, deltas = _power_sums(pairs)
+    return _obj(mult, _qfun(gens, deltas))
+
+
+def _power_sums(
+    pairs: Iterable[tuple[Obj, int]],
+) -> tuple[dict[ZVertex, int], dict[ZVertex, int], dict[ZVertex, int]]:
+    """Multiplicities, generator and delta coefficients of the (a, n)
+    pairs, each scaled by n and summed; a negative n subtracts."""
     mult: dict[ZVertex, int] = {}
     gens: dict[ZVertex, int] = {}
     deltas: dict[ZVertex, int] = {}
@@ -246,7 +268,7 @@ def _tensor_powers(pairs: Iterable[tuple[Obj, int]]) -> Obj:
         for into, items in ((mult, a.mult), (gens, a.fun.gens), (deltas, a.fun.deltas)):
             for v, c in items.items():
                 into[v] = into.get(v, 0) + c * n
-    return _obj(mult, _qfun(gens, deltas))
+    return mult, gens, deltas
 
 
 def tensor_obj(*objs: Obj) -> Obj:
@@ -293,6 +315,58 @@ def serre_tilt(q: DynkinQuiver, a: Obj, zmult: Iterable[ZVertex] | Mapping[ZVert
 def is_iso(q: DynkinQuiver, a: Obj, b: Obj) -> bool:
     """Same multiset and equal attached functions."""
     return a.mult == b.mult and qfun_equal(q, a.fun, b.fun)
+
+
+def _tilt_holds(
+    q: DynkinQuiver,
+    xi: HeightFunction,
+    src: Mono,
+    dst: Mono,
+    zs: Iterable[ZVertex],
+    seen: dict,
+) -> bool:
+    """is_iso(serre_tilt(class_object(src), zs), class_object(dst)), decided
+    on the two classes: no summand object is built (see the module
+    docstring for why this is exact).
+
+    The signed sums of dst/src must equal the tilt's change, and src's
+    object must hold the members, counted in serre_tilt's order (a Serre
+    image added by an earlier member counts for a later one).  Raises
+    class_object's ValueError for a bad factor of src or dst and
+    serre_tilt's NotContained.  seen, a dict the caller shares between
+    calls, keeps each factor key checked (with its object) and each
+    ("ratio", dst/src, members) compared, so each is read once.
+    """
+    for key, e in src + dst:
+        if e < 0 or key not in seen:
+            seen[key] = _factor_object(q, xi, key, e)
+    chosen: dict[ZVertex, int] = {}
+    for z in zs:
+        chosen[z] = chosen.get(z, 0) + 1
+    ratio = mono_div(dst, src)
+    if not ratio and not chosen:
+        return True  # equal classes, nothing tilted
+    members = tuple(chosen.items())
+    memo = ("ratio", ratio, members)
+    if memo not in seen:
+        images = tuple(serre(q, z) for z in chosen)
+        # the signed sums of dst/src, a difference of objects that is never
+        # built: its multiset must be Σ c_z·(S z − z), its function −Σ c_z·δ_z
+        mult, gens, deltas = _power_sums((seen[key], e) for key, e in ratio)
+        for (z, c), sz in zip(members, images):
+            mult[z] = mult.get(z, 0) + c
+            mult[sz] = mult.get(sz, 0) - c
+        holds = not any(mult.values()) and qfun_equal(
+            q, _qfun(gens, deltas), _qfun({}, {z: -c for z, c in members})
+        )
+        seen[memo] = holds, images
+    holds, images = seen[memo]
+    added: dict[ZVertex, int] = {}
+    for (z, c), sz in zip(members, images):
+        if added.get(z, 0) + sum(seen[key].mult.get(z, 0) * e for key, e in src) < c:
+            raise NotContained(f"{z} (x{c}) not contained in the multiset")
+        added[sz] = added.get(sz, 0) + c
+    return holds
 
 
 # ───────────────────────── dominant objects ─────────────────────────

@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import qhammock.complexes as complexes
+import qhammock.objects as objects
 from qhammock import (
     ZVertex,
     all_orientations,
@@ -45,7 +46,7 @@ from qhammock.laurent import (
     mono_key_str,
     mono_mul,
 )
-from qhammock.objects import Obj, class_object, variable_A
+from qhammock.objects import class_object, variable_A
 from qhammock.qchar import qchar_euler, qchar_recursion
 
 from connector_oracle import resolve_connectors_per_leaf
@@ -435,15 +436,41 @@ def test_dangling_component_is_an_engine_error(side):
         tensor_complex(*pair)
 
 
+def test_builds_and_validation_build_no_object(monkeypatch):
+    # the build's two exchange identities and validate_components are
+    # checked on classes: with the one tensor pass that makes objects
+    # broken, every pivot build of A2–A4 (sub-builds included, fresh memo)
+    # and its component check still run
+    def no_objects(pairs):
+        raise AssertionError("a summand object was built")
+
+    monkeypatch.setattr(objects, "_tensor_powers", no_objects)
+    complexes._canonical_build.cache_clear()
+    for rank in (2, 3, 4):
+        for q in all_orientations("A", rank):
+            xi = default_height(q)
+            for beta in positive_roots(q):
+                for p in beta_combinatorics(q, xi, beta).pivot_candidates:
+                    fc = build_complex(q, xi, beta, pivot=p)
+                    assert validate_components(q, xi, fc.num), (q.arrows, beta, p)
+    with pytest.raises(AssertionError, match="object was built"):
+        class_object(q, xi, fc.num.terms[0][0])
+
+
 @pytest.mark.parametrize("broken", ["leading_object", "cone", "serre_tilt"])
 def test_degree_zero_violation_is_an_engine_error(monkeypatch, broken):
-    # a forced pivot bypasses the build memo, so the checks run; an
-    # untilted Y[β] ⊗ Y(base_i) fails the build's tilt identity
+    # a forced pivot bypasses the build memo, so the checks run.  The
+    # checks read the Y[β] class and the tilt's Serre images: a wrong Y[β]
+    # class fails the degree-0 identity, and a tilt that leaves its
+    # members in place fails the tilt identity
     q, xi = a2()
     if broken == "leading_object":
-        monkeypatch.setattr(complexes, "leading_object", lambda *args: Obj())
+        monkeypatch.setattr(complexes, "dominant_monomial", lambda *args: MONO_ONE)
     elif broken == "serre_tilt":
-        monkeypatch.setattr(complexes, "serre_tilt", lambda q, a, zmult: a)
+        # build once unbroken, so the cached ghost objects keep their
+        # true Serre images and only the check's own reading breaks
+        build_complex(q, xi, (1, 1), pivot=1)
+        monkeypatch.setattr(objects, "serre", lambda q, z: z)
     else:
         two = Complex({0: [MONO_ONE, MONO_ONE]})
         monkeypatch.setattr(complexes, "cone", lambda *args, **kwargs: two)

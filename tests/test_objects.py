@@ -479,6 +479,96 @@ def _absorb_identity_holds(q, xi, beta, i):
     return is_iso(q, lhs, rhs)
 
 
+def _tilt_by_objects(q, xi, src, dst, zs):
+    """The object route the class check replaces: is_iso of the tilted
+    source and the target, or the type of the exception raised."""
+    try:
+        return is_iso(q, serre_tilt(q, class_object(q, xi, src), zs), class_object(q, xi, dst))
+    except (ValueError, NotContained) as exc:
+        return type(exc)
+
+
+def _tilt_by_classes(q, xi, src, dst, zs, seen):
+    try:
+        return objects._tilt_holds(q, xi, src, dst, zs, seen)
+    except (ValueError, NotContained) as exc:
+        return type(exc)
+
+
+def _tilt_cases(q, xi):
+    """(src, dst, members) of every η component of every pivot build, and
+    of each build's own tilt identity, whose members are the whole
+    out-closure of the pivot."""
+    for beta in positive_roots(q):
+        for p in beta_combinatorics(q, xi, beta).pivot_candidates:
+            c = build_complex(q, xi, beta, pivot=p).num
+            for n, comps in c.diffs.items():
+                for comp in comps:
+                    z = translate_base(xi, comp.tag[1])
+                    yield c.terms[n][comp.src], c.terms[n + 1][comp.dst], (z,)
+            step = pivot_step(q, xi, beta, p)
+            src = mono_mul(dominant_monomial(q, xi, beta), mono_from_dict({("Y", p, xi.ht(p)): 1}))
+            ghosts = mono_from_dict({("f", j): 1 for j in step.tilt.f_list})
+            dst = mono_mul(
+                mono_mul(ghosts, step.tilt_class), dominant_monomial(q, xi, step.tilt.remainder)
+            )
+            yield src, dst, tuple(translate_base(xi, j) for j in step.tilt.f_list)
+
+
+def _tilt_perturbations(q, xi, src, dst, zs):
+    """The case itself and seven ways to break it: a factor more on dst or
+    on src, the members moved to the next vertex (a wrong tag), dst with
+    one factor removed, a negative exponent, an off-section key, and
+    Y(base_1) as the source, which holds no member.  Where a member's
+    Serre image is another τ base vertex (linear A_n), the members are
+    also extended by those images, after them and before them, so an
+    earlier member's image can count for a later one."""
+    on_base = mono_from_dict({("Y", 1, xi.ht(1)): 1})
+    tau = {translate_base(xi, j) for j in q.vertices}
+    chain = tuple(objects.serre(q, z) for z in zs if objects.serre(q, z) in tau - set(zs))
+    if chain:
+        yield src, dst, zs + chain
+        yield src, dst, chain + zs
+    yield src, dst, zs
+    yield on_base, dst, zs
+    yield src, mono_mul(dst, on_base), zs
+    yield mono_mul(src, mono_from_dict({("f", 1): 1})), dst, zs
+    if q.rank > 1:
+        yield src, dst, tuple(translate_base(xi, z.i % q.rank + 1) for z in zs)
+    yield src, mono_mul(dst, ((dst[-1][0], -1),)), zs
+    yield mono_mul(src, ((src[0][0], -src[0][1] - 1),)), dst, zs
+    yield src, mono_mul(dst, mono_from_dict({("Y", 1, xi.ht(1) + 2): 1})), zs
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4)]
+)
+def test_tilt_holds_matches_object_route(family, rank):
+    # the class check (objects._tilt_holds) against serre_tilt + is_iso on
+    # class_objects: the same bool or the same exception type on every η
+    # component and every build's multi-member tilt, real and perturbed.
+    # One memo per quiver is shared across all cases, as validate_components
+    # shares one across a complex.  On A1 the Serre image of τ base_1 is
+    # τ base_1 itself.
+    outcomes = set()
+    for q in all_orientations(family, rank):
+        xi = default_height(q)
+        seen = {}
+        cases = dict.fromkeys(
+            case
+            for real in _tilt_cases(q, xi)
+            for case in _tilt_perturbations(q, xi, *real)
+        )
+        for src, dst, zs in cases:
+            want = _tilt_by_objects(q, xi, src, dst, zs)
+            assert _tilt_by_classes(q, xi, src, dst, zs, seen) == want, (q.arrows, src, dst, zs)
+            outcomes.add(want)
+    assert outcomes == {True, False, ValueError, NotContained}
+    if family == "A" and rank == 1:
+        z = translate_base(xi, 1)
+        assert objects.serre(q, z) == z
+
+
 def _tilt_identity_holds(q, xi, beta, i):
     from qhammock.objects import tilt_leading
     from qhammock.quiver import beta_combinatorics
