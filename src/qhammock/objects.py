@@ -12,14 +12,18 @@ families the engine needs:
 
 Tensor product is multiset union plus function addition, and a tensor
 power a^n scales a's multiplicities and function by n, so no object is
-ever copied n times.  Serre tilting replaces chosen multiset members by
-their Serre images while subtracting the matching pointwise deltas from the
-function.  Objects and their functions are immutable; products and tilts
-of valid objects are wrapped by _obj and hammock._qfun without re-checking
-their keys.  A *dominant* object is one whose function is a nonnegative
-combination of generators sitting on the two base sections; those are
-classified by a coefficient vector in the positive orthant, recovered by a
-max-recursion over the quiver.
+ever copied n times.  A product sums its generator and delta
+coefficients when it is made and its multiset the first time ``.mult``
+is read: the dominant-object round trip (``leading_object`` then
+``root_of_dominant``) reads only the function, so it never adds up the
+hom multisets of Y[β]'s factors.  Serre tilting replaces chosen
+multiset members by their Serre images while subtracting the matching
+pointwise deltas from the function.  Objects and their functions are
+immutable; products and tilts of valid objects are wrapped by _obj and
+hammock._qfun without re-checking their keys.  A *dominant* object is
+one whose function is a nonnegative combination of generators sitting on
+the two base sections; those are classified by a coefficient vector in
+the positive orthant, recovered by a max-recursion over the quiver.
 
 Objects carry no Grothendieck class.  A product of hammock objects on the
 two base sections and ghosts at τ base_i is named by its class, a monomial
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -109,9 +114,15 @@ class Obj:
 
     Immutable: mult is a read-only view and no field can be reassigned,
     so an object inside a memoised build cannot be edited in place.
+
+    A product (``_tensor_powers``) keeps its (factor, exponent) pairs in
+    _factors and leaves mult unset; the first read of mult sums it from
+    the factors (``__getattr__``) and stores it, so that read and every
+    read of an object made with its multiset are plain slot reads.  Any
+    other object, the empty product included, has no factors.
     """
 
-    __slots__ = ("mult", "fun")
+    __slots__ = ("mult", "fun", "_factors")
 
     def __init__(self, mult: Mapping[ZVertex, int] | None = None, fun: QFun | None = None):
         m = {
@@ -124,6 +135,16 @@ class Obj:
             raise ValueError(f"negative multiplicity at {v}")
         object.__setattr__(self, "mult", MappingProxyType(m))
         object.__setattr__(self, "fun", fun if fun is not None else QFun())
+        object.__setattr__(self, "_factors", ())
+
+    def __getattr__(self, name: str) -> Mapping[ZVertex, int]:
+        # reached only for an unset slot: the multiset of a product, once
+        if name != "mult":
+            raise AttributeError(f"'Obj' object has no attribute {name!r}")
+        mult = _scaled_sum(self._factors, _MULT)
+        view = MappingProxyType({v: c for v, c in mult.items() if c})
+        object.__setattr__(self, "mult", view)
+        return view
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"Obj is immutable: cannot change {name}")
@@ -162,13 +183,21 @@ class Obj:
         }
 
 
-def _obj(mult: Mapping[ZVertex, int], fun: QFun) -> Obj:
+def _obj(
+    mult: Mapping[ZVertex, int] | None,
+    fun: QFun,
+    factors: tuple[tuple[Obj, int], ...] = (),
+) -> Obj:
     """An object around a multiplicity map built from valid objects (keys
     already ZVertex, counts nonnegative): zero entries are dropped and the
-    copy wrapped read-only, skipping Obj's key coercion and sign scan."""
+    copy wrapped read-only, skipping Obj's key coercion and sign scan.
+    With mult None the multiset is Σ n·b.mult over the (b, n > 0) factors,
+    summed on the first read; each b must hold its multiset already."""
     a = object.__new__(Obj)
-    object.__setattr__(a, "mult", MappingProxyType({v: c for v, c in mult.items() if c}))
+    if mult is not None:
+        object.__setattr__(a, "mult", MappingProxyType({v: c for v, c in mult.items() if c}))
     object.__setattr__(a, "fun", fun)
+    object.__setattr__(a, "_factors", factors)
     return a
 
 
@@ -249,26 +278,31 @@ def _section_class(
 
 
 def _tensor_powers(pairs: Iterable[tuple[Obj, int]]) -> Obj:
-    """⊗ a^n over (a, n ≥ 0) pairs, in one pass (_power_sums)."""
-    mult, gens, deltas = _power_sums(pairs)
-    return _obj(mult, _qfun(gens, deltas))
+    """⊗ a^n over (a, n ≥ 0) pairs: the generator and delta coefficients
+    scaled by n and summed now, the multiset on its first read.  A factor
+    that is itself a product has its multiset summed here, so no first
+    read recurses through a chain of products."""
+    factors = tuple((a, n) for a, n in pairs if n)
+    for a, _ in factors:
+        if a._factors:
+            a.mult  # the read sums it, once
+    fun = _qfun(_scaled_sum(factors, _GENS), _scaled_sum(factors, _DELTAS))
+    return _obj(None if factors else {}, fun, factors)
 
 
-def _power_sums(
-    pairs: Iterable[tuple[Obj, int]],
-) -> tuple[dict[ZVertex, int], dict[ZVertex, int], dict[ZVertex, int]]:
-    """Multiplicities, generator and delta coefficients of the (a, n)
-    pairs, each scaled by n and summed; a negative n subtracts."""
-    mult: dict[ZVertex, int] = {}
-    gens: dict[ZVertex, int] = {}
-    deltas: dict[ZVertex, int] = {}
+_MULT, _GENS, _DELTAS = attrgetter("mult"), attrgetter("fun.gens"), attrgetter("fun.deltas")
+
+
+def _scaled_sum(
+    pairs: Iterable[tuple[Obj, int]], read: Callable[[Obj], Mapping[ZVertex, int]]
+) -> dict[ZVertex, int]:
+    """Σ n·read(a) over the (a, n) pairs, zero entries kept; a negative n
+    subtracts."""
+    into: dict[ZVertex, int] = {}
     for a, n in pairs:
-        if not n:
-            continue
-        for into, items in ((mult, a.mult), (gens, a.fun.gens), (deltas, a.fun.deltas)):
-            for v, c in items.items():
-                into[v] = into.get(v, 0) + c * n
-    return mult, gens, deltas
+        for v, c in read(a).items():
+            into[v] = into.get(v, 0) + c * n
+    return into
 
 
 def tensor_obj(*objs: Obj) -> Obj:
@@ -352,7 +386,8 @@ def _tilt_holds(
         images = tuple(serre(q, z) for z in chosen)
         # the signed sums of dst/src, a difference of objects that is never
         # built: its multiset must be Σ c_z·(S z − z), its function −Σ c_z·δ_z
-        mult, gens, deltas = _power_sums((seen[key], e) for key, e in ratio)
+        factors = [(seen[key], e) for key, e in ratio]
+        mult, gens, deltas = (_scaled_sum(factors, read) for read in (_MULT, _GENS, _DELTAS))
         for (z, c), sz in zip(members, images):
             mult[z] = mult.get(z, 0) + c
             mult[sz] = mult.get(sz, 0) - c
@@ -379,7 +414,8 @@ def dominant_exponents(
 
     c[i] is the coefficient of h at the translated base vertex of i, d[i]
     at the base vertex itself.  NotDominant if the function has deltas, a
-    generator off the two base sections, or a negative coefficient.
+    generator off the two base sections (a label outside the quiver
+    included), or a negative coefficient.
     """
     if a.fun.deltas:
         raise NotDominant("function carries pointwise deltas")
@@ -388,10 +424,11 @@ def dominant_exponents(
     for v, coeff in a.fun.gens.items():
         if coeff < 0:
             raise NotDominant(f"negative generator coefficient at {v}")
-        if v == translate_base(xi, v.i):
-            c[v.i] = coeff
-        elif v == base_vertex(xi, v.i):
-            d[v.i] = coeff
+        i, p = v
+        if i in c and p == xi.ht(i) - 2:
+            c[i] = coeff
+        elif i in c and p == xi.ht(i):
+            d[i] = coeff
         else:
             raise NotDominant(f"generator {v} off the base sections")
     return c, d
@@ -485,12 +522,6 @@ def reconstruct_factorization(
     return class_object(q, xi, mono_mul(head, dominant_monomial(q, xi, fac.remainder)))
 
 
-def _omega_order(q: DynkinQuiver) -> list[int]:
-    """Vertices with every arrow target before its source: the height
-    potential drops by exactly one along every arrow."""
-    return sorted(q.vertices, key=lambda k: (q.potential(k), k))
-
-
 def _max_recursion(
     q: DynkinQuiver, c: Mapping[int, int], d: Mapping[int, int]
 ) -> Factorization:
@@ -501,7 +532,7 @@ def _max_recursion(
     """
     avec: dict[int, int] = {}
     slack: dict[int, int] = {}
-    for i in _omega_order(q):
+    for i in q._omega_order:
         raw = c[i] - d[i] + sum(avec[j] for j in q.arrows_from(i))
         avec[i] = max(0, raw)
         if raw < 0:

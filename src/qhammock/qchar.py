@@ -49,7 +49,6 @@ from .laurent import (
 from .quiver import DynkinQuiver, HeightFunction, Root
 from .objects import (
     _negative_simple,
-    _omega_order,
     _section_class,
     dominant_monomial,
     pivot_step,
@@ -173,7 +172,7 @@ def _a_exponents(
     for key, e in lower:
         ratio[key] = ratio.get(key, 0) - e
     k: Dict[int, int] = {}
-    for i in _omega_order(q):
+    for i in q._omega_order:
         k[i] = ratio.pop(("Y", i, xi.ht(i) - 2), 0) + sum(k[j] for j in q.arrows_from(i))
     for i in q.vertices:
         if ratio.pop(("Y", i, xi.ht(i)), 0) != k[i] - sum(k[j] for j in q.arrows_to(i)):

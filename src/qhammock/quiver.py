@@ -110,7 +110,9 @@ class DynkinQuiver:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        """Adjacency, reachability and the height potential.
+        """Adjacency, reachability, the height potential and the ω order
+        (vertices by (potential, label), so every arrow target comes before
+        its source).
 
         Computed once at construction and stored as plain attributes, not
         dataclass fields, so equality, hashing and repr still see only
@@ -143,6 +145,7 @@ class DynkinQuiver:
             "_in": in_t,
             "_reach": {i: _walk(i, out_t.__getitem__, self.vertices) for i in self.vertices},
             "_height": tuple(height[i] for i in self.vertices),
+            "_omega_order": tuple(sorted(self.vertices, key=lambda k: (height[k], k))),
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)

@@ -1,6 +1,8 @@
 """Object calculus: constructors, tilts, factorization, exchange identities."""
 
 import itertools
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -18,6 +20,8 @@ from qhammock import (
     build_quiver,
     default_height,
     positive_roots,
+    serre,
+    suspend,
     translate,
     translate_base,
     window_vertices,
@@ -44,7 +48,7 @@ from qhammock.objects import (
     serre_tilt,
     tensor_obj,
 )
-from qhammock.quiver import root_support
+from qhammock.quiver import b_vector, root_support
 
 from connector_oracle import tiltable
 from object_oracle import leading_object_by_copies, qfun_equal_by_evaluation
@@ -67,8 +71,11 @@ def test_obj_invariants():
     assert repr(a) == "Obj{(2,0)^2}"
     u = Obj()
     assert u.size() == 0 and u == Obj({}, QFun())
-    # an object is its multiset and function; classes are computed apart
-    assert Obj.__slots__ == ("mult", "fun")
+    # an object is its multiset and function, and a product also its
+    # factors, from which it sums the multiset on first read; classes are
+    # computed apart
+    assert Obj.__slots__ == ("mult", "fun", "_factors")
+    assert a._factors == () and u._factors == ()
 
 
 def test_hammock_object_carries_hom_multiset():
@@ -98,7 +105,6 @@ def test_ghost_object():
     q, xi = a2()
     tx1 = translate_base(xi, 1)
     f1 = ghost_object(q, xi, tx1)
-    from qhammock import serre, suspend
 
     assert f1.mult == {serre(q, tx1): 1, suspend(q, tx1): 1}
     assert f1.fun == QFun()
@@ -350,6 +356,16 @@ def test_dominant_exponents_reads_base_sections():
     off = hammock_object(q, xi, ZVertex(1, 3))
     with pytest.raises(NotDominant):
         dominant_exponents(q, xi, off)
+    # a generator at a label outside the quiver is off the base sections
+    # too: label 0 must not read the last vertex's height, nor rank + 1
+    # fall off the end of the heights
+    for v in (ZVertex(0, -2), ZVertex(0, 0), ZVertex(3, -2), ZVertex(3, 0)):
+        phantom = Obj({}, QFun({v: 1}))
+        with pytest.raises(NotDominant):
+            dominant_exponents(q, xi, phantom)
+        assert not is_dominant(q, xi, phantom)
+        with pytest.raises(NotDominant):
+            root_of_dominant(q, xi, phantom)
 
 
 def test_leading_object_a2_classes():
@@ -421,6 +437,164 @@ def test_factor_dominant_frontier_slack():
     assert fac.h_exp == ((1, 1),)
     assert fac.remainder == (0, 1, 1)
     assert is_iso(q, a, reconstruct_factorization(q, xi, fac))
+
+
+# ------------------------------------------------------ deferred multisets
+
+
+def _unsummed(o: Obj) -> bool:
+    """o is a product whose multiset is not summed yet.  Reads the mult
+    slot through its descriptor, which does not fill it."""
+    try:
+        Obj.mult.__get__(o, Obj)
+    except AttributeError:
+        return True
+    return False
+
+
+def _scaled(pairs) -> dict:
+    """Σ n·m over (coefficient map m, n) pairs, zero entries dropped: the
+    referee's own sum, sharing no code with objects."""
+    total = Counter()
+    for m, n in pairs:
+        for v, c in m.items():
+            total[v] += c * n
+    return {v: c for v, c in total.items() if c}
+
+
+def _assert_reads_like(q, make, eager):
+    """Each read of a fresh product from make(), taken as its first read
+    (the one that sums the multiset), agrees with the eager object of the
+    same data, and so does the same read again."""
+    reads = {
+        "mult": lambda o: o.mult == eager.mult,
+        "size": lambda o: o.size() == eager.size(),
+        "==": lambda o: o == eager and eager == o,
+        "hash": lambda o: hash(o) == hash(eager),
+        "repr": lambda o: repr(o) == repr(eager),
+        "json": lambda o: o.to_json_dict() == eager.to_json_dict(),
+        "is_iso": lambda o: is_iso(q, o, eager) and is_iso(q, eager, o),
+    }
+    for name, read in reads.items():
+        o = make()
+        assert o.fun == eager.fun and _unsummed(o), name
+        assert read(o), (name, o, eager)
+        assert not _unsummed(o) and read(o), name
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4)]
+)
+def test_leading_object_sums_its_multiset_on_first_read(family, rank):
+    # referee: Y[β] holds the hom multisets of its b-vector factors scaled
+    # by the exponents, summed here.  The round trip never sums it, and
+    # every first read agrees with the eager Obj(...) of the same data
+    rng = random.Random(20261019 + 10 * rank)
+    for q in all_orientations(family, rank):
+        xi = default_height(q)
+        sample = {tuple(rng.randrange(13) for _ in q.vertices) for _ in range(40)}
+        sample.discard((0,) * rank)
+        sample |= {tuple(-(k == j) for k in q.vertices) for j in q.vertices}
+        for beta in sorted(sample):
+            if min(beta) < 0:
+                factors = [(base_vertex(xi, beta.index(-1) + 1), 1)]
+            else:
+                factors = [
+                    (translate_base(xi, i) if b > 0 else base_vertex(xi, i), abs(b))
+                    for i, b in zip(q.vertices, b_vector(q, beta))
+                    if b
+                ]
+            eager = Obj(_scaled((hom_values(q, x), n) for x, n in factors), QFun(dict(factors)))
+            o = leading_object(q, xi, beta)
+            if min(beta) >= 0:
+                assert root_of_dominant(q, xi, o) == beta, (q.arrows, beta)
+            assert _unsummed(o), (q.arrows, beta)
+            _assert_reads_like(q, lambda: leading_object(q, xi, beta), eager)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_class_object_sums_its_multiset_on_first_read(rank):
+    # referee: the object of every summand class of every pivot build of
+    # A2–A4 holds the hom multisets of its Y factors and the ghost pairs
+    # {S z, Σ z}, z = τ base_i, of its f factors, scaled and summed here
+    for q in all_orientations("A", rank):
+        xi = default_height(q)
+        classes = {
+            m
+            for beta in positive_roots(q)
+            for p in beta_combinatorics(q, xi, beta).pivot_candidates
+            for row in build_complex(q, xi, beta, pivot=p).num.terms.values()
+            for m in row
+        }
+        for m in sorted(classes):
+            mult, gens = [], {}
+            for key, e in m:
+                if key[0] == "f":
+                    z = translate_base(xi, key[1])
+                    mult.append(({serre(q, z): 1, suspend(q, z): 1}, e))
+                else:
+                    x = ZVertex(key[1], key[2])
+                    mult.append((hom_values(q, x), e))
+                    gens[x] = e
+            eager = Obj(_scaled(mult), QFun(gens))
+            _assert_reads_like(q, lambda: class_object(q, xi, m), eager)
+
+
+def test_tensor_and_power_sum_their_multisets_on_first_read():
+    q = build_quiver("A", 3, [(1, 2), (3, 2)])
+    xi = default_height(q)
+    y = hammock_object(q, xi, base_vertex(xi, 1))
+    objs = [
+        y,
+        hammock_object(q, xi, ZVertex(1, xi.ht(1) + 2)),  # off the base sections
+        ghost_object(q, xi, translate_base(xi, 2)),
+        serre_tilt(q, tensor_obj(y, y), [base_vertex(xi, 1)]),  # carries a delta
+        Obj({ZVertex(2, 0): 3}, QFun({ZVertex(3, 1): -1}, {ZVertex(1, 1): 2})),
+    ]
+
+    def data(pairs):
+        pairs = list(pairs)
+        fun = QFun(
+            _scaled((a.fun.gens, n) for a, n in pairs),
+            _scaled((a.fun.deltas, n) for a, n in pairs),
+        )
+        return Obj(_scaled((a.mult, n) for a, n in pairs), fun)
+
+    for a, b in itertools.product(objs, repeat=2):
+        _assert_reads_like(q, lambda: tensor_obj(a, b), data([(a, 1), (b, 1)]))
+    for a, n in itertools.product(objs, (1, 2, 5)):
+        _assert_reads_like(q, lambda: obj_pow(a, n), data([(a, n)]))
+    # products of products: each factor that is still unsummed is summed
+    # when the outer product is made, and the outer one waits for its read
+    k1, lead = kr_object(q, xi, 1), leading_object(q, xi, (1, 2, 1))
+    want = data([(k1, 1), (lead, 2)])
+    _assert_reads_like(q, lambda: tensor_obj(k1, obj_pow(lead, 2)), want)
+    _assert_reads_like(q, lambda: obj_pow(tensor_obj(k1, lead, lead), 1), want)
+    # so a fold far deeper than the recursion limit reads its multiset
+    acc = Obj()
+    for _ in range(1500):
+        acc = tensor_obj(acc, y)
+    assert acc.mult == _scaled([(y.mult, 1500)]) and acc.fun == QFun({base_vertex(xi, 1): 1500})
+    # the empty product is made with its (empty) multiset
+    assert not _unsummed(obj_pow(y, 0)) and not _unsummed(tensor_obj())
+
+
+def test_round_trip_sums_no_multiset(monkeypatch):
+    # the round trip reads only the function: with the summing of a
+    # product's multiset broken, leading_object → root_of_dominant still
+    # holds on every orientation of A2–A4 over a box
+    def no_multiset(self, name):
+        raise AssertionError(f"a multiset was summed ({name})")
+
+    monkeypatch.setattr(Obj, "__getattr__", no_multiset)
+    for rank in (2, 3, 4):
+        for q in all_orientations("A", rank):
+            xi = default_height(q)
+            for beta in itertools.product(range(4), repeat=rank):
+                if any(beta):
+                    assert root_of_dominant(q, xi, leading_object(q, xi, beta)) == beta
+    with pytest.raises(AssertionError, match="multiset was summed"):
+        repr(leading_object(q, xi, beta))
 
 
 # --------------------------------------------------- exchange identities

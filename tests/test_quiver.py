@@ -23,7 +23,6 @@ from qhammock.quiver import (
     root_height,
     root_support,
 )
-from qhammock.objects import _omega_order
 
 
 def A(n, arrows=None):
@@ -356,6 +355,6 @@ def test_support_closures_match_bfs_inside_support(family, rank, sample):
 )
 def test_omega_order_is_topological(family, rank, sample):
     for q in _referee_quivers(family, rank, sample):
-        place = {k: n for n, k in enumerate(_omega_order(q))}
+        place = {k: n for n, k in enumerate(q._omega_order)}
         assert sorted(place) == list(q.vertices)
         assert all(place[b] < place[a] for a, b in q.arrows), q.arrows

@@ -109,8 +109,9 @@ def _object_dunder(call: ast.Call, name: str) -> str | None:
 def test_trusted_constructors_stay_in_one_place():
     # Obj and QFun skip their checks only in objects._obj and hammock._qfun:
     # no other function makes one with __new__, and object.__setattr__ sets
-    # only `self` in a class's own method (in Obj and QFun, only __init__)
-    # or an instance that the same function made with __new__
+    # only `self` in a class's own method (in Obj and QFun, only __init__,
+    # and Obj.__getattr__'s one-time fill of a product's mult) or an
+    # instance that the same function made with __new__
     guarded, trusted = {"Obj", "QFun"}, {"objects._obj", "hammock._qfun"}
     found, makers = [], set()
     for path in sorted(SRC.glob("*.py")):
@@ -142,7 +143,10 @@ def test_trusted_constructors_stay_in_one_place():
                 if target is None or target in made:
                     continue
                 own = fn in owner and (owner[fn] not in guarded or fn.name == "__init__")
-                if not (target == "self" and own):
+                fill = (owner.get(fn), fn.name) == ("Obj", "__getattr__") and [
+                    a.value for a in call.args[1:2] if isinstance(a, ast.Constant)
+                ] == ["mult"]
+                if not (target == "self" and (own or fill)):
                     found.append(f"{where}:{call.lineno} sets attributes on {target}")
     assert makers == trusted, makers
     assert not found, found
