@@ -79,7 +79,13 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import InconsistentConnector, InvariantViolation, NegativeDegree, TooLarge
+from .errors import (
+    InconsistentConnector,
+    InvariantViolation,
+    NegativeDegree,
+    NotInSupport,
+    TooLarge,
+)
 from .laurent import MONO_ONE, LaurentPoly, Mono, _mono_json, mono_div, mono_mul
 from .objects import (
     Obj,
@@ -106,7 +112,6 @@ __all__ = [
     "FractionComplex",
     "unit_complex",
     "single_complex",
-    "initial_hammock_complex",
     "tensor_complex",
     "cone",
     "build_complex",
@@ -197,11 +202,6 @@ def single_complex(m: Mono, degree: int = 0) -> Complex:
     if degree < 0:
         raise NegativeDegree(f"degree {degree}")
     return Complex({degree: [m]})
-
-
-def initial_hammock_complex(q: DynkinQuiver, xi: HeightFunction, i: int) -> Complex:
-    """H_i: the class of the base hammock object Y(base_i) in degree 0."""
-    return single_complex(_section_class(xi, (), [(i, 1)]), 0)
 
 
 # ───────────────────────── tensor / cone ─────────────────────────
@@ -498,8 +498,9 @@ def build_complex(
     beta: Root,
     pivot: int | None = None,
 ) -> FractionComplex:
-    """The complex attached to a positive-orthant vector (or a negative
-    simple root, which yields the base hammock complex).
+    """The complex attached to a positive-orthant vector or a negative
+    simple root.  For β = 0 and β = −α_j, C[β] is the class of Y[β] alone,
+    in degree 0; a forced pivot must still lie in the support.
 
     The recursion at the chosen support vertex i reads the exchange step
     (objects.pivot_step) that the scalar recursion reads too:
@@ -544,11 +545,10 @@ def _canonical_build(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Fractio
 def _build(
     q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None
 ) -> FractionComplex:
-    if not any(beta):
-        return FractionComplex(unit_complex(), {})
-    j = _negative_simple(beta)
-    if j is not None:
-        return FractionComplex(initial_hammock_complex(q, xi, j), {})
+    if not any(beta) or _negative_simple(beta) is not None:
+        if pivot is not None and pivot not in root_support(beta):
+            raise NotInSupport(f"pivot {pivot} outside the support of {beta}")
+        return FractionComplex(single_complex(dominant_monomial(q, xi, beta)), {})
 
     step = pivot_step(q, xi, beta, pivot)
     i, fac = step.pivot, step.tilt

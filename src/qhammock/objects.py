@@ -321,22 +321,20 @@ def obj_pow(a: Obj, n: int) -> Obj:
 # ───────────────────────── tilting ─────────────────────────
 
 
-def serre_tilt(q: DynkinQuiver, a: Obj, zmult: Iterable[ZVertex] | Mapping[ZVertex, int]) -> Obj:
+def serre_tilt(q: DynkinQuiver, a: Obj, zmult: Iterable[ZVertex]) -> Obj:
     """Replace each chosen multiset member by its Serre image, subtracting
-    the matching pointwise delta from the function.
+    the matching pointwise delta from the function; a member listed n
+    times is tilted n times.
 
     Raises NotContained if the multiset does not hold the requested copies.
     """
     chosen: dict[ZVertex, int] = {}
-    items = zmult.items() if isinstance(zmult, Mapping) else ((z, 1) for z in zmult)
-    for z, c in items:
+    for z in zmult:
         z = ZVertex(*z)
-        chosen[z] = chosen.get(z, 0) + c
+        chosen[z] = chosen.get(z, 0) + 1
     mult = dict(a.mult)
     deltas = dict(a.fun.deltas)
     for z, c in chosen.items():
-        if c < 0:
-            raise ValueError("negative tilt multiplicity")
         if mult.get(z, 0) < c:
             raise NotContained(f"{z} (x{c}) not contained in the multiset")
         mult[z] = mult.get(z, 0) - c

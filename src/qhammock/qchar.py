@@ -82,51 +82,34 @@ def qchar_euler(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPoly:
 # ──────────────────────── route 2: scalar recursion ────────────────────────
 
 
-def qchar_recursion(
-    q: DynkinQuiver,
-    xi: HeightFunction,
-    beta: Root,
-    pivot: int | None = None,
-) -> LaurentPoly:
+def qchar_recursion(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPoly:
     """Two-term recursion over the absorb / tilt split — no complexes.
 
-    At the pivot i, the exchange step (objects.pivot_step, which the
-    complex build reads too) gives β_inj from the frontier absorption,
+    At the canonical pivot i, the exchange step (objects.pivot_step, which
+    the complex build reads too) gives β_inj from the frontier absorption,
     the remainder β_proj of the iterated tilt, and the head classes of
     both sides, X_i^ε · mono(H^in) and mono(K) · mono(H):
 
         χ(β) · Y(i, ξ(i)) = X_i^ε · mono(H^in) · χ(β_inj)
                             + mono(K) · mono(H) · χ(β_proj)
 
-    with χ(0) = 1 and χ(−α_i) = Y(i, ξ(i)).  The frontier factor on the
-    absorb branch is required for the two sides to balance; dropping it
-    breaks route agreement on every root whose pivot has an out-frontier
-    inside the support.
+    For β = 0 and β = −α_i, χ(β) is the class of Y[β] alone: 1 and
+    Y(i, ξ(i)).  The frontier factor on the absorb branch is required for
+    the two sides to balance; dropping it breaks route agreement on every
+    root whose pivot has an out-frontier inside the support.
 
-    Results at the canonical pivot are memoised per (quiver, height, β)
-    and shared: a LaurentPoly cannot be edited.
+    Results are memoised per (quiver, height, β) and shared: a LaurentPoly
+    cannot be edited.
     """
-    beta = tuple(beta)
-    if pivot is None:
-        return _canonical_recursion(q, xi, beta)
-    return _qchar_recursion_step(q, xi, beta, pivot)
+    return _canonical_recursion(q, xi, tuple(beta))
 
 
 @lru_cache(maxsize=None)
 def _canonical_recursion(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPoly:
-    return _qchar_recursion_step(q, xi, beta, None)
+    if not any(beta) or _negative_simple(beta) is not None:
+        return LaurentPoly.monomial(dominant_monomial(q, xi, beta))
 
-
-def _qchar_recursion_step(
-    q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None
-) -> LaurentPoly:
-    if not any(beta):
-        return LaurentPoly.one()
-    j = _negative_simple(beta)
-    if j is not None:
-        return LaurentPoly.monomial(_section_class(xi, (), [(j, 1)]))
-
-    step = pivot_step(q, xi, beta, pivot)
+    step = pivot_step(q, xi, beta)
     total = LaurentPoly.monomial(step.absorb_class) * qchar_recursion(q, xi, step.beta_inj)
     total = total + LaurentPoly.monomial(step.tilt_class) * qchar_recursion(
         q, xi, step.tilt.remainder

@@ -6,6 +6,7 @@ broken involution table cannot leak into this process's caches.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -25,6 +26,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _src_env():
+    """The environment with this package's source first on PYTHONPATH, for
+    a child interpreter."""
+    src = str(Path(qhammock.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 # ----------------------------------------------------------------- roots
@@ -216,13 +224,23 @@ def test_qchar_non_root_all_routes(capsys):
     assert code == 2
 
 
-def test_qchar_too_deep_exits_2_without_traceback(capsys):
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_qchar_too_deep_exits_2_without_traceback():
     # a vector deeper than the recursion limit is refused input, not a
-    # failed verification (exit 1) and not a traceback
-    code = main(["qchar", "--quiver", A2, "--beta", "400,400", "--route", "recursion"])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # failed verification (exit 1) and not a traceback; the child runs under
+    # a time limit and a 2 GiB address-space cap, so a change that lets the
+    # recursion go deeper fails here within the limit instead of exhausting
+    # memory
+    argv = ["qchar", "--quiver", A2, "--beta", "400,400", "--route", "recursion"]
+    r = subprocess.run(
+        [sys.executable, "-m", "qhammock.cli", *argv], capture_output=True, text=True,
+        env=_src_env(), timeout=30, preexec_fn=_cap_address_space,
+    )
+    assert r.returncode == 2 and r.stdout == "", r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_qchar_non_root_euler_only(capsys):
@@ -355,8 +373,7 @@ def test_verify_negative_control_subprocess():
 def test_verify_survives_optimized_mode():
     # invariants are checked by raising, not by assert, so python -O must
     # verify the same sweep and print the same bytes
-    src = str(Path(qhammock.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     argv = ["-m", "qhammock.cli", "verify", "--types", "A", "--max-rank", "3"]
     plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
     optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env)

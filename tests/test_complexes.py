@@ -23,7 +23,6 @@ from qhammock.complexes import (
     complex_to_json,
     cone,
     euler_char,
-    initial_hammock_complex,
     single_complex,
     tensor_complex,
     unit_complex,
@@ -205,6 +204,10 @@ def test_negative_simple_base_case():
     assert fc.num.degrees() == [0]
     assert euler_char(q, xi, fc) == Y(2, 0)
     assert euler_char(q, xi, build_complex(q, xi, (-1, 0))) == Y(1, 1)
+    # a forced pivot must lie in the support, here {j} for −α_j
+    assert euler_char(q, xi, build_complex(q, xi, (-1, 0), pivot=1)) == Y(1, 1)
+    with pytest.raises(NotInSupport):
+        build_complex(q, xi, (-1, 0), pivot=2)
 
 
 def test_zero_vector_gives_unit():
@@ -212,6 +215,9 @@ def test_zero_vector_gives_unit():
     fc = build_complex(q, xi, (0, 0))
     assert fc.num.degrees() == [0]
     assert euler_char(q, xi, fc) == LaurentPoly.one()
+    # the zero vector has no support, so no pivot can be forced on it
+    with pytest.raises(NotInSupport):
+        build_complex(q, xi, (0, 0), pivot=1)
 
 
 def test_structure_checks_over_a3_roots():

@@ -273,7 +273,7 @@ def test_serre_tilt_moves_member():
     with pytest.raises(NotContained):
         serre_tilt(q, y, [ZVertex(2, 0)])
     with pytest.raises(NotContained):
-        serre_tilt(q, y, {x: 2})
+        serre_tilt(q, y, [x, x])
 
 
 def _assert_as_if_checked(o: Obj) -> None:
@@ -322,11 +322,10 @@ def test_trusted_construction_edge_cases():
     t = serre_tilt(q, y, [x])
     assert x not in t.mult and t.mult == {ZVertex(2, 2): 2}
     assert t.fun.deltas == {x: -1}
-    # a tilt of count 0, at a member and off the multiset, changes nothing
-    for z in (x, ZVertex(2, 0)):
-        same = serre_tilt(q, y, {z: 0})
-        assert same.canonical() == y.canonical()
-        _assert_as_if_checked(same)
+    # an empty tilt changes nothing
+    same = serre_tilt(q, y, [])
+    assert same.canonical() == y.canonical()
+    _assert_as_if_checked(same)
     # a tensor whose deltas (or generators) cancel keeps no zero entry
     back = tensor_obj(t, Obj({}, QFun({}, {x: 1})))
     assert back.fun.deltas == {}

@@ -19,7 +19,6 @@ from qhammock.complexes import build_complex
 from qhammock.errors import (
     Incomparable,
     NotDominant,
-    NotInSupport,
     UnknownRoot,
 )
 from qhammock.laurent import (
@@ -112,15 +111,6 @@ def test_cluster_route_unknown_root():
     q, xi = a2()
     with pytest.raises(UnknownRoot):
         qchar_cluster(q, xi, (2, 1))
-
-
-def test_recursion_pivot_choice_is_free():
-    q, xi = a2()
-    assert qchar_recursion(q, xi, (1, 1), pivot=1) == qchar_recursion(
-        q, xi, (1, 1), pivot=2
-    )
-    with pytest.raises(NotInSupport):
-        qchar_recursion(q, xi, (1, 0), pivot=2)
 
 
 def test_recursion_result_cannot_be_edited():
