@@ -16,7 +16,12 @@ ever copied n times.  A product sums its generator and delta
 coefficients when it is made and its multiset the first time ``.mult``
 is read: the dominant-object round trip (``leading_object`` then
 ``root_of_dominant``) reads only the function, so it never adds up the
-hom multisets of Y[β]'s factors.  Serre tilting replaces chosen
+hom multisets of Y[β]'s factors.  Every factor of Y[β] and of a class
+is one of 3n section objects, Y(τ base_i), Y(base_i) and F(τ base_i),
+which ``_section_objects`` looks up once per (quiver, height) and hands
+out by vertex index and by class key.  ``root_of_dominant`` runs only
+the max-recursion for the remainder, and ``factor_dominant`` the full
+factorization around the same recursion.  Serre tilting replaces chosen
 multiset members by their Serre images while subtracting the matching
 pointwise deltas from the function.  Objects and their functions are
 immutable; products and tilts of valid objects are wrapped by _obj and
@@ -45,10 +50,10 @@ the tilt's change; t/s is a handful of factors (f_i·A_i⁻¹ for a
 connector of the complex build).
 
 The exchange step of β at a pivot (``pivot_step``) is one function that
-returns one value, head classes included; the complex build and the
-scalar recursion each call it, so each computes its own copy.
-``absorb_frontier``, ``frontier_injection_factor`` and ``tilt_leading``
-are reads of it.
+returns one immutable value, head classes included.  At the canonical
+pivot the most recent steps are memoised per (quiver, height, β), so the
+complex build and the scalar recursion share one copy.  ``absorb_frontier``,
+``frontier_injection_factor`` and ``tilt_leading`` are reads of it.
 """
 
 from __future__ import annotations
@@ -232,16 +237,33 @@ def class_object(q: DynkinQuiver, xi: HeightFunction, m: Mono) -> Obj:
     return _tensor_powers((_factor_object(q, xi, key, e), e) for key, e in m)
 
 
+@lru_cache(maxsize=None)
+def _section_objects(
+    q: DynkinQuiver, xi: HeightFunction
+) -> tuple[tuple[tuple[Obj, Obj], ...], Mapping[VarKey, Obj]]:
+    """The 3n objects every class and every Y[β] is made of, looked up once
+    per (quiver, height): by vertex index i − 1 the pair (Y(τ base_i),
+    Y(base_i)), and all 3n by class key, ("Y", i, ξ(i)−2) and
+    ("Y", i, ξ(i)) for those two and ("f", i) for F(τ base_i)."""
+    pairs = tuple(
+        (hammock_object(q, xi, translate_base(xi, i)), hammock_object(q, xi, base_vertex(xi, i)))
+        for i in q.vertices
+    )
+    by_key: dict[VarKey, Obj] = {}
+    for i, (lower, upper) in zip(q.vertices, pairs):
+        by_key[("Y", i, xi.ht(i) - 2)] = lower
+        by_key[("Y", i, xi.ht(i))] = upper
+        by_key[("f", i)] = ghost_object(q, xi, translate_base(xi, i))
+    return pairs, MappingProxyType(by_key)
+
+
 def _factor_object(q: DynkinQuiver, xi: HeightFunction, key: VarKey, e: int) -> Obj:
     """The cached object of one class factor key^e, checked as class_object
     checks it."""
-    i = key[1] if len(key) > 1 else None
-    if e >= 0 and i in q.vertices:
-        if key == ("f", i):
-            return ghost_object(q, xi, translate_base(xi, i))
-        if key in (("Y", i, xi.ht(i)), ("Y", i, xi.ht(i) - 2)):
-            return hammock_object(q, xi, ZVertex(i, key[2]))
-    raise ValueError(f"class factor {key}^{e} is not a power on the two base sections")
+    a = _section_objects(q, xi)[1].get(key) if e >= 0 else None
+    if a is None:
+        raise ValueError(f"class factor {key}^{e} is not a power on the two base sections")
+    return a
 
 
 def variable_A(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
@@ -445,9 +467,11 @@ def root_of_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Root:
 
     Recursion a_i = max(0, c_i - d_i + Σ_{i→j} a_j), evaluated targets
     first.  Inverse to leading_object up to the frontier correction
-    factors (see factor_dominant).
+    factors (see factor_dominant), which it does not compute: it is
+    factor_dominant's remainder.
     """
-    return factor_dominant(q, xi, a).remainder
+    c, d = dominant_exponents(q, xi, a)
+    return _clamped_recursion(q, c, d)[0]
 
 
 def _negative_simple(beta: Root) -> int | None:
@@ -461,37 +485,38 @@ def _negative_simple(beta: Root) -> int | None:
     raise NotDominant(f"{tuple(beta)} is neither nonnegative nor a negative simple root")
 
 
-def _leading_factors(
-    q: DynkinQuiver, xi: HeightFunction, beta: Root
-) -> list[tuple[ZVertex, int]]:
-    """Y[β] as (hammock vertex, exponent) pairs: the base vertex of j for a
-    negative simple −α_j, and otherwise one pair per nonzero b-vector entry
-    (b_i = β_i − Σ_{i→j} β_j over the full quiver), the positive part on
-    the translated base section and the negative part on the base section
-    (the latter only at vertices just outside the support, pointing into
-    it)."""
+def _leading_factors(q: DynkinQuiver, beta: Root) -> list[tuple[int, bool, int]]:
+    """Y[β] as (vertex i, on the base section, exponent) triples: Y(base_j)
+    for a negative simple −α_j, and otherwise one triple per nonzero
+    b-vector entry (b_i = β_i − Σ_{i→j} β_j over the full quiver), the
+    positive part on the translated base section and the negative part on
+    the base section (the latter only at vertices just outside the
+    support, pointing into it)."""
     j = _negative_simple(beta)
     if j is not None:
-        return [(base_vertex(xi, j), 1)]
-    return [
-        (translate_base(xi, i) if b > 0 else base_vertex(xi, i), abs(b))
-        for i, b in zip(q.vertices, b_vector(q, beta))
-        if b
-    ]
+        return [(j, True, 1)]
+    return [(i, b < 0, abs(b)) for i, b in zip(q.vertices, b_vector(q, beta)) if b]
 
 
 def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
     """Y[β]: the dominant object classified by β (any positive-orthant β;
     a negative simple −α_j yields the base hammock object at j).  The
-    b-vector entries are the tensor exponents themselves; no power is
-    built on the way."""
-    return _tensor_powers((hammock_object(q, xi, x), e) for x, e in _leading_factors(q, xi, beta))
+    b-vector entries are the tensor exponents themselves, on section
+    objects taken from the per-quiver table; no power is built on the
+    way."""
+    pairs = _section_objects(q, xi)[0]
+    return _tensor_powers((pairs[i - 1][on_base], e) for i, on_base, e in _leading_factors(q, beta))
 
 
 def dominant_monomial(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Mono:
     """The class of Y[β], read off its factors without building it: the
     head every route must share."""
-    return mono_from_dict({("Y", x.i, x.p): e for x, e in _leading_factors(q, xi, beta)})
+    return mono_from_dict(
+        {
+            ("Y", i, xi.ht(i) if on_base else xi.ht(i) - 2): e
+            for i, on_base, e in _leading_factors(q, beta)
+        }
+    )
 
 
 # ───────────────────────── factorizations ─────────────────────────
@@ -520,25 +545,32 @@ def reconstruct_factorization(
     return class_object(q, xi, mono_mul(head, dominant_monomial(q, xi, fac.remainder)))
 
 
-def _max_recursion(
+def _clamped_recursion(
     q: DynkinQuiver, c: Mapping[int, int], d: Mapping[int, int]
-) -> Factorization:
-    """factor_dominant on generator exponents (c, d) read off the sections.
-
-    a_i = max(0, c_i − d_i + Σ_{i→j} a_j), evaluated targets first;
-    whatever the max clamps away is the h_exp slack.
-    """
+) -> tuple[Root, dict[int, int]]:
+    """a_i = max(0, c_i − d_i + Σ_{i→j} a_j), evaluated targets first:
+    the vector a and what the max clamped away, by vertex."""
     avec: dict[int, int] = {}
     slack: dict[int, int] = {}
     for i in q._omega_order:
-        raw = c[i] - d[i] + sum(avec[j] for j in q.arrows_from(i))
+        raw = c[i] - d[i]
+        for j in q.arrows_from(i):
+            raw += avec[j]
         avec[i] = max(0, raw)
         if raw < 0:
             slack[i] = -raw
+    return tuple(avec[i] for i in q.vertices), slack
+
+
+def _max_recursion(
+    q: DynkinQuiver, c: Mapping[int, int], d: Mapping[int, int]
+) -> Factorization:
+    """factor_dominant on generator exponents (c, d) read off the sections:
+    the clamped recursion's vector is the remainder and what it clamped
+    away the h_exp slack."""
+    remainder, slack = _clamped_recursion(q, c, d)
     k_exp = tuple((i, min(c[i], d[i])) for i in q.vertices if min(c[i], d[i]))
-    h_exp = tuple(sorted(slack.items()))
-    remainder = tuple(avec[i] for i in q.vertices)
-    return Factorization((), k_exp, h_exp, remainder)
+    return Factorization((), k_exp, tuple(sorted(slack.items())), remainder)
 
 
 def factor_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Factorization:
@@ -594,8 +626,25 @@ def pivot_step(
 
     pivot=None takes the canonical pivot of beta_combinatorics; any other
     support vertex is allowed (the character does not depend on it), and
-    one outside the support raises NotInSupport.
+    one outside the support raises NotInSupport.  The most recent steps
+    at the canonical pivot are memoised per (quiver, height, β), so the
+    complex build and the scalar recursion share one immutable step; a
+    forced pivot is stepped afresh.
     """
+    if pivot is None:
+        return _canonical_step(q, xi, tuple(beta))
+    return _step(q, xi, beta, pivot)
+
+
+# bounded: the build and the recursion memoise their own results per β,
+# so each step is read once per route, and verify_beta runs the two routes
+# one root apart; 256 recent steps keep every such second read
+@lru_cache(maxsize=256)
+def _canonical_step(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> PivotStep:
+    return _step(q, xi, beta, None)
+
+
+def _step(q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None) -> PivotStep:
     bd = beta_combinatorics(q, xi, beta)
     i = bd.pivot if pivot is None else pivot
     if i not in bd.support:

@@ -115,8 +115,8 @@ class DynkinQuiver:
         its source).
 
         Computed once at construction and stored as plain attributes, not
-        dataclass fields, so equality, hashing and repr still see only
-        (family, rank, arrows).
+        dataclass fields, so equality and repr still see only (family, rank,
+        arrows); so does the hash, which is stored too.
         """
         out: dict[int, list[int]] = {i: [] for i in self.vertices}
         inn: dict[int, list[int]] = {i: [] for i in self.vertices}
@@ -146,9 +146,20 @@ class DynkinQuiver:
             "_reach": {i: _walk(i, out_t.__getitem__, self.vertices) for i in self.vertices},
             "_height": tuple(height[i] for i in self.vertices),
             "_omega_order": tuple(sorted(self.vertices, key=lambda k: (height[k], k))),
+            "_hash": hash((self.family, self.rank, self.arrows)),
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        # every memo keyed by (q, ...) hashes q; the generated hash would
+        # walk the arrow tuples on each lookup
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # rebuild through the constructor, so the tables and the hash are
+        # computed afresh: a str hashes differently in another process
+        return (DynkinQuiver, (self.family, self.rank, self.arrows))
 
     # -- basic graph queries -------------------------------------
 
@@ -227,6 +238,16 @@ class HeightFunction:
     """An adapted height: values[i-1] is the height of vertex i."""
 
     values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        # hashed once, like DynkinQuiver, and rebuilt the same way
+        object.__setattr__(self, "_hash", hash(self.values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (HeightFunction, (self.values,))
 
     def ht(self, i: int) -> int:
         return self.values[i - 1]
@@ -331,9 +352,10 @@ def positive_roots(q: DynkinQuiver) -> tuple[Root, ...]:
 
 def b_vector(q: DynkinQuiver, beta: Root) -> tuple[int, ...]:
     """Exponent vector of Y[β]: b_i = β_i − Σ_{i→j} β_j over the full quiver."""
-    return tuple(
-        beta[i - 1] - sum(beta[j - 1] for j in q.arrows_from(i)) for i in q.vertices
-    )
+    b = [beta[i - 1] for i in q.vertices]
+    for i, j in q.arrows:
+        b[i - 1] -= beta[j - 1]
+    return tuple(b)
 
 
 @dataclass(frozen=True)

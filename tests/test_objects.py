@@ -420,6 +420,75 @@ def test_factor_dominant_round_trip():
 
 
 
+def _leading_object_by_lookups(q, xi, beta):
+    """Y[β] as one hammock_object lookup per b-vector factor: Y(base_j) for
+    a negative simple −α_j, otherwise Y(τ base_i)^{b_i} for b_i > 0 and
+    Y(base_i)^{−b_i} for b_i < 0."""
+    if min(beta) < 0:
+        factors = [(base_vertex(xi, beta.index(-1) + 1), 1)]
+    else:
+        factors = [
+            (translate_base(xi, i) if b > 0 else base_vertex(xi, i), abs(b))
+            for i, b in zip(q.vertices, b_vector(q, beta))
+            if b
+        ]
+    return objects._tensor_powers((hammock_object(q, xi, x), e) for x, e in factors)
+
+
+def _off_dominant(q, xi, a):
+    """a's function with a delta added, with a generator off the two base
+    sections, and with a negative generator coefficient."""
+    gens = dict(a.fun.gens)
+    return [
+        Obj({}, QFun(gens, {translate_base(xi, 1): 1})),
+        Obj({}, QFun({**gens, ZVertex(1, xi.ht(1) + 2): 1})),
+        Obj({}, QFun({**gens, base_vertex(xi, 1): -1})),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4)]
+)
+def test_section_table_matches_per_factor_lookups(family, rank):
+    # leading_object takes its factors from the per-quiver section table
+    # and root_of_dominant computes only the remainder: both against the
+    # constructions they replace, on every orthant vector of sum ≤ 6 and
+    # every negative simple root
+    vectors = [beta for beta in itertools.product(range(7), repeat=rank) if sum(beta) <= 6]
+    vectors += [tuple(-(k == j) for k in range(rank)) for j in range(rank)]
+    for q in all_orientations(family, rank):
+        xi = default_height(q)
+        for beta in vectors:
+            a = leading_object(q, xi, beta)
+            assert a.canonical() == _leading_object_by_lookups(q, xi, beta).canonical(), beta
+            if min(beta) < 0:
+                continue
+            # with a Y(base_l) factor, the max-recursion clamps (frontier slack)
+            slack = tensor_obj(a, hammock_object(q, xi, base_vertex(xi, sum(beta) % rank + 1)))
+            for b in (a, slack):
+                assert root_of_dominant(q, xi, b) == factor_dominant(q, xi, b).remainder
+            assert root_of_dominant(q, xi, a) == beta
+            for bad in _off_dominant(q, xi, a):
+                with pytest.raises(NotDominant):
+                    root_of_dominant(q, xi, bad)
+                with pytest.raises(NotDominant):
+                    factor_dominant(q, xi, bad)
+        # class_object reads the same table, and refuses as it did
+        for key, e in [
+            (("Y", 1, xi.ht(1) + 2), 1),
+            (("Y", rank, xi.ht(rank) - 4), 2),
+            (("Y", rank + 1, xi.ht(1)), 1),
+            (("f", 0), 1),
+            (("Y", 1, xi.ht(1)), -1),
+            (("f", rank), -2),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                class_object(q, xi, ((key, e),))
+            assert str(exc.value) == (
+                f"class factor {key}^{e} is not a power on the two base sections"
+            )
+
+
 def test_factor_dominant_frontier_slack():
     # off the Y[β] family the max-recursion clamps a negative raw exponent,
     # and what it clamps away comes back as a Y(base_l) factor in h_exp

@@ -174,6 +174,8 @@ def test_routes_agree_from_cold_caches():
         "hom_values",
         "hammock_object",
         "ghost_object",
+        "_section_objects",
+        "_canonical_step",
         "_canonical_build",
         "_canonical_recursion",
         "enumerate_cluster_variables",

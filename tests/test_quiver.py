@@ -1,9 +1,14 @@
 """Dynkin quiver layer: shape validation, heights, roots, support data."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qhammock
 from qhammock import (
     all_orientations,
     beta_combinatorics,
@@ -163,6 +168,53 @@ def test_tables_leave_equality_hash_and_repr_alone():
         assert repr(q) == f"DynkinQuiver(family={q.family!r}, rank={q.rank}, arrows={q.arrows!r})"
     flipped = A(3, [(2, 1), (2, 3)])
     assert flipped != A(3)
+
+
+_PICKLE_DUMP = """
+import pickle, sys
+from qhammock import build_quiver, default_height
+q = build_quiver("D", 4, [(2, 1), (3, 2), (2, 4)])
+sys.stdout.write(pickle.dumps((q, default_height(q))).hex())
+"""
+
+_PICKLE_LOAD = """
+import dataclasses, pickle, sys
+from qhammock import ZVertex, build_quiver, default_height
+from qhammock.objects import hammock_object
+q, xi = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = build_quiver("D", 4, [(2, 1), (3, 2), (2, 4)])
+fresh_xi = default_height(fresh)
+assert (q, xi) == (fresh, fresh_xi), (q, xi)
+assert (hash(q), hash(xi)) == (hash(fresh), hash(fresh_xi))
+assert {fresh: 1}.get(q) == 1 and {fresh_xi: 1}.get(xi) == 1
+x = ZVertex(1, xi.ht(1))
+made = hammock_object(fresh, fresh_xi, x)
+hits = hammock_object.cache_info().hits
+assert hammock_object(q, xi, x) is made
+assert hammock_object.cache_info().hits == hits + 1
+for obj, name in ((q, "rank"), (xi, "values")):
+    try:
+        setattr(obj, name, None)
+    except dataclasses.FrozenInstanceError:
+        continue
+    raise AssertionError(f"{name} could be assigned")
+"""
+
+
+def test_pickled_quiver_and_height_hash_as_fresh_builds_in_another_process():
+    # each stores its hash; a str hashes differently under another hash
+    # seed, so a load must rebuild rather than restore the stored value
+    src = str(Path(qhammock.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    dumped = subprocess.run(
+        [sys.executable, "-c", _PICKLE_DUMP], capture_output=True, text=True, check=True,
+        env={**env, "PYTHONHASHSEED": "1"}, timeout=60,
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", _PICKLE_LOAD], input=dumped.stdout, capture_output=True,
+        text=True, env={**env, "PYTHONHASHSEED": "2"}, timeout=60,
+    )
+    assert loaded.returncode == 0, loaded.stderr
 
 
 # ---------------------------------------------------------------- heights

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qhammock"
@@ -80,6 +81,38 @@ def test_no_hand_written_cache():
             if entry.endswith("CACHE")
         ]
     assert not found, found
+
+
+_COUNTS = ("zero one two three four five six seven eight nine ten eleven twelve").split()
+
+
+def _lru_caches() -> set[str]:
+    """module.function for every function decorated with lru_cache."""
+    return {
+        f"{path.stem}.{fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        for dec in fn.decorator_list
+        if "lru_cache" in ast.unparse(dec)
+    }
+
+
+def test_readme_names_every_cache():
+    # README's cache paragraph names each lru_cache as `module.function`,
+    # names no other, and counts them in words
+    readme = (SRC.parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("- Per-process caches") :].split("\n\n")[0]
+    modules = {path.stem for path in SRC.glob("*.py")}
+    named = {
+        name
+        for name in re.findall(r"`([A-Za-z_]\w*\.[A-Za-z_]\w*)`", paragraph)
+        if name.split(".")[0] in modules
+    }
+    caches = _lru_caches()
+    assert len(caches) >= 7, caches
+    assert named == caches, (sorted(named - caches), sorted(caches - named))
+    assert f"all {_COUNTS[len(caches)]} are" in " ".join(paragraph.split()), len(caches)
 
 
 def test_complexes_spell_no_variable_key():
