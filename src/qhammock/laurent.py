@@ -3,7 +3,10 @@
 Monomials are canonical sorted tuples of (variable key, exponent) pairs with
 nonzero exponents; variable keys are themselves tuples such as ("Y", i, p),
 ("f", i), ("x", i) or ("X", i).  Keeping keys structured (instead of strings)
-lets the character and cluster layers share one arithmetic core.
+lets the character and cluster layers share one arithmetic core.  Products
+and quotients merge the two canonical tuples in one pass, so a result is
+canonical without a sort and shares the untouched (key, exponent) pairs of
+its inputs.
 
 Division is exact or it is an error: ``LaurentPoly.exact_div`` clears
 denominators, runs ordinary multivariate long division over the integers,
@@ -41,18 +44,37 @@ def mono_from_dict(powers: Mapping[VarKey, int]) -> Mono:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
+    """a·b of two canonical monomials, by one merge of their pairs."""
     if not a:
         return b
     if not b:
         return a
-    powers = dict(a)
-    for k, e in b:
-        newe = powers.get(k, 0) + e
-        if newe:
-            powers[k] = newe
+    return _merge(a, b, 1)
+
+
+def _merge(a: Mono, b: Mono, sign: int) -> Mono:
+    """a·b^sign (sign ±1) in one pass over the two sorted tuples: a pair
+    whose key is on one side only is reused as it is (b's negated when
+    sign is −1), shared keys add their exponents, and a zero drops out."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        (ka, ea), (kb, eb) = pa, pb = a[i], b[j]
+        if ka == kb:
+            if e := ea + sign * eb:
+                out.append((ka, e))
+            i += 1
+            j += 1
+        elif ka < kb:
+            out.append(pa)
+            i += 1
         else:
-            del powers[k]
-    return tuple(sorted(powers.items()))
+            out.append(pb if sign > 0 else (kb, -eb))
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:] if sign > 0 else [(k, -e) for k, e in b[j:]])
+    return tuple(out)
 
 
 def mono_pow(a: Mono, n: int) -> Mono:
@@ -62,8 +84,8 @@ def mono_pow(a: Mono, n: int) -> Mono:
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    """a / b as a Laurent monomial (always exact)."""
-    return mono_mul(a, tuple((k, -e) for k, e in b))
+    """a / b as a Laurent monomial (always exact), by the same merge."""
+    return _merge(a, b, -1) if b else a
 
 
 def mono_key_str(m: Mono) -> str:

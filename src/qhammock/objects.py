@@ -47,7 +47,10 @@ of the function difference); and ``serre_tilt(a, Z)`` adds
 holds Z.  So is_iso(serre_tilt(class_object(s), Z), class_object(t))
 holds exactly when s's object holds Z and the signed sums of t/s equal
 the tilt's change; t/s is a handful of factors (f_i·A_i⁻¹ for a
-connector of the complex build).
+connector of the complex build).  The second part depends only on the
+ratio t/s and Z, so it is decided once per (quiver, height, ratio,
+members) (``_tilt_outcome``); the factor keys of s and t and the
+containment of Z in s are checked on every call.
 
 The exchange step of β at a pivot (``pivot_step``) is one function that
 returns one immutable value, head classes included.  At the canonical
@@ -262,8 +265,12 @@ def _factor_object(q: DynkinQuiver, xi: HeightFunction, key: VarKey, e: int) -> 
     checks it."""
     a = _section_objects(q, xi)[1].get(key) if e >= 0 else None
     if a is None:
-        raise ValueError(f"class factor {key}^{e} is not a power on the two base sections")
+        raise _bad_factor(key, e)
     return a
+
+
+def _bad_factor(key: VarKey, e: int) -> ValueError:
+    return ValueError(f"class factor {key}^{e} is not a power on the two base sections")
 
 
 def variable_A(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
@@ -372,28 +379,23 @@ def is_iso(q: DynkinQuiver, a: Obj, b: Obj) -> bool:
 
 
 def _tilt_holds(
-    q: DynkinQuiver,
-    xi: HeightFunction,
-    src: Mono,
-    dst: Mono,
-    zs: Iterable[ZVertex],
-    seen: dict,
+    q: DynkinQuiver, xi: HeightFunction, src: Mono, dst: Mono, zs: Iterable[ZVertex]
 ) -> bool:
     """is_iso(serre_tilt(class_object(src), zs), class_object(dst)), decided
     on the two classes: no summand object is built (see the module
     docstring for why this is exact).
 
-    The signed sums of dst/src must equal the tilt's change, and src's
-    object must hold the members, counted in serre_tilt's order (a Serre
-    image added by an earlier member counts for a later one).  Raises
-    class_object's ValueError for a bad factor of src or dst and
-    serre_tilt's NotContained.  seen, a dict the caller shares between
-    calls, keeps each factor key checked (with its object) and each
-    ("ratio", dst/src, members) compared, so each is read once.
+    Every call checks the factors of src and dst (class_object's
+    ValueError) and that src's object holds the members, counted in
+    serre_tilt's order (a Serre image added by an earlier member counts for
+    a later one; NotContained).  Whether the signed sums of dst/src equal
+    the tilt's change depends only on the ratio and the members, and is
+    decided once per quiver (``_tilt_outcome``).
     """
+    table = _section_objects(q, xi)[1]
     for key, e in src + dst:
-        if e < 0 or key not in seen:
-            seen[key] = _factor_object(q, xi, key, e)
+        if e < 0 or key not in table:
+            raise _bad_factor(key, e)
     chosen: dict[ZVertex, int] = {}
     for z in zs:
         chosen[z] = chosen.get(z, 0) + 1
@@ -401,27 +403,35 @@ def _tilt_holds(
     if not ratio and not chosen:
         return True  # equal classes, nothing tilted
     members = tuple(chosen.items())
-    memo = ("ratio", ratio, members)
-    if memo not in seen:
-        images = tuple(serre(q, z) for z in chosen)
-        # the signed sums of dst/src, a difference of objects that is never
-        # built: its multiset must be Σ c_z·(S z − z), its function −Σ c_z·δ_z
-        factors = [(seen[key], e) for key, e in ratio]
-        mult, gens, deltas = (_scaled_sum(factors, read) for read in (_MULT, _GENS, _DELTAS))
-        for (z, c), sz in zip(members, images):
-            mult[z] = mult.get(z, 0) + c
-            mult[sz] = mult.get(sz, 0) - c
-        holds = not any(mult.values()) and qfun_equal(
-            q, _qfun(gens, deltas), _qfun({}, {z: -c for z, c in members})
-        )
-        seen[memo] = holds, images
-    holds, images = seen[memo]
+    holds, images = _tilt_outcome(q, xi, ratio, members)
     added: dict[ZVertex, int] = {}
     for (z, c), sz in zip(members, images):
-        if added.get(z, 0) + sum(seen[key].mult.get(z, 0) * e for key, e in src) < c:
+        if added.get(z, 0) + sum(table[key].mult.get(z, 0) * e for key, e in src) < c:
             raise NotContained(f"{z} (x{c}) not contained in the multiset")
         added[sz] = added.get(sz, 0) + c
     return holds
+
+
+@lru_cache(maxsize=None)
+def _tilt_outcome(
+    q: DynkinQuiver, xi: HeightFunction, ratio: Mono, members: tuple[tuple[ZVertex, int], ...]
+) -> tuple[bool, tuple[ZVertex, ...]]:
+    """Whether the signed sums of a class ratio, a difference of objects
+    that is never built, are the change of tilting the (member, count)
+    pairs: its multiset must be Σ c_z·(S z − z) and its function
+    −Σ c_z·δ_z.  Also the members' Serre images.  Every key of the ratio
+    is a section key (``_tilt_holds`` checks them first)."""
+    table = _section_objects(q, xi)[1]
+    images = tuple(serre(q, z) for z, _ in members)
+    factors = [(table[key], e) for key, e in ratio]
+    mult, gens, deltas = (_scaled_sum(factors, read) for read in (_MULT, _GENS, _DELTAS))
+    for (z, c), sz in zip(members, images):
+        mult[z] = mult.get(z, 0) + c
+        mult[sz] = mult.get(sz, 0) - c
+    holds = not any(mult.values()) and qfun_equal(
+        q, _qfun(gens, deltas), _qfun({}, {z: -c for z, c in members})
+    )
+    return holds, images
 
 
 # ───────────────────────── dominant objects ─────────────────────────

@@ -19,6 +19,7 @@ from qhammock import (
 from qhammock.complexes import (
     Complex,
     Component,
+    FractionComplex,
     build_complex,
     complex_to_json,
     cone,
@@ -230,6 +231,37 @@ def test_structure_checks_over_a3_roots():
             assert validate_components(q, xi, fc.num)
             exact = verify_exactness_smallrank(q, xi, fc, beta)
             assert exact["ok"], (q.arrows, beta, exact["failures"][:2])
+
+
+def test_exactness_check_reads_the_degree_zero_identity():
+    # clause (1): the degree-0 term is the single summand Y[β]·Y^den.  A
+    # dominant but wrong summand, a doubled one, an extra degree-0
+    # summand and a missing degree 0 each fail it; the build passes
+    q, xi = a2()
+    fc = build_complex(q, xi, (1, 1))
+    (lead,) = fc.num.terms[0]
+    # Y[(1, 1)] = Y(2, ξ(2)−2) on 1 → 2, times Y(1, ξ(1))·Y(2, ξ(2))
+    assert lead == mono_from_dict({("Y", 2, xi.ht(2) - 2): 1, ("Y", 1, 1): 1, ("Y", 2, 0): 1})
+    assert verify_exactness_smallrank(q, xi, fc, (1, 1)) == {"ok": True, "failures": []}
+    hand_made = [
+        [MONO_ONE],
+        [mono_mul(lead, lead)],
+        [lead, lead],
+        [lead, MONO_ONE],
+    ]
+    for row in hand_made:
+        rep = verify_exactness_smallrank(q, xi, FractionComplex(Complex({0: row}), fc.den), (1, 1))
+        assert rep == {
+            "ok": False,
+            "failures": ["degree-0 term is not the single summand Y[β]·Y^den"],
+        }, row
+    shifted = FractionComplex(Complex({1: [lead]}), fc.den)
+    assert not verify_exactness_smallrank(q, xi, shifted, (1, 1))["ok"]
+    # the base cases carry no denominator: Y[β] alone
+    for beta in [(0, 0), (-1, 0), (0, -1)]:
+        base = build_complex(q, xi, beta)
+        assert verify_exactness_smallrank(q, xi, base, beta)["ok"], beta
+        assert not verify_exactness_smallrank(q, xi, base, (1, 1))["ok"], beta
 
 
 def test_complex_json_schema():
@@ -474,11 +506,17 @@ def test_degree_zero_violation_is_an_engine_error(monkeypatch, broken):
         monkeypatch.setattr(complexes, "dominant_monomial", lambda *args: MONO_ONE)
     elif broken == "serre_tilt":
         # build once unbroken, so the cached ghost objects keep their
-        # true Serre images and only the check's own reading breaks
+        # true Serre images and only the check's own reading breaks; the
+        # tilt outcomes are cached per quiver, so drop the true ones
         build_complex(q, xi, (1, 1), pivot=1)
         monkeypatch.setattr(objects, "serre", lambda q, z: z)
+        objects._tilt_outcome.cache_clear()
     else:
         two = Complex({0: [MONO_ONE, MONO_ONE]})
         monkeypatch.setattr(complexes, "cone", lambda *args, **kwargs: two)
-    with pytest.raises(InvariantViolation):
-        build_complex(q, xi, (1, 1), pivot=1)
+    try:
+        with pytest.raises(InvariantViolation):
+            build_complex(q, xi, (1, 1), pivot=1)
+    finally:
+        # and no outcome decided under the broken Serre map outlives the test
+        objects._tilt_outcome.cache_clear()

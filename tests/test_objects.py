@@ -249,6 +249,7 @@ def test_qfun_equal_matches_evaluation_oracle(monkeypatch, family, rank):
     monkeypatch.setattr(hammock, "qfun_equal", refereed)
     monkeypatch.setattr(objects, "qfun_equal", refereed)
     complexes._canonical_build.cache_clear()
+    objects._tilt_outcome.cache_clear()
     for q in all_orientations(family, rank):
         xi = default_height(q)
         for beta in positive_roots(q):
@@ -730,9 +731,9 @@ def _tilt_by_objects(q, xi, src, dst, zs):
         return type(exc)
 
 
-def _tilt_by_classes(q, xi, src, dst, zs, seen):
+def _tilt_by_classes(q, xi, src, dst, zs):
     try:
-        return objects._tilt_holds(q, xi, src, dst, zs, seen)
+        return objects._tilt_holds(q, xi, src, dst, zs)
     except (ValueError, NotContained) as exc:
         return type(exc)
 
@@ -789,26 +790,69 @@ def test_tilt_holds_matches_object_route(family, rank):
     # the class check (objects._tilt_holds) against serre_tilt + is_iso on
     # class_objects: the same bool or the same exception type on every η
     # component and every build's multi-member tilt, real and perturbed.
-    # One memo per quiver is shared across all cases, as validate_components
-    # shares one across a complex.  On A1 the Serre image of τ base_1 is
+    # Each case is decided cold (the outcome cache cleared before it) and
+    # again warm, in reverse order, with every outcome of the quiver
+    # cached, so a warm answer first decided for another source of the
+    # same ratio must agree too.  On A1 the Serre image of τ base_1 is
     # τ base_1 itself.
     outcomes = set()
     for q in all_orientations(family, rank):
         xi = default_height(q)
-        seen = {}
         cases = dict.fromkeys(
             case
             for real in _tilt_cases(q, xi)
             for case in _tilt_perturbations(q, xi, *real)
         )
+        wants = {}
         for src, dst, zs in cases:
-            want = _tilt_by_objects(q, xi, src, dst, zs)
-            assert _tilt_by_classes(q, xi, src, dst, zs, seen) == want, (q.arrows, src, dst, zs)
+            wants[src, dst, zs] = want = _tilt_by_objects(q, xi, src, dst, zs)
+            objects._tilt_outcome.cache_clear()
+            assert _tilt_by_classes(q, xi, src, dst, zs) == want, (q.arrows, src, dst, zs)
             outcomes.add(want)
+        for src, dst, zs in cases:
+            _tilt_by_classes(q, xi, src, dst, zs)
+        for (src, dst, zs), want in reversed(wants.items()):
+            assert _tilt_by_classes(q, xi, src, dst, zs) == want, (q.arrows, src, dst, zs)
     assert outcomes == {True, False, ValueError, NotContained}
     if family == "A" and rank == 1:
         z = translate_base(xi, 1)
         assert objects.serre(q, z) == z
+
+
+def test_tilt_outcome_cache_keeps_the_per_call_checks():
+    # the outcome of a (ratio, members) pair is cached per quiver, but the
+    # factor keys and the containment count read the call's own classes.
+    # On A2, the η_1 component of C[(1, 1)]: src Y(1,-1)·Y(1,1)·f_2,
+    # dst Y(2,0)·f_1·f_2, member z = τ base_1
+    q, xi = a2()
+    c = build_complex(q, xi, (1, 1)).num
+    (comp,) = c.diffs[1]
+    src, dst = c.terms[1][comp.src], c.terms[2][comp.dst]
+    z, w = translate_base(xi, comp.tag[1]), translate_base(xi, 3 - comp.tag[1])
+    objects._tilt_outcome.cache_clear()
+    assert objects._tilt_holds(q, xi, src, dst, [z])  # warm, holding
+    # the same ratio with a bad key on both sides: class_object's ValueError
+    off = mono_from_dict({("Y", 1, xi.ht(1) + 2): 1})
+    with pytest.raises(ValueError, match="not a power on the two base sections"):
+        objects._tilt_holds(q, xi, mono_mul(src, off), mono_mul(dst, off), [z])
+    with pytest.raises(ValueError, match="not a power on the two base sections"):
+        class_object(q, xi, mono_mul(src, off))
+    neg = ((("Y", 2, xi.ht(2)), -1),)
+    with pytest.raises(ValueError, match="not a power on the two base sections"):
+        objects._tilt_holds(q, xi, mono_mul(src, neg), mono_mul(dst, neg), [z])
+    # a source of a holding ratio holds its members (it holds the ratio's
+    # negative part, by additivity), so containment is checked against a
+    # ratio that fails: the same ratio tilted at w, once from a source
+    # that holds w and once from src, which does not
+    extra = mono_from_dict({("Y", w.i, w.p): 1})
+    assert class_object(q, xi, src).mult.get(w, 0) == 0
+    assert objects._tilt_holds(q, xi, mono_mul(src, extra), mono_mul(dst, extra), [w]) is False
+    with pytest.raises(NotContained):
+        objects._tilt_holds(q, xi, src, dst, [w])
+    assert objects._tilt_holds(q, xi, src, dst, [z])
+    # two outcomes decided; the last two calls read them
+    info = objects._tilt_outcome.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2), info
 
 
 def _tilt_identity_holds(q, xi, beta, i):

@@ -13,7 +13,7 @@ from qhammock.cli import main
 from qhammock.cluster import initial_seed, mutate
 from qhammock.complexes import _join_parities
 from qhammock.errors import InexactDivision, InvariantViolation
-from qhammock.laurent import mono_from_dict, mono_mul, mono_pow
+from qhammock.laurent import MONO_ONE, mono_div, mono_from_dict, mono_mul, mono_pow
 from qhammock.qchar import nakajima_leq, variable_A
 from qhammock.repetition import window_vertices
 
@@ -50,6 +50,59 @@ def test_nakajima_leq_holds_exactly_upwards(case):
         raised = mono_mul(raised, mono_pow(variable_A(q, xi, i), e))
     assert nakajima_leq(q, xi, m, raised)
     assert nakajima_leq(q, xi, raised, m) == (not any(k))
+
+
+# every kind of variable key the library multiplies, so the merge compares
+# keys of different lengths and first letters
+KERNEL_VARS = [
+    key
+    for i in (1, 2, 3)
+    for key in [("Y", i, p) for p in (-2, -1, 0, 1, 2)] + [("f", i), ("x", i), ("X", i)]
+]
+canonical_monomials = st.dictionaries(
+    st.sampled_from(KERNEL_VARS), st.integers(-3, 3).filter(bool), max_size=8
+).map(lambda powers: tuple(sorted(powers.items())))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(a, b): independent, b sharing some of a's keys with the opposite
+    exponent (partial cancellation), b = a⁻¹ (full), or one side empty."""
+    a = draw(canonical_monomials)
+    kind = draw(st.sampled_from(["free", "partial", "inverse", "empty"]))
+    if kind == "free":
+        b = draw(canonical_monomials)
+    elif kind == "empty":
+        b = MONO_ONE
+    elif kind == "inverse":
+        b = tuple((k, -e) for k, e in a)
+    else:
+        powers = dict(draw(canonical_monomials))
+        powers.update((k, -e) for k, e in a if draw(st.booleans()))
+        b = tuple(sorted(powers.items()))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def _by_dict_and_sort(a, b, sign):
+    powers = dict(a)
+    for k, e in b:
+        powers[k] = powers.get(k, 0) + sign * e
+    return tuple(sorted((k, e) for k, e in powers.items() if e))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(monomial_pairs())
+def test_monomial_merge_matches_dict_and_sort(pair):
+    # referee of the merge kernel: the product and the quotient of two
+    # canonical monomials equal the dict-and-sort reference, and are
+    # canonical (keys strictly increasing, no zero exponent)
+    a, b = pair
+    for got, sign in ((mono_mul(a, b), 1), (mono_div(a, b), -1)):
+        assert got == _by_dict_and_sort(a, b, sign), (a, b, sign)
+        assert type(got) is tuple and all(e for _, e in got)
+        assert all(k1 < k2 for (k1, _), (k2, _) in zip(got, got[1:])), got
+    assert mono_div(a, a) == MONO_ONE == mono_mul(a, mono_div(MONO_ONE, a))
+    assert mono_mul(a, MONO_ONE) == a == mono_mul(MONO_ONE, a) == mono_div(a, MONO_ONE)
 
 
 # a few variables, small exponents and coefficients: products stay small

@@ -176,6 +176,7 @@ def test_routes_agree_from_cold_caches():
         "ghost_object",
         "_section_objects",
         "_canonical_step",
+        "_tilt_outcome",
         "_canonical_build",
         "_canonical_recursion",
         "enumerate_cluster_variables",
