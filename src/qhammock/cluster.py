@@ -14,7 +14,11 @@ repeats the mutable pattern one step out of phase.  Mutation follows the
 usual skew-matrix rule; the exchange binomial is divided out exactly in
 the initial variables, so the Laurent property is asserted on every step
 rather than assumed (a failed division raises InexactDivision and means
-the seed bookkeeping is wrong, not that rounding happened).
+the seed bookkeeping is wrong, not that rounding happened).  A seed
+carries every entry twice: as a LaurentPoly for its readers, and as
+exponent rows over the 2n initial variables in sorted order, on which
+mutation forms the exchange products and divides with the Laurent ring's
+row kernel; only the new entry is turned back into a polynomial.
 
 Enumeration walks by sink mutation: starting from the initial seed, it
 keeps mutating at the lowest-labelled sink of the mutable part (a vertex
@@ -26,11 +30,12 @@ produced some x_j, every orbit has closed and every cluster variable has
 appeared, in about |Δ₊| steps rather than one per edge of the exchange
 graph.  The frozen shadows do not change the exchange graph in finite type
 (Fomin–Zelevinsky, Cluster algebras II).  Each variable is keyed by its
-denominator vector in the initial mutable variables; the initial variables
-themselves get the negated unit vectors.  The key set is validated against
-the root system and every coefficient is checked positive — that bijection
-is the actual theorem being leaned on, and it also certifies that the walk
-found every variable, so it is checked, not trusted.
+denominator vector in the initial mutable variables (the negated column
+minima of its rows); the initial variables themselves get the negated
+unit vectors.  The key set is validated against the root system and every
+coefficient is checked positive — that bijection is the actual theorem
+being leaned on, and it also certifies that the walk found every
+variable, so it is checked, not trusted.
 
 Entries both frozen are never stored: no mutation rule ever reads them
 (the exchange at a mutable k consumes column k only, and the update of a
@@ -43,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import CensusFailure, TooLarge
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _div_rows, _mul_rows, _poly_from_rows
 from .quiver import DynkinQuiver, Root, positive_roots, simple_root
 
 SeedVertex = Tuple[int, int]  # (vertex, level); level 0 mutable, 1 frozen
@@ -69,6 +74,11 @@ __all__ = [
 # ───────────────────────────── seeds ─────────────────────────────
 
 
+# an entry as {exponent row over the seed's sorted variable keys: coefficient}
+_Rows = Mapping[Tuple[int, ...], int]
+_Arrows = List[Tuple[SeedVertex, int]]
+
+
 @dataclass(frozen=True, eq=False)
 class Seed:
     """A labeled seed: skew arrow-count matrix plus cluster entries.
@@ -76,18 +86,28 @@ class Seed:
     ``matrix`` stores every nonzero b_{uv} with at least one endpoint
     mutable, both orientations (b_{vu} = −b_{uv}).  ``cluster`` maps each
     seed vertex to a Laurent polynomial in the initial variables
-    ("x", i) and ("X", i); frozen entries never change.
+    ("x", i) and ("X", i); frozen entries never change.  ``rows`` holds
+    the same entries as read-only {exponent row: coefficient} views, each
+    row over the 2n keys in sorted order (every ("X", i), then every
+    ("x", i)), which is what mutation computes on; a mutated seed shares
+    the views of the entries it did not change.
     """
 
     vertices: Tuple[SeedVertex, ...]
     matrix: Mapping[Tuple[SeedVertex, SeedVertex], int]
     cluster: Mapping[SeedVertex, LaurentPoly]
+    rows: Mapping[SeedVertex, _Rows]
 
     def b(self, u: SeedVertex, v: SeedVertex) -> int:
         return self.matrix.get((u, v), 0)
 
     def mutable_vertices(self) -> Tuple[SeedVertex, ...]:
         return tuple(v for v in self.vertices if v[1] == MUTABLE)
+
+
+def _keys(vertices: Iterable[int]) -> Tuple[Tuple[str, int], ...]:
+    """The initial variables of a quiver's seed, sorted: the row columns."""
+    return tuple(sorted(key for i in vertices for key in (("x", i), ("X", i))))
 
 
 def initial_seed(q: DynkinQuiver) -> Seed:
@@ -106,24 +126,40 @@ def initial_seed(q: DynkinQuiver) -> Seed:
         matrix[(u, v)] = matrix.get((u, v), 0) + 1
         matrix[(v, u)] = matrix.get((v, u), 0) - 1
     matrix = {k: w for k, w in matrix.items() if w}
+    keys = _keys(q.vertices)
     cluster: Dict[SeedVertex, LaurentPoly] = {}
-    for i in q.vertices:
-        cluster[(i, MUTABLE)] = LaurentPoly.variable(("x", i))
-        cluster[(i, FROZEN)] = LaurentPoly.variable(("X", i))
-    return Seed(verts, matrix, cluster)
+    rows: Dict[SeedVertex, _Rows] = {}
+    for v in verts:
+        key = ("x" if v[1] == MUTABLE else "X", v[0])
+        cluster[v] = LaurentPoly.variable(key)
+        rows[v] = MappingProxyType({tuple(int(k == key) for k in keys): 1})
+    return Seed(verts, matrix, cluster, rows)
+
+
+def _arrows_at(seed: Seed, k: SeedVertex) -> Tuple[_Arrows, _Arrows]:
+    """The neighbours of k with their arrow counts: (arrows in, arrows out)."""
+    into_k: _Arrows = []
+    out_of_k: _Arrows = []
+    for v in seed.vertices:
+        w = seed.b(v, k)
+        if w:
+            (into_k if w > 0 else out_of_k).append((v, abs(w)))
+    return into_k, out_of_k
+
+
+def _product(seed: Seed, factors: _Arrows) -> _Rows:
+    """The product of the entries at the given vertices, each to its power, on rows."""
+    out = None
+    for v, w in factors:
+        for _ in range(w):
+            out = seed.rows[v] if out is None else _mul_rows(out, seed.rows[v])
+    return {(0,) * len(seed.vertices): 1} if out is None else out
 
 
 def exchange_binomial(seed: Seed, k: SeedVertex) -> Tuple[LaurentPoly, LaurentPoly]:
     """The two exchange products at k: (arrows in, arrows out)."""
-    plus = LaurentPoly.one()
-    minus = LaurentPoly.one()
-    for v in seed.vertices:
-        w = seed.b(v, k)
-        if w > 0:
-            plus = plus * seed.cluster[v] ** w
-        elif w < 0:
-            minus = minus * seed.cluster[v] ** (-w)
-    return plus, minus
+    keys = _keys(i for i, _ in seed.mutable_vertices())
+    return tuple(_poly_from_rows(_product(seed, side), keys) for side in _arrows_at(seed, k))
 
 
 def mutate(seed: Seed, k: SeedVertex) -> Seed:
@@ -132,21 +168,23 @@ def mutate(seed: Seed, k: SeedVertex) -> Seed:
     The matrix rule b'_{uv} = −b_{uv} if k ∈ {u, v}, else
     b_{uv} + sgn(b_{uk})·max(b_{uk}·b_{kv}, 0), changes only row and
     column k and the pairs with u → k → v, so only those are touched.
+    The exchange products, their sum and the division by the old entry
+    run on exponent rows, through the Laurent ring's one division kernel;
+    only the new entry is turned into a LaurentPoly.
     """
     if k not in seed.vertices:
         raise ValueError(f"{k} is not a vertex of this seed")
     if k[1] != MUTABLE:
         raise ValueError(f"cannot mutate the frozen vertex {k}")
 
+    into_k, out_of_k = _arrows_at(seed, k)
     new_matrix = dict(seed.matrix)
-    into_k: List[Tuple[SeedVertex, int]] = []
-    out_of_k: List[Tuple[SeedVertex, int]] = []
-    for v in seed.vertices:
-        w = seed.b(v, k)
-        if w:
-            new_matrix[(v, k)] = -w
-            new_matrix[(k, v)] = w
-            (into_k if w > 0 else out_of_k).append((v, abs(w)))
+    for v, a in into_k:
+        new_matrix[(v, k)] = -a
+        new_matrix[(k, v)] = a
+    for v, c in out_of_k:
+        new_matrix[(v, k)] = c
+        new_matrix[(k, v)] = -c
     for u, a in into_k:
         for v, c in out_of_k:
             if u[1] == FROZEN and v[1] == FROZEN:
@@ -158,12 +196,17 @@ def mutate(seed: Seed, k: SeedVertex) -> Seed:
             else:
                 del new_matrix[(u, v)], new_matrix[(v, u)]
 
-    plus, minus = exchange_binomial(seed, k)
-    new_var = (plus + minus).exact_div(seed.cluster[k])
-
+    num = dict(_product(seed, into_k))
+    for r, c in _product(seed, out_of_k).items():
+        if s := num.get(r, 0) + c:
+            num[r] = s
+        else:
+            del num[r]
+    new_rows = dict(seed.rows)
+    new_rows[k] = MappingProxyType(_div_rows(num, seed.rows[k]))
     new_cluster = dict(seed.cluster)
-    new_cluster[k] = new_var
-    return Seed(seed.vertices, new_matrix, new_cluster)
+    new_cluster[k] = _poly_from_rows(new_rows[k], _keys(i for i, _ in seed.mutable_vertices()))
+    return Seed(seed.vertices, new_matrix, new_cluster, new_rows)
 
 
 # ──────────────────────────── sink walk ────────────────────────────
@@ -175,34 +218,35 @@ def _lowest_sink(seed: Seed) -> SeedVertex:
     return next(k for k in mutable if all(seed.b(k, v) <= 0 for v in mutable))
 
 
-def _sink_walk(q: DynkinQuiver) -> List[LaurentPoly]:
-    """Every variable met by sink mutation until each τ-orbit has closed."""
+def _sink_walk(q: DynkinQuiver) -> List[Tuple[_Rows, LaurentPoly]]:
+    """Every variable met by sink mutation until each τ-orbit has closed,
+    as (rows, polynomial) pairs; an entry is told apart by its rows."""
     seed = initial_seed(q)
-    found = {seed.cluster[v].canonical(): seed.cluster[v] for v in seed.mutable_vertices()}
+    found = {
+        frozenset(seed.rows[v].items()): (seed.rows[v], seed.cluster[v])
+        for v in seed.mutable_vertices()
+    }
     initial = set(found)
     still_open = set(seed.mutable_vertices())
     cap = 2 * (len(positive_roots(q)) + q.rank)
     for _ in range(cap):
         k = _lowest_sink(seed)
         seed = mutate(seed, k)
-        key = seed.cluster[k].canonical()
+        key = frozenset(seed.rows[k].items())
         if key in initial:
             still_open.discard(k)
             if not still_open:
                 return list(found.values())
         else:
-            found.setdefault(key, seed.cluster[k])
+            found.setdefault(key, (seed.rows[k], seed.cluster[k]))
     raise TooLarge(f"sink walk did not close within {cap} mutations")
 
 
-def _denominator_vector(q: DynkinQuiver, poly: LaurentPoly) -> Root:
-    """Exponent of 1/x_i in lowest terms, per vertex (absence counts 0)."""
-    dvec = []
-    for i in q.vertices:
-        key = ("x", i)
-        low = min(dict(mono).get(key, 0) for mono in poly.terms)
-        dvec.append(-low)
-    return tuple(dvec)
+def _denominator_vector(q: DynkinQuiver, rows: _Rows) -> Root:
+    """Exponent of 1/x_i in lowest terms, per vertex: the negated minimum
+    of x_i's column (a variable a term lacks has exponent 0 there)."""
+    low = dict(zip(_keys(q.vertices), map(min, zip(*rows))))
+    return tuple(-low[("x", i)] for i in q.vertices)
 
 
 @lru_cache(maxsize=None)
@@ -216,8 +260,8 @@ def enumerate_cluster_variables(q: DynkinQuiver) -> Mapping[Root, LaurentPoly]:
     of it (a LaurentPoly cannot be edited).
     """
     out: Dict[Root, LaurentPoly] = {}
-    for poly in _sink_walk(q):
-        dvec = _denominator_vector(q, poly)
+    for rows, poly in _sink_walk(q):
+        dvec = _denominator_vector(q, rows)
         if dvec in out:
             raise CensusFailure(
                 f"two cluster variables share the denominator vector {dvec}"

@@ -8,16 +8,23 @@ and quotients merge the two canonical tuples in one pass, so a result is
 canonical without a sort and shares the untouched (key, exponent) pairs of
 its inputs.
 
-Division is exact or it is an error: ``LaurentPoly.exact_div`` clears
-denominators, runs ordinary multivariate long division over the integers,
-and raises InexactDivision at the first step whose leading coefficient the
-divisor's does not divide, or when a nonzero remainder is left.
+Division is exact or it is an error.  Polynomial division runs on
+exponent rows ({tuple of exponents over a sorted key list: coefficient}),
+in one long-division loop over the integers that the cluster layer shares:
+graded lex picks the leading terms, and it is translation-invariant, so
+the rows are divided as they are, with no shift to nonnegative exponents.
+A quotient exponent below the numerator's column minimum less the
+divisor's is a nonzero remainder.  InexactDivision is raised there, at the
+first step whose leading coefficient the divisor's does not divide, or
+when the product check at the end fails.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import add, sub
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InexactDivision
 
@@ -296,16 +303,9 @@ class LaurentPoly:
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Return self / other, raising InexactDivision unless exact over ℤ.
 
-        Strategy: strip the per-variable minimum exponent from numerator and
-        denominator separately (a monomial factor each), divide the two
-        resulting honest polynomials by multivariate long division over ℤ in
-        graded-lex order, and reattach the monomial difference.  Exactness of
-        the original Laurent division is equivalent to exactness of the
-        stripped polynomial division, because per-variable minimal degrees
-        are additive over products.  When the quotient is integral every
-        step's leading coefficient is a multiple of the divisor's (leading
-        terms multiply in a monomial order), so a step that does not divide
-        proves the division inexact.
+        A monomial divisor divides term by term; otherwise both sides
+        become exponent rows over their sorted variables and go through
+        ``_div_rows``, and the quotient comes back as monomials.
         """
         if not other.terms:
             raise ZeroDivisionError("Laurent division by zero")
@@ -321,66 +321,19 @@ class LaurentPoly:
                 out[mono_div(m, bm)] = q
             return _wrap(out)
 
-        vars_sorted = sorted(self.variables() | other.variables())
-        index = {k: n for n, k in enumerate(vars_sorted)}
-        nv = len(vars_sorted)
+        keys = sorted(self.variables() | other.variables())
+        index = {k: j for j, k in enumerate(keys)}
 
-        def vec(m: Mono) -> list[int]:
-            row = [0] * nv
-            for k, e in m:
-                row[index[k]] = e
-            return row
+        def rows(poly: LaurentPoly) -> dict[tuple[int, ...], int]:
+            out = {}
+            for m, c in poly.terms.items():
+                row = [0] * len(keys)
+                for k, e in m:
+                    row[index[k]] = e
+                out[tuple(row)] = c
+            return out
 
-        def stripped(poly: LaurentPoly) -> tuple[dict[tuple[int, ...], int], list[int]]:
-            rows = {tuple(vec(m)): c for m, c in poly.terms.items()}
-            mins = [min(r[j] for r in rows) for j in range(nv)]
-            shifted = {
-                tuple(a - b for a, b in zip(r, mins)): c for r, c in rows.items()
-            }
-            return shifted, mins
-
-        num, num_shift = stripped(self)
-        den, den_shift = stripped(other)
-
-        def order_key(v: tuple[int, ...]) -> tuple:
-            return (sum(v), v)
-
-        lead_den = max(den, key=order_key)
-        lead_den_c = den[lead_den]
-
-        # the leading exponent strictly falls at every step, so each quotient
-        # exponent is produced once
-        quo: dict[tuple[int, ...], int] = {}
-        work = dict(num)
-        while work:
-            lead = max(work, key=order_key)
-            diff = tuple(a - b for a, b in zip(lead, lead_den))
-            if any(d < 0 for d in diff):
-                raise InexactDivision("remainder is nonzero")
-            coeff, rem = divmod(work[lead], lead_den_c)
-            if rem:
-                raise InexactDivision("quotient has fractional coefficient")
-            quo[diff] = coeff
-            for dv, dc in den.items():
-                tgt = tuple(a + b for a, b in zip(diff, dv))
-                newc = work.get(tgt, 0) - coeff * dc
-                if newc:
-                    work[tgt] = newc
-                else:
-                    work.pop(tgt, None)
-
-        out_terms: dict[Mono, int] = {}
-        for v, c in quo.items():
-            powers = {}
-            for j in range(nv):
-                e = v[j] + num_shift[j] - den_shift[j]
-                if e:
-                    powers[vars_sorted[j]] = e
-            out_terms[mono_from_dict(powers)] = c
-        res = _wrap(out_terms)
-        if res * other != self:
-            raise InexactDivision("verification of exact division failed")
-        return res
+        return _poly_from_rows(_div_rows(rows(self), rows(other)), keys)
 
     # -- presentation ------------------------------------------------
 
@@ -403,6 +356,72 @@ class LaurentPoly:
     def to_json_dict(self) -> dict[str, int]:
         """JSON-friendly {monomial string: coefficient} with sorted keys."""
         return {mono_key_str(m): c for m, c in self.sorted_terms()}
+
+
+def _lead(rows: dict[tuple, int]) -> tuple:
+    """The leading row in graded lex (total degree first, then the row
+    itself), compared as (degree, row) pairs without a key function."""
+    return max(zip(map(sum, rows), rows))[1]
+
+
+def _mul_rows(a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
+    """The product of two polynomials on exponent rows over one key list."""
+    out: dict[tuple, int] = {}
+    for ra, ca in a.items():
+        for rb, cb in b.items():
+            r = tuple(map(add, ra, rb))
+            s = out.get(r, 0) + ca * cb
+            if s:
+                out[r] = s
+            else:
+                out.pop(r, None)
+    return out
+
+
+def _div_rows(num: dict[tuple, int], den: dict[tuple, int]) -> dict[tuple, int]:
+    """num / den on exponent rows over one key list, exact over ℤ or
+    InexactDivision; both sides nonzero.
+
+    Long division in graded lex.  Per-column minima are additive over
+    products, so every exponent of an exact quotient is at least the
+    numerator's column minimum less the divisor's; a leading term that
+    asks for less is a nonzero remainder, and the bound also ends the
+    loop, since the leading exponent strictly falls at every step.  When
+    the quotient is integral every step's leading coefficient is a
+    multiple of the divisor's (leading terms multiply in a monomial
+    order), so a step that does not divide proves the division inexact.
+    """
+    low = tuple(map(sub, map(min, zip(*num)), map(min, zip(*den))))
+    lead_den = _lead(den)
+    lead_c = den[lead_den]
+    den_terms = den.items()
+    quo: dict[tuple, int] = {}
+    work = dict(num)
+    while work:
+        lead = _lead(work)
+        diff = tuple(map(sub, lead, lead_den))
+        if min(map(sub, diff, low)) < 0:
+            raise InexactDivision("remainder is nonzero")
+        coeff, rem = divmod(work[lead], lead_c)
+        if rem:
+            raise InexactDivision("quotient has fractional coefficient")
+        quo[diff] = coeff
+        for dv, dc in den_terms:
+            tgt = tuple(map(add, diff, dv))
+            newc = work.get(tgt, 0) - coeff * dc
+            if newc:
+                work[tgt] = newc
+            else:
+                work.pop(tgt, None)
+    if _mul_rows(quo, den) != num:
+        raise InexactDivision("verification of exact division failed")
+    return quo
+
+
+def _poly_from_rows(rows: dict[tuple, int], keys: Sequence[VarKey]) -> LaurentPoly:
+    """Exponent rows over the sorted keys as a polynomial; a row's nonzero
+    exponents, read in key order, are already a canonical monomial."""
+    return _wrap({tuple(compress(zip(keys, row), row)): c for row, c in rows.items()})
 
 
 def _wrap(terms: dict[Mono, int]) -> LaurentPoly:

@@ -1,5 +1,6 @@
 """Exchange-pattern enumeration with frozen shadow variables."""
 
+import hashlib
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from qhammock.cluster import (
     mutate,
 )
 from qhammock.errors import TooLarge, UnknownRoot
-from qhammock.laurent import LaurentPoly
+from qhammock.laurent import LaurentPoly, mono_from_dict
 from qhammock.qchar import qchar_cluster
 
 
@@ -52,6 +53,8 @@ def test_initial_seed_shape():
         assert s.matrix[(v, u)] == -b
     assert s.cluster[(1, 0)] == V(("x", 1))
     assert s.cluster[(2, 1)] == V(("X", 2))
+    for v in s.vertices:
+        assert _rows_as_poly(s, s.rows[v]) == s.cluster[v]
 
 
 def test_exchange_binomial_a2():
@@ -72,6 +75,19 @@ def test_mutation_exchange_and_involution():
     assert seed_key(back) == seed_key(s)
     for v in s.mutable_vertices():
         assert back.cluster[v] == s.cluster[v]
+
+
+def test_seed_rows_are_read_only():
+    # a mutated seed shares the rows of the entries it did not change, so
+    # an edit through one seed would corrupt the other
+    s = initial_seed(a2())
+    s2 = mutate(s, (1, 0))
+    for seed in (s, s2):
+        for v in seed.vertices:
+            with pytest.raises(TypeError):
+                seed.rows[v][(0, 0, 0, 0)] = 1
+    fresh = mutate(initial_seed(a2()), (2, 0))
+    assert mutate(s, (2, 0)).cluster[(2, 0)] == fresh.cluster[(2, 0)]
 
 
 def test_rank_one_exchange():
@@ -101,13 +117,24 @@ def test_matrix_mutation_rule_pentagon():
     assert seed_key(cur) == seed_key(s)
 
 
+def _rows_as_poly(seed, rows):
+    """Exponent rows over the seed's 2n variable keys, sorted, as a polynomial."""
+    keys = sorted(("x" if level == 0 else "X", i) for i, level in seed.vertices)
+    assert all(len(row) == len(keys) for row in rows)
+    return LaurentPoly({mono_from_dict(dict(zip(keys, row))): c for row, c in rows.items()})
+
+
 def _checked_mutate(seen):
-    """``mutate`` that asserts the full matrix rule on every step it makes."""
+    """``mutate`` that asserts the full matrix rule on every step it makes,
+    and that every entry's rows are the polynomial the cluster holds."""
 
     def checked(seed, k):
         out = mutate(seed, k)
         assert dict(out.matrix) == mutated_matrix(seed, k), k
         assert not any(u[1] == v[1] == FROZEN for u, v in out.matrix)
+        assert set(out.rows) == set(out.cluster) == set(out.vertices)
+        for v in out.vertices:
+            assert _rows_as_poly(out, out.rows[v]) == out.cluster[v], (k, v)
         seen.append(k)
         return out
 
@@ -210,6 +237,26 @@ def test_e6_census():
         assert len(variables) == 36 + 6
         for poly in variables.values():
             assert all(c > 0 for c in poly.terms.values())
+
+
+# sha256 of the sorted (arrows, denominator vector, canonical variable)
+# triples over the 46 gate quivers and four E6 orientations, recorded
+# before the census moved onto exponent rows
+CENSUS_DIGEST = "b1f844cb2e4c965cfdae41a555339715a3ae3aa406627a84e8bb81d72e5fd8f7"
+
+
+def test_census_digest():
+    # the only byte check on the x/X census that `qq cluster` prints
+    gate = [q for n in (2, 3, 4, 5) for q in all_orientations("A", n)]
+    gate += [*all_orientations("D", 4), *sample_orientations("D", 5, 8, seed=20260816)]
+    quivers = [*gate, *sample_orientations("E", 6, 4, seed=1)]
+    triples = sorted(
+        (q.arrows, dvec, poly.canonical())
+        for q in quivers
+        for dvec, poly in enumerate_cluster_variables(q).items()
+    )
+    assert len(quivers) == 50 and len(triples) == 974
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == CENSUS_DIGEST
 
 
 def test_variable_keys_are_denominator_vectors():

@@ -2,10 +2,11 @@
 
 import io
 import json
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhammock import LaurentPoly, all_orientations, default_height, positive_roots, sample_orientations
@@ -148,6 +149,51 @@ def test_exact_div_matches_fraction_referee(a, b, k, m):
     """Exact, scaled and inexact divisions: the integer division decides as ℚ does."""
     _agrees_with_referee(lambda: (a * b * k).exact_div(b * m), lambda: laurent_oracle.exact_div(a * b * k, b * m))
     _agrees_with_referee(lambda: a.exact_div(b), lambda: laurent_oracle.exact_div(a, b))
+
+
+# four variables with exponents on both sides of zero, so the numerator's
+# and the divisor's per-variable minima differ: the row kernel divides the
+# rows as they are, the referee after stripping those minima
+ROW_VARS = [("X", 1), ("X", 2), ("x", 1), ("x", 2)]
+wide_monomials = st.dictionaries(st.sampled_from(ROW_VARS), st.integers(-4, 4), max_size=4).map(mono_from_dict)
+wide_polys = st.dictionaries(wide_monomials, st.integers(-3, 3), max_size=4).map(LaurentPoly)
+
+
+def _column_minima(p):
+    return [min(dict(m).get(k, 0) for m in p.terms) for k in ROW_VARS]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_polys.filter(bool), wide_polys.filter(lambda p: len(p) > 1))
+def test_unshifted_division_matches_stripped_referee(a, b):
+    assume(_column_minima(a * b) != _column_minima(b))
+    _agrees_with_referee(lambda: (a * b).exact_div(b), lambda: laurent_oracle.exact_div(a * b, b))
+    assert (a * b).exact_div(b) == a
+    _agrees_with_referee(lambda: a.exact_div(b), lambda: laurent_oracle.exact_div(a, b))
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the division did not stop")
+
+
+def test_quotient_exponent_below_the_column_bound_is_inexact():
+    # (x² + 1)·x⁻³ / ((x + 1)·x⁻¹): the bound on quotient exponents is
+    # −3 − (−1) = −2; the quotients x⁻¹ and −x⁻² pass it, then the leading
+    # remainder 2·x⁻³ asks for x⁻³, so the division must stop there (without
+    # the bound it would run down a Laurent series for ever)
+    x = LaurentPoly.variable(("x", 1))
+    num = (x * x + LaurentPoly.one()) * LaurentPoly.variable(("x", 1), -3)
+    den = (x + LaurentPoly.one()) * LaurentPoly.variable(("x", 1), -1)
+    with pytest.raises(InexactDivision):
+        laurent_oracle.exact_div(num, den)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(5)
+    try:
+        with pytest.raises(InexactDivision, match="remainder is nonzero"):
+            num.exact_div(den)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # images are drawn over the substituted variables, so they collide with

@@ -32,6 +32,19 @@ def test_library_imports_no_fractions():
     assert not found, found
 
 
+def test_one_division_loop():
+    # integer division lives in the Laurent ring: the cluster layer divides
+    # through its row kernel and never carries a long division of its own
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "laurent.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "divmod"
+    ]
+    assert not found, found
+
+
 def test_library_imports_only_what_it_uses():
     # an import nothing reads is dead code; __init__ re-exports, so it is
     # exempt, and a name in a module's __all__ counts as used
