@@ -14,11 +14,11 @@ repeats the mutable pattern one step out of phase.  Mutation follows the
 usual skew-matrix rule; the exchange binomial is divided out exactly in
 the initial variables, so the Laurent property is asserted on every step
 rather than assumed (a failed division raises InexactDivision and means
-the seed bookkeeping is wrong, not that rounding happened).  A seed
-carries every entry twice: as a LaurentPoly for its readers, and as
-exponent rows over the 2n initial variables in sorted order, on which
-mutation forms the exchange products and divides with the Laurent ring's
-row kernel; only the new entry is turned back into a polynomial.
+the seed bookkeeping is wrong, not that rounding happened).  A seed holds
+its entries only as exponent rows over the 2n initial variables in sorted
+order, on which mutation forms the exchange products and divides with the
+Laurent ring's row kernel; an entry becomes a LaurentPoly only when it is
+read through ``Seed.cluster`` or returned by the census.
 
 Enumeration walks by sink mutation: starting from the initial seed, it
 keeps mutating at the lowest-labelled sink of the mutable part (a vertex
@@ -66,7 +66,6 @@ __all__ = [
     "Seed",
     "initial_seed",
     "mutate",
-    "exchange_binomial",
     "enumerate_cluster_variables",
 ]
 
@@ -84,19 +83,23 @@ class Seed:
     """A labeled seed: skew arrow-count matrix plus cluster entries.
 
     ``matrix`` stores every nonzero b_{uv} with at least one endpoint
-    mutable, both orientations (b_{vu} = −b_{uv}).  ``cluster`` maps each
-    seed vertex to a Laurent polynomial in the initial variables
-    ("x", i) and ("X", i); frozen entries never change.  ``rows`` holds
-    the same entries as read-only {exponent row: coefficient} views, each
-    row over the 2n keys in sorted order (every ("X", i), then every
-    ("x", i)), which is what mutation computes on; a mutated seed shares
-    the views of the entries it did not change.
+    mutable, both orientations (b_{vu} = −b_{uv}).  ``rows`` maps each
+    seed vertex to its entry, a Laurent polynomial in ("x", i) and
+    ("X", i), as a read-only {exponent row: coefficient} view over the 2n
+    keys in sorted order (every ("X", i), then every ("x", i)); frozen
+    entries never change, and a mutated seed shares the views of the
+    entries it did not change.  ``cluster`` reads them as LaurentPolys.
     """
 
     vertices: Tuple[SeedVertex, ...]
     matrix: Mapping[Tuple[SeedVertex, SeedVertex], int]
-    cluster: Mapping[SeedVertex, LaurentPoly]
     rows: Mapping[SeedVertex, _Rows]
+
+    @property
+    def cluster(self) -> Mapping[SeedVertex, LaurentPoly]:
+        """Every entry as a LaurentPoly, converted from its rows on each read."""
+        keys = _keys(i for i, _ in self.mutable_vertices())
+        return MappingProxyType({v: _poly_from_rows(r, keys) for v, r in self.rows.items()})
 
     def b(self, u: SeedVertex, v: SeedVertex) -> int:
         return self.matrix.get((u, v), 0)
@@ -127,13 +130,11 @@ def initial_seed(q: DynkinQuiver) -> Seed:
         matrix[(v, u)] = matrix.get((v, u), 0) - 1
     matrix = {k: w for k, w in matrix.items() if w}
     keys = _keys(q.vertices)
-    cluster: Dict[SeedVertex, LaurentPoly] = {}
     rows: Dict[SeedVertex, _Rows] = {}
     for v in verts:
         key = ("x" if v[1] == MUTABLE else "X", v[0])
-        cluster[v] = LaurentPoly.variable(key)
         rows[v] = MappingProxyType({tuple(int(k == key) for k in keys): 1})
-    return Seed(verts, matrix, cluster, rows)
+    return Seed(verts, matrix, rows)
 
 
 def _arrows_at(seed: Seed, k: SeedVertex) -> Tuple[_Arrows, _Arrows]:
@@ -156,12 +157,6 @@ def _product(seed: Seed, factors: _Arrows) -> _Rows:
     return {(0,) * len(seed.vertices): 1} if out is None else out
 
 
-def exchange_binomial(seed: Seed, k: SeedVertex) -> Tuple[LaurentPoly, LaurentPoly]:
-    """The two exchange products at k: (arrows in, arrows out)."""
-    keys = _keys(i for i, _ in seed.mutable_vertices())
-    return tuple(_poly_from_rows(_product(seed, side), keys) for side in _arrows_at(seed, k))
-
-
 def mutate(seed: Seed, k: SeedVertex) -> Seed:
     """Mutation at a mutable vertex: matrix rule plus exact exchange.
 
@@ -169,8 +164,8 @@ def mutate(seed: Seed, k: SeedVertex) -> Seed:
     b_{uv} + sgn(b_{uk})·max(b_{uk}·b_{kv}, 0), changes only row and
     column k and the pairs with u → k → v, so only those are touched.
     The exchange products, their sum and the division by the old entry
-    run on exponent rows, through the Laurent ring's one division kernel;
-    only the new entry is turned into a LaurentPoly.
+    run on exponent rows, through the Laurent ring's one division kernel,
+    and the new entry is stored as the quotient's rows.
     """
     if k not in seed.vertices:
         raise ValueError(f"{k} is not a vertex of this seed")
@@ -204,9 +199,7 @@ def mutate(seed: Seed, k: SeedVertex) -> Seed:
             del num[r]
     new_rows = dict(seed.rows)
     new_rows[k] = MappingProxyType(_div_rows(num, seed.rows[k]))
-    new_cluster = dict(seed.cluster)
-    new_cluster[k] = _poly_from_rows(new_rows[k], _keys(i for i, _ in seed.mutable_vertices()))
-    return Seed(seed.vertices, new_matrix, new_cluster, new_rows)
+    return Seed(seed.vertices, new_matrix, new_rows)
 
 
 # ──────────────────────────── sink walk ────────────────────────────
@@ -218,14 +211,11 @@ def _lowest_sink(seed: Seed) -> SeedVertex:
     return next(k for k in mutable if all(seed.b(k, v) <= 0 for v in mutable))
 
 
-def _sink_walk(q: DynkinQuiver) -> List[Tuple[_Rows, LaurentPoly]]:
+def _sink_walk(q: DynkinQuiver) -> List[_Rows]:
     """Every variable met by sink mutation until each τ-orbit has closed,
-    as (rows, polynomial) pairs; an entry is told apart by its rows."""
+    as rows; an entry is told apart by its rows."""
     seed = initial_seed(q)
-    found = {
-        frozenset(seed.rows[v].items()): (seed.rows[v], seed.cluster[v])
-        for v in seed.mutable_vertices()
-    }
+    found = {frozenset(seed.rows[v].items()): seed.rows[v] for v in seed.mutable_vertices()}
     initial = set(found)
     still_open = set(seed.mutable_vertices())
     cap = 2 * (len(positive_roots(q)) + q.rank)
@@ -238,7 +228,7 @@ def _sink_walk(q: DynkinQuiver) -> List[Tuple[_Rows, LaurentPoly]]:
             if not still_open:
                 return list(found.values())
         else:
-            found.setdefault(key, (seed.rows[k], seed.cluster[k]))
+            found.setdefault(key, seed.rows[k])
     raise TooLarge(f"sink walk did not close within {cap} mutations")
 
 
@@ -255,20 +245,22 @@ def enumerate_cluster_variables(q: DynkinQuiver) -> Mapping[Root, LaurentPoly]:
 
     Initial variables land on the negated unit vectors, everything else
     on a positive root; the key set is checked against the root system
-    and every coefficient is checked positive before returning.  The
+    and every coefficient is checked positive, on the rows, before
+    returning.  Each variable becomes a LaurentPoly here, once.  The
     table is cached per quiver, and every call shares one read-only view
     of it (a LaurentPoly cannot be edited).
     """
+    keys = _keys(q.vertices)
     out: Dict[Root, LaurentPoly] = {}
-    for rows, poly in _sink_walk(q):
+    for rows in _sink_walk(q):
         dvec = _denominator_vector(q, rows)
         if dvec in out:
             raise CensusFailure(
                 f"two cluster variables share the denominator vector {dvec}"
             )
-        if any(c <= 0 for c in poly.terms.values()):
+        if any(c <= 0 for c in rows.values()):
             raise CensusFailure("cluster variable with nonpositive coefficient")
-        out[dvec] = poly
+        out[dvec] = _poly_from_rows(rows, keys)
 
     expected = {tuple(-v for v in simple_root(q, i)) for i in q.vertices}
     expected |= {tuple(r) for r in positive_roots(q)}

@@ -64,18 +64,19 @@ is tensored up by its head class and by the closure its sub-build
 dropped, the pivot i apart: ∏ Y(k, ξ(k)) over the in-closure on the dom
 side, over the out-closure on the cod side.  The closures meet only in i,
 since a vertex in both would close an oriented cycle, so both sides land
-on β − e_i.  Each build checks two exchange identities, on classes
-(objects._tilt_holds, exact by additivity; see the objects module): that
-degree-0 identity, and the tilt of Y[β] ⊗ Y(base_i) over the out-closure
-against the tilt's factorization (ghost block, head class,
-Y[β − dim P_i]).  validate_components checks every component the same
-way, so neither builds a summand object.
+on β − e_i.  Each build checks two exchange identities on classes: that
+degree-0 identity, as one class comparison (see _build), and the tilt of
+Y[β] ⊗ Y(base_i) over the out-closure against the tilt's factorization
+(ghost block, head class, Y[β − dim P_i]), by objects._tilt_holds (exact
+by additivity; see the objects module).  validate_components checks every
+component the same way, so neither builds a summand object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -133,7 +134,8 @@ class Complex:
     """Bounded nonneg-degree complex: summand class lists plus tagged components.
 
     terms and diffs are read-only views of tuples, so a built complex that
-    the memo hands out cannot be edited in place.
+    the memo hands out cannot be edited in place.  Products merge classes
+    without sorting, so a class that is not canonical is a ValueError.
     """
 
     __slots__ = ("terms", "diffs")
@@ -151,9 +153,13 @@ class Complex:
             for n, comps in (diffs or {}).items()
             if comps
         })
-        for n in self.terms:
+        for n, row in self.terms.items():
             if n < 0:
                 raise NegativeDegree(f"term in degree {n}")
+            for m in row:
+                keys, exps = zip(*m) if m else ((), ())
+                if not (all(exps) and all(map(lt, keys, keys[1:]))):
+                    raise ValueError(f"class {m!r} in degree {n} is not a canonical monomial")
         for n, comps in self.diffs.items():
             for c in comps:
                 if not (0 <= c.src < len(self.terms.get(n, ()))):
@@ -310,12 +316,9 @@ def cone(
 
     diffs: dict[int, list[Component]] = {}
     for n, comps in dom.diffs.items():
-        # dom_{n+1} -> dom_{n+2} lives at E-degree n ... need map at slot n-1
-        e = n - 1
-        if e < 0:
-            raise NegativeDegree("domain differential out of a degree-0 cone slot")
+        # dom_n -> dom_{n+1} sits at E-degree n-1 (n > 0: dom_0 is refused above)
         for comp in comps:
-            diffs.setdefault(e, []).append(Component(comp.src, comp.dst, comp.tag, comp.sign))
+            diffs.setdefault(n - 1, []).append(Component(comp.src, comp.dst, comp.tag, comp.sign))
     for n, comps in cod.diffs.items():
         off_src = len(dom.terms.get(n + 1, ()))
         off_dst = len(dom.terms.get(n + 2, ()))
@@ -524,8 +527,8 @@ def build_complex(
 
     Each build checks its degree-0 term against Y[β] times Y^β and the
     tilt of Y[β] ⊗ Y(base_i) over the out-closure against the tilt's
-    factorization, both on classes (objects._tilt_holds): no summand
-    object is built, and a failure is an InvariantViolation.
+    factorization, both on classes (see _build): no summand object is
+    built, and a failure is an InvariantViolation.
 
     Builds at the canonical pivot are memoised per (quiver, height, β) and
     shared; a forced pivot is built afresh (its sub-builds are not).
@@ -544,6 +547,14 @@ def _canonical_build(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Fractio
 def _build(
     q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None
 ) -> FractionComplex:
+    """C[β] at a pivot (the canonical one for None), with its two checks.
+
+    The degree-0 identity is one class comparison, exact because a ratio
+    of section classes has vanishing signed sums only when it is empty:
+    the 2n Y section objects have distinct generators h_x, so distinct
+    defect indicators, and the n ghosts have zero functions and multisets
+    {S τb_i, Σ τb_i}, disjoint across i.
+    """
     if not any(beta) or _negative_simple(beta) is not None:
         if pivot is not None and pivot not in root_support(beta):
             raise NotInSupport(f"pivot {pivot} outside the support of {beta}")
@@ -572,16 +583,12 @@ def _build(
     num = cone(dom, cod, connectors)
     den = {k: b for k, b in enumerate(beta, 1) if b}
 
-    # the two exchange identities, checked on classes (objects._tilt_holds):
-    # the degree-0 term is one summand, Y[β] times Y^β, and the tilt of
+    # the degree-0 term is one summand, Y[β] times Y^β; the tilt of
     # Y[β] ⊗ Y(base_i) over the out-closure is the ghost block times the
-    # tilt's head class times Y[β − dim P_i]
-    zero_row = num.terms.get(0, ())
-    if len(zero_row) != 1:
-        raise InvariantViolation(f"degree-0 term of the build of {beta} is not a single summand")
+    # tilt's head class times Y[β − dim P_i] (objects._tilt_holds)
     lead = dominant_monomial(q, xi, beta)
     zero_src = mono_mul(lead, _section_class(xi, (), den.items()))
-    if not _tilt_holds(q, xi, zero_src, zero_row[0], ()):
+    if num.terms.get(0) != (zero_src,):
         raise InvariantViolation(f"degree-0 identity failed for {beta}")
     tilt_src = mono_mul(lead, _section_class(xi, (), [(i, 1)]))
     tilt_dst = mono_mul(

@@ -129,8 +129,7 @@ class LaurentPoly:
                 if type(c) is not int:
                     raise TypeError(f"coefficient {c!r} is not an int")
                 if c:
-                    out[m] = out.get(m, 0) + c
-            out = {m: c for m, c in out.items() if c}
+                    out[m] = c
         object.__setattr__(self, "terms", MappingProxyType(out))
 
     def __setattr__(self, name: str, value: object = None) -> None:

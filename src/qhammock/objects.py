@@ -400,8 +400,6 @@ def _tilt_holds(
     for z in zs:
         chosen[z] = chosen.get(z, 0) + 1
     ratio = mono_div(dst, src)
-    if not ratio and not chosen:
-        return True  # equal classes, nothing tilted
     members = tuple(chosen.items())
     holds, images = _tilt_outcome(q, xi, ratio, members)
     added: dict[ZVertex, int] = {}

@@ -361,7 +361,7 @@ def test_verify_negative_control_subprocess():
     # with a constant involution table the duality checks must collapse:
     # failures are reported per root and the exit code flips to 1
     r = subprocess.run(
-        [sys.executable, "-c", NEGATIVE_CONTROL], capture_output=True, text=True
+        [sys.executable, "-c", NEGATIVE_CONTROL], capture_output=True, text=True, env=_src_env()
     )
     assert r.returncode == 1
     j = json.loads(r.stdout)

@@ -95,6 +95,20 @@ def test_complex_container_checks():
     assert not c.is_zero() and Complex().is_zero()
 
 
+def test_complex_refuses_non_canonical_classes():
+    # products merge classes without sorting, so an unsorted class would
+    # never cancel against its sorted twin in an Euler sum
+    q, xi = a2()
+    u = ((("f", 1), 1), (("Y", 1, 1), 1))
+    s = tuple(sorted(u))
+    for bad in (u, ((("Y", 1, 1), 1), (("Y", 1, 1), 1)), ((("f", 1), 0),)):
+        with pytest.raises(ValueError, match="degree 1"):
+            Complex({0: [s], 1: [bad]})
+        with pytest.raises(ValueError):
+            single_complex(bad)
+    assert euler_char(q, xi, FractionComplex(Complex({0: [s], 1: [s]}), {})) == LaurentPoly.zero()
+
+
 def test_tensor_unit_and_counts():
     q, xi = a2()
     k = single_complex(K(xi, 1), 0)

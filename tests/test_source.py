@@ -1,9 +1,16 @@
 """Source-level checks on the library modules."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
+
+import pytest
+
+from qhammock import build_quiver
+from qhammock.cluster import Seed, initial_seed
+from qhammock.laurent import LaurentPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qhammock"
 
@@ -43,6 +50,42 @@ def test_one_division_loop():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "divmod"
     ]
     assert not found, found
+
+
+def _callers(tree: ast.AST, names: set[str]) -> set[str]:
+    """The scopes (Class.function, or "<module>") that call one of names,
+    directly or through an attribute of it (names.x(...))."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func.value if isinstance(child.func, ast.Attribute) else child.func
+                if isinstance(f, ast.Name) and f.id in names:
+                    found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_seeds_hold_each_entry_once():
+    # a seed keeps its entries only as exponent rows: the census builds a
+    # LaurentPoly for the variables it returns, and Seed.cluster converts
+    # on each read, a read-only view like the rows
+    assert tuple(f.name for f in dataclasses.fields(Seed)) == ("vertices", "matrix", "rows")
+    path = SRC / "cluster.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    makers = _callers(tree, {"_poly_from_rows", "LaurentPoly"})
+    assert makers == {"Seed.cluster", "enumerate_cluster_variables"}, makers
+    seed = initial_seed(build_quiver("A", 2, [(1, 2)]))
+    with pytest.raises(TypeError):
+        seed.cluster[(1, 0)] = LaurentPoly.one()
+    with pytest.raises(AttributeError):
+        seed.cluster = {}
 
 
 def test_library_imports_only_what_it_uses():
