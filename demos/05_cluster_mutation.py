@@ -23,19 +23,22 @@ q = build_quiver("A", 2, [(1, 2)])
 
 def entries(s):
     """The mutable cluster entries, as a multiset (labels forgotten)."""
-    return sorted(s.cluster[v].canonical() for v in s.mutable_vertices())
+    cl = s.cluster  # converted from the seed's rows on each read
+    return sorted(cl[v].canonical() for v in s.mutable_vertices())
 
 
 seed = initial_seed(q)
 print("initial cluster:")
+cl = seed.cluster
 for v in seed.mutable_vertices():
-    print("  ", v, "->", seed.cluster[v])
+    print("  ", v, "->", cl[v])
 
 # one mutation
 s1 = mutate(seed, (1, 0))
 print("after mutating at vertex 1:")
+cl = s1.cluster
 for v in s1.mutable_vertices():
-    print("  ", v, "->", s1.cluster[v])
+    print("  ", v, "->", cl[v])
 
 # mutation is an involution
 assert entries(mutate(s1, (1, 0))) == entries(seed)

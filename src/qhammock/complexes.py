@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import lt
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     InconsistentConnector,
@@ -136,6 +136,7 @@ class Complex:
     terms and diffs are read-only views of tuples, so a built complex that
     the memo hands out cannot be edited in place.  Products merge classes
     without sorting, so a class that is not canonical is a ValueError.
+    Complexes combined from checked ones skip the checks (_trusted).
     """
 
     __slots__ = ("terms", "diffs")
@@ -166,6 +167,20 @@ class Complex:
                     raise InconsistentConnector(f"component source out of range at degree {n}")
                 if not (0 <= c.dst < len(self.terms.get(n + 1, ()))):
                     raise InconsistentConnector(f"component target out of range at degree {n}")
+
+    @classmethod
+    def _trusted(
+        cls, terms: Mapping[int, Sequence[Mono]], diffs: Mapping[int, Sequence[Component]]
+    ) -> "Complex":
+        """A complex combined from checked ones (tensor_complex, cone,
+        _tensor_between): its classes are mono_mul products of canonical
+        monomials, its components Components with indices in range by
+        construction.  Empty rows are dropped and the rest wrapped
+        read-only, without __init__'s checks."""
+        c = object.__new__(cls)
+        c.terms = MappingProxyType({n: tuple(row) for n, row in terms.items() if row})
+        c.diffs = MappingProxyType({n: tuple(comps) for n, comps in diffs.items() if comps})
+        return c
 
     def degrees(self) -> list[int]:
         return sorted(self.terms)
@@ -266,21 +281,20 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
                             comp.sign * koszul,
                         )
                     )
-    return Complex(terms, diffs)
+    return Complex._trusted(terms, diffs)
 
 
 def _tensor_between(l: Mono, k: int, c: Complex, r: Mono, m: int) -> Complex:
     """single_complex(l, k) ⊗ c ⊗ single_complex(r, m) in one pass: each
     summand x becomes l·x·r in degree n + k + m, and every component
     keeps its indices and takes the Koszul sign (−1)^k."""
-    flip = -1 if k % 2 else 1
     lr = mono_mul(l, r)
     terms = {n + k + m: [mono_mul(lr, x) for x in row] for n, row in c.terms.items()}
     diffs = {
-        n + k + m: [(s, t, tag, sign * flip) for s, t, tag, sign in comps]
+        n + k + m: [Component(s, t, tag, -sign) for s, t, tag, sign in comps] if k % 2 else comps
         for n, comps in c.diffs.items()
     }
-    return Complex(terms, diffs)
+    return Complex._trusted(terms, diffs)
 
 
 def cone(
@@ -303,7 +317,7 @@ def cone(
     connectors = dict(connectors or {})
     if dom.is_zero() and cod.is_zero():
         return Complex()
-    terms: dict[int, list[Mono]] = {}
+    terms: dict[int, tuple[Mono, ...]] = {}
     degrees = set()
     for n in dom.terms:
         if n - 1 >= 0:
@@ -312,13 +326,12 @@ def cone(
             raise NegativeDegree("cone would push a degree-0 domain term to degree -1")
     degrees.update(cod.terms)
     for n in sorted(degrees):
-        terms[n] = list(dom.terms.get(n + 1, ())) + list(cod.terms.get(n, ()))
+        terms[n] = dom.terms.get(n + 1, ()) + cod.terms.get(n, ())
 
     diffs: dict[int, list[Component]] = {}
     for n, comps in dom.diffs.items():
         # dom_n -> dom_{n+1} sits at E-degree n-1 (n > 0: dom_0 is refused above)
-        for comp in comps:
-            diffs.setdefault(n - 1, []).append(Component(comp.src, comp.dst, comp.tag, comp.sign))
+        diffs.setdefault(n - 1, []).extend(comps)
     for n, comps in cod.diffs.items():
         off_src = len(dom.terms.get(n + 1, ()))
         off_dst = len(dom.terms.get(n + 2, ()))
@@ -342,7 +355,7 @@ def cone(
             diffs.setdefault(e, []).append(
                 Component(s, off_dst + t, tuple(tag), sign)
             )
-    return Complex(terms, diffs)
+    return Complex._trusted(terms, diffs)
 
 
 # ───────────────────────── connector resolution ─────────────────────────

@@ -19,9 +19,14 @@ is read: the dominant-object round trip (``leading_object`` then
 hom multisets of Y[β]'s factors.  Every factor of Y[β] and of a class
 is one of 3n section objects, Y(τ base_i), Y(base_i) and F(τ base_i),
 which ``_section_objects`` looks up once per (quiver, height) and hands
-out by vertex index and by class key.  ``root_of_dominant`` runs only
-the max-recursion for the remainder, and ``factor_dominant`` the full
-factorization around the same recursion.  Serre tilting replaces chosen
+out by vertex index and by class key, with the slot (vertex index,
+section) of each of the 2n generators.  The round trip runs on those
+slots both ways: a section object's function is its generator alone, so
+``leading_object`` writes Y[β]'s function straight from the b-vector,
+and ``_exponent_rows`` reads the exponents back by index, one slot
+lookup per generator.  ``root_of_dominant`` runs only the max-recursion
+for the remainder, and ``factor_dominant`` the full factorization
+around the same recursion.  Serre tilting replaces chosen
 multiset members by their Serre images while subtracting the matching
 pointwise deltas from the function.  Objects and their functions are
 immutable; products and tilts of valid objects are wrapped by _obj and
@@ -243,21 +248,31 @@ def class_object(q: DynkinQuiver, xi: HeightFunction, m: Mono) -> Obj:
 @lru_cache(maxsize=None)
 def _section_objects(
     q: DynkinQuiver, xi: HeightFunction
-) -> tuple[tuple[tuple[Obj, Obj], ...], Mapping[VarKey, Obj]]:
+) -> tuple[
+    tuple[tuple[tuple[Obj, ZVertex], tuple[Obj, ZVertex]], ...],
+    Mapping[VarKey, Obj],
+    Mapping[ZVertex, tuple[int, bool]],
+]:
     """The 3n objects every class and every Y[β] is made of, looked up once
-    per (quiver, height): by vertex index i − 1 the pair (Y(τ base_i),
-    Y(base_i)), and all 3n by class key, ("Y", i, ξ(i)−2) and
-    ("Y", i, ξ(i)) for those two and ("f", i) for F(τ base_i)."""
-    pairs = tuple(
-        (hammock_object(q, xi, translate_base(xi, i)), hammock_object(q, xi, base_vertex(xi, i)))
-        for i in q.vertices
-    )
+    per (quiver, height), in three tables: by vertex index i − 1 the pair
+    ((Y(τ base_i), τ base_i), (Y(base_i), base_i)), each with its
+    generator; all 3n by class key, ("Y", i, ξ(i)−2) and ("Y", i, ξ(i))
+    for those two and ("f", i) for F(τ base_i); and the slot of each of
+    the 2n generators, τ base_i → (i − 1, False) and base_i → (i − 1,
+    True), which reads the first table backwards."""
+    pairs = []
     by_key: dict[VarKey, Obj] = {}
-    for i, (lower, upper) in zip(q.vertices, pairs):
-        by_key[("Y", i, xi.ht(i) - 2)] = lower
-        by_key[("Y", i, xi.ht(i))] = upper
-        by_key[("f", i)] = ghost_object(q, xi, translate_base(xi, i))
-    return pairs, MappingProxyType(by_key)
+    slots: dict[ZVertex, tuple[int, bool]] = {}
+    for i in q.vertices:
+        lower, upper = translate_base(xi, i), base_vertex(xi, i)
+        pair = ((hammock_object(q, xi, lower), lower), (hammock_object(q, xi, upper), upper))
+        pairs.append(pair)
+        by_key[("Y", i, lower.p)] = pair[0][0]
+        by_key[("Y", i, upper.p)] = pair[1][0]
+        by_key[("f", i)] = ghost_object(q, xi, lower)
+        slots[lower] = (i - 1, False)
+        slots[upper] = (i - 1, True)
+    return tuple(pairs), MappingProxyType(by_key), MappingProxyType(slots)
 
 
 def _factor_object(q: DynkinQuiver, xi: HeightFunction, key: VarKey, e: int) -> Obj:
@@ -445,26 +460,35 @@ def dominant_exponents(
     generator off the two base sections (a label outside the quiver
     included), or a negative coefficient.
     """
+    c, d = _exponent_rows(q, xi, a)
+    return dict(zip(q.vertices, c)), dict(zip(q.vertices, d))
+
+
+def _exponent_rows(
+    q: DynkinQuiver, xi: HeightFunction, a: Obj
+) -> tuple[list[int], list[int]]:
+    """dominant_exponents as two lists by vertex index, c first: one slot
+    lookup per generator in the section table.  Deltas are refused first,
+    then each generator in turn, a negative coefficient before a slot off
+    the two base sections."""
     if a.fun.deltas:
         raise NotDominant("function carries pointwise deltas")
-    c = {i: 0 for i in q.vertices}
-    d = {i: 0 for i in q.vertices}
+    slots = _section_objects(q, xi)[2]
+    rows = ([0] * q.rank, [0] * q.rank)
     for v, coeff in a.fun.gens.items():
         if coeff < 0:
             raise NotDominant(f"negative generator coefficient at {v}")
-        i, p = v
-        if i in c and p == xi.ht(i) - 2:
-            c[i] = coeff
-        elif i in c and p == xi.ht(i):
-            d[i] = coeff
-        else:
+        slot = slots.get(v)
+        if slot is None:
             raise NotDominant(f"generator {v} off the base sections")
-    return c, d
+        k, on_base = slot
+        rows[on_base][k] = coeff
+    return rows
 
 
 def is_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> bool:
     try:
-        dominant_exponents(q, xi, a)
+        _exponent_rows(q, xi, a)
     except NotDominant:
         return False
     return True
@@ -478,7 +502,7 @@ def root_of_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Root:
     factors (see factor_dominant), which it does not compute: it is
     factor_dominant's remainder.
     """
-    c, d = dominant_exponents(q, xi, a)
+    c, d = _exponent_rows(q, xi, a)
     return _clamped_recursion(q, c, d)[0]
 
 
@@ -510,10 +534,18 @@ def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
     """Y[β]: the dominant object classified by β (any positive-orthant β;
     a negative simple −α_j yields the base hammock object at j).  The
     b-vector entries are the tensor exponents themselves, on section
-    objects taken from the per-quiver table; no power is built on the
-    way."""
+    objects taken from the per-quiver table.  A section object's function
+    is its generator h_x alone, so Y[β]'s function is written in the same
+    pass, one generator per factor, and its multiset is summed on first
+    read; no power is built on the way."""
     pairs = _section_objects(q, xi)[0]
-    return _tensor_powers((pairs[i - 1][on_base], e) for i, on_base, e in _leading_factors(q, beta))
+    gens: dict[ZVertex, int] = {}
+    factors = []
+    for i, on_base, e in _leading_factors(q, beta):
+        a, x = pairs[i - 1][on_base]
+        gens[x] = e
+        factors.append((a, e))
+    return _obj(None if factors else {}, _qfun(gens, {}), tuple(factors))
 
 
 def dominant_monomial(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Mono:
@@ -554,30 +586,31 @@ def reconstruct_factorization(
 
 
 def _clamped_recursion(
-    q: DynkinQuiver, c: Mapping[int, int], d: Mapping[int, int]
+    q: DynkinQuiver, c: list[int], d: list[int]
 ) -> tuple[Root, dict[int, int]]:
-    """a_i = max(0, c_i − d_i + Σ_{i→j} a_j), evaluated targets first:
-    the vector a and what the max clamped away, by vertex."""
-    avec: dict[int, int] = {}
+    """a_i = max(0, c_i − d_i + Σ_{i→j} a_j) on exponent lists by vertex
+    index, evaluated targets first: the vector a and what the max clamped
+    away, by vertex."""
+    avec = [0] * q.rank
     slack: dict[int, int] = {}
+    out = q._out
     for i in q._omega_order:
-        raw = c[i] - d[i]
-        for j in q.arrows_from(i):
-            raw += avec[j]
-        avec[i] = max(0, raw)
+        raw = c[i - 1] - d[i - 1]
+        for j in out[i]:
+            raw += avec[j - 1]
         if raw < 0:
             slack[i] = -raw
-    return tuple(avec[i] for i in q.vertices), slack
+        else:
+            avec[i - 1] = raw
+    return tuple(avec), slack
 
 
-def _max_recursion(
-    q: DynkinQuiver, c: Mapping[int, int], d: Mapping[int, int]
-) -> Factorization:
-    """factor_dominant on generator exponents (c, d) read off the sections:
-    the clamped recursion's vector is the remainder and what it clamped
-    away the h_exp slack."""
+def _max_recursion(q: DynkinQuiver, c: list[int], d: list[int]) -> Factorization:
+    """factor_dominant on generator exponent lists (c, d) read off the
+    sections: the clamped recursion's vector is the remainder and what it
+    clamped away the h_exp slack."""
     remainder, slack = _clamped_recursion(q, c, d)
-    k_exp = tuple((i, min(c[i], d[i])) for i in q.vertices if min(c[i], d[i]))
+    k_exp = tuple((i, k) for i, ci, di in zip(q.vertices, c, d) if (k := min(ci, di)))
     return Factorization((), k_exp, tuple(sorted(slack.items())), remainder)
 
 
@@ -591,7 +624,7 @@ def factor_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Factorizatio
     provides).  Reconstruction is an exact identity, not just a class-level
     one.
     """
-    c, d = dominant_exponents(q, xi, a)
+    c, d = _exponent_rows(q, xi, a)
     return _max_recursion(q, c, d)
 
 
@@ -702,16 +735,18 @@ def _tilt(
     tilted generator exponents.
     """
     out_cl = bd.out_closure[i]
-    c: dict[int, int] = {}
-    d: dict[int, int] = {}
+    c: list[int] = []
+    d: list[int] = []
     for k in q.vertices:
         into_cl = sum(1 for j in q.arrows_from(k) if j in out_cl)
-        c[k] = max(b[k - 1], 0) - (1 if k in out_cl else 0) + into_cl
-        d[k] = max(-b[k - 1], 0)
+        ck = max(b[k - 1], 0) - (1 if k in out_cl else 0) + into_cl
+        dk = max(-b[k - 1], 0)
         if k in out_cl and k != i:
-            d[k] += sum(1 for j in q.arrows_to(k) if j in out_cl) - 1
-        if c[k] < 0 or d[k] < 0:
+            dk += sum(1 for j in q.arrows_to(k) if j in out_cl) - 1
+        if ck < 0 or dk < 0:
             raise NotDominant(f"tilt bookkeeping went negative at {k}")
+        c.append(ck)
+        d.append(dk)
     fac = _max_recursion(q, c, d)
     expected = _drop(beta, out_cl)
     if fac.remainder != expected:

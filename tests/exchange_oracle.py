@@ -20,7 +20,8 @@ from qhammock.quiver import DynkinQuiver
 
 def seed_key(seed: Seed) -> tuple:
     """Dedup key: the multiset of mutable cluster entries."""
-    return tuple(sorted(seed.cluster[v].canonical() for v in seed.mutable_vertices()))
+    cl = seed.cluster  # converted from the rows on each read: once per seed
+    return tuple(sorted(cl[v].canonical() for v in seed.mutable_vertices()))
 
 
 def exchange_graph_seeds(q: DynkinQuiver) -> list[Seed]:
@@ -45,7 +46,7 @@ def exchange_graph_seeds(q: DynkinQuiver) -> list[Seed]:
 
 def exchange_graph_variables(seeds: list[Seed]) -> set[tuple]:
     """Canonical forms of every mutable cluster entry over the given seeds."""
-    return {s.cluster[v].canonical() for s in seeds for v in s.mutable_vertices()}
+    return {entry for s in seeds for entry in seed_key(s)}
 
 
 def mutated_matrix(seed: Seed, k: SeedVertex) -> dict:

@@ -345,6 +345,15 @@ def test_tiltable_detects_admissible_vertices():
 # ------------------------------------------------------- dominant calculus
 
 
+def _assert_refused(q, xi, a, text):
+    """Every reader of the exponents refuses a with the same NotDominant text."""
+    for read in (dominant_exponents, root_of_dominant, factor_dominant):
+        with pytest.raises(NotDominant) as exc:
+            read(q, xi, a)
+        assert str(exc.value) == text, (read.__name__, str(exc.value))
+    assert not is_dominant(q, xi, a)
+
+
 def test_dominant_exponents_reads_base_sections():
     q, xi = a2()
     k1 = kr_object(q, xi, 1)
@@ -352,20 +361,49 @@ def test_dominant_exponents_reads_base_sections():
     assert c == {1: 1, 2: 0} and d == {1: 1, 2: 0}
     assert is_dominant(q, xi, k1)
     t = serre_tilt(q, k1, [translate_base(xi, 1)])
-    assert not is_dominant(q, xi, t)  # tilt leaves a delta behind
+    _assert_refused(q, xi, t, "function carries pointwise deltas")  # tilt leaves a delta
     off = hammock_object(q, xi, ZVertex(1, 3))
-    with pytest.raises(NotDominant):
-        dominant_exponents(q, xi, off)
+    _assert_refused(q, xi, off, f"generator {ZVertex(1, 3)} off the base sections")
     # a generator at a label outside the quiver is off the base sections
     # too: label 0 must not read the last vertex's height, nor rank + 1
     # fall off the end of the heights
     for v in (ZVertex(0, -2), ZVertex(0, 0), ZVertex(3, -2), ZVertex(3, 0)):
-        phantom = Obj({}, QFun({v: 1}))
-        with pytest.raises(NotDominant):
-            dominant_exponents(q, xi, phantom)
-        assert not is_dominant(q, xi, phantom)
-        with pytest.raises(NotDominant):
-            root_of_dominant(q, xi, phantom)
+        _assert_refused(q, xi, Obj({}, QFun({v: 1})), f"generator {v} off the base sections")
+    # the checks run deltas first, then each generator in turn, a negative
+    # coefficient before a slot off the sections
+    lo, up, far = translate_base(xi, 1), base_vertex(xi, 2), ZVertex(1, 3)
+    negative = "negative generator coefficient at {}".format
+    for gens, deltas, text in [
+        ({up: -1}, {}, negative(up)),
+        ({far: -1}, {}, negative(far)),
+        ({ZVertex(0, 0): -2}, {}, negative(ZVertex(0, 0))),
+        ({lo: 1, up: -1}, {}, negative(up)),
+        ({far: 1, up: -1}, {}, f"generator {far} off the base sections"),
+        ({up: -1, far: 1}, {}, negative(up)),
+        ({far: -1}, {lo: 1}, "function carries pointwise deltas"),
+    ]:
+        _assert_refused(q, xi, Obj({}, QFun(gens, deltas)), text)
+
+
+def _factor_dominant_by_dicts(q, xi, a):
+    """factor_dominant as the dict recursion computed it before the
+    exponents were read by slot: c and d by vertex from each generator's
+    height, then a_i = max(0, c_i − d_i + Σ_{i→j} a_j) by ascending
+    (height, label), for a dominant a."""
+    c = dict.fromkeys(q.vertices, 0)
+    d = dict.fromkeys(q.vertices, 0)
+    for (i, p), coeff in a.fun.gens.items():
+        (c if p == xi.ht(i) - 2 else d)[i] = coeff
+    avec, slack = {}, {}
+    for i in sorted(q.vertices, key=lambda k: (q.potential(k), k)):
+        raw = c[i] - d[i] + sum(avec[j] for j in q.arrows_from(i))
+        avec[i] = max(0, raw)
+        if raw < 0:
+            slack[i] = -raw
+    k_exp = tuple((i, min(c[i], d[i])) for i in q.vertices if min(c[i], d[i]))
+    return c, d, objects.Factorization(
+        (), k_exp, tuple(sorted(slack.items())), tuple(avec[i] for i in q.vertices)
+    )
 
 
 def test_leading_object_a2_classes():
@@ -452,22 +490,34 @@ def _off_dominant(q, xi, a):
 )
 def test_section_table_matches_per_factor_lookups(family, rank):
     # leading_object takes its factors from the per-quiver section table
-    # and root_of_dominant computes only the remainder: both against the
-    # constructions they replace, on every orthant vector of sum ≤ 6 and
-    # every negative simple root
+    # and writes its function by slot, and the exponents are read back by
+    # slot: against the constructions they replace (the tensor pass over
+    # the same factors, the dict recursion), on every orthant vector of
+    # sum ≤ 6 and every negative simple root
     vectors = [beta for beta in itertools.product(range(7), repeat=rank) if sum(beta) <= 6]
     vectors += [tuple(-(k == j) for k in range(rank)) for j in range(rank)]
     for q in all_orientations(family, rank):
         xi = default_height(q)
+        pairs = objects._section_objects(q, xi)[0]
         for beta in vectors:
             a = leading_object(q, xi, beta)
             assert a.canonical() == _leading_object_by_lookups(q, xi, beta).canonical(), beta
-            if min(beta) < 0:
-                continue
+            b = objects._tensor_powers(
+                (pairs[i - 1][on_base][0], e) for i, on_base, e in objects._leading_factors(q, beta)
+            )
+            assert dict(a.fun.gens) == dict(b.fun.gens), (q.arrows, beta)
+            assert dict(a.fun.deltas) == dict(b.fun.deltas) == {}, (q.arrows, beta)
+            assert dict(a.mult) == dict(b.mult), (q.arrows, beta)
             # with a Y(base_l) factor, the max-recursion clamps (frontier slack)
             slack = tensor_obj(a, hammock_object(q, xi, base_vertex(xi, sum(beta) % rank + 1)))
-            for b in (a, slack):
-                assert root_of_dominant(q, xi, b) == factor_dominant(q, xi, b).remainder
+            for o in (a, slack):
+                c, d, fac = _factor_dominant_by_dicts(q, xi, o)
+                exps = dominant_exponents(q, xi, o)
+                assert exps == (c, d) and all(list(m) == list(q.vertices) for m in exps)
+                assert factor_dominant(q, xi, o) == fac, (q.arrows, beta)
+                assert root_of_dominant(q, xi, o) == fac.remainder
+            if min(beta) < 0:
+                continue
             assert root_of_dominant(q, xi, a) == beta
             for bad in _off_dominant(q, xi, a):
                 with pytest.raises(NotDominant):

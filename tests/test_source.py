@@ -72,6 +72,33 @@ def _callers(tree: ast.AST, names: set[str]) -> set[str]:
     return found
 
 
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of a library file, by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def _attributes_read(fn: ast.FunctionDef) -> set[str]:
+    return {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+
+
+def test_round_trip_reads_exponents_by_slot():
+    # Y[β]'s function is written from the b-vector and read back by slot:
+    # only _exponent_rows reads a function's generators for the dominant
+    # readers, and neither direction looks a height up or runs the tensor
+    # pass
+    path = SRC / "objects.py"
+    fns = _functions(path)
+    readers = {"dominant_exponents", "is_dominant", "root_of_dominant", "factor_dominant"}
+    assert _callers(ast.parse(path.read_text()), {"_exponent_rows"}) == readers
+    for name in readers:
+        assert not _attributes_read(fns[name]) & {"fun", "gens", "deltas"}, name
+        assert not _callers(fns[name], {"dominant_exponents"}), name
+    for name in ("_exponent_rows", "leading_object"):
+        assert "ht" not in _attributes_read(fns[name]), name
+    assert not _callers(fns["leading_object"], {"_tensor_powers", "_scaled_sum"})
+
+
 def test_seeds_hold_each_entry_once():
     # a seed keeps its entries only as exponent rows: the census builds a
     # LaurentPoly for the variables it returns, and Seed.cluster converts
