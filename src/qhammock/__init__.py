@@ -69,7 +69,6 @@ from .objects import (
     factor_dominant,
     ghost_object,
     hammock_object,
-    is_dominant,
     is_iso,
     kr_object,
     leading_object,
@@ -89,7 +88,6 @@ from .complexes import (
     euler_char,
     single_complex,
     tensor_complex,
-    unit_complex,
     verify_d_squared,
 )
 from .cluster import (

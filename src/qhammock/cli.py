@@ -397,6 +397,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     roots_checked = 0
     for q in sorted(quivers, key=lambda qq: (qq.family, qq.rank, qq.arrows)):
         xi = default_height(q)
+        head = {"family": q.family, "rank": q.rank, "arrows": [list(a) for a in q.arrows]}
         for beta in positive_roots(q):
             roots_checked += 1
             try:
@@ -406,27 +407,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 for name in _CLAUSES:
                     counts[name]["fail"] += 1
                 failures.append(
-                    {
-                        "family": q.family,
-                        "rank": q.rank,
-                        "arrows": [list(a) for a in q.arrows],
-                        "beta": list(beta),
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
+                    {**head, "beta": list(beta), "error": f"{type(exc).__name__}: {exc}"}
                 )
                 continue
             for name in _CLAUSES:
                 counts[name]["pass" if rep[name] else "fail"] += 1
             if not rep["ok"]:
-                failures.append(
-                    {
-                        "family": q.family,
-                        "rank": q.rank,
-                        "arrows": [list(a) for a in q.arrows],
-                        "beta": rep["beta"],
-                        "clauses": {name: rep[name] for name in _CLAUSES},
-                    }
-                )
+                clauses = {name: rep[name] for name in _CLAUSES}
+                failures.append({**head, "beta": rep["beta"], "clauses": clauses})
     ok = not failures
     report = {
         "quivers": len(quivers),

@@ -4,7 +4,7 @@ Terms are formal direct sums (lists) of summand classes per nonnegative
 degree: a summand is a product of hammock objects on the two base sections
 and ghost objects at τ base_i, so its class monomial names it, and
 objects.class_object builds the object only to print it or for the
-small-rank exactness check.  The classes come from objects (the exchange
+exactness check.  The classes come from objects (the exchange
 step's head classes and _section_class), which alone spells their
 variable keys.
 Differentials are lists of elementary components (source summand, target
@@ -85,7 +85,6 @@ from .errors import (
     InvariantViolation,
     NegativeDegree,
     NotInSupport,
-    TooLarge,
 )
 from .laurent import MONO_ONE, LaurentPoly, Mono, _mono_json, mono_div, mono_mul
 from .objects import (
@@ -110,14 +109,13 @@ __all__ = [
     "Component",
     "Complex",
     "FractionComplex",
-    "unit_complex",
     "single_complex",
     "tensor_complex",
     "cone",
     "build_complex",
     "euler_char",
     "verify_d_squared",
-    "verify_exactness_smallrank",
+    "verify_exactness",
     "validate_components",
     "complex_to_json",
 ]
@@ -198,24 +196,25 @@ class Complex:
 
 @dataclass(frozen=True)
 class FractionComplex:
-    """A complex together with denominator exponents of base classes
-    (frozen, and den a read-only view, like the complex's terms); the build
-    of a nonnegative β has den = β."""
+    """C[β]: the complex num over Y^β, frozen, carrying β.  Its denominator
+    exponents den are the positive part of β, derived on each read as a
+    read-only view (like the complex's terms): empty for the base cases
+    β = 0 and β = −α_j, whose complex is Y[β] alone."""
 
     num: Complex
-    den: Mapping[int, int]
+    beta: Root
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "den", MappingProxyType({i: e for i, e in self.den.items() if e})
-        )
+    @property
+    def den(self) -> Mapping[int, int]:
+        return MappingProxyType({k: b for k, b in enumerate(self.beta, 1) if b > 0})
+
+
+def _degree_zero_class(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -> Mono:
+    """Y[β]·Y^den, the class the degree-0 term of C[β] must consist of."""
+    return mono_mul(dominant_monomial(q, xi, fc.beta), _section_class(xi, (), fc.den.items()))
 
 
 # ───────────────────────── constructors ─────────────────────────
-
-
-def unit_complex() -> Complex:
-    return Complex({0: [MONO_ONE]})
 
 
 def single_complex(m: Mono, degree: int = 0) -> Complex:
@@ -571,7 +570,7 @@ def _build(
     if not any(beta) or _negative_simple(beta) is not None:
         if pivot is not None and pivot not in root_support(beta):
             raise NotInSupport(f"pivot {pivot} outside the support of {beta}")
-        return FractionComplex(single_complex(dominant_monomial(q, xi, beta)), {})
+        return FractionComplex(single_complex(dominant_monomial(q, xi, beta)), beta)
 
     step = pivot_step(q, xi, beta, pivot)
     i, fac = step.pivot, step.tilt
@@ -593,24 +592,21 @@ def _build(
     cod = _tensor_between(cod_head, 0, sub_proj.num, ghost_block, len(fac.f_list))
 
     connectors = _resolve_connectors(q, xi, i, dom, cod)
-    num = cone(dom, cod, connectors)
-    den = {k: b for k, b in enumerate(beta, 1) if b}
+    fc = FractionComplex(cone(dom, cod, connectors), beta)
 
     # the degree-0 term is one summand, Y[β] times Y^β; the tilt of
     # Y[β] ⊗ Y(base_i) over the out-closure is the ghost block times the
     # tilt's head class times Y[β − dim P_i] (objects._tilt_holds)
-    lead = dominant_monomial(q, xi, beta)
-    zero_src = mono_mul(lead, _section_class(xi, (), den.items()))
-    if num.terms.get(0) != (zero_src,):
+    if fc.num.terms.get(0) != (_degree_zero_class(q, xi, fc),):
         raise InvariantViolation(f"degree-0 identity failed for {beta}")
-    tilt_src = mono_mul(lead, _section_class(xi, (), [(i, 1)]))
+    tilt_src = mono_mul(dominant_monomial(q, xi, beta), _section_class(xi, (), [(i, 1)]))
     tilt_dst = mono_mul(
         mono_mul(ghost_block, step.tilt_class), dominant_monomial(q, xi, fac.remainder)
     )
     if not _tilt_holds(q, xi, tilt_src, tilt_dst, [translate_base(xi, j) for j in fac.f_list]):
         raise InvariantViolation(f"tilt identity failed for {beta} at pivot {i}")
 
-    return FractionComplex(num, den)
+    return fc
 
 
 # ───────────────────────── Euler characteristic ─────────────────────────
@@ -622,7 +618,8 @@ def euler_char(
     fc: FractionComplex,
     specialize_f: int | None = None,
 ) -> LaurentPoly:
-    """Alternating sum of term classes over the carried denominator.
+    """Alternating sum of term classes over Y^den, den the positive part
+    of the β that fc carries.
 
     With specialize_f given (the interesting value is −1), every extra
     symbol f_i is replaced by that constant before the division.
@@ -714,24 +711,18 @@ def validate_components(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> bool
     return True
 
 
-_EXACTNESS_MAX_RANK = 3
-
-
-def verify_exactness_smallrank(
-    q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex, beta: Root
-) -> dict:
-    """Mechanizable shadow of the strong-exactness structure, small ranks.
+def verify_exactness(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -> dict:
+    """Mechanizable shadow of the strong-exactness structure of C[β], β
+    the vector fc carries.
 
     (1) the degree-0 term is the single summand Y[β]·Y^den, den the
-        carried denominator: the build's own degree-0 identity;
+        positive part of β: the build's own degree-0 identity;
     (2) every component tag is an eta at a support vertex;
     (3) for every path-excused composable pair, the intermediate summand's
         multiset contains the Serre image of a translated base vertex
         whose label has a path to the first tag's vertex — the anchor-leg
         routing that makes the composite vanish.
     """
-    if q.rank > _EXACTNESS_MAX_RANK:
-        raise TooLarge(f"rank {q.rank} above the small-rank bound {_EXACTNESS_MAX_RANK}")
     report = {"ok": True, "failures": []}
 
     def fail(msg: str) -> None:
@@ -740,10 +731,9 @@ def verify_exactness_smallrank(
 
     c = fc.num
     objs = _objects(q, xi, c)
-    lead = mono_mul(dominant_monomial(q, xi, beta), _section_class(xi, (), fc.den.items()))
-    if c.terms.get(0) != (lead,):
+    if c.terms.get(0) != (_degree_zero_class(q, xi, fc),):
         fail("degree-0 term is not the single summand Y[β]·Y^den")
-    supp = set(root_support(beta))
+    supp = set(root_support(fc.beta))
     for n, comps in c.diffs.items():
         for comp in comps:
             if comp.tag[0] != "eta" or comp.tag[1] not in supp:

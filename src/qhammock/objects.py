@@ -105,7 +105,6 @@ __all__ = [
     "tensor_obj",
     "serre_tilt",
     "is_iso",
-    "is_dominant",
     "dominant_exponents",
     "root_of_dominant",
     "leading_object",
@@ -484,14 +483,6 @@ def _exponent_rows(
         k, on_base = slot
         rows[on_base][k] = coeff
     return rows
-
-
-def is_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> bool:
-    try:
-        _exponent_rows(q, xi, a)
-    except NotDominant:
-        return False
-    return True
 
 
 def root_of_dominant(q: DynkinQuiver, xi: HeightFunction, a: Obj) -> Root:

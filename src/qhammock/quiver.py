@@ -196,14 +196,23 @@ def build_quiver(
     return DynkinQuiver(family, rank, tuple((int(a), int(b)) for a, b in arrows))
 
 
-def all_orientations(family: str, rank: int) -> Iterator[DynkinQuiver]:
-    """Every orientation of the tree, in a deterministic order."""
+def _orientations(
+    family: str, rank: int, choices: Callable[[int], Iterable[tuple[int, ...]]]
+) -> Iterator[DynkinQuiver]:
+    """The quiver of each choice that choices(number of tree edges) gives:
+    choice[k] = 0 orients the k-th sorted edge (a, b), a < b, as a → b,
+    and 1 as b → a."""
     edges = sorted(tuple(sorted(e)) for e in expected_edges(family, rank))
-    for choice in product((0, 1), repeat=len(edges)):
+    for choice in choices(len(edges)):
         arrows = tuple(
             (a, b) if c == 0 else (b, a) for (a, b), c in zip(edges, choice)
         )
         yield DynkinQuiver(family, rank, arrows)
+
+
+def all_orientations(family: str, rank: int) -> Iterator[DynkinQuiver]:
+    """Every orientation of the tree, in a deterministic order."""
+    return _orientations(family, rank, lambda n_edges: product((0, 1), repeat=n_edges))
 
 
 def sample_orientations(
@@ -212,22 +221,14 @@ def sample_orientations(
     """Deterministic pseudo-random sample of distinct orientations."""
     import random
 
-    edges = sorted(tuple(sorted(e)) for e in expected_edges(family, rank))
-    rng = random.Random(seed)
-    seen: set[tuple[int, ...]] = set()
-    out: list[DynkinQuiver] = []
-    total = 2 ** len(edges)
-    count = min(count, total)
-    while len(out) < count:
-        choice = tuple(rng.randint(0, 1) for _ in edges)
-        if choice in seen:
-            continue
-        seen.add(choice)
-        arrows = tuple(
-            (a, b) if c == 0 else (b, a) for (a, b), c in zip(edges, choice)
-        )
-        out.append(DynkinQuiver(family, rank, arrows))
-    return out
+    def draws(n_edges: int) -> list[tuple[int, ...]]:
+        rng = random.Random(seed)
+        seen: dict[tuple[int, ...], None] = {}  # distinct choices, in drawing order
+        while len(seen) < min(count, 2**n_edges):
+            seen.setdefault(tuple(rng.randint(0, 1) for _ in range(n_edges)))
+        return list(seen)
+
+    return list(_orientations(family, rank, draws))
 
 
 # ───────────────────────── height functions ─────────────────────────

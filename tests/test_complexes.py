@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import FrozenInstanceError
+from types import MappingProxyType
 
 import pytest
 
@@ -15,6 +16,8 @@ from qhammock import (
     build_quiver,
     default_height,
     positive_roots,
+    sample_orientations,
+    simple_root,
 )
 from qhammock.complexes import (
     Complex,
@@ -26,10 +29,9 @@ from qhammock.complexes import (
     euler_char,
     single_complex,
     tensor_complex,
-    unit_complex,
     validate_components,
     verify_d_squared,
-    verify_exactness_smallrank,
+    verify_exactness,
 )
 from qhammock.errors import (
     InconsistentConnector,
@@ -106,13 +108,13 @@ def test_complex_refuses_non_canonical_classes():
             Complex({0: [s], 1: [bad]})
         with pytest.raises(ValueError):
             single_complex(bad)
-    assert euler_char(q, xi, FractionComplex(Complex({0: [s], 1: [s]}), {})) == LaurentPoly.zero()
+    assert euler_char(q, xi, FractionComplex(Complex({0: [s], 1: [s]}), (0, 0))) == LaurentPoly.zero()
 
 
 def test_tensor_unit_and_counts():
     q, xi = a2()
     k = single_complex(K(xi, 1), 0)
-    assert tensor_complex(k, unit_complex()).summand_count() == 1
+    assert tensor_complex(k, single_complex(MONO_ONE)).summand_count() == 1
     g = single_complex(F(1), 1)
     prod = tensor_complex(k, g)
     assert prod.degrees() == [1]
@@ -235,16 +237,45 @@ def test_zero_vector_gives_unit():
         build_complex(q, xi, (0, 0), pivot=1)
 
 
-def test_structure_checks_over_a3_roots():
-    for q in all_orientations("A", 3):
+def _check_structure(quivers):
+    for q in quivers:
         xi = default_height(q)
         for beta in positive_roots(q):
             fc = build_complex(q, xi, beta)
             rep = verify_d_squared(q, fc.num)
             assert rep["ok"], (q.arrows, beta, rep["violations"][:2])
             assert validate_components(q, xi, fc.num)
-            exact = verify_exactness_smallrank(q, xi, fc, beta)
+            exact = verify_exactness(q, xi, fc)
             assert exact["ok"], (q.arrows, beta, exact["failures"][:2])
+
+
+def test_structure_checks_over_a3_roots():
+    _check_structure(all_orientations("A", 3))
+
+
+def test_structure_checks_over_e6_sample():
+    # the exactness check has no rank cap: it runs on E6 as on A3
+    _check_structure(sample_orientations("E", 6, 4, seed=1))
+
+
+def test_denominator_is_the_positive_part_of_beta():
+    # C[β] carries β, and den is derived from it on each read: β's positive
+    # part at every canonical and forced-pivot build, so empty at 0 and −α_j
+    for n in (2, 3, 4):
+        for q in all_orientations("A", n):
+            xi = default_height(q)
+            builds = {((0,) * n, None)}
+            for j in q.vertices:
+                minus = tuple(-v for v in simple_root(q, j))
+                builds |= {(minus, None), (minus, j)}
+            for beta in positive_roots(q):
+                pivots = (None, *beta_combinatorics(q, xi, beta).pivot_candidates)
+                builds |= {(beta, p) for p in pivots}
+            for beta, pivot in builds:
+                fc = build_complex(q, xi, beta, pivot=pivot)
+                assert fc.beta == beta
+                assert type(fc.den) is MappingProxyType
+                assert fc.den == {k: b for k, b in enumerate(beta, 1) if b > 0}, (beta, pivot)
 
 
 def test_exactness_check_reads_the_degree_zero_identity():
@@ -256,7 +287,7 @@ def test_exactness_check_reads_the_degree_zero_identity():
     (lead,) = fc.num.terms[0]
     # Y[(1, 1)] = Y(2, ξ(2)−2) on 1 → 2, times Y(1, ξ(1))·Y(2, ξ(2))
     assert lead == mono_from_dict({("Y", 2, xi.ht(2) - 2): 1, ("Y", 1, 1): 1, ("Y", 2, 0): 1})
-    assert verify_exactness_smallrank(q, xi, fc, (1, 1)) == {"ok": True, "failures": []}
+    assert verify_exactness(q, xi, fc) == {"ok": True, "failures": []}
     hand_made = [
         [MONO_ONE],
         [mono_mul(lead, lead)],
@@ -264,18 +295,18 @@ def test_exactness_check_reads_the_degree_zero_identity():
         [lead, MONO_ONE],
     ]
     for row in hand_made:
-        rep = verify_exactness_smallrank(q, xi, FractionComplex(Complex({0: row}), fc.den), (1, 1))
+        rep = verify_exactness(q, xi, FractionComplex(Complex({0: row}), (1, 1)))
         assert rep == {
             "ok": False,
             "failures": ["degree-0 term is not the single summand Y[β]·Y^den"],
         }, row
-    shifted = FractionComplex(Complex({1: [lead]}), fc.den)
-    assert not verify_exactness_smallrank(q, xi, shifted, (1, 1))["ok"]
+    shifted = FractionComplex(Complex({1: [lead]}), (1, 1))
+    assert not verify_exactness(q, xi, shifted)["ok"]
     # the base cases carry no denominator: Y[β] alone
     for beta in [(0, 0), (-1, 0), (0, -1)]:
         base = build_complex(q, xi, beta)
-        assert verify_exactness_smallrank(q, xi, base, beta)["ok"], beta
-        assert not verify_exactness_smallrank(q, xi, base, (1, 1))["ok"], beta
+        assert verify_exactness(q, xi, base)["ok"], beta
+        assert not verify_exactness(q, xi, FractionComplex(base.num, (1, 1)))["ok"], beta
 
 
 def test_complex_json_schema():
@@ -367,7 +398,9 @@ def test_fraction_complex_is_frozen():
     with pytest.raises(FrozenInstanceError):
         fc.den = {9: 9}
     with pytest.raises(FrozenInstanceError):
-        fc.num = unit_complex()
+        fc.num = single_complex(MONO_ONE)
+    with pytest.raises(FrozenInstanceError):
+        fc.beta = (2, 2, 2)
     assert dict(build_complex(q, xi, (1, 1, 1)).den) == den
 
 

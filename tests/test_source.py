@@ -89,7 +89,7 @@ def test_round_trip_reads_exponents_by_slot():
     # pass
     path = SRC / "objects.py"
     fns = _functions(path)
-    readers = {"dominant_exponents", "is_dominant", "root_of_dominant", "factor_dominant"}
+    readers = {"dominant_exponents", "root_of_dominant", "factor_dominant"}
     assert _callers(ast.parse(path.read_text()), {"_exponent_rows"}) == readers
     for name in readers:
         assert not _attributes_read(fns[name]) & {"fun", "gens", "deltas"}, name
