@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,15 +210,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
     elif cfg.fmt == "tsv":
         lines = ["root\theight\tdominant\tsupport\tpivots"]
         for r in rows:
-            lines.append(
-                "{}\t{}\t{}\t{}\t{}".format(
-                    ",".join(map(str, r["root"])),
-                    r["height"],
-                    r["dominant"],
-                    ",".join(map(str, r["support"])),
-                    ",".join(map(str, r["pivots"])),
-                )
-            )
+            cells = (r["root"], [r["height"]], [r["dominant"]], r["support"], r["pivots"])
+            lines.append("\t".join(",".join(map(str, cell)) for cell in cells))
         _emit(cfg.out, "\n".join(lines) + "\n")
     elif cfg.fmt == "text":
         lines = [f"positive roots of {q.family}{q.rank} {q.arrows}"]
@@ -277,11 +271,9 @@ def cmd_complex(args: argparse.Namespace) -> int:
         _emit(cfg.out, "\n".join(lines) + "\n")
     elif args.emit == "json":
         _emit(cfg.out, _json_dumps(complex_to_json(q, xi, fc)))
-    elif args.emit == "chi":
+    else:  # chi, the one other choice
         chi = euler_char(q, xi, fc, specialize_f=-1)
         _emit(cfg.out, _poly_text(chi, cfg.fmt if cfg.fmt != "dot" else "text"))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown --emit {args.emit!r}")
     return 0
 
 
@@ -433,7 +425,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             c = counts[name]
             lines.append(f"{name}: {c['pass']} pass, {c['fail']} fail")
         for row in failures[:20]:
-            lines.append(f"FAIL {row['family']}{row['rank']} beta={row['beta']}")
+            # with the qq call that reruns the root on all three routes
+            spec = {"type": row["family"], "rank": row["rank"], "arrows": row["arrows"]}
+            lines.append(
+                f"FAIL {row['family']}{row['rank']} beta={row['beta']}  replay: qq qchar --quiver "
+                f"{shlex.quote(json.dumps(spec, separators=(',', ':')))} "
+                f"--beta {','.join(map(str, row['beta']))} --route all"
+            )
         lines.append("ok" if ok else f"FAILED ({len(failures)} roots)")
         _emit(getattr(args, "out", None), "\n".join(lines) + "\n")
     return 0 if ok else 1
@@ -534,9 +532,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _signed_betas(argv: Sequence[str]) -> List[str]:
+    """argv with `--beta -1,0` joined to `--beta=-1,0`, which argparse
+    would take for an unknown option: it is not a lone negative number."""
+    out: List[str] = []
+    for arg in argv:
+        if out[-1:] == ["--beta"] and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--beta={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_signed_betas(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

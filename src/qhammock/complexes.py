@@ -209,9 +209,10 @@ class FractionComplex:
         return MappingProxyType({k: b for k, b in enumerate(self.beta, 1) if b > 0})
 
 
-def _degree_zero_class(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -> Mono:
-    """Y[β]·Y^den, the class the degree-0 term of C[β] must consist of."""
-    return mono_mul(dominant_monomial(q, xi, fc.beta), _section_class(xi, (), fc.den.items()))
+def _degree_zero_class(xi: HeightFunction, fc: FractionComplex, head: Mono) -> Mono:
+    """Y[β]·Y^den, the class the degree-0 term of C[β] must consist of,
+    from Y[β]'s class head."""
+    return mono_mul(head, _section_class(xi, (), fc.den.items()))
 
 
 # ───────────────────────── constructors ─────────────────────────
@@ -597,9 +598,10 @@ def _build(
     # the degree-0 term is one summand, Y[β] times Y^β; the tilt of
     # Y[β] ⊗ Y(base_i) over the out-closure is the ghost block times the
     # tilt's head class times Y[β − dim P_i] (objects._tilt_holds)
-    if fc.num.terms.get(0) != (_degree_zero_class(q, xi, fc),):
+    head = dominant_monomial(q, xi, beta)
+    if fc.num.terms.get(0) != (_degree_zero_class(xi, fc, head),):
         raise InvariantViolation(f"degree-0 identity failed for {beta}")
-    tilt_src = mono_mul(dominant_monomial(q, xi, beta), _section_class(xi, (), [(i, 1)]))
+    tilt_src = mono_mul(head, _section_class(xi, (), [(i, 1)]))
     tilt_dst = mono_mul(
         mono_mul(ghost_block, step.tilt_class), dominant_monomial(q, xi, fac.remainder)
     )
@@ -731,7 +733,7 @@ def verify_exactness(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -
 
     c = fc.num
     objs = _objects(q, xi, c)
-    if c.terms.get(0) != (_degree_zero_class(q, xi, fc),):
+    if c.terms.get(0) != (_degree_zero_class(xi, fc, dominant_monomial(q, xi, fc.beta)),):
         fail("degree-0 term is not the single summand Y[β]·Y^den")
     supp = set(root_support(fc.beta))
     for n, comps in c.diffs.items():

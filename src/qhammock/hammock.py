@@ -120,21 +120,26 @@ class QFun:
 
 def _coefficients(items: Mapping[ZVertex, int] | None) -> Mapping[ZVertex, int]:
     """Read-only copy of the nonzero coefficients, keys coerced to ZVertex."""
-    return MappingProxyType(
-        {v if type(v) is ZVertex else ZVertex(*v): c for v, c in items.items() if c}
-        if items
-        else {}
-    )
+    return _owned({v if type(v) is ZVertex else ZVertex(*v): c for v, c in (items or {}).items()})
 
 
 def _qfun(gens: _Coeffs, deltas: _Coeffs) -> QFun:
     """A presentation around coefficient maps whose keys are already
-    ZVertex (read from valid presentations): zero entries are dropped and
-    the copies wrapped read-only, skipping QFun's key coercion."""
+    ZVertex (read from valid presentations), skipping QFun's key coercion.
+    It owns the maps it is handed, as laurent._wrap does: each is a fresh
+    dict or a presentation's read-only view, copied only to drop a zero."""
     f = object.__new__(QFun)
-    object.__setattr__(f, "gens", MappingProxyType({v: c for v, c in gens.items() if c}))
-    object.__setattr__(f, "deltas", MappingProxyType({v: c for v, c in deltas.items() if c}))
+    object.__setattr__(f, "gens", _owned(gens))
+    object.__setattr__(f, "deltas", _owned(deltas))
     return f
+
+
+def _owned(coeffs: _Coeffs) -> Mapping[ZVertex, int]:
+    """A coefficient map taken over as a read-only view, copied only when a
+    zero entry must drop."""
+    if 0 in coeffs.values():
+        coeffs = {v: c for v, c in coeffs.items() if c}
+    return coeffs if type(coeffs) is MappingProxyType else MappingProxyType(coeffs)
 
 
 def hammock_fun(q: DynkinQuiver, x: ZVertex) -> QFun:

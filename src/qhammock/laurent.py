@@ -97,13 +97,7 @@ def mono_div(a: Mono, b: Mono) -> Mono:
 
 def mono_key_str(m: Mono) -> str:
     """Stable plain-text key for JSON output, e.g. "Y:2:-1^1 Y:1:0^-1"."""
-    if not m:
-        return "1"
-    parts = []
-    for k, e in m:
-        name = ":".join(str(piece) for piece in k)
-        parts.append(f"{name}^{e}")
-    return " ".join(parts)
+    return " ".join(f"{':'.join(map(str, k))}^{e}" for k, e in m) or "1"
 
 
 def _mono_json(m: Mono) -> dict[str, int]:

@@ -185,14 +185,8 @@ class Obj:
         return "Obj{" + " ".join(pieces) + "}"
 
     def to_json_dict(self) -> dict:
-        fun = self.fun.to_json_dict()
-        return {
-            "multiset": [
-                [f"{v.i},{v.p}", c] for v, c in sorted(self.mult.items())
-            ],
-            "gens": fun["gens"],
-            "deltas": fun["deltas"],
-        }
+        multiset = [[f"{v.i},{v.p}", c] for v, c in sorted(self.mult.items())]
+        return {"multiset": multiset, **self.fun.to_json_dict()}
 
 
 def _obj(
@@ -508,17 +502,18 @@ def _negative_simple(beta: Root) -> int | None:
     raise NotDominant(f"{tuple(beta)} is neither nonnegative nor a negative simple root")
 
 
-def _leading_factors(q: DynkinQuiver, beta: Root) -> list[tuple[int, bool, int]]:
-    """Y[β] as (vertex i, on the base section, exponent) triples: Y(base_j)
-    for a negative simple −α_j, and otherwise one triple per nonzero
-    b-vector entry (b_i = β_i − Σ_{i→j} β_j over the full quiver), the
-    positive part on the translated base section and the negative part on
-    the base section (the latter only at vertices just outside the
-    support, pointing into it)."""
-    j = _negative_simple(beta)
-    if j is not None:
-        return [(j, True, 1)]
-    return [(i, b < 0, abs(b)) for i, b in zip(q.vertices, b_vector(q, beta)) if b]
+def _leading_exponents(q: DynkinQuiver, beta: Root) -> list[int]:
+    """Y[β] by vertex index, its one reader: e > 0 is the exponent of
+    Y(τ base_i) and e < 0 that of Y(base_i)^{−e}.  Y(base_j) alone for a
+    negative simple −α_j (another negative β raises NotDominant), else the
+    b-vector b_i = β_i − Σ_{i→j} β_j in one pass over the arrows."""
+    if min(beta) < 0:
+        j = _negative_simple(beta)
+        return [-(k == j) for k in q.vertices]
+    b = list(beta)
+    for i, j in q.arrows:
+        b[i - 1] -= beta[j - 1]
+    return b
 
 
 def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
@@ -529,24 +524,25 @@ def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
     is its generator h_x alone, so Y[β]'s function is written in the same
     pass, one generator per factor, and its multiset is summed on first
     read; no power is built on the way."""
-    pairs = _section_objects(q, xi)[0]
     gens: dict[ZVertex, int] = {}
     factors = []
-    for i, on_base, e in _leading_factors(q, beta):
-        a, x = pairs[i - 1][on_base]
-        gens[x] = e
-        factors.append((a, e))
+    for pair, e in zip(_section_objects(q, xi)[0], _leading_exponents(q, beta)):
+        if e:
+            a, x = pair[e < 0]
+            gens[x] = n = abs(e)
+            factors.append((a, n))
     return _obj(None if factors else {}, _qfun(gens, {}), tuple(factors))
 
 
 def dominant_monomial(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Mono:
-    """The class of Y[β], read off its factors without building it: the
-    head every route must share."""
-    return mono_from_dict(
-        {
-            ("Y", i, xi.ht(i) if on_base else xi.ht(i) - 2): e
-            for i, on_base, e in _leading_factors(q, beta)
-        }
+    """The class of Y[β], read off its exponents without building it: the
+    head every route must share.  Each nonzero exponent gives the one key
+    ("Y", i, ·) of its vertex, and the vertices ascend, so the pairs come
+    out canonical, in key order, with no sort."""
+    return tuple(
+        (("Y", i, h - 2 * (e > 0)), abs(e))
+        for i, h, e in zip(q.vertices, xi.values, _leading_exponents(q, beta))
+        if e
     )
 
 

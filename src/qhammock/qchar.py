@@ -43,8 +43,6 @@ from .laurent import (
     VarKey,
     _mono_json,
     mono_key_str,
-    mono_mul,
-    mono_pow,
 )
 from .quiver import DynkinQuiver, HeightFunction, Root
 from .objects import (
@@ -231,16 +229,10 @@ def verify_beta(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> dict:
     dom = dominant_monomial(q, xi, beta)
     try:
         hi, lo = extremal_monomials(q, xi, chi)
-        expected_lo = dom
-        for i in q.vertices:
-            expected_lo = mono_mul(
-                expected_lo, mono_pow(variable_A(q, xi, i), -beta[i - 1])
-            )
-        highest_ok = hi == dom
-        lowest_ok = lo == expected_lo
+        # lo = dom · ∏ A_i^{−β_i} exactly when dom = lo · ∏ A_i^{β_i}
+        highest_ok, lowest_ok = hi == dom, _a_exponents(q, xi, lo, dom) == beta
     except Incomparable:
-        highest_ok = False
-        lowest_ok = False
+        highest_ok = lowest_ok = False
 
     positive = all(c > 0 for c in chi.terms.values())
     leading_one = chi.coeff(dom) == 1

@@ -7,6 +7,7 @@ broken involution table cannot leak into this process's caches.
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -283,6 +284,30 @@ def test_cluster_single_beta(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qchar", "--quiver", A2, "--beta", "-1,0", "--route", "all"],
+        ["complex", "--quiver", A2, "--beta", "0,-1", "--emit", "chi"],
+        ["cluster", "--quiver", A2, "--beta", "-1,0"],
+    ],
+)
+def test_beta_with_a_leading_minus_parses_in_the_space_form(capsys, monkeypatch, argv):
+    # `--beta -1,0` reads as `--beta=-1,0` rather than as an unknown
+    # option, through main's own argv and through sys.argv alike
+    k = argv.index("--beta")
+    joined = argv[:k] + [f"--beta={argv[k + 1]}"] + argv[k + 2 :]
+    code, want = run(capsys, *joined)
+    assert code == 0 and want
+    assert run(capsys, *argv) == (0, want)
+    monkeypatch.setattr(sys, "argv", ["qq", *argv])
+    assert main() == 0 and capsys.readouterr().out == want
+    # a negative vector that is not −α_j stays refused input
+    refused = argv[: k + 1] + ["-1,-1"] + argv[k + 2 :]
+    code, out = run(capsys, *refused)
+    assert code == 2 and out == ""
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -337,6 +362,47 @@ def test_verify_max_rank_is_capped(capsys, monkeypatch):
     monkeypatch.setattr(cli, "all_orientations", lambda family, rank: iter(()))
     code, out = run(capsys, "verify", "--types", "E", "--max-rank", "8")
     assert code == 0 and json.loads(out)["quivers"] == 0
+
+
+def test_verify_text_failure_rows_carry_a_replay_command(capsys, monkeypatch):
+    # each FAIL row ends with the qq qchar call that reruns its root; the
+    # call parses, with the CLI's own parser, to the same quiver and β,
+    # and the JSON report keeps its rows as they were
+    import qhammock.cli as cli
+
+    real = cli.verify_beta
+
+    def failing(q, xi, beta):
+        rep = real(q, xi, beta)
+        if q.rank == 3 and tuple(beta) == (1, 1, 0):
+            rep = {**rep, "routes_agree": False, "ok": False}
+        return rep
+
+    monkeypatch.setattr(cli, "verify_beta", failing)
+    code, out = run(capsys, "verify", "--types", "A", "--max-rank", "3", "--format", "text")
+    assert code == 1
+    rows = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(rows) == 4 and out.splitlines()[-1] == "FAILED (4 roots)"
+    replayed = set()
+    for row in rows:
+        head, command = row.split("  replay: ")
+        assert head == "FAIL A3 beta=[1, 1, 0]"
+        argv = shlex.split(command)
+        assert argv[:2] == ["qq", "qchar"] and argv[-2:] == ["--route", "all"]
+        args = cli._build_parser().parse_args(argv[1:])
+        cfg = cli.load_run_config(args)
+        assert cli._parse_beta(cfg.quiver, args.beta) == (1, 1, 0)
+        assert cfg.height == qhammock.default_height(cfg.quiver)
+        replayed.add(cfg.quiver)
+    assert replayed == set(qhammock.all_orientations("A", 3))
+    code, out = run(capsys, *argv[1:])
+    assert code == 0 and out.splitlines()[-1] == "verdict: pass"
+
+    code, out = run(capsys, "verify", "--types", "A", "--max-rank", "3", "--format", "json")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert [row["beta"] for row in failures] == [[1, 1, 0]] * 4
+    assert all(set(row) == {"family", "rank", "arrows", "beta", "clauses"} for row in failures)
 
 
 NEGATIVE_CONTROL = textwrap.dedent(

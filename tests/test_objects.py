@@ -20,6 +20,7 @@ from qhammock import (
     build_quiver,
     default_height,
     positive_roots,
+    sample_orientations,
     serre,
     suspend,
     translate,
@@ -335,6 +336,36 @@ def test_trusted_construction_edge_cases():
         _assert_as_if_checked(o)
 
 
+def test_made_functions_keep_no_alias_of_their_inputs():
+    # hammock._qfun keeps the maps it is handed: each maker hands it a
+    # fresh dict or a presentation's own read-only view, so mutating the
+    # caller's dicts afterwards changes none of the results
+    q, xi = a2()
+    x, y = translate_base(xi, 1), base_vertex(xi, 2)
+    gens, deltas, mult = {x: 2, y: 1}, {x: 1}, {x: 3, y: 1}
+    more_gens, more_deltas = {y: -1}, {x: -1, y: 4}
+    a = Obj(mult, QFun(gens, deltas))
+    b = Obj({y: 2}, QFun(more_gens, more_deltas))
+    made = [
+        a,
+        b,
+        serre_tilt(q, a, [x, x]),
+        Obj({}, a.fun + b.fun),
+        Obj({}, a.fun.scaled(3)),
+        Obj({}, a.fun - a.fun),
+        tensor_obj(a, b),
+    ]
+    before = [o.canonical() for o in made]
+    for coeffs in (gens, deltas, mult, more_gens, more_deltas):
+        for v in list(coeffs):
+            coeffs[v] += 5
+        coeffs[ZVertex(2, 4)] = 7
+    assert [o.canonical() for o in made] == before
+    assert made[5].fun.gens == {} and made[5].fun.deltas == {}
+    for o in made:
+        _assert_as_if_checked(o)
+
+
 def test_tiltable_detects_admissible_vertices():
     q, xi = a2()
     assert tiltable(q, xi, kr_object(q, xi, 1)) == (1,)
@@ -456,19 +487,38 @@ def test_factor_dominant_round_trip():
 
 
 
-def _leading_object_by_lookups(q, xi, beta):
-    """Y[β] as one hammock_object lookup per b-vector factor: Y(base_j) for
-    a negative simple −α_j, otherwise Y(τ base_i)^{b_i} for b_i > 0 and
-    Y(base_i)^{−b_i} for b_i < 0."""
+def _b_reading(q, beta):
+    """Y[β] as (vertex, on the base section, exponent) triples, read apart
+    from the library: Y(base_j) for a negative simple −α_j, otherwise one
+    triple per nonzero entry of quiver.b_vector, Y(τ base_i)^{b_i} for
+    b_i > 0 and Y(base_i)^{−b_i} for b_i < 0."""
     if min(beta) < 0:
-        factors = [(base_vertex(xi, beta.index(-1) + 1), 1)]
-    else:
-        factors = [
-            (translate_base(xi, i) if b > 0 else base_vertex(xi, i), abs(b))
-            for i, b in zip(q.vertices, b_vector(q, beta))
-            if b
-        ]
+        (j,) = [k for k, b in enumerate(beta, 1) if b]
+        assert beta[j - 1] == -1, beta
+        return [(j, True, 1)]
+    return [(i, b < 0, abs(b)) for i, b in zip(q.vertices, b_vector(q, beta)) if b]
+
+
+def _leading_object_by_lookups(q, xi, beta):
+    """Y[β] as one hammock_object lookup per b-vector factor."""
+    factors = [
+        (base_vertex(xi, i) if on_base else translate_base(xi, i), e)
+        for i, on_base, e in _b_reading(q, beta)
+    ]
     return objects._tensor_powers((hammock_object(q, xi, x), e) for x, e in factors)
+
+
+def _dominant_monomial_by_reading(q, xi, beta):
+    """Y[β]'s class from the b-vector reading, through mono_from_dict's sort."""
+    return mono_from_dict(
+        {("Y", i, xi.ht(i) - 2 * (not on_base)): e for i, on_base, e in _b_reading(q, beta)}
+    )
+
+
+def _orthant_and_negative_simples(rank):
+    """Every orthant vector of sum ≤ 6, then each negative simple root."""
+    vectors = [beta for beta in itertools.product(range(7), repeat=rank) if sum(beta) <= 6]
+    return vectors + [tuple(-(k == j) for k in range(rank)) for j in range(rank)]
 
 
 def _off_dominant(q, xi, a):
@@ -491,8 +541,7 @@ def test_section_table_matches_per_factor_lookups(family, rank):
     # slot: against the constructions they replace (the tensor pass over
     # the same factors, the dict recursion), on every orthant vector of
     # sum ≤ 6 and every negative simple root
-    vectors = [beta for beta in itertools.product(range(7), repeat=rank) if sum(beta) <= 6]
-    vectors += [tuple(-(k == j) for k in range(rank)) for j in range(rank)]
+    vectors = _orthant_and_negative_simples(rank)
     for q in all_orientations(family, rank):
         xi = default_height(q)
         pairs = objects._section_objects(q, xi)[0]
@@ -500,7 +549,7 @@ def test_section_table_matches_per_factor_lookups(family, rank):
             a = leading_object(q, xi, beta)
             assert a.canonical() == _leading_object_by_lookups(q, xi, beta).canonical(), beta
             b = objects._tensor_powers(
-                (pairs[i - 1][on_base][0], e) for i, on_base, e in objects._leading_factors(q, beta)
+                (pairs[i - 1][on_base][0], e) for i, on_base, e in _b_reading(q, beta)
             )
             assert dict(a.fun.gens) == dict(b.fun.gens), (q.arrows, beta)
             assert dict(a.fun.deltas) == dict(b.fun.deltas) == {}, (q.arrows, beta)
@@ -535,6 +584,46 @@ def test_section_table_matches_per_factor_lookups(family, rank):
             assert str(exc.value) == (
                 f"class factor {key}^{e} is not a power on the two base sections"
             )
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4)]
+)
+def test_dominant_monomial_is_the_b_vector_reading(family, rank):
+    # dominant_monomial emits its pairs in vertex order without a sort:
+    # against the test's own reading of quiver.b_vector, sorted by
+    # mono_from_dict, on every orthant vector of sum ≤ 6 and every
+    # negative simple root
+    vectors = _orthant_and_negative_simples(rank)
+    for q in all_orientations(family, rank):
+        xi = default_height(q)
+        for beta in vectors:
+            want = _dominant_monomial_by_reading(q, xi, beta)
+            assert dominant_monomial(q, xi, beta) == want, (q.arrows, beta)
+
+
+def test_dominant_monomial_is_the_b_vector_reading_on_e6():
+    # the same reading on the roots of an E6 sample and each negative
+    # simple root, and the class names the object Y[β]
+    for q in sample_orientations("E", 6, 4, seed=1):
+        xi = default_height(q)
+        vectors = list(positive_roots(q)) + _orthant_and_negative_simples(6)[-6:]
+        for beta in vectors:
+            m = dominant_monomial(q, xi, beta)
+            assert m == _dominant_monomial_by_reading(q, xi, beta), (q.arrows, beta)
+            assert class_object(q, xi, m).canonical() == leading_object(q, xi, beta).canonical()
+
+
+def test_refusal_texts_of_non_dominant_vectors():
+    # a vector with a negative entry other than −α_j is refused by Y[β]'s
+    # one reader, with the same text for the object and its class
+    q = build_quiver("A", 4, [(1, 2), (3, 2), (3, 4)])
+    xi = default_height(q)
+    for beta in [(-1, -1, 0, 0), (-2, 0, 0, 0), (1, -1, 0, 0)]:
+        for read in (leading_object, dominant_monomial):
+            with pytest.raises(NotDominant) as exc:
+                read(q, xi, beta)
+            assert str(exc.value) == f"{beta} is neither nonnegative nor a negative simple root"
 
 
 def test_factor_dominant_frontier_slack():
