@@ -532,13 +532,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _signed_betas(argv: Sequence[str]) -> List[str]:
-    """argv with `--beta -1,0` joined to `--beta=-1,0`, which argparse
-    would take for an unknown option: it is not a lone negative number."""
+def _signed_values(argv: Sequence[str]) -> List[str]:
+    """argv with `--beta -1,0` joined to `--beta=-1,0` and `--window -1,3`
+    to `--window=-1,3`, which argparse would take for an unknown option:
+    neither value is a lone negative number."""
     out: List[str] = []
     for arg in argv:
-        if out[-1:] == ["--beta"] and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"--beta={arg}"
+        if out[-1:] in (["--beta"], ["--window"]) and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -546,7 +547,7 @@ def _signed_betas(argv: Sequence[str]) -> List[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_signed_betas(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

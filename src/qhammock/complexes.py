@@ -30,13 +30,16 @@ The cone's connectors form a chain map η from the absorb side to the
 tilt side, and only a connector carries a free sign: each composite it
 forms lands in one square dom_n[s] → cod_{n+1}[t], through the cod
 differential after it or the dom differential before it.  Every other
-composite group is the d² ledger of dom or cod alone, checked once per
-cone.  No fixed local rule for the connector signs survives the
-recursion: a square pairs a component of the absorb-side subcomplex
-against one of the tilt-side subcomplex, and whether those carry equal or
-opposite signs depends on each one's own provenance (a Koszul-negated
-block, a cone-negated block, or a connector) arbitrarily deep in two
-independent builds.  The builder therefore treats connector signs as
+composite group is the d² ledger of dom or cod alone, which is not
+checked again: each side is a canonical sub-build with one summand
+tensored on each side, whose composable pairs and sign products are the
+sub-build's, and a canonical build checks its own ledger once, when it
+is made (_canonical_build).  No fixed local rule for the connector signs
+survives the recursion: a square pairs a component of the absorb-side
+subcomplex against one of the tilt-side subcomplex, and whether those
+carry equal or opposite signs depends on each one's own provenance (a
+Koszul-negated block, a cone-negated block, or a connector) arbitrarily
+deep in two independent builds.  The builder therefore treats connector signs as
 unknowns in {±1} and requires every square that the path-vanishing rule
 does not excuse to cancel.  A square has at most two routes, on two
 different connectors: at most one runs connector then cod component
@@ -82,20 +85,21 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     InconsistentConnector,
+    InexactDivision,
     InvariantViolation,
     NegativeDegree,
     NotInSupport,
 )
-from .laurent import MONO_ONE, LaurentPoly, Mono, _mono_json, mono_div, mono_mul
+from .laurent import MONO_ONE, LaurentPoly, Mono, _mono_json, _wrap, mono_div, mono_mul
 from .objects import (
     Obj,
     _negative_simple,
     _section_class,
+    _section_objects,
     _tilt_holds,
     class_object,
     dominant_monomial,
     pivot_step,
-    variable_A,
 )
 from .quiver import (
     DynkinQuiver,
@@ -415,7 +419,8 @@ def _resolve_connectors(
     by class, in ascending index order, so every connector offered is a
     tilt.  Only the squares dom_m[s'] → cod_{m+1}[t'] of the chain map
     depend on the matching; the d² ledgers of dom and cod alone are
-    checked once.  A square has at most two routes (module docstring), so
+    their sub-builds', checked when those were made (module docstring).
+    A square has at most two routes (module docstring), so
     its equation is a parity constraint u_a = ±u_b or a single route that
     can never cancel.  The square table, built once, lists every route
     each candidate (key, t) can give each square.  A square is final once
@@ -428,11 +433,8 @@ def _resolve_connectors(
     which is +1, and a connector in no square is +1: the first ±1 solution
     in key order.
     """
-    failure = f"no connector matching closes the d² ledger for the tilt at {i}"
-    if not (verify_d_squared(q, dom)["ok"] and verify_d_squared(q, cod)["ok"]):
-        raise InconsistentConnector(failure)
     tag = ("eta", i)
-    shift = mono_div(_section_class(xi, (), (), [i]), variable_A(q, xi, i))
+    shift = _section_objects(q, xi)[3][i - 1]  # f_i·A_i⁻¹
     cands: dict[tuple[int, int], tuple[int, ...]] = {}
     for n in sorted(set(dom.terms) & set(cod.terms)):
         by_class: dict[Mono, tuple[int, ...]] = {}
@@ -495,7 +497,9 @@ def _resolve_connectors(
 
     classes = dfs(0, {})
     if classes is None:
-        raise InconsistentConnector(failure)
+        raise InconsistentConnector(
+            f"no connector matching closes the d² ledger for the tilt at {i}"
+        )
     connectors: dict[int, list[tuple[int, int, tuple, int]]] = {}
     for (n, s), t in sorted(choice.items()):
         if t is not None:
@@ -554,7 +558,12 @@ def build_complex(
 
 @lru_cache(maxsize=None)
 def _canonical_build(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> FractionComplex:
-    return _build(q, xi, beta, None)
+    """The memoised build, its d² ledger checked once, when it is made:
+    every cone takes its two sides from these builds only."""
+    fc = _build(q, xi, beta, None)
+    if not verify_d_squared(q, fc.num)["ok"]:
+        raise InvariantViolation(f"the d² ledger of C[{beta}] does not vanish")
+    return fc
 
 
 def _build(
@@ -624,23 +633,39 @@ def euler_char(
     of the β that fc carries.
 
     With specialize_f given (the interesting value is −1), every extra
-    symbol f_i is replaced by that constant before the division.
+    symbol f_i is replaced by that constant before the division.  The
+    signs are summed per class first, and then each class with a nonzero
+    sum is specialized and divided in the same pass, with no polynomial
+    in between.  A negative power of f_i is exact only at ±1: at any
+    other value it raises InexactDivision, as the substitution would.
     """
-    terms: dict[Mono, int] = {}
+    signed: dict[Mono, int] = {}
     for n, row in fc.num.terms.items():
         sign = -1 if n % 2 else 1
         for m in row:
-            terms[m] = terms.get(m, 0) + sign
-    total = LaurentPoly(terms)
-    if specialize_f is not None:
-        subs = {
-            var: LaurentPoly.monomial(MONO_ONE, specialize_f)
-            for var in total.variables()
-            if var[0] == "f"
-        }
-        if subs:
-            total = total.substitute(subs)
-    return total.exact_div(LaurentPoly.monomial(_section_class(xi, (), fc.den.items())))
+            signed[m] = signed.get(m, 0) + sign
+    den = _section_class(xi, (), fc.den.items())
+    out: dict[Mono, int] = {}
+    for m, c in signed.items():
+        if not c:
+            continue
+        if specialize_f is not None:
+            kept = []
+            for key, e in m:
+                if key[0] != "f":
+                    kept.append((key, e))
+                elif type(specialize_f) is not int:
+                    raise TypeError(f"coefficient {specialize_f!r} is not an int")
+                elif e > 0:
+                    c *= specialize_f**e
+                elif specialize_f * specialize_f != 1:
+                    raise InexactDivision("cannot invert non-unit coefficient in substitution")
+                elif e % 2:
+                    c *= specialize_f
+            m = tuple(kept)
+        m = mono_div(m, den)
+        out[m] = out.get(m, 0) + c
+    return _wrap({m: c for m, c in out.items() if c})
 
 
 # ───────────────────────── structural verification ─────────────────────────
@@ -648,11 +673,12 @@ def euler_char(
 
 def _composable_pairs(c: Complex):
     for n in sorted(c.diffs):
-        nxt = c.diffs.get(n + 1, ())
+        after: dict[int, list[Component]] = {}
+        for c2 in c.diffs.get(n + 1, ()):
+            after.setdefault(c2.src, []).append(c2)
         for c1 in c.diffs[n]:
-            for c2 in nxt:
-                if c2.src == c1.dst:
-                    yield n, c1, c2
+            for c2 in after.get(c1.dst, ()):
+                yield n, c1, c2
 
 
 def verify_d_squared(q: DynkinQuiver, c: Complex) -> dict:
@@ -663,31 +689,31 @@ def verify_d_squared(q: DynkinQuiver, c: Complex) -> dict:
     the trivial path a = b counts), or (a) the signed sum over its group —
     same source summand, same target summand, same tag multiset — runs to
     zero, the transposed-pair cancellation of tensor calculus.  Reported
-    violations are pairs enjoying neither excuse.
+    violations are pairs enjoying neither excuse, group by group in the
+    order the groups first occur.  The groups are summed first, and
+    members and excuses are read only for groups whose sum is nonzero.
     """
     groups: dict[tuple, int] = {}
-    members: dict[tuple, list] = {}
-    excused: dict[tuple, bool] = {}
     for n, c1, c2 in _composable_pairs(c):
-        key = (n, c1.src, c2.dst, tuple(sorted((c1.tag, c2.tag))))
+        key = (n, c1.src, c2.dst, _tag_pair(c1.tag, c2.tag))
         groups[key] = groups.get(key, 0) + c1.sign * c2.sign
-        members.setdefault(key, []).append((c1, c2))
-        excused[(n, c1, c2)] = _excused(q, c1.tag, c2.tag)
-    violations = []
-    for key, total in groups.items():
-        if total == 0:
-            continue
-        for c1, c2 in members[key]:
-            if not excused[(key[0], c1, c2)]:
-                violations.append(
-                    {
-                        "degree": key[0],
-                        "first": tuple(c1),
-                        "second": tuple(c2),
-                        "group_sum": total,
-                    }
-                )
+    members: dict[tuple, list] = {key: [] for key, total in groups.items() if total}
+    if members:
+        for n, c1, c2 in _composable_pairs(c):
+            pairs = members.get((n, c1.src, c2.dst, _tag_pair(c1.tag, c2.tag)))
+            if pairs is not None and not _excused(q, c1.tag, c2.tag):
+                pairs.append((c1, c2))
+    violations = [
+        {"degree": key[0], "first": tuple(c1), "second": tuple(c2), "group_sum": groups[key]}
+        for key, pairs in members.items()
+        for c1, c2 in pairs
+    ]
     return {"ok": not violations, "violations": violations}
+
+
+def _tag_pair(a: tuple, b: tuple) -> tuple:
+    """The two tags of a composite as a multiset: sorted."""
+    return (a, b) if a <= b else (b, a)
 
 
 def _objects(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> dict[Mono, Obj]:

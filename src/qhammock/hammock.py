@@ -20,9 +20,12 @@ Two families of knitted functions matter here:
   are dimensions of morphism spaces out of x, supported on the closed band
   between the sections through x and through Serre(x).
 
-Only g_x is knitted, once per (quiver, vertex) by lru_cache.  Knitting is
-linear, so g_x = h_x + h_{τ⁻¹Sx}, and h_x is the alternating sum of the g
-over the orbit x_m = (τ⁻¹S)^m x: h_x(y) = Σ_{m≥0} (−1)^m dim Hom(x_m, y).
+Only g_x is knitted, once per (quiver, label): the translate moves a hom
+table with its source, so every other vertex of a label reads the table of
+the label's reference vertex, moved, and lru_cache keeps each per (quiver,
+vertex).  Knitting is linear, so g_x = h_x + h_{τ⁻¹Sx}, and h_x is the
+alternating sum of the g over the orbit x_m = (τ⁻¹S)^m x:
+h_x(y) = Σ_{m≥0} (−1)^m dim Hom(x_m, y).
 """
 
 from __future__ import annotations
@@ -254,14 +257,23 @@ def _difference(a: _Coeffs, b: _Coeffs) -> dict[ZVertex, int]:
 @lru_cache(maxsize=None)
 def hom_values(q: DynkinQuiver, x: ZVertex) -> Mapping[ZVertex, int]:
     """All nonzero morphism-space dimensions out of x, as a read-only
-    vertex -> dim map.
+    vertex -> dim map, cached per (quiver, source).
 
-    Knitted once per (quiver, source) and cached.  The support is checked to
-    lie in the closed band between the sections through x and through the
-    Serre shift of x, with nonnegative values throughout; violations would
-    mean a convention bug, so they raise InvariantViolation.
+    Knitted once per label, from its reference vertex (i, parity of i):
+    the translate moves every hom table with its source, so the table of
+    any other (i, p) is the reference's moved p − parity slots, in the
+    same order.  The reference's support is checked to lie in the closed
+    band between the sections through it and through its Serre shift,
+    with nonnegative values throughout; violations would mean a
+    convention bug, so they raise InvariantViolation.
     """
     x = check_vertex(q, x)
+    ref = ZVertex(x.i, q.parity_class(x.i))
+    if x != ref:
+        moved = x.p - ref.p
+        return MappingProxyType(
+            {ZVertex(v.i, v.p + moved): c for v, c in hom_values(q, ref).items()}
+        )
     sx = serre(q, x)
     sec_x = section_through(q, x)
     sec_sx = section_through(q, sx)

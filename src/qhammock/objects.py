@@ -76,12 +76,12 @@ from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport
 from .hammock import QFun, _qfun, hammock_fun, hom_values, qfun_equal
 from .laurent import Mono, VarKey, mono_div, mono_from_dict, mono_mul
 from .quiver import (
-    BetaData,
     DynkinQuiver,
     HeightFunction,
     Root,
+    _pivot_rule,
+    _walk,
     b_vector,
-    beta_combinatorics,
     is_nonneg,
 )
 from .repetition import (
@@ -245,17 +245,24 @@ def _section_objects(
     tuple[tuple[tuple[Obj, ZVertex], tuple[Obj, ZVertex]], ...],
     Mapping[VarKey, Obj],
     Mapping[ZVertex, tuple[int, bool]],
+    tuple[Mono, ...],
 ]:
     """The 3n objects every class and every Y[β] is made of, looked up once
-    per (quiver, height), in three tables: by vertex index i − 1 the pair
+    per (quiver, height), in four tables: by vertex index i − 1 the pair
     ((Y(τ base_i), τ base_i), (Y(base_i), base_i)), each with its
     generator; all 3n by class key, ("Y", i, ξ(i)−2) and ("Y", i, ξ(i))
-    for those two and ("f", i) for F(τ base_i); and the slot of each of
+    for those two and ("f", i) for F(τ base_i); the slot of each of
     the 2n generators, τ base_i → (i − 1, False) and base_i → (i − 1,
-    True), which reads the first table backwards."""
+    True), which reads the first table backwards; and by vertex index
+    f_i·A_i⁻¹, the class of a tilt at τ base_i over its source's class
+    (by the mesh identity, tilting Y(τ base_i) ⊗ Y(base_i) there gives
+    F(τ base_i) ⊗ ⊗ Y(w) over the arrows τ base_i → w)."""
     pairs = []
     by_key: dict[VarKey, Obj] = {}
     slots: dict[ZVertex, tuple[int, bool]] = {}
+    shifts = tuple(
+        mono_div(_section_class(xi, (), (), [i]), variable_A(q, xi, i)) for i in q.vertices
+    )
     for i in q.vertices:
         lower, upper = translate_base(xi, i), base_vertex(xi, i)
         pair = ((hammock_object(q, xi, lower), lower), (hammock_object(q, xi, upper), upper))
@@ -265,7 +272,7 @@ def _section_objects(
         by_key[("f", i)] = ghost_object(q, xi, lower)
         slots[lower] = (i - 1, False)
         slots[upper] = (i - 1, True)
-    return tuple(pairs), MappingProxyType(by_key), MappingProxyType(slots)
+    return tuple(pairs), MappingProxyType(by_key), MappingProxyType(slots), shifts
 
 
 def _factor_object(q: DynkinQuiver, xi: HeightFunction, key: VarKey, e: int) -> Obj:
@@ -312,6 +319,13 @@ def _section_class(
         key = ("Y", l, xi.ht(l))
         powers[key] = powers.get(key, 0) + e
     return mono_from_dict(powers)
+
+
+def _census_class(xi: HeightFunction, m: Mono) -> Mono:
+    """The section class of a census monomial, X_i ↦ K_i and x_i ↦ Y(base_i),
+    which sends distinct monomials to distinct classes."""
+    k_exp = [(i, e) for (kind, i), e in m if kind == "X"]
+    return _section_class(xi, k_exp, [(i, e) for (kind, i), e in m if kind == "x"])
 
 
 def _tensor_powers(pairs: Iterable[tuple[Obj, int]]) -> Obj:
@@ -673,18 +687,22 @@ def _canonical_step(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> PivotSte
 
 
 def _step(q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None) -> PivotStep:
-    bd = beta_combinatorics(q, xi, beta)
-    i = bd.pivot if pivot is None else pivot
-    if i not in bd.support:
+    # the pivot's two closures and no others: the pivot rule walked the
+    # out-closures of the least-coefficient vertices, the canonical pivot's
+    _, inside, least_out, iset = _pivot_rule(q, xi, beta)
+    i = iset[0] if pivot is None else pivot
+    if i not in inside:
         raise NotInSupport(f"pivot {i} outside the support of {beta}")
+    out_cl = least_out.get(i) or _walk(i, q.arrows_from, inside)
+    in_cl = _walk(i, q.arrows_to, inside)
     b = b_vector(q, beta)
     eps = 1 if b[i - 1] > 0 else 0
-    hin = _frontier(q, bd, bd.in_closure[i], q.arrows_from)
-    tilt = _tilt(q, beta, b, bd, i)
+    hin = _frontier(q, inside, in_cl, q.arrows_from)
+    tilt = _tilt(q, beta, b, inside, out_cl, i)
     return PivotStep(
         pivot=i,
         eps=eps,
-        beta_inj=_drop(beta, bd.in_closure[i]),
+        beta_inj=_drop(beta, in_cl),
         hin=hin,
         tilt=tilt,
         absorb_class=_section_class(xi, [(i, eps)], hin),
@@ -699,7 +717,7 @@ def _drop(beta: Root, closure: frozenset[int]) -> Root:
 
 def _frontier(
     q: DynkinQuiver,
-    bd: BetaData,
+    support: frozenset[int],
     closure: frozenset[int],
     arrows: Callable[[int], tuple[int, ...]],
 ) -> tuple[tuple[int, int], ...]:
@@ -707,21 +725,21 @@ def _frontier(
     return tuple(
         (l, m)
         for l in q.vertices
-        if l not in bd.support and (m := sum(1 for j in arrows(l) if j in closure))
+        if l not in support and (m := sum(1 for j in arrows(l) if j in closure))
     )
 
 
 def _tilt(
-    q: DynkinQuiver, beta: Root, b: tuple[int, ...], bd: BetaData, i: int
+    q: DynkinQuiver, beta: Root, b: tuple[int, ...], support: frozenset[int],
+    out_cl: frozenset[int], i: int,
 ) -> Factorization:
-    """Iterated tilt of Y[β] ⊗ Y(base_i) over the out-closure of i.
+    """Iterated tilt of Y[β] ⊗ Y(base_i) over the out-closure out_cl of i.
 
     One ghost factor per out-closure vertex, the H factors at vertices just
     outside the support receiving arrows from the out-closure, and the KR
     factors and remainder β − dim P_i recovered by the max-recursion on the
     tilted generator exponents.
     """
-    out_cl = bd.out_closure[i]
     c: list[int] = []
     d: list[int] = []
     for k in q.vertices:
@@ -745,7 +763,7 @@ def _tilt(
     return Factorization(
         f_list=tuple(sorted(out_cl)),
         k_exp=fac.k_exp,
-        h_exp=_frontier(q, bd, out_cl, q.arrows_to),
+        h_exp=_frontier(q, support, out_cl, q.arrows_to),
         remainder=expected,
     )
 

@@ -40,12 +40,14 @@ from .errors import Incomparable, UnknownRoot
 from .laurent import (
     LaurentPoly,
     Mono,
-    VarKey,
     _mono_json,
+    _wrap,
     mono_key_str,
+    mono_mul,
 )
 from .quiver import DynkinQuiver, HeightFunction, Root
 from .objects import (
+    _census_class,
     _negative_simple,
     _section_class,
     dominant_monomial,
@@ -107,12 +109,21 @@ def _canonical_recursion(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Lau
     if not any(beta) or _negative_simple(beta) is not None:
         return LaurentPoly.monomial(dominant_monomial(q, xi, beta))
 
+    # both branches and the division by Y(i, ξ(i)) in one pass: each term
+    # of a branch is multiplied once, by its head class over Y(i, ξ(i));
+    # the loop calls qchar_recursion itself, so a step costs two frames
     step = pivot_step(q, xi, beta)
-    total = LaurentPoly.monomial(step.absorb_class) * qchar_recursion(q, xi, step.beta_inj)
-    total = total + LaurentPoly.monomial(step.tilt_class) * qchar_recursion(
-        q, xi, step.tilt.remainder
-    )
-    return total * LaurentPoly.monomial(_section_class(xi, (), [(step.pivot, -1)]))
+    inverse = _section_class(xi, (), [(step.pivot, -1)])
+    out: dict[Mono, int] = {}
+    for head, sub in ((step.absorb_class, step.beta_inj), (step.tilt_class, step.tilt.remainder)):
+        head = mono_mul(head, inverse)
+        for m, c in qchar_recursion(q, xi, sub).terms.items():
+            m = mono_mul(head, m)
+            if s := out.get(m, 0) + c:
+                out[m] = s
+            else:
+                del out[m]
+    return _wrap(out)
 
 
 # ──────────────────────── route 3: exchange walk ────────────────────────
@@ -128,11 +139,8 @@ def qchar_cluster(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPol
     key = tuple(beta)
     if key not in var:
         raise UnknownRoot(f"no cluster variable has denominator vector {key}")
-    mapping: Dict[VarKey, LaurentPoly] = {}
-    for i in q.vertices:
-        mapping[("x", i)] = LaurentPoly.monomial(_section_class(xi, (), [(i, 1)]))
-        mapping[("X", i)] = LaurentPoly.monomial(_section_class(xi, [(i, 1)], ()))
-    return var[key].substitute(mapping)
+    # one pass over the census terms; distinct terms have distinct classes
+    return _wrap({_census_class(xi, m): c for m, c in var[key].terms.items()})
 
 
 # ───────────────────────── dominance order ─────────────────────────

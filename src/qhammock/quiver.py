@@ -378,26 +378,31 @@ class BetaData:
     pivot: int
 
 
-def beta_combinatorics(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> BetaData:
-    """Support closures and the pivot-selection data for beta."""
+def _pivot_rule(
+    q: DynkinQuiver, xi: HeightFunction, beta: Root
+) -> tuple[tuple[int, ...], frozenset[int], dict[int, frozenset[int]], tuple[int, ...]]:
+    """The pivot rule of a nonzero nonnegative β, walking only the closures
+    it reads: the support as a tuple and as a set, the out-closure of each
+    support vertex of least coefficient, and the pivot candidates, those of
+    them minimising Σ_{j ∈ out_closure[i]} (ξ(i) − ξ(j))."""
     if not any(beta) or not is_nonneg(beta):
         raise EmptySupport("need a nonzero nonnegative coefficient vector")
     supp = root_support(beta)
     inside = frozenset(supp)
-    out_cl = {i: _walk(i, q.arrows_from, inside) for i in supp}
-    in_cl = {i: _walk(i, q.arrows_to, inside) for i in supp}
     least = min(beta[i - 1] for i in supp)
-    r_sum = {
-        i: sum(xi.ht(i) - xi.ht(j) for j in out_cl[i])
-        for i in supp
-        if beta[i - 1] == least
-    }
+    out_cl = {i: _walk(i, q.arrows_from, inside) for i in supp if beta[i - 1] == least}
+    r_sum = {i: sum(xi.ht(i) - xi.ht(j) for j in cl) for i, cl in out_cl.items()}
     best = min(r_sum.values())
-    iset = tuple(i for i, r in r_sum.items() if r == best)
+    return supp, inside, out_cl, tuple(i for i, r in r_sum.items() if r == best)
+
+
+def beta_combinatorics(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> BetaData:
+    """Support closures and the pivot-selection data for beta."""
+    supp, inside, least_out, iset = _pivot_rule(q, xi, beta)
     return BetaData(
         support=supp,
-        out_closure=out_cl,
-        in_closure=in_cl,
+        out_closure={i: least_out.get(i) or _walk(i, q.arrows_from, inside) for i in supp},
+        in_closure={i: _walk(i, q.arrows_to, inside) for i in supp},
         pivot_candidates=iset,
         pivot=iset[0],
     )

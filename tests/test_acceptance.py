@@ -1,10 +1,12 @@
-"""Acceptance gate: ten end-to-end criteria, one test (= one verdict line) each.
+"""Acceptance gate: eleven end-to-end criteria, one test (= one verdict line) each.
 
-Run ``pytest -v tests/test_acceptance.py``; the ten PASSED/FAILED lines are
-the gate.  Each test also prints a one-line summary of what it measured
+Run ``pytest -v tests/test_acceptance.py``; the eleven PASSED/FAILED lines
+are the gate.  Each test also prints a one-line summary of what it measured
 (visible with ``-s`` or on failure).  The sweep behind the heavy criteria is
 every orientation of A_2..A_5, every orientation of D_4, and eight seeded
-random orientations of D_5 — 46 quivers, 606 positive roots.
+random orientations of D_5 — 46 quivers, 606 positive roots.  Criterion 11
+reads criterion 07's clauses off the cluster route on all 32 E6
+orientations.
 
 Everything here is exact integer/Laurent arithmetic: no tolerances anywhere.
 """
@@ -414,3 +416,35 @@ def test_10_hand_checked_goldens():
         assert qchar_cluster(q, xi, beta) == want
     dt = time.perf_counter() - t
     print(f"criterion 10 pass — 3 golden characters × 3 routes ({dt:.2f}s)")
+
+
+# ------------------------------------------------------------------ 11
+
+
+def test_11_type_e6_dominant_formula_on_the_cluster_route():
+    # the paper states its dominant-monomial formula for A_n and D_n only;
+    # on E the cluster route is the ground truth, so criterion 07's four
+    # clauses are read off qchar_cluster, with the round trip on the
+    # roots: a checked observation on all 32 E6 orientations, not a theorem
+    t = time.perf_counter()
+    cnt = 0
+    for q in all_orientations("E", 6):
+        xi = default_height(q)
+        for beta in positive_roots(q):
+            poly = qchar_cluster(q, xi, beta)
+            hi, lo = extremal_monomials(q, xi, poly)
+            assert hi == dominant_monomial(q, xi, beta), (q.arrows, beta)
+            drop = mono_from_dict({})
+            for i, a in enumerate(beta, start=1):
+                drop = mono_mul(drop, mono_pow(variable_A(q, xi, i), -a))
+            assert lo == mono_mul(hi, drop), (q.arrows, beta)
+            assert all(c > 0 for c in poly.terms.values()), (q.arrows, beta)
+            assert poly.terms[hi] == 1, (q.arrows, beta)
+            assert root_of_dominant(q, xi, leading_object(q, xi, beta)) == beta
+            cnt += 1
+    assert cnt == 32 * 36
+    dt = time.perf_counter() - t
+    print(
+        f"criterion 11 pass — E6 extremal pair + positivity + round trip "
+        f"on {cnt} pairs ({dt:.1f}s)"
+    )

@@ -308,6 +308,29 @@ def test_beta_with_a_leading_minus_parses_in_the_space_form(capsys, monkeypatch,
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hammock", "--quiver", A2, "--vertex", "1,1", "--window", "-1,3", "--format", "json"],
+        ["hammock", "--quiver", A4_MIXED, "--vertex", "3,-1", "--window", "-3,5"],
+        ["ar-view", "--quiver", A2, "--window", "-1,3", "--format", "dot"],
+    ],
+)
+def test_window_with_a_leading_minus_parses_in_the_space_form(capsys, monkeypatch, argv):
+    # `--window -1,3` reads as `--window=-1,3`, as `--beta` does
+    k = argv.index("--window")
+    joined = argv[:k] + [f"--window={argv[k + 1]}"] + argv[k + 2 :]
+    code, want = run(capsys, *joined)
+    assert code == 0 and want
+    assert run(capsys, *argv) == (0, want)
+    monkeypatch.setattr(sys, "argv", ["qq", *argv])
+    assert main() == 0 and capsys.readouterr().out == want
+    # a window whose first slot exceeds its second stays refused input
+    reversed_window = argv[: k + 1] + ["-1,-3"] + argv[k + 2 :]
+    code, out = run(capsys, *reversed_window)
+    assert code == 2 and out == ""
+
+
 # ---------------------------------------------------------------- verify
 
 

@@ -567,3 +567,150 @@ def test_degree_zero_violation_is_an_engine_error(monkeypatch, broken):
     finally:
         # and no outcome decided under the broken Serre map outlives the test
         objects._tilt_outcome.cache_clear()
+
+
+# ------------------------------------------------- one-pass kernels, moved checks
+
+
+def _euler_by_substitution(xi, fc, specialize_f):
+    """The Euler characteristic as a composition of ring operations: the
+    signed class sum as a polynomial, every f_i substituted by the
+    constant, then an exact division by Y^β."""
+    signed = {}
+    for n, row in fc.num.terms.items():
+        for m in row:
+            signed[m] = signed.get(m, 0) + (-1) ** n
+    total = LaurentPoly(signed)
+    if specialize_f is not None:
+        subs = {
+            var: LaurentPoly.monomial(MONO_ONE, specialize_f)
+            for var in total.variables()
+            if var[0] == "f"
+        }
+        if subs:
+            total = total.substitute(subs)
+    den = mono_from_dict({("Y", k, xi.ht(k)): b for k, b in fc.den.items()})
+    return total.exact_div(LaurentPoly.monomial(den))
+
+
+def _outcome(f, *args):
+    """f's value with its term order, or the type and text of what it raised."""
+    try:
+        poly = f(*args)
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return type(exc), str(exc)
+    return list(poly.terms.items())
+
+
+SPECIALIZATIONS = [None, -1, 1, 2]
+
+
+def test_euler_char_matches_substitution_then_division():
+    # every pivot build of A2–A4 and every canonical root build of an E6
+    # sample, at each specialization of the ghosts
+    builds = list(_pivot_builds([("A", 2), ("A", 3), ("A", 4)]))
+    for q in sample_orientations("E", 6, 1, seed=1):
+        xi = default_height(q)
+        builds += [(q, xi, build_complex(q, xi, beta)) for beta in positive_roots(q)]
+    assert len(builds) == 119 + 36
+    for q, xi, fc in builds:
+        for f in SPECIALIZATIONS:
+            want = _euler_by_substitution(xi, fc, f)
+            assert _outcome(euler_char, q, xi, fc, f) == list(want.terms.items()), f
+
+
+def test_euler_char_negative_ghost_power_raises_as_substitution_does():
+    # hand-made classes with f_1^{-1}: exact at ±1 and unspecialized, and
+    # InexactDivision with the substitution's text at 2; a class whose
+    # signs cancel is never specialized, so it raises nowhere
+    q, xi = a2()
+    y, yk = mono_from_dict({("Y", 1, 1): 1}), mono_from_dict({("Y", 2, 0): 2})
+    inverse_ghost = mono_from_dict({("f", 1): -1, ("Y", 1, 1): 1})
+    squared = mono_from_dict({("f", 1): 2, ("f", 2): -3, ("Y", 2, 0): 1})
+    hand_made = [
+        FractionComplex(Complex({0: [inverse_ghost]}), (1, 0)),
+        FractionComplex(Complex({0: [y, squared], 1: [inverse_ghost]}), (1, 1)),
+        FractionComplex(Complex({0: [inverse_ghost, yk], 1: [inverse_ghost]}), (0, 1)),
+        FractionComplex(Complex({0: [squared], 2: [yk], 3: [y]}), (0, 0)),
+    ]
+    raised = 0
+    for fc in hand_made:
+        for f in SPECIALIZATIONS:
+            want = _outcome(_euler_by_substitution, xi, fc, f)
+            assert _outcome(euler_char, q, xi, fc, f) == want, (fc.num, f)
+            raised += want[0] is complexes.InexactDivision
+    assert raised == 3
+    with pytest.raises(TypeError):
+        euler_char(q, xi, hand_made[0], specialize_f=-1.0)
+
+
+def _mapped_report(rep, k, m):
+    """A d² report of l ⊗ C ⊗ r read back onto C: degrees down by k + m,
+    component signs times (−1)^k."""
+    flip = -1 if k % 2 else 1
+    return {
+        "ok": rep["ok"],
+        "violations": [
+            {
+                "degree": v["degree"] - k - m,
+                "first": (*v["first"][:3], v["first"][3] * flip),
+                "second": (*v["second"][:3], v["second"][3] * flip),
+                "group_sum": v["group_sum"],
+            }
+            for v in rep["violations"]
+        ],
+    }
+
+
+def test_tensored_side_has_its_sub_builds_d_squared_report():
+    # a cone side is l ⊗ C ⊗ r with one summand on each side, so its d²
+    # report is C's moved up k + m degrees, the signs twisted by (−1)^k:
+    # checked on every canonical build of A2–A4, as built and with one
+    # component sign broken
+    checked = broken = 0
+    for rank in (2, 3, 4):
+        for q in all_orientations("A", rank):
+            xi = default_height(q)
+            l, r = K(xi, 1), F(rank)
+            for beta in positive_roots(q):
+                c = build_complex(q, xi, beta).num
+                variants = [c]
+                if c.diffs:
+                    n = min(c.diffs)
+                    first, *rest = c.diffs[n]
+                    flipped = [first._replace(sign=-first.sign), *rest]
+                    variants.append(Complex(c.terms, {**c.diffs, n: flipped}))
+                for cx in variants:
+                    want = verify_d_squared(q, cx)
+                    for k in range(4):
+                        for m in (0, 2):
+                            side = complexes._tensor_between(l, k, cx, r, m)
+                            assert _mapped_report(verify_d_squared(q, side), k, m) == want
+                    checked += 1
+                    broken += not want["ok"]
+    assert checked > 200 and broken > 5
+
+
+def test_broken_cone_sign_raises_when_the_build_is_made(monkeypatch):
+    # every canonical build checks its own d² ledger once: with the first
+    # connector's sign flipped in every cone, C[(1,1,1)] of A3 1←2→3
+    # raises as it is made, though nothing reads its ledger afterwards
+    q = build_quiver("A", 3, [(2, 1), (2, 3)])
+    xi = default_height(q)
+    cone_ = complexes.cone
+
+    def flipped(dom, cod, connectors=None):
+        connectors = {n: list(conns) for n, conns in (connectors or {}).items()}
+        if connectors:
+            s, t, tag, sign = connectors[min(connectors)][0]
+            connectors[min(connectors)][0] = (s, t, tag, -sign)
+        return cone_(dom, cod, connectors)
+
+    monkeypatch.setattr(complexes, "cone", flipped)
+    complexes._canonical_build.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match=r"d² ledger of C\[\(1, 1, 1\)\]"):
+            build_complex(q, xi, (1, 1, 1))
+    finally:
+        # no build made with the broken sign outlives the test
+        complexes._canonical_build.cache_clear()

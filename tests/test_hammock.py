@@ -31,6 +31,7 @@ from qhammock import (
 import qhammock.hammock as hammock
 from qhammock.errors import InvariantViolation
 from qhammock.hammock import qfun_defect
+from qhammock.repetition import section_through
 
 from interval_oracle import ext1_dim, hom_dim, intervals
 from object_oracle import hammock_values_by_knitting
@@ -263,3 +264,42 @@ def test_hom_function_violation_is_an_engine_error(monkeypatch, bad):
     monkeypatch.setattr(hammock, "_knit", lambda *args: dict(knitted))
     with pytest.raises(InvariantViolation):
         hammock.hom_values(q, x)
+
+
+def _knitted_from(q, x, knit):
+    """Every morphism-space dimension out of x, knitted from x itself,
+    with the band and sign checks of the library's reference knit."""
+    sx = serre(q, x)
+    sec_sx = section_through(q, sx)
+    defects = {x: 1, translate(sx, -1): 1}
+    values = knit(q, section_through(q, x), defects, max(sec_sx.values()) + 4)
+    assert all(c == 0 for v, c in values.items() if v.p > sec_sx[v.i])
+    assert all(c >= 0 for c in values.values())
+    return {v: c for v, c in values.items() if c and v.p <= sec_sx[v.i]}
+
+
+def test_hom_tables_are_translates_of_one_knit_per_label(monkeypatch):
+    # every section vertex τ base_i and base_i of A1–A5, D4, D5 and an E6
+    # sample reads a table equal, in content and order, to a knit from
+    # the vertex itself, and each quiver knits one table per label
+    knit = hammock._knit
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return knit(*args)
+
+    monkeypatch.setattr(hammock, "_knit", counted)
+    quivers = [q for n in range(1, 6) for q in all_orientations("A", n)]
+    quivers += list(all_orientations("D", 4)) + list(all_orientations("D", 5))
+    quivers += list(sample_orientations("E", 6, 2, seed=1))
+    hom_values.cache_clear()
+    for q in quivers:
+        xi = default_height(q)
+        before = len(calls)
+        for i in q.vertices:
+            for x in (translate(base_vertex(xi, i)), base_vertex(xi, i)):
+                want = _knitted_from(q, x, knit)
+                assert list(hom_values(q, x).items()) == list(want.items()), (q.arrows, x)
+        assert len(calls) - before == q.rank, q.arrows
+    hom_values.cache_clear()

@@ -1063,3 +1063,48 @@ def test_tilt_bookkeeping_failure_is_an_engine_error(monkeypatch, skew):
     q = build_quiver("A", 3, [(1, 2), (3, 2)])
     with pytest.raises(InvariantViolation):
         objects.tilt_leading(q, default_height(q), (1, 1, 1), 1)
+
+
+def _step_read_through_beta_data(q, xi, beta, i):
+    """The exchange step at i with both closures read off beta_combinatorics,
+    which walks both closures of every support vertex."""
+    bd = beta_combinatorics(q, xi, beta)
+    b = b_vector(q, beta)
+    eps = 1 if b[i - 1] > 0 else 0
+    support = frozenset(bd.support)
+    hin = objects._frontier(q, support, bd.in_closure[i], q.arrows_from)
+    tilt = objects._tilt(q, beta, b, support, bd.out_closure[i], i)
+    return objects.PivotStep(
+        pivot=i,
+        eps=eps,
+        beta_inj=objects._drop(beta, bd.in_closure[i]),
+        hin=hin,
+        tilt=tilt,
+        absorb_class=objects._section_class(xi, [(i, eps)], hin),
+        tilt_class=objects._section_class(xi, tilt.k_exp, tilt.h_exp),
+    )
+
+
+def test_step_walks_only_its_pivots_closures_to_the_same_step():
+    # _step walks the out-closures of the least-coefficient vertices and
+    # the pivot's in-closure; at the canonical pivot and at every support
+    # vertex (every pivot candidate among them) the step must equal the
+    # one read through BetaData, on every orthant vector of sum ≤ 3 and
+    # every root of A1–A5, D4, D5
+    checked = 0
+    quivers = [q for n in range(1, 6) for q in all_orientations("A", n)]
+    quivers += list(all_orientations("D", 4)) + list(all_orientations("D", 5))
+    for q in quivers:
+        xi = default_height(q)
+        vectors = {
+            v for v in itertools.product(range(4), repeat=q.rank) if 0 < sum(v) <= 3
+        } | set(positive_roots(q))
+        for beta in sorted(vectors):
+            bd = beta_combinatorics(q, xi, beta)
+            want = _step_read_through_beta_data(q, xi, beta, bd.pivot)
+            assert objects._step(q, xi, beta, None) == want, (q.arrows, beta)
+            for i in bd.support:
+                want = _step_read_through_beta_data(q, xi, beta, i)
+                assert objects._step(q, xi, beta, i) == want, (q.arrows, beta, i)
+                checked += 1
+    assert checked == 5267

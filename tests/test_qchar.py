@@ -3,7 +3,7 @@ order machinery used to certify extremal monomials."""
 
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -30,7 +30,8 @@ from qhammock.laurent import (
     mono_mul,
     mono_pow,
 )
-from qhammock.objects import leading_object
+from qhammock.cluster import enumerate_cluster_variables
+from qhammock.objects import leading_object, pivot_step
 from qhammock.qchar import (
     _a_exponents,
     dominant_monomial,
@@ -428,3 +429,65 @@ def test_qchar_tsv_and_json():
         {"coeff": 1, "mono": {"Y:1:1": -1}},
         {"coeff": 1, "mono": {"Y:2:-2": 1}},
     ]
+
+
+# ----------------------------------------------- one-pass kernels, refereed
+
+GATE_SEED = 20260816  # the acceptance sweep's seed, which draws its D5 sample
+
+
+def _gate_quivers():
+    qs = [q for n in (2, 3, 4, 5) for q in all_orientations("A", n)]
+    qs += list(all_orientations("D", 4))
+    return qs + list(sample_orientations("D", 5, 8, seed=GATE_SEED))
+
+
+E6_SAMPLE = sample_orientations("E", 6, 2, seed=1)
+
+
+def _small_vectors(n, total):
+    """Every nonzero nonnegative vector of length n with sum ≤ total."""
+    return [v for v in product(range(total + 1), repeat=n) if 0 < sum(v) <= total]
+
+
+def test_recursion_matches_its_three_product_form():
+    # χ(β) = (X_i^ε·H^in·χ(β_inj) + K·H·χ(β_proj)) / Y(i, ξ(i)), as three
+    # products of polynomials, on every orthant vector of sum ≤ 4 of
+    # A2–A4 and D4 and on the roots of an E6 sample
+    checked = 0
+    cases = [(q, _small_vectors(q.rank, 4)) for n in (2, 3, 4) for q in all_orientations("A", n)]
+    cases += [(q, _small_vectors(4, 4)) for q in all_orientations("D", 4)]
+    cases += [(q, positive_roots(q)) for q in E6_SAMPLE]
+    for q, vectors in cases:
+        xi = default_height(q)
+        for beta in vectors:
+            step = pivot_step(q, xi, beta)
+            pivot = mono_from_dict({("Y", step.pivot, xi.ht(step.pivot)): -1})
+            want = (
+                LaurentPoly.monomial(step.absorb_class) * qchar_recursion(q, xi, step.beta_inj)
+                + LaurentPoly.monomial(step.tilt_class)
+                * qchar_recursion(q, xi, step.tilt.remainder)
+            ) * LaurentPoly.monomial(pivot)
+            assert qchar_recursion(q, xi, beta) == want, (q.arrows, beta)
+            checked += 1
+    assert checked == 1340
+
+
+def test_cluster_route_matches_substitution():
+    # the census term's section class against substituting x_i ↦ Y(i, ξ(i))
+    # and X_i ↦ Y(i, ξ(i)−2)·Y(i, ξ(i)), on the gate quivers and an E6
+    # sample, negative simple roots included
+    checked = 0
+    for q in _gate_quivers() + list(E6_SAMPLE):
+        xi = default_height(q)
+        mapping = {}
+        for i in q.vertices:
+            up, low = ("Y", i, xi.ht(i)), ("Y", i, xi.ht(i) - 2)
+            mapping[("x", i)] = LaurentPoly.variable(up)
+            mapping[("X", i)] = LaurentPoly.monomial(mono_from_dict({up: 1, low: 1}))
+        for d, var in enumerate_cluster_variables(q).items():
+            want = var.substitute(mapping)
+            got = qchar_cluster(q, xi, d)
+            assert list(got.terms.items()) == list(want.terms.items()), (q.arrows, d)
+            checked += 1
+    assert checked == 606 + 2 * 36 + sum(q.rank for q in _gate_quivers()) + 2 * 6
