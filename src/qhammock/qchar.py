@@ -23,18 +23,20 @@ clauses into one report.
 The dominance order compares monomials by whether their ratio is a
 product of the root monomials A_i (each a pure monomial here because the
 ring is truncated to two sections).  A_i touches only vertex i and its
-neighbours, so the exponent vector of a ratio is read off in one pass over
-the vertices, arrow targets first: the ratio's lower section at i fixes
-k_i, and its upper sections and every other variable must then match.
-``extremal_monomials`` reads one exponent vector per term against the
-first term; the extrema are then the componentwise max and min, with no
-pairwise comparison.
+neighbours, so a monomial read into its section slots is solved for k in
+one pass over the vertices, arrow targets first: the lower section at i
+fixes k_i, and what is left on the upper sections and every other
+variable is the rest.  Two monomials differ by a product of A_i exactly
+when their rests are equal, by the difference of their k.
+``extremal_monomials`` reads each term once this way; the extrema are
+then the componentwise max and min of k, with no pairwise comparison.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from operator import sub
+from typing import List, Tuple
 
 from .errors import Incomparable, UnknownRoot
 from .laurent import (
@@ -146,29 +148,50 @@ def qchar_cluster(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> LaurentPol
 # ───────────────────────── dominance order ─────────────────────────
 
 
-def _a_exponents(
-    q: DynkinQuiver, xi: HeightFunction, lower: Mono, upper: Mono
-) -> Tuple[int, ...] | None:
-    """The k with upper = lower · ∏ A_i^{k_i}, or None when there is none.
+def _read_k(q: DynkinQuiver, xi: HeightFunction, m: Mono) -> Tuple[List[int], tuple]:
+    """A monomial read once into its section slots and solved for k, as
+    (k, rest): m / ∏ A_i^{k_i} has exponent 0 on every lower section, and
+    rest is what is left of it, its upper sections and the keys outside
+    the sections.
 
     A_i is +1 on both sections of i, −1 on the upper section of each arrow
     target of i and −1 on the lower section of each arrow source.  So the
-    ratio's exponent on Y(i, ξ(i)−2) is k_i − Σ_{i→j} k_j, which fixes k
-    targets first; the exponent on Y(i, ξ(i)) must then be
-    k_i − Σ_{j→i} k_j, and any other variable must cancel.
+    exponent on Y(i, ξ(i)−2) is k_i − Σ_{i→j} k_j, which fixes k targets
+    first, and what A leaves on Y(i, ξ(i)) is k_i − Σ_{j→i} k_j.  The map
+    is linear: m / m' is a product of A_i exactly when the two rests are
+    equal, and then its k is the difference of the two.
     """
-    ratio = dict(upper)
-    for key, e in lower:
-        ratio[key] = ratio.get(key, 0) - e
-    k: Dict[int, int] = {}
+    slot_of = xi._slot
+    slots = [0] * (2 * q.rank)
+    outside = []
+    for key, e in m:
+        s = slot_of.get(key)
+        if s is None:
+            outside.append((key, e))
+        else:
+            slots[s] = e
+    k = [0] * q.rank
+    out = q._out
     for i in q._omega_order:
-        k[i] = ratio.pop(("Y", i, xi.ht(i) - 2), 0) + sum(k[j] for j in q.arrows_from(i))
-    for i in q.vertices:
-        if ratio.pop(("Y", i, xi.ht(i)), 0) != k[i] - sum(k[j] for j in q.arrows_to(i)):
-            return None
-    if any(ratio.values()):
+        v = slots[2 * i - 2]
+        for j in out[i]:
+            v += k[j - 1]
+        k[i - 1] = v
+    upper = [u - v for u, v in zip(slots[1::2], k)]
+    for a, b in q.arrows:
+        upper[b - 1] += k[a - 1]
+    return k, (upper, outside)
+
+
+def _a_exponents(
+    q: DynkinQuiver, xi: HeightFunction, lower: Mono, upper: Mono
+) -> Tuple[int, ...] | None:
+    """The k with upper = lower · ∏ A_i^{k_i}, or None when there is none."""
+    k_low, rest = _read_k(q, xi, lower)
+    k_up, rest_up = _read_k(q, xi, upper)
+    if rest != rest_up:
         return None
-    return tuple(k[i] for i in q.vertices)
+    return tuple(map(sub, k_up, k_low))
 
 
 def nakajima_leq(
@@ -186,25 +209,29 @@ def extremal_monomials(
     fails to exist as a unique extremum.
 
     Every term m is written as m₀ · ∏ A_i^{k_i(m)} against the first term
-    m₀.  Then m ≤ m' exactly when k(m) ≤ k(m') componentwise, so the
-    extrema are the terms whose k is the componentwise max or min.  A term
-    with no such k is incomparable with m₀, and then no term dominates (or
-    is dominated by) all the others.
+    m₀, each term read once (``_read_k``).  Then m ≤ m' exactly when
+    k(m) ≤ k(m') componentwise, so the extrema are the terms whose k is
+    the componentwise max or min.  A term with no such k is incomparable
+    with m₀, and then no term dominates (or is dominated by) all the
+    others.
     """
     monos = list(poly.terms)
     if not monos:
         raise Incomparable("the zero polynomial has no extremal monomials")
     ks = []
+    rest = None
     for m in monos:
-        k = _a_exponents(q, xi, monos[0], m)
-        if k is None:
+        k, r = _read_k(q, xi, m)
+        if rest is None:
+            rest = r
+        elif r != rest:
             # m is incomparable with m₀, so no term lies above or below all
             highest = lowest = []
             break
         ks.append(k)
     else:
-        top = tuple(map(max, zip(*ks)))
-        bottom = tuple(map(min, zip(*ks)))
+        top = list(map(max, zip(*ks)))
+        bottom = list(map(min, zip(*ks)))
         highest = [m for m, k in zip(monos, ks) if k == top]
         lowest = [m for m, k in zip(monos, ks) if k == bottom]
     if len(highest) != 1 or len(lowest) != 1:

@@ -241,8 +241,13 @@ class HeightFunction:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # hashed once, like DynkinQuiver, and rebuilt the same way
+        # hashed once, like DynkinQuiver, and rebuilt the same way; so are
+        # the truncated ring's variables Y(i, ξ(i)−2), Y(i, ξ(i)) in
+        # canonical order, slots 2i − 2 and 2i − 1, and each one's slot
+        sections = tuple(("Y", i, h + d) for i, h in enumerate(self.values, 1) for d in (-2, 0))
         object.__setattr__(self, "_hash", hash(self.values))
+        object.__setattr__(self, "_sections", sections)
+        object.__setattr__(self, "_slot", {key: s for s, key in enumerate(sections)})
 
     def __hash__(self) -> int:
         return self._hash

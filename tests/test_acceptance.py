@@ -6,7 +6,8 @@ are the gate.  Each test also prints a one-line summary of what it measured
 every orientation of A_2..A_5, every orientation of D_4, and eight seeded
 random orientations of D_5 — 46 quivers, 606 positive roots.  Criterion 11
 reads criterion 07's clauses off the cluster route on all 32 E6
-orientations.
+orientations and a seeded E7 orientation, and checks the E7 census as
+criterion 08 checks the sweep's.
 
 Everything here is exact integer/Laurent arithmetic: no tolerances anywhere.
 """
@@ -421,6 +422,20 @@ def test_10_hand_checked_goldens():
 # ------------------------------------------------------------------ 11
 
 
+def _check_cluster_character(q, xi, beta):
+    """Criterion 07's four clauses on the cluster route, and the round trip."""
+    poly = qchar_cluster(q, xi, beta)
+    hi, lo = extremal_monomials(q, xi, poly)
+    assert hi == dominant_monomial(q, xi, beta), (q.arrows, beta)
+    drop = mono_from_dict({})
+    for i, a in enumerate(beta, start=1):
+        drop = mono_mul(drop, mono_pow(variable_A(q, xi, i), -a))
+    assert lo == mono_mul(hi, drop), (q.arrows, beta)
+    assert all(c > 0 for c in poly.terms.values()), (q.arrows, beta)
+    assert poly.terms[hi] == 1, (q.arrows, beta)
+    assert root_of_dominant(q, xi, leading_object(q, xi, beta)) == beta
+
+
 def test_11_type_e6_dominant_formula_on_the_cluster_route():
     # the paper states its dominant-monomial formula for A_n and D_n only;
     # on E the cluster route is the ground truth, so criterion 07's four
@@ -431,20 +446,32 @@ def test_11_type_e6_dominant_formula_on_the_cluster_route():
     for q in all_orientations("E", 6):
         xi = default_height(q)
         for beta in positive_roots(q):
-            poly = qchar_cluster(q, xi, beta)
-            hi, lo = extremal_monomials(q, xi, poly)
-            assert hi == dominant_monomial(q, xi, beta), (q.arrows, beta)
-            drop = mono_from_dict({})
-            for i, a in enumerate(beta, start=1):
-                drop = mono_mul(drop, mono_pow(variable_A(q, xi, i), -a))
-            assert lo == mono_mul(hi, drop), (q.arrows, beta)
-            assert all(c > 0 for c in poly.terms.values()), (q.arrows, beta)
-            assert poly.terms[hi] == 1, (q.arrows, beta)
-            assert root_of_dominant(q, xi, leading_object(q, xi, beta)) == beta
+            _check_cluster_character(q, xi, beta)
             cnt += 1
     assert cnt == 32 * 36
     dt = time.perf_counter() - t
     print(
         f"criterion 11 pass — E6 extremal pair + positivity + round trip "
         f"on {cnt} pairs ({dt:.1f}s)"
+    )
+
+
+def test_11_type_e7_census_and_dominant_formula_on_the_cluster_route():
+    # the E6 block's clauses on a seeded E7 orientation, whose census is
+    # first checked as criterion 08 checks the sweep's: |Δ+| + n variables
+    # whose d-vectors are the positive roots and the negative simples
+    t = time.perf_counter()
+    (q,) = sample_orientations("E", 7, 1, seed=1)
+    variables = enumerate_cluster_variables(q)
+    pos = set(positive_roots(q))
+    neg = {tuple(-v for v in simple_root(q, i)) for i in q.vertices}
+    assert len(pos) == 63 and len(variables) == len(pos) + 7
+    assert set(variables) == pos | neg
+    xi = default_height(q)
+    for beta in positive_roots(q):
+        _check_cluster_character(q, xi, beta)
+    dt = time.perf_counter() - t
+    print(
+        f"criterion 11 pass — E7 census {len(variables)} = |Δ+|+n with d-vector "
+        f"bijection, extremal pair + positivity + round trip on {len(pos)} roots ({dt:.1f}s)"
     )

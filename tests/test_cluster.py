@@ -23,7 +23,7 @@ from qhammock.cluster import (
     mutate,
 )
 from qhammock.errors import TooLarge, UnknownRoot
-from qhammock.laurent import LaurentPoly, mono_from_dict
+from qhammock.laurent import LaurentPoly, _packing, mono_from_dict
 from qhammock.qchar import qchar_cluster
 
 
@@ -110,10 +110,20 @@ def test_matrix_mutation_rule_pentagon():
 
 
 def _rows_as_poly(seed, rows):
-    """Exponent rows over the seed's 2n variable keys, sorted, as a polynomial."""
+    """Packed rows over the seed's 2n variable keys, sorted, as a polynomial,
+    read field by field with shifts: below the degree field, column j holds
+    B − e_j in the j-th field from the top, and the degree field holds the
+    sum of the column fields."""
     keys = sorted(("x" if level == 0 else "X", i) for i, level in seed.vertices)
-    assert all(len(row) == len(keys) for row in rows)
-    return LaurentPoly({mono_from_dict(dict(zip(keys, row))): c for row, c in rows.items()})
+    pk = _packing(len(keys))
+    width, bias = pk.top // len(keys), pk.bias
+    polys = {}
+    for row, c in rows.items():
+        fields = [(row >> (pk.top - width * (j + 1))) & ((1 << width) - 1) for j in range(len(keys))]
+        assert row >> pk.top == sum(fields)
+        assert all(f < 2 * bias for f in fields)
+        polys[mono_from_dict({k: bias - f for k, f in zip(keys, fields)})] = c
+    return LaurentPoly(polys)
 
 
 def _checked_mutate(seen):

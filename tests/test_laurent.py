@@ -1,9 +1,13 @@
 """Integer Laurent polynomial layer: canonical monomials, exact division."""
 
+import heapq
+import random
+
 import pytest
 
+import laurent_oracle
 from qhammock import LaurentPoly, MONO_ONE, mono_from_dict, mono_key_str
-from qhammock.laurent import mono_div, mono_mul, mono_pow
+from qhammock.laurent import _div_rows, _mul_rows, _packing, mono_div, mono_mul, mono_pow
 from qhammock.errors import InexactDivision
 
 
@@ -200,3 +204,93 @@ def test_sorted_terms_and_json_deterministic():
 def test_variables_collected():
     p = V(X1) * V(Y, -2) + V(X2)
     assert p.variables() == {X1, X2, Y}
+
+
+# ---------------------------------------------------------------- packed rows
+
+PACKED_VARS = [("X", 1), ("X", 2), ("X", 3), ("x", 1), ("x", 2), ("x", 3)]
+
+
+def _random_poly(rng, terms):
+    return LaurentPoly(
+        {
+            mono_from_dict({k: rng.randint(-3, 3) for k in rng.sample(PACKED_VARS, rng.randint(0, 4))}): rng.choice(
+                [-3, -2, -1, 1, 2, 3]
+            )
+            for _ in range(terms)
+        }
+    )
+
+
+def _same_as_referee(ours, referee):
+    """The same quotient from both, or InexactDivision from both."""
+    try:
+        expected = referee()
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            ours()
+        return False
+    assert ours() == expected
+    return True
+
+
+def test_packed_division_matches_fraction_referee():
+    # six columns with exponents on both sides of zero: exact, scaled and
+    # plain divisions through the packed kernel decide as ℚ does
+    rng = random.Random(29)
+    exact = inexact = 0
+    for _ in range(150):
+        a, b = _random_poly(rng, rng.randint(1, 4)), _random_poly(rng, rng.randint(2, 4))
+        if len(b) < 2:
+            continue
+        assert (a * b).exact_div(b) == a
+        k, m = rng.choice([-2, 1, 3]), rng.choice([-2, 1, 2])
+        for num, den in ((a * b * k, b * m), (a, b), (a * b + LaurentPoly.one(), b)):
+            if _same_as_referee(lambda: num.exact_div(den), lambda: laurent_oracle.exact_div(num, den)):
+                exact += 1
+            else:
+                inexact += 1
+    assert exact > 50 and inexact > 50, (exact, inexact)
+
+
+def test_heap_pops_rows_in_graded_lex_order():
+    # the least packed int is the graded-lex leading row, and popping a
+    # heap of packed rows walks them in graded-lex order, greatest first
+    rng = random.Random(7)
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        pk = _packing(m)
+        rows = list({tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(rng.randint(1, 12))})
+        packed = [pk.pack(r) for r in rows]
+        assert pk.exponents(min(packed)) == max(zip(map(sum, rows), rows))[1]
+        heapq.heapify(packed)
+        popped = [pk.exponents(heapq.heappop(packed)) for _ in rows]
+        assert popped == [r for _, r in sorted(zip(map(sum, rows), rows), reverse=True)]
+        assert all(pk.degree(pk.pack(r)) == sum(r) for r in rows)
+
+
+def test_exponent_too_wide_for_its_field_raises():
+    pk = _packing(3)
+    top = pk.bias
+    assert pk.exponents(pk.pack([top, 1 - top, 0])) == (top, 1 - top, 0)
+    for row in ([top + 1, 0, 0], [0, -top, 0], [0, 0, 2 * top]):
+        with pytest.raises(OverflowError):
+            pk.pack(row)
+    # products and quotients that would carry out of a field raise
+    # instead of wrapping into the next column
+    edge = {pk.pack([0, top, 0]): 1}
+    with pytest.raises(OverflowError):
+        _mul_rows(edge, {pk.pack([0, 1, 0]): 1}, pk)
+    with pytest.raises(OverflowError):
+        _mul_rows({pk.pack([0, 0, 1 - top]): 1}, {pk.pack([0, 0, -1]): 1}, pk)
+    assert _mul_rows(edge, {pk.pack([1, -1, 0]): 2}, pk) == {pk.pack([1, top - 1, 0]): 2}
+    # x^B + y^−5 over x + 1: a quotient row could climb to x^(B+4)
+    num = {pk.pack([top, 0, 0]): 1, pk.pack([0, -5, 0]): 1}
+    with pytest.raises(OverflowError):
+        _div_rows(num, {pk.pack([1, 0, 0]): 1, pk.pack([0, 0, 0]): 1}, pk)
+    # exact_div widens its fields to its exponents, up to 64 bits
+    x, y = V(X1), V(X2)
+    for n in (10, 1 << 20, 1 << 40):
+        assert ((V(X1, n) + y) * (x + y)).exact_div(x + y) == V(X1, n) + y
+    with pytest.raises(OverflowError):
+        ((V(X1, 1 << 70) + y) * (x + y)).exact_div(x + y)

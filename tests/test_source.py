@@ -115,6 +115,31 @@ def test_seeds_hold_each_entry_once():
         seed.cluster = {}
 
 
+def test_rows_are_packed_only_in_the_laurent_ring():
+    # an exponent row is one int whose fields only laurent.py writes and
+    # reads: no other module shifts bits, converts ints to bytes or
+    # imports struct, and the division takes its leading row from a heap;
+    # the graded-lex scan that picked it before is gone
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.LShift, ast.RShift)):
+                found.append(f"{path.name}:{node.lineno} shift")
+            elif isinstance(node, ast.Attribute) and node.attr in {"to_bytes", "from_bytes"}:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Import) and any(a.name in {"struct", "heapq"} for a in node.names):
+                found.append(f"{path.name}:{node.lineno} import")
+            elif isinstance(node, ast.ImportFrom) and node.module in {"struct", "heapq"}:
+                found.append(f"{path.name}:{node.lineno} import")
+    assert not found, found
+    fns = _functions(SRC / "laurent.py")
+    assert "_lead" not in fns
+    called = {n.func.id for n in ast.walk(fns["_div_rows"]) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert {"heapify", "heappop", "heappush"} <= called, called
+
+
 def test_library_imports_only_what_it_uses():
     # an import nothing reads is dead code; __init__ re-exports, so it is
     # exempt, and a name in a module's __all__ counts as used
