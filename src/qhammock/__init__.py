@@ -76,7 +76,6 @@ from .objects import (
     root_of_dominant,
     serre_tilt,
     tensor_obj,
-    tilt_leading,
 )
 from .complexes import (
     Complex,

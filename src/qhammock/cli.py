@@ -163,6 +163,10 @@ def _parse_beta(q: DynkinQuiver, raw: str) -> tuple[int, ...]:
     return beta
 
 
+# the widest --window: every vertex of a window is built before any is printed
+_MAX_WINDOW_SLOTS = 1000
+
+
 def _parse_pair(raw: str, what: str) -> tuple[int, int]:
     try:
         a, b = (int(x) for x in raw.split(","))
@@ -170,6 +174,8 @@ def _parse_pair(raw: str, what: str) -> tuple[int, int]:
         raise ConfigError(f"--{what} must be two comma-separated integers, got {raw!r}")
     if what == "window" and a > b:
         raise ConfigError(f"--window needs pmin <= pmax, got {raw!r}")
+    if what == "window" and b - a >= _MAX_WINDOW_SLOTS:
+        raise TooLarge(f"--window {raw} spans {b - a + 1} slots, above {_MAX_WINDOW_SLOTS}")
     return a, b
 
 

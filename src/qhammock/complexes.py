@@ -637,7 +637,7 @@ def euler_char(
     signs are summed per class first, and then each class with a nonzero
     sum is specialized and divided in the same pass, with no polynomial
     in between.  A negative power of f_i is exact only at ±1: at any
-    other value it raises InexactDivision, as the substitution would.
+    other value it raises InexactDivision: the constant has no inverse in ℤ.
     """
     signed: dict[Mono, int] = {}
     for n, row in fc.num.terms.items():

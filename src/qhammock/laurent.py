@@ -250,58 +250,6 @@ class LaurentPoly:
     def coeff(self, m: Mono) -> int:
         return self.terms.get(m, 0)
 
-    # -- substitution ------------------------------------------------
-
-    def substitute(self, mapping: Mapping[VarKey, "LaurentPoly"]) -> "LaurentPoly":
-        """Replace each mapped variable by a Laurent polynomial.
-
-        Variables not in the mapping pass through unchanged.  A mapped
-        variable raised to a negative power requires the image to be a
-        single monomial with coefficient ±1 (otherwise division would be
-        needed); those are the only cases this routine refuses.
-
-        Each term is folded in one pass: unmapped variables and monomial
-        images go into one exponent dict and one coefficient, and
-        polynomials are multiplied only for a non-monomial image.
-        """
-        out: dict[Mono, int] = {}
-        for m, c in self.terms.items():
-            powers: dict[VarKey, int] = {}
-            factors: list[LaurentPoly] = []
-            for k, e in m:
-                img = mapping.get(k)
-                if img is None:
-                    powers[k] = powers.get(k, 0) + e
-                    continue
-                if len(img.terms) != 1:
-                    if e < 0:
-                        raise InexactDivision("negative power of a non-monomial image")
-                    factors.append(img**e)
-                    continue
-                (im, ic), = img.terms.items()
-                if e >= 0:
-                    c *= ic**e
-                elif ic * ic != 1:
-                    raise InexactDivision(
-                        "cannot invert non-unit coefficient in substitution"
-                    )
-                elif e % 2:
-                    # ic is ±1, so its e-th power is ic or 1; int ** negative
-                    # would silently promote to float
-                    c *= ic
-                for kk, ee in im:
-                    powers[kk] = powers.get(kk, 0) + ee * e
-            mono = mono_from_dict(powers)
-            if not factors:
-                out[mono] = out.get(mono, 0) + c
-                continue
-            term = LaurentPoly.monomial(mono, c)
-            for f in factors:
-                term = term * f
-            for tm, tc in term.terms.items():
-                out[tm] = out.get(tm, 0) + tc
-        return _wrap({m: c for m, c in out.items() if c})
-
     # -- exact division ----------------------------------------------
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -356,10 +304,6 @@ class LaurentPoly:
             else:
                 parts.append(f"{c}*{mono_key_str(m)}")
         return " + ".join(parts)
-
-    def to_json_dict(self) -> dict[str, int]:
-        """JSON-friendly {monomial string: coefficient} with sorted keys."""
-        return {mono_key_str(m): c for m, c in self.sorted_terms()}
 
 
 class _Packing:

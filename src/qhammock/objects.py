@@ -60,8 +60,7 @@ containment of Z in s are checked on every call.
 The exchange step of β at a pivot (``pivot_step``) is one function that
 returns one immutable value, head classes included.  At the canonical
 pivot the most recent steps are memoised per (quiver, height, β), so the
-complex build and the scalar recursion share one copy.  ``absorb_frontier``,
-``frontier_injection_factor`` and ``tilt_leading`` are reads of it.
+complex build and the scalar recursion share one copy.
 """
 
 from __future__ import annotations
@@ -106,16 +105,12 @@ __all__ = [
     "tensor_obj",
     "serre_tilt",
     "is_iso",
-    "dominant_exponents",
     "root_of_dominant",
     "leading_object",
     "factor_dominant",
     "reconstruct_factorization",
     "PivotStep",
     "pivot_step",
-    "absorb_frontier",
-    "frontier_injection_factor",
-    "tilt_leading",
 ]
 
 
@@ -475,27 +470,14 @@ def _tilt_outcome(
 # ───────────────────────── dominant objects ─────────────────────────
 
 
-def dominant_exponents(
-    q: DynkinQuiver, xi: HeightFunction, a: Obj
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Generator exponents (c, d) of a dominant object.
-
-    c[i] is the coefficient of h at the translated base vertex of i, d[i]
-    at the base vertex itself.  NotDominant if the function has deltas, a
-    generator off the two base sections (a label outside the quiver
-    included), or a negative coefficient.
-    """
-    c, d = _exponent_rows(q, xi, a)
-    return dict(zip(q.vertices, c)), dict(zip(q.vertices, d))
-
-
 def _exponent_rows(
     q: DynkinQuiver, xi: HeightFunction, a: Obj
 ) -> tuple[list[int], list[int]]:
-    """dominant_exponents as two lists by vertex index, c first: one slot
-    lookup per generator in the section table.  Deltas are refused first,
-    then each generator in turn, a negative coefficient before a slot off
-    the two base sections."""
+    """Generator exponents (c, d) of a dominant object by vertex index: c
+    at the translated base vertices, d at the base vertices, one slot
+    lookup per generator in the section table.  NotDominant for deltas
+    first, then for each generator in turn, a negative coefficient before
+    a slot off the two base sections (a label outside the quiver included)."""
     if a.fun.deltas:
         raise NotDominant("function carries pointwise deltas")
     slots = _section_objects(q, xi)[2]
@@ -784,34 +766,3 @@ def _tilt(
         h_exp=_frontier(q, support, out_cl, q.arrows_to),
         remainder=expected,
     )
-
-
-def absorb_frontier(
-    q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
-) -> tuple[int, Root]:
-    """Absorption step at i: (ε_i, β − dim I_i), read off pivot_step.
-
-    With the frontier injection factor (see frontier_injection_factor):
-
-        Y[β] ⊗ Y(base_i)  ≅  K_i^ε ⊗ (⊗_l Y(base_l)^{m_l}) ⊗ Y[β − dim I_i].
-    """
-    step = pivot_step(q, xi, beta, i)
-    return step.eps, step.beta_inj
-
-
-def frontier_injection_factor(
-    q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
-) -> dict[int, int]:
-    """Multiplicities m_l of the extra Y(base_l) factors in the absorption
-    identity, read off pivot_step: for l outside the support, m_l counts
-    arrows from l into the in-closure of i inside the support subquiver."""
-    return dict(pivot_step(q, xi, beta, i).hin)
-
-
-def tilt_leading(
-    q: DynkinQuiver, xi: HeightFunction, beta: Root, i: int
-) -> Factorization:
-    """Iterated tilt of Y[β] ⊗ Y(base_i) over the out-closure of i, read
-    off pivot_step: ghost factors on the out-closure, H factors just
-    outside the support, KR factors and the remainder β − dim P_i."""
-    return pivot_step(q, xi, beta, i).tilt

@@ -2,9 +2,13 @@
 
 ``substitute`` builds each term as a product of one polynomial per
 variable, and ``exact_div`` runs the long division over ``Fraction`` and
-checks integrality only at the end.  Both are the plain definitions the
-library's one-pass substitution and integer division must agree with:
-same result, or InexactDivision from both.
+checks integrality only at the end.  Both are plain definitions.  The
+library has no substitution: the routes map their terms in one pass
+(``euler_char`` specializes its ghosts, ``qchar_cluster`` sends census
+variables to section classes), and ``substitute`` is the referee those
+maps must agree with, InexactDivision where it raises included.
+``exact_div`` is the referee for the library's integer division: same
+result, or InexactDivision from both.
 """
 
 from __future__ import annotations

@@ -45,19 +45,17 @@ from qhammock.complexes import (
 from qhammock.hammock import QFun, dim_hom, hammock_fun, hom_values, qfun_equal
 from qhammock.laurent import LaurentPoly, mono_from_dict, mono_mul, mono_pow
 from qhammock.objects import (
-    absorb_frontier,
-    frontier_injection_factor,
     ghost_object,
     hammock_object,
     is_iso,
     kr_object,
     leading_object,
     obj_pow,
+    pivot_step,
     reconstruct_factorization,
     root_of_dominant,
     serre_tilt,
     tensor_obj,
-    tilt_leading,
 )
 from qhammock.qchar import (
     dominant_monomial,
@@ -219,18 +217,14 @@ def test_03_dim_hom_matches_interval_oracle():
 
 
 def _absorb_identity_holds(q, xi, beta, i):
-    eps, beta_next = absorb_frontier(q, xi, beta, i)
-    hin = frontier_injection_factor(q, xi, beta, i)
+    step = pivot_step(q, xi, beta, i)
     lhs = tensor_obj(
         leading_object(q, xi, beta), hammock_object(q, xi, base_vertex(xi, i))
     )
     rhs = tensor_obj(
-        obj_pow(kr_object(q, xi, i), eps),
-        *[
-            obj_pow(hammock_object(q, xi, base_vertex(xi, l)), m)
-            for l, m in sorted(hin.items())
-        ],
-        leading_object(q, xi, beta_next),
+        obj_pow(kr_object(q, xi, i), step.eps),
+        *[obj_pow(hammock_object(q, xi, base_vertex(xi, l)), m) for l, m in step.hin],
+        leading_object(q, xi, step.beta_inj),
     )
     return is_iso(q, lhs, rhs)
 
@@ -245,7 +239,7 @@ def _tilt_identity_holds(q, xi, beta, i):
         ),
         [translate_base(xi, j) for j in sorted(bd.out_closure[i])],
     )
-    fac = tilt_leading(q, xi, beta, i)
+    fac = pivot_step(q, xi, beta, i).tilt
     return is_iso(q, tilted, reconstruct_factorization(q, xi, fac))
 
 

@@ -244,6 +244,35 @@ def test_qchar_too_deep_exits_2_without_traceback():
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ar-view", "--quiver", A2, "--window", "0,99999999"],
+        ["hammock", "--quiver", A2, "--vertex", "1,1", "--window", "0,99999999"],
+    ],
+    ids=["ar-view", "hammock"],
+)
+def test_huge_window_exits_2_without_traceback(argv):
+    # every vertex of a window is built, so a window of 10^8 slots is
+    # refused input before any is; under the same limits as above, a change
+    # that builds the window fails here instead of exhausting memory
+    r = subprocess.run(
+        [sys.executable, "-m", "qhammock.cli", *argv], capture_output=True, text=True,
+        env=_src_env(), timeout=30, preexec_fn=_cap_address_space,
+    )
+    assert r.returncode == 2 and r.stdout == "", r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+def test_widest_window_is_drawn(capsys):
+    # the cap is a slot span: 1,000 slots are drawn and one more is refused
+    code, out = run(capsys, "ar-view", "--quiver", A2, "--window=-500,499", "--format", "dot")
+    assert code == 0 and out.count(" -> ") == 999
+    assert '"(2,-500)"' in out and '"(1,499)"' in out
+    code, out = run(capsys, "ar-view", "--quiver", A2, "--window=-500,500", "--format", "dot")
+    assert code == 2 and out == ""
+
+
 def test_qchar_non_root_euler_only(capsys):
     code, out = run(
         capsys, "qchar", "--quiver", A2, "--beta", "2,1", "--route", "euler",

@@ -33,7 +33,6 @@ from qhammock.laurent import mono_from_dict, mono_mul
 from qhammock.objects import (
     Obj,
     class_object,
-    dominant_exponents,
     dominant_monomial,
     factor_dominant,
     ghost_object,
@@ -377,7 +376,7 @@ def test_tiltable_detects_admissible_vertices():
 
 def _assert_refused(q, xi, a, text):
     """Every reader of the exponents refuses a with the same NotDominant text."""
-    for read in (dominant_exponents, root_of_dominant, factor_dominant):
+    for read in (objects._exponent_rows, root_of_dominant, factor_dominant):
         with pytest.raises(NotDominant) as exc:
             read(q, xi, a)
         assert str(exc.value) == text, (read.__name__, str(exc.value))
@@ -386,8 +385,7 @@ def _assert_refused(q, xi, a, text):
 def test_dominant_exponents_reads_base_sections():
     q, xi = a2()
     k1 = kr_object(q, xi, 1)
-    c, d = dominant_exponents(q, xi, k1)
-    assert c == {1: 1, 2: 0} and d == {1: 1, 2: 0}
+    assert objects._exponent_rows(q, xi, k1) == ([1, 0], [1, 0])
     t = serre_tilt(q, k1, [translate_base(xi, 1)])
     _assert_refused(q, xi, t, "function carries pointwise deltas")  # tilt leaves a delta
     off = hammock_object(q, xi, ZVertex(1, 3))
@@ -558,8 +556,7 @@ def test_section_table_matches_per_factor_lookups(family, rank):
             slack = tensor_obj(a, hammock_object(q, xi, base_vertex(xi, sum(beta) % rank + 1)))
             for o in (a, slack):
                 c, d, fac = _factor_dominant_by_dicts(q, xi, o)
-                exps = dominant_exponents(q, xi, o)
-                assert exps == (c, d) and all(list(m) == list(q.vertices) for m in exps)
+                assert objects._exponent_rows(q, xi, o) == (list(c.values()), list(d.values()))
                 assert factor_dominant(q, xi, o) == fac, (q.arrows, beta)
                 assert root_of_dominant(q, xi, o) == fac.remainder
             if min(beta) < 0:
@@ -840,20 +837,14 @@ def test_mutation_identity_spec_instance():
 
 
 def _absorb_identity_holds(q, xi, beta, i):
-    from qhammock.objects import absorb_frontier, frontier_injection_factor
-
-    eps, beta_next = absorb_frontier(q, xi, beta, i)
-    hin = frontier_injection_factor(q, xi, beta, i)
+    step = pivot_step(q, xi, beta, i)
     lhs = tensor_obj(
         leading_object(q, xi, beta), hammock_object(q, xi, base_vertex(xi, i))
     )
     rhs = tensor_obj(
-        obj_pow(kr_object(q, xi, i), eps),
-        *[
-            obj_pow(hammock_object(q, xi, base_vertex(xi, l)), m)
-            for l, m in sorted(hin.items())
-        ],
-        leading_object(q, xi, beta_next),
+        obj_pow(kr_object(q, xi, i), step.eps),
+        *[obj_pow(hammock_object(q, xi, base_vertex(xi, l)), m) for l, m in step.hin],
+        leading_object(q, xi, step.beta_inj),
     )
     return is_iso(q, lhs, rhs)
 
@@ -992,9 +983,6 @@ def test_tilt_outcome_cache_keeps_the_per_call_checks():
 
 
 def _tilt_identity_holds(q, xi, beta, i):
-    from qhammock.objects import tilt_leading
-    from qhammock.quiver import beta_combinatorics
-
     bd = beta_combinatorics(q, xi, beta)
     tilted = serre_tilt(
         q,
@@ -1004,7 +992,7 @@ def _tilt_identity_holds(q, xi, beta, i):
         ),
         [translate_base(xi, j) for j in sorted(bd.out_closure[i])],
     )
-    fac = tilt_leading(q, xi, beta, i)
+    fac = pivot_step(q, xi, beta, i).tilt
     return is_iso(q, tilted, reconstruct_factorization(q, xi, fac))
 
 
@@ -1062,7 +1050,7 @@ def test_tilt_bookkeeping_failure_is_an_engine_error(monkeypatch, skew):
     monkeypatch.setattr(objects, "_max_recursion", lambda q, c, d: skew(real(q, c, d)))
     q = build_quiver("A", 3, [(1, 2), (3, 2)])
     with pytest.raises(InvariantViolation):
-        objects.tilt_leading(q, default_height(q), (1, 1, 1), 1)
+        objects.pivot_step(q, default_height(q), (1, 1, 1), 1)
 
 
 def _step_read_through_beta_data(q, xi, beta, i):

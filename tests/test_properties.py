@@ -196,47 +196,6 @@ def test_quotient_exponent_below_the_column_bound_is_inexact():
         signal.signal(signal.SIGALRM, previous)
 
 
-# images are drawn over the substituted variables, so they collide with
-# unmapped ones
-unit_monomial_images = st.builds(
-    LaurentPoly.monomial, monomials, st.sampled_from([1, -1])
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(laurent_polys, st.dictionaries(st.sampled_from(LAURENT_VARS), unit_monomial_images, max_size=2))
-def test_substitute_monomial_images_match_referee(p, mapping):
-    """Negative exponents, ±1 coefficients and collisions: never refused."""
-    expected = laurent_oracle.substitute(p, mapping)
-    got = p.substitute(mapping)
-    assert got == expected
-    assert all(type(c) is int for c in got.terms.values())
-
-
-polynomials = st.dictionaries(
-    st.dictionaries(st.sampled_from(LAURENT_VARS), st.integers(0, 2), max_size=3).map(mono_from_dict),
-    st.integers(-3, 3),
-    max_size=4,
-).map(LaurentPoly)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    polynomials,
-    st.dictionaries(st.sampled_from(LAURENT_VARS), laurent_polys.filter(lambda f: len(f) > 1), min_size=1, max_size=2),
-)
-def test_substitute_non_monomial_images_match_referee(p, mapping):
-    """Nonnegative powers of polynomial images: multiplied out, never refused."""
-    assert p.substitute(mapping) == laurent_oracle.substitute(p, mapping)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(laurent_polys, st.dictionaries(st.sampled_from(LAURENT_VARS), laurent_polys, max_size=3))
-def test_substitute_any_images_match_referee(p, mapping):
-    """Non-monomial, zero and non-unit images: same result or same refusal."""
-    _agrees_with_referee(lambda: p.substitute(mapping), lambda: laurent_oracle.substitute(p, mapping))
-
-
 SEED_QUIVERS = [
     q
     for family, rank in (("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5))
