@@ -3,7 +3,9 @@
 An `Obj` is a multiset of repetition-quiver vertices (its generators)
 and a quasi-additive function (its shadow).  A product of hammock objects
 on the two base sections and ghosts is named by a symbolic class, a
-monomial from which `class_object` builds it again.  Serre tilting swaps chosen generators for their Serre shifts while
+monomial that the height packs into one int (`xi.classes.encode`) and from
+which `class_object` builds it again.  Serre tilting swaps chosen
+generators for their Serre shifts while
 adjusting the function; the dominant ones among these objects encode
 root vectors, and that encoding is exactly invertible.
 
@@ -40,7 +42,7 @@ for name, obj, powers in [
     ("ghost object", g1, {("f", 1): 1}),
 ]:
     mono = mono_from_dict(powers)
-    assert class_object(q, xi, mono) == obj
+    assert class_object(q, xi, xi.classes.encode(mono)) == obj
     print(f"{name}:", obj, " class:", mono)
 
 # tensoring concatenates multisets and adds functions

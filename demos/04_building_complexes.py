@@ -34,7 +34,7 @@ print("  denominator exponents:", fc.den)
 # each summand is its class; class_object rebuilds the object it names
 for n in sorted(fc.num.terms):
     for idx, m in enumerate(fc.num.terms[n]):
-        print(f"  degree {n}[{idx}]: {class_object(q, xi, m)}  class={m}")
+        print(f"  degree {n}[{idx}]: {class_object(q, xi, m)}  class={xi.classes.decode(m)}")
 for n in sorted(fc.num.diffs):
     for comp in fc.num.diffs[n]:
         print(f"  d{n}: {comp.src} -> {comp.dst}  tag={comp.tag} sign={comp.sign:+d}")

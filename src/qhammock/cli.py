@@ -273,7 +273,7 @@ def cmd_complex(args: argparse.Namespace) -> int:
         for n in sorted(fc.num.terms):
             row = fc.num.terms[n]
             lines.append(f"degree {n}: {len(row)} summand(s)")
-            lines.extend(f"    {mono_key_str(m)}" for m in row)
+            lines.extend(f"    {mono_key_str(xi.classes.decode(m))}" for m in row)
         _emit(cfg.out, "\n".join(lines) + "\n")
     elif args.emit == "json":
         _emit(cfg.out, _json_dumps(complex_to_json(q, xi, fc)))

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lt
+from itertools import chain, compress
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -90,15 +90,15 @@ from .errors import (
     NegativeDegree,
     NotInSupport,
 )
-from .laurent import MONO_ONE, LaurentPoly, Mono, _mono_json, _wrap, mono_div, mono_mul
+from .laurent import LaurentPoly, Mono, _classes_fit, _mono_json, _wrap
 from .objects import (
     Obj,
+    _dominant_class,
     _negative_simple,
     _section_class,
     _section_objects,
     _tilt_holds,
     class_object,
-    dominant_monomial,
     pivot_step,
 )
 from .quiver import (
@@ -135,20 +135,23 @@ class Component(NamedTuple):
 class Complex:
     """Bounded nonneg-degree complex: summand class lists plus tagged components.
 
-    terms and diffs are read-only views of tuples, so a built complex that
-    the memo hands out cannot be edited in place.  Products merge classes
-    without sorting, so a class that is not canonical is a ValueError.
-    Complexes combined from checked ones skip the checks (_trusted).
+    A summand class is an int of its height's ``classes`` packing (see
+    laurent._ClassPacking), so a product of classes is their sum.  terms
+    and diffs are read-only views of tuples, so a built complex that the
+    memo hands out cannot be edited in place.  A class that is not an int
+    is a TypeError, and an int with an exponent outside its field an
+    OverflowError.  Complexes combined from checked ones skip the checks
+    (_trusted).
     """
 
     __slots__ = ("terms", "diffs")
 
     def __init__(
         self,
-        terms: Mapping[int, list[Mono]] | None = None,
+        terms: Mapping[int, list[int]] | None = None,
         diffs: Mapping[int, list[Component]] | None = None,
     ):
-        self.terms: Mapping[int, tuple[Mono, ...]] = MappingProxyType({
+        self.terms: Mapping[int, tuple[int, ...]] = MappingProxyType({
             n: tuple(row) for n, row in (terms or {}).items() if row
         })
         self.diffs: Mapping[int, tuple[Component, ...]] = MappingProxyType({
@@ -160,9 +163,10 @@ class Complex:
             if n < 0:
                 raise NegativeDegree(f"term in degree {n}")
             for m in row:
-                keys, exps = zip(*m) if m else ((), ())
-                if not (all(exps) and all(map(lt, keys, keys[1:]))):
-                    raise ValueError(f"class {m!r} in degree {n} is not a canonical monomial")
+                if type(m) is not int:
+                    raise TypeError(f"class {m!r} in degree {n} is not an int")
+            if not _classes_fit(row):
+                raise OverflowError(f"a class in degree {n} has an exponent outside its field")
         for n, comps in self.diffs.items():
             for c in comps:
                 if not (0 <= c.src < len(self.terms.get(n, ()))):
@@ -172,12 +176,12 @@ class Complex:
 
     @classmethod
     def _trusted(
-        cls, terms: Mapping[int, Sequence[Mono]], diffs: Mapping[int, Sequence[Component]]
+        cls, terms: Mapping[int, Sequence[int]], diffs: Mapping[int, Sequence[Component]]
     ) -> "Complex":
         """A complex combined from checked ones (tensor_complex, cone,
-        _tensor_between): its classes are mono_mul products of canonical
-        monomials, its components Components with indices in range by
-        construction.  Empty rows are dropped and the rest wrapped
+        _tensor_between): its classes are checked sums of
+        checked classes, its components Components with indices in range
+        by construction.  Empty rows are dropped and the rest wrapped
         read-only, without __init__'s checks."""
         c = object.__new__(cls)
         c.terms = MappingProxyType({n: tuple(row) for n, row in terms.items() if row})
@@ -213,16 +217,16 @@ class FractionComplex:
         return MappingProxyType({k: b for k, b in enumerate(self.beta, 1) if b > 0})
 
 
-def _degree_zero_class(xi: HeightFunction, fc: FractionComplex, head: Mono) -> Mono:
+def _degree_zero_class(xi: HeightFunction, fc: FractionComplex, head: int) -> int:
     """Y[β]·Y^den, the class the degree-0 term of C[β] must consist of,
     from Y[β]'s class head."""
-    return mono_mul(head, _section_class(xi, (), fc.den.items()))
+    return head + _section_class(xi, (), fc.den.items())
 
 
 # ───────────────────────── constructors ─────────────────────────
 
 
-def single_complex(m: Mono, degree: int = 0) -> Complex:
+def single_complex(m: int, degree: int = 0) -> Complex:
     if degree < 0:
         raise NegativeDegree(f"degree {degree}")
     return Complex({degree: [m]})
@@ -232,10 +236,11 @@ def single_complex(m: Mono, degree: int = 0) -> Complex:
 
 
 def tensor_complex(c: Complex, d: Complex) -> Complex:
-    """Degreewise tensor with Koszul signs on the right factor."""
+    """Degreewise tensor with Koszul signs on the right factor.  A product
+    class with an exponent outside its field is an OverflowError."""
     if c.is_zero() or d.is_zero():
         return Complex()
-    terms: dict[int, list[Mono]] = {}
+    terms: dict[int, list[int]] = {}
     offsets: dict[tuple[int, int], int] = {}
     for a in sorted(c.terms):
         for b in sorted(d.terms):
@@ -244,7 +249,9 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
             offsets[(a, b)] = len(row)
             for x in c.terms[a]:
                 for y in d.terms[b]:
-                    row.append(mono_mul(x, y))
+                    row.append(x + y)
+    if not _classes_fit([m for row in terms.values() for m in row]):
+        raise OverflowError("a product class has an exponent outside its field")
 
     diffs: dict[int, list[Component]] = {}
     for a, comps in c.diffs.items():
@@ -288,12 +295,12 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
     return Complex._trusted(terms, diffs)
 
 
-def _tensor_between(l: Mono, k: int, c: Complex, r: Mono, m: int) -> Complex:
-    """single_complex(l, k) ⊗ c ⊗ single_complex(r, m) in one pass: each
-    summand x becomes l·x·r in degree n + k + m, and every component
-    keeps its indices and takes the Koszul sign (−1)^k."""
-    lr = mono_mul(l, r)
-    terms = {n + k + m: [mono_mul(lr, x) for x in row] for n, row in c.terms.items()}
+def _tensor_between(head: int, k: int, c: Complex, m: int) -> Complex:
+    """single_complex(l, k) ⊗ c ⊗ single_complex(r, m) in one pass, with
+    head = l·r: each summand x becomes head·x in degree n + k + m, and
+    every component keeps its indices and takes the Koszul sign (−1)^k;
+    the right factor imposes none."""
+    terms = {n + k + m: [head + x for x in row] for n, row in c.terms.items()}
     diffs = {
         n + k + m: [Component(s, t, tag, -sign) for s, t, tag, sign in comps] if k % 2 else comps
         for n, comps in c.diffs.items()
@@ -321,7 +328,7 @@ def cone(
     connectors = dict(connectors or {})
     if dom.is_zero() and cod.is_zero():
         return Complex()
-    terms: dict[int, tuple[Mono, ...]] = {}
+    terms: dict[int, tuple[int, ...]] = {}
     degrees = set()
     for n in dom.terms:
         if n - 1 >= 0:
@@ -437,11 +444,11 @@ def _resolve_connectors(
     shift = _section_objects(q, xi)[3][i - 1]  # f_i·A_i⁻¹
     cands: dict[tuple[int, int], tuple[int, ...]] = {}
     for n in sorted(set(dom.terms) & set(cod.terms)):
-        by_class: dict[Mono, tuple[int, ...]] = {}
+        by_class: dict[int, tuple[int, ...]] = {}
         for t, m in enumerate(cod.terms[n]):
             by_class[m] = by_class.get(m, ()) + (t,)
         for s, m in enumerate(dom.terms[n]):
-            if opts := by_class.get(mono_mul(m, shift)):
+            if opts := by_class.get(m + shift):
                 cands[(n, s)] = opts
     keys = list(cands)
     # squares[square]: every route a candidate connector key → t gives it,
@@ -580,40 +587,41 @@ def _build(
     if not any(beta) or _negative_simple(beta) is not None:
         if pivot is not None and pivot not in root_support(beta):
             raise NotInSupport(f"pivot {pivot} outside the support of {beta}")
-        return FractionComplex(single_complex(dominant_monomial(q, xi, beta)), beta)
+        return FractionComplex(single_complex(_dominant_class(q, xi, beta)), beta)
 
     step = pivot_step(q, xi, beta, pivot)
     i, fac = step.pivot, step.tilt
+    check = xi.classes.check
 
     # C[β] lives over Y^β, and each sub-build over its own vector; the two
     # sides are lifted to β − e_i by the closure each dropped, without i
-    def lift(sub: Root) -> Mono:
+    def lift(sub: Root) -> int:
         return _section_class(
             xi, (), [(k, b - s - (k == i)) for k, (b, s) in enumerate(zip(beta, sub), 1)]
         )
 
     sub_inj = build_complex(q, xi, step.beta_inj)
-    dom_head = mono_mul(step.absorb_class, lift(step.beta_inj))
-    dom = _tensor_between(dom_head, 1, sub_inj.num, MONO_ONE, 0)
+    dom_head = check(step.absorb_class + lift(step.beta_inj))
+    dom = _tensor_between(dom_head, 1, sub_inj.num, 0)
 
     sub_proj = build_complex(q, xi, fac.remainder)
-    ghost_block = _section_class(xi, (), (), fac.f_list)
-    cod_head = mono_mul(step.tilt_class, lift(fac.remainder))
-    cod = _tensor_between(cod_head, 0, sub_proj.num, ghost_block, len(fac.f_list))
+    tilt_head = check(step.tilt_class + _section_class(xi, (), (), fac.f_list))
+    cod_head = check(tilt_head + lift(fac.remainder))
+    cod = _tensor_between(cod_head, 0, sub_proj.num, len(fac.f_list))
 
     connectors = _resolve_connectors(q, xi, i, dom, cod)
     fc = FractionComplex(cone(dom, cod, connectors), beta)
+    # every class the build made is a sum of two checked ones, checked here once
+    xi.classes.check_sums(chain.from_iterable(fc.num.terms.values()))
 
     # the degree-0 term is one summand, Y[β] times Y^β; the tilt of
     # Y[β] ⊗ Y(base_i) over the out-closure is the ghost block times the
     # tilt's head class times Y[β − dim P_i] (objects._tilt_holds)
-    head = dominant_monomial(q, xi, beta)
+    head = _dominant_class(q, xi, beta)
     if fc.num.terms.get(0) != (_degree_zero_class(xi, fc, head),):
         raise InvariantViolation(f"degree-0 identity failed for {beta}")
-    tilt_src = mono_mul(head, _section_class(xi, (), [(i, 1)]))
-    tilt_dst = mono_mul(
-        mono_mul(ghost_block, step.tilt_class), dominant_monomial(q, xi, fac.remainder)
-    )
+    tilt_src = head + _section_class(xi, (), [(i, 1)])
+    tilt_dst = tilt_head + _dominant_class(q, xi, fac.remainder)
     if not _tilt_holds(q, xi, tilt_src, tilt_dst, [translate_base(xi, j) for j in fac.f_list]):
         raise InvariantViolation(f"tilt identity failed for {beta} at pivot {i}")
 
@@ -635,35 +643,37 @@ def euler_char(
     With specialize_f given (the interesting value is −1), every extra
     symbol f_i is replaced by that constant before the division.  The
     signs are summed per class first, and then each class with a nonzero
-    sum is specialized and divided in the same pass, with no polynomial
-    in between.  A negative power of f_i is exact only at ±1: at any
-    other value it raises InexactDivision: the constant has no inverse in ℤ.
+    sum is divided by the den class (one subtraction), decoded once and
+    its f fields specialized there, with no polynomial in between.  A
+    negative power of f_i is exact only at ±1: at any other value it
+    raises InexactDivision: the constant has no inverse in ℤ.
     """
-    signed: dict[Mono, int] = {}
+    signed: dict[int, int] = {}
     for n, row in fc.num.terms.items():
         sign = -1 if n % 2 else 1
         for m in row:
             signed[m] = signed.get(m, 0) + sign
     den = _section_class(xi, (), fc.den.items())
+    keys, ghosts = xi.classes.keys, 2 * len(xi.values)
     out: dict[Mono, int] = {}
     for m, c in signed.items():
         if not c:
             continue
+        exps = xi.classes.exponents(m - den)
         if specialize_f is not None:
-            kept = []
-            for key, e in m:
-                if key[0] != "f":
-                    kept.append((key, e))
-                elif type(specialize_f) is not int:
+            for e in exps[ghosts:]:
+                if not e:
+                    continue
+                if type(specialize_f) is not int:
                     raise TypeError(f"coefficient {specialize_f!r} is not an int")
-                elif e > 0:
+                if e > 0:
                     c *= specialize_f**e
                 elif specialize_f * specialize_f != 1:
                     raise InexactDivision("cannot invert non-unit coefficient in substitution")
                 elif e % 2:
                     c *= specialize_f
-            m = tuple(kept)
-        m = mono_div(m, den)
+            exps = exps[:ghosts]
+        m = tuple(compress(zip(keys, exps), exps))
         out[m] = out.get(m, 0) + c
     return _wrap({m: c for m, c in out.items() if c})
 
@@ -716,7 +726,7 @@ def _tag_pair(a: tuple, b: tuple) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
-def _objects(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> dict[Mono, Obj]:
+def _objects(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> dict[int, Obj]:
     """The object of every summand class of c, each built once."""
     return {m: class_object(q, xi, m) for row in c.terms.values() for m in row}
 
@@ -759,7 +769,7 @@ def verify_exactness(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -
 
     c = fc.num
     objs = _objects(q, xi, c)
-    if c.terms.get(0) != (_degree_zero_class(xi, fc, dominant_monomial(q, xi, fc.beta)),):
+    if c.terms.get(0) != (_degree_zero_class(xi, fc, _dominant_class(q, xi, fc.beta)),):
         fail("degree-0 term is not the single summand Y[β]·Y^den")
     supp = set(root_support(fc.beta))
     for n, comps in c.diffs.items():
@@ -791,12 +801,13 @@ def _tag_str(tag: tuple) -> str:
 
 def complex_to_json(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -> dict:
     """The complex with every summand printed as the object its class
-    names, followed by the class itself."""
+    names, followed by the class itself, decoded."""
     objs = _objects(q, xi, fc.num)
+    decode = xi.classes.decode
     return {
         "denominator": {str(i): e for i, e in sorted(fc.den.items())},
         "terms": {
-            str(n): [{**objs[m].to_json_dict(), "kclass": _mono_json(m)} for m in row]
+            str(n): [{**objs[m].to_json_dict(), "kclass": _mono_json(decode(m))} for m in row]
             for n, row in sorted(fc.num.terms.items())
         },
         "differentials": {

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import add, mul
+from operator import add, lt, mul
 from struct import Struct, calcsize
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InexactDivision
 
@@ -384,6 +384,107 @@ def _packing(m: int, span: int = 0) -> _Packing:
 
 def _too_wide() -> OverflowError:
     return OverflowError("exponent too wide for its field in a packed row")
+
+
+class _ClassPacking:
+    """Monomials over one sorted list of m keys, each as one int.
+
+    A monomial with exponents e is the displacement of its packed row from
+    the zero row of ``_packing(m)``, with the degree field left off:
+    Σ e_j·2^(16(m−1−j)), column 0 highest.  So the unit monomial is 0, a
+    product is ``a + b``, a ratio ``a − b``, and a class hashes as an int.
+    A field holds an exponent in (−2^14, 2^14].  The sum or difference of
+    two classes whose exponent left its field shows a guard bit in its
+    row ``zero − c`` (``check``, ``check_sums``): it raises OverflowError
+    and never aliases another class.  ``exponents`` and ``decode`` read a
+    class back in key order, by one unpack.
+    """
+
+    __slots__ = ("keys", "units", "bias", "_pk", "_zero", "_end", "_lift", "_unit", "_nbytes", "_fields")
+
+    def __init__(self, keys: Sequence[VarKey]):
+        self.keys = keys = tuple(keys)
+        self._pk = pk = _packing(len(keys))
+        self.bias = pk.bias
+        self._end = end = 1 << pk.top
+        self._zero = pk.zero % end
+        self._lift = self._zero // pk.bias * (pk.bias - 1)  # bias − 1 in every field
+        self.units = tuple(u % end for u in pk.units())
+        self._unit = dict(zip(keys, self.units))
+        self._nbytes = pk.top // 8
+        self._fields = Struct(f">{len(keys)}h").unpack
+
+    def pack(self, row: Sequence[int]) -> int:
+        """The class of an exponent row in key order; OverflowError if an
+        exponent is too wide for its field."""
+        bias = self.bias
+        if row and (min(row) <= -bias or max(row) > bias):
+            raise OverflowError(f"exponent row {tuple(row)} too wide for its fields")
+        return sum(map(mul, row, self.units))
+
+    def encode(self, m: Mono) -> int:
+        """The class of a canonical monomial over the keys: ValueError for a
+        key off the list or a monomial that is not canonical, OverflowError
+        for an exponent too wide for its field."""
+        keys = [k for k, _ in m]
+        if not (all(e for _, e in m) and all(map(lt, keys, keys[1:]))):
+            raise ValueError(f"{m!r} is not a canonical monomial")
+        if not set(keys) <= self._unit.keys():
+            raise ValueError(f"{m!r} has a key off the {len(self.keys)} class keys")
+        bias = self.bias
+        if any(not -bias < e <= bias for _, e in m):
+            raise OverflowError(f"{m!r} has an exponent too wide for its field")
+        return sum(e * self._unit[k] for k, e in m)
+
+    def check(self, c: int) -> int:
+        """c itself, if it is a class over the keys; OverflowError if not."""
+        row = self._zero - c
+        if row & self._pk.guard or not 0 <= row < self._end:
+            raise _too_wide()
+        return c
+
+    def check_sums(self, classes: Iterable[int]) -> None:
+        """OverflowError unless each class, a sum or difference of two
+        checked ones, kept every exponent in its field: one guard test for
+        all of them (a negative row's lowest overflowing field shows its
+        guard bit in two's complement)."""
+        zero, seen = self._zero, 0
+        for c in classes:
+            seen |= zero - c
+        if seen & self._pk.guard:
+            raise _too_wide()
+
+    def nonneg(self, c: int) -> bool:
+        """Whether c is a class over the keys with no negative exponent, by
+        one range test on all fields: each field bias − e lies in [0, bias]."""
+        row = self._zero - c
+        return 0 <= row < self._end and not (row | row + self._lift) & self._pk.guard
+
+    def exponents(self, c: int) -> tuple[int, ...]:
+        """The exponent row of a class, in key order; OverflowError if c is
+        not a class over the keys.  c + guard holds e + 2^15 in each field
+        with no carry, and flipping each field's top bit makes it e in two's
+        complement, read by one signed unpack."""
+        guard = self._pk.guard
+        return self._fields(((self.check(c) + guard) ^ guard).to_bytes(self._nbytes, "big"))
+
+    def decode(self, c: int) -> Mono:
+        """The canonical monomial of a class: its nonzero exponents in key order."""
+        e = self.exponents(c)
+        return tuple(compress(zip(self.keys, e), e))
+
+
+def _classes_fit(classes: Collection[int]) -> bool:
+    """Whether every int is a class over some number of 16-bit fields (the
+    width ``_ClassPacking`` uses) with each exponent in its field: the
+    fields are read over one more than the widest class spans, so a carry
+    or borrow out of its top field shows too."""
+    if not classes:
+        return True
+    pk = _packing(max(abs(c).bit_length() for c in classes) // 16 + 2)
+    end = 1 << pk.top
+    zero = pk.zero % end
+    return not any((zero - c) & pk.guard for c in classes)
 
 
 def _mul_rows(a: Mapping[int, int], b: Mapping[int, int], pk: _Packing) -> dict[int, int]:

@@ -68,20 +68,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import InvariantViolation, NotContained, NotDominant, NotInSupport
 from .hammock import QFun, _qfun, hammock_fun, hom_values, qfun_equal
-from .laurent import Mono, VarKey, mono_div, mono_mul
+from .laurent import Mono
 from .quiver import (
     DynkinQuiver,
     HeightFunction,
     Root,
     _pivot_rule,
     _walk,
-    b_vector,
     is_nonneg,
 )
 from .repetition import (
@@ -227,11 +226,15 @@ def kr_object(q: DynkinQuiver, xi: HeightFunction, i: int) -> Obj:
     return class_object(q, xi, _section_class(xi, [(i, 1)], ()))
 
 
-def class_object(q: DynkinQuiver, xi: HeightFunction, m: Mono) -> Obj:
-    """The object a summand class names, in one pass: Y(i, p)^e for
-    ("Y", i, p) with p = ξ(i) or ξ(i)−2, and F(τ base_i)^e for ("f", i).
-    Any other factor raises ValueError, as a Complex is public input."""
-    return _tensor_powers((_factor_object(q, xi, key, e), e) for key, e in m)
+def class_object(q: DynkinQuiver, xi: HeightFunction, c: int) -> Obj:
+    """The object a summand class names, decoded in one pass: Y(i, p)^e
+    for ("Y", i, p) with p = ξ(i) or ξ(i)−2, and F(τ base_i)^e for
+    ("f", i).  A negative exponent raises ValueError and an int that is no
+    class over xi's keys OverflowError, as a Complex is public input."""
+    exps = xi.classes.exponents(c)
+    if min(exps) < 0:
+        raise _negative_factor(xi, exps)
+    return _tensor_powers(zip(_section_objects(q, xi)[1], exps))
 
 
 @lru_cache(maxsize=None)
@@ -239,48 +242,51 @@ def _section_objects(
     q: DynkinQuiver, xi: HeightFunction
 ) -> tuple[
     tuple[tuple[tuple[Obj, ZVertex], tuple[Obj, ZVertex]], ...],
-    Mapping[VarKey, Obj],
+    tuple[Obj, ...],
     Mapping[ZVertex, tuple[int, bool]],
-    tuple[Mono, ...],
+    tuple[int, ...],
+    Mapping[ZVertex, tuple[int, ...]],
 ]:
     """The 3n objects every class and every Y[β] is made of, looked up once
-    per (quiver, height), in four tables: by vertex index i − 1 the pair
+    per (quiver, height), in five tables: by vertex index i − 1 the pair
     ((Y(τ base_i), τ base_i), (Y(base_i), base_i)), each with its
-    generator; all 3n by class key, ("Y", i, ξ(i)−2) and ("Y", i, ξ(i))
-    for those two and ("f", i) for F(τ base_i); the slot of each of
-    the 2n generators, τ base_i → (i − 1, False) and base_i → (i − 1,
-    True), which reads the first table backwards; and by vertex index
-    f_i·A_i⁻¹, the class of a tilt at τ base_i over its source's class
-    (by the mesh identity, tilting Y(τ base_i) ⊗ Y(base_i) there gives
-    F(τ base_i) ⊗ ⊗ Y(w) over the arrows τ base_i → w)."""
+    generator; all 3n in the field order of xi.classes, Y(τ base_i) and
+    Y(base_i) in fields 2i − 2 and 2i − 1 and F(τ base_i) in field
+    2n + i − 1; the slot of each of the 2n generators, τ base_i →
+    (i − 1, False) and base_i → (i − 1, True), which reads the first table
+    backwards; and by vertex index f_i·A_i⁻¹, the class of a tilt at
+    τ base_i over its source's class (by the mesh identity, tilting
+    Y(τ base_i) ⊗ Y(base_i) there gives F(τ base_i) ⊗ ⊗ Y(w) over the
+    arrows τ base_i → w); and by multiset member, its multiplicity in each
+    of the 3n in field order, so a class holds it as many times as the
+    dot product of that row with the class's exponents."""
     pairs = []
-    by_key: dict[VarKey, Obj] = {}
     slots: dict[ZVertex, tuple[int, bool]] = {}
     shifts = tuple(
-        mono_div(_section_class(xi, (), (), [i]), variable_A(q, xi, i)) for i in q.vertices
+        _section_class(xi, (), (), [i]) - xi.classes.encode(variable_A(q, xi, i))
+        for i in q.vertices
     )
     for i in q.vertices:
         lower, upper = translate_base(xi, i), base_vertex(xi, i)
         pair = ((hammock_object(q, xi, lower), lower), (hammock_object(q, xi, upper), upper))
         pairs.append(pair)
-        by_key[("Y", i, lower.p)] = pair[0][0]
-        by_key[("Y", i, upper.p)] = pair[1][0]
-        by_key[("f", i)] = ghost_object(q, xi, lower)
         slots[lower] = (i - 1, False)
         slots[upper] = (i - 1, True)
-    return tuple(pairs), MappingProxyType(by_key), MappingProxyType(slots), shifts
+    by_field = (
+        *(a for pair in pairs for a, _ in pair),
+        *(ghost_object(q, xi, translate_base(xi, i)) for i in q.vertices),
+    )
+    counts: dict[ZVertex, list[int]] = {}
+    for k, a in enumerate(by_field):
+        for z, c in a.mult.items():
+            counts.setdefault(z, [0] * len(by_field))[k] = c
+    counts_view = MappingProxyType({z: tuple(row) for z, row in counts.items()})
+    return tuple(pairs), by_field, MappingProxyType(slots), shifts, counts_view
 
 
-def _factor_object(q: DynkinQuiver, xi: HeightFunction, key: VarKey, e: int) -> Obj:
-    """The cached object of one class factor key^e, checked as class_object
-    checks it."""
-    a = _section_objects(q, xi)[1].get(key) if e >= 0 else None
-    if a is None:
-        raise _bad_factor(key, e)
-    return a
-
-
-def _bad_factor(key: VarKey, e: int) -> ValueError:
+def _negative_factor(xi: HeightFunction, exps: tuple[int, ...]) -> ValueError:
+    """class_object's refusal of the first negative exponent of a class."""
+    key, e = next((key, e) for key, e in zip(xi.classes.keys, exps) if e < 0)
     return ValueError(f"class factor {key}^{e} is not a power on the two base sections")
 
 
@@ -308,25 +314,33 @@ def _section_class(
     k_exp: Iterable[tuple[int, int]],
     h_exp: Iterable[tuple[int, int]],
     f_list: Iterable[int] = (),
-) -> Mono:
+) -> int:
     """The class of ⊗_j F(τ base_j) ⊗ ⊗_k K_k^{e_k} ⊗ ⊗_l Y(base_l)^{h_l}:
-    f_j · ∏ (Y(k, ξ(k)−2)·Y(k, ξ(k)))^{e_k} · ∏ Y(l, ξ(l))^{h_l}.
-    Exponents may be negative (a denominator); zero ones drop out.  The
-    exponents are summed into the slots of ``xi._sections``, which read
-    out in canonical order, and every "Y" key sorts before every "f" key."""
-    slots = [0] * len(xi._sections)
+    f_j · ∏ (Y(k, ξ(k)−2)·Y(k, ξ(k)))^{e_k} · ∏ Y(l, ξ(l))^{h_l}, each f_j
+    once.  Exponents may be negative (a denominator).  Each factor adds
+    its exponent times its fields' units of ``xi.classes``; while the
+    exponents' magnitudes sum below the field bias no field can leave its
+    range, and past it they are summed per field and packed, checked."""
+    classes, n = xi.classes, len(xi.values)
+    units = classes.units
+    c = span = 0
     for k, e in k_exp:
-        slots[2 * k - 2] += e
-        slots[2 * k - 1] += e
+        c += e * (units[2 * k - 2] + units[2 * k - 1])
+        span += abs(e)
     for l, e in h_exp:
-        slots[2 * l - 1] += e
-    out = tuple(compress(zip(xi._sections, slots), slots))
-    if f_list:
-        flags = [False] * len(xi.values)
-        for j in f_list:
-            flags[j - 1] = True
-        out += tuple((("f", j), 1) for j, f in enumerate(flags, 1) if f)
-    return out
+        c += e * units[2 * l - 1]
+        span += abs(e)
+    if span >= classes.bias:
+        fields = [0] * (2 * n)
+        for k, e in k_exp:
+            fields[2 * k - 2] += e
+            fields[2 * k - 1] += e
+        for l, e in h_exp:
+            fields[2 * l - 1] += e
+        c = classes.pack(fields)
+    for j in set(f_list):
+        c += units[2 * n + j - 1]
+    return c
 
 
 def _census_class(xi: HeightFunction, m: Mono) -> Mono:
@@ -414,32 +428,37 @@ def is_iso(q: DynkinQuiver, a: Obj, b: Obj) -> bool:
 
 
 def _tilt_holds(
-    q: DynkinQuiver, xi: HeightFunction, src: Mono, dst: Mono, zs: Iterable[ZVertex]
+    q: DynkinQuiver, xi: HeightFunction, src: int, dst: int, zs: Iterable[ZVertex]
 ) -> bool:
     """is_iso(serre_tilt(class_object(src), zs), class_object(dst)), decided
     on the two classes: no summand object is built (see the module
     docstring for why this is exact).
 
-    Every call checks the factors of src and dst (class_object's
-    ValueError) and that src's object holds the members, counted in
-    serre_tilt's order (a Serre image added by an earlier member counts for
-    a later one; NotContained).  Whether the signed sums of dst/src equal
-    the tilt's change depends only on the ratio and the members, and is
-    decided once per quiver (``_tilt_outcome``).
+    Every call checks src and dst for a negative exponent (class_object's
+    ValueError), src as it is decoded and dst by one range test, and that
+    src's object holds the members, counted in serre_tilt's order (a Serre
+    image added by an earlier member counts for a later one;
+    NotContained), each count one dot product of src's exponents.  Whether the
+    signed sums of dst/src equal the tilt's change depends only on the
+    ratio dst − src and the members, and is decided once per quiver
+    (``_tilt_outcome``).
     """
-    table = _section_objects(q, xi)[1]
-    for key, e in src + dst:
-        if e < 0 or key not in table:
-            raise _bad_factor(key, e)
+    classes = xi.classes
+    exps = classes.exponents(src)
+    if min(exps) < 0:
+        raise _negative_factor(xi, exps)
+    if not classes.nonneg(dst):
+        raise _negative_factor(xi, classes.exponents(dst))
     chosen: dict[ZVertex, int] = {}
     for z in zs:
         chosen[z] = chosen.get(z, 0) + 1
-    ratio = mono_div(dst, src)
     members = tuple(chosen.items())
-    holds, images = _tilt_outcome(q, xi, ratio, members)
+    holds, images = _tilt_outcome(q, xi, dst - src, members)
+    counts = _section_objects(q, xi)[4]
     added: dict[ZVertex, int] = {}
     for (z, c), sz in zip(members, images):
-        if added.get(z, 0) + sum(table[key].mult.get(z, 0) * e for key, e in src) < c:
+        row = counts.get(z)
+        if added.get(z, 0) + (sum(map(mul, row, exps)) if row else 0) < c:
             raise NotContained(f"{z} (x{c}) not contained in the multiset")
         added[sz] = added.get(sz, 0) + c
     return holds
@@ -447,16 +466,15 @@ def _tilt_holds(
 
 @lru_cache(maxsize=None)
 def _tilt_outcome(
-    q: DynkinQuiver, xi: HeightFunction, ratio: Mono, members: tuple[tuple[ZVertex, int], ...]
+    q: DynkinQuiver, xi: HeightFunction, ratio: int, members: tuple[tuple[ZVertex, int], ...]
 ) -> tuple[bool, tuple[ZVertex, ...]]:
     """Whether the signed sums of a class ratio, a difference of objects
     that is never built, are the change of tilting the (member, count)
     pairs: its multiset must be Σ c_z·(S z − z) and its function
-    −Σ c_z·δ_z.  Also the members' Serre images.  Every key of the ratio
-    is a section key (``_tilt_holds`` checks them first)."""
-    table = _section_objects(q, xi)[1]
+    −Σ c_z·δ_z.  Also the members' Serre images.  The ratio is decoded
+    field by field against the section objects."""
     images = tuple(serre(q, z) for z, _ in members)
-    factors = [(table[key], e) for key, e in ratio]
+    factors = [(a, e) for a, e in zip(_section_objects(q, xi)[1], xi.classes.exponents(ratio)) if e]
     mult, gens, deltas = (_scaled_sum(factors, read) for read in (_MULT, _GENS, _DELTAS))
     for (z, c), sz in zip(members, images):
         mult[z] = mult.get(z, 0) + c
@@ -517,7 +535,8 @@ def _negative_simple(beta: Root) -> int | None:
 
 
 def _leading_exponents(q: DynkinQuiver, beta: Root) -> list[int]:
-    """Y[β] by vertex index, its one reader: e > 0 is the exponent of
+    """Y[β] by vertex index, the object layer's one b-vector loop (the
+    exchange step reads it too): e > 0 is the exponent of
     Y(τ base_i) and e < 0 that of Y(base_i)^{−e}.  Y(base_j) alone for a
     negative simple −α_j (another negative β raises NotDominant), else the
     b-vector b_i = β_i − Σ_{i→j} β_j in one pass over the arrows."""
@@ -549,15 +568,27 @@ def leading_object(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Obj:
 
 
 def dominant_monomial(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Mono:
-    """The class of Y[β], read off its exponents without building it: the
-    head every route must share.  Each nonzero exponent gives the one key
-    ("Y", i, ·) of its vertex, and the vertices ascend, so the pairs come
-    out canonical, in key order, with no sort."""
-    return tuple(
-        (("Y", i, h - 2 * (e > 0)), abs(e))
-        for i, h, e in zip(q.vertices, xi.values, _leading_exponents(q, beta))
-        if e
-    )
+    """The monomial of Y[β], the head every route must share: its class,
+    decoded."""
+    return xi.classes.decode(_dominant_class(q, xi, beta))
+
+
+def _dominant_class(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> int:
+    """The class of Y[β], read off its exponents without building it: each
+    nonzero exponent e of vertex i adds |e| to the field of Y(τ base_i)
+    for e > 0 and of Y(base_i) for e < 0, one field each, so checking
+    each |e| against the field bias checks the class."""
+    classes = xi.classes
+    units, bias = classes.units, classes.bias
+    c = 0
+    for k, e in enumerate(_leading_exponents(q, beta)):
+        if e > 0:
+            c += e * units[2 * k]
+        elif e:
+            c -= e * units[2 * k + 1]
+        if not -bias <= e <= bias:
+            raise OverflowError(f"exponent {e} of Y[{tuple(beta)}] too wide for its field")
+    return c
 
 
 # ───────────────────────── factorizations ─────────────────────────
@@ -583,7 +614,7 @@ def reconstruct_factorization(
 ) -> Obj:
     """Build the object a Factorization stands for, from its class."""
     head = _section_class(xi, fac.k_exp, fac.h_exp, fac.f_list)
-    return class_object(q, xi, mono_mul(head, dominant_monomial(q, xi, fac.remainder)))
+    return class_object(q, xi, head + _dominant_class(q, xi, fac.remainder))
 
 
 def _clamped_recursion(
@@ -647,7 +678,8 @@ class PivotStep:
       i, as a Factorization with remainder β − dim P_i (the tilt side);
     * absorb_class, tilt_class: the head classes of the two sides,
       K_i^eps · ∏ Y(base_l)^{m_l} and ∏ K_k^{e_k} · ∏ Y(base_l)^{h_l} of
-      the tilt (its ghost block f_j over tilt.f_list apart).
+      the tilt (its ghost block f_j over tilt.f_list apart), as ints of
+      ``xi.classes``.
 
     Together:  Y[β] ⊗ Y(base_i) ≅ K_i^eps ⊗ ⊗_l Y(base_l)^{m_l} ⊗ Y[beta_inj].
     """
@@ -657,8 +689,8 @@ class PivotStep:
     beta_inj: Root
     hin: tuple[tuple[int, int], ...]
     tilt: Factorization
-    absorb_class: Mono
-    tilt_class: Mono
+    absorb_class: int
+    tilt_class: int
 
 
 def pivot_step(
@@ -695,7 +727,7 @@ def _step(q: DynkinQuiver, xi: HeightFunction, beta: Root, pivot: int | None) ->
         raise NotInSupport(f"pivot {i} outside the support of {beta}")
     out_cl = least_out.get(i) or _walk(i, q.arrows_from, inside)
     in_cl = _walk(i, q.arrows_to, inside)
-    b = b_vector(q, beta)
+    b = _leading_exponents(q, beta)
     eps = 1 if b[i - 1] > 0 else 0
     hin = _frontier(q, inside, in_cl, q.arrows_from)
     tilt = _tilt(q, beta, b, inside, out_cl, i)
@@ -730,7 +762,7 @@ def _frontier(
 
 
 def _tilt(
-    q: DynkinQuiver, beta: Root, b: tuple[int, ...], support: frozenset[int],
+    q: DynkinQuiver, beta: Root, b: list[int], support: frozenset[int],
     out_cl: frozenset[int], i: int,
 ) -> Factorization:
     """Iterated tilt of Y[β] ⊗ Y(base_i) over the out-closure out_cl of i.

@@ -118,7 +118,7 @@ def _canonical_recursion(q: DynkinQuiver, xi: HeightFunction, beta: Root) -> Lau
     inverse = _section_class(xi, (), [(step.pivot, -1)])
     out: dict[Mono, int] = {}
     for head, sub in ((step.absorb_class, step.beta_inj), (step.tilt_class, step.tilt.remainder)):
-        head = mono_mul(head, inverse)
+        head = xi.classes.decode(head + inverse)
         for m, c in qchar_recursion(q, xi, sub).terms.items():
             m = mono_mul(head, m)
             if s := out.get(m, 0) + c:

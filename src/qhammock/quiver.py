@@ -23,6 +23,7 @@ from itertools import product
 from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import EmptySupport, ParityViolation, Reorientation, WrongShape
+from .laurent import _ClassPacking
 
 Root = tuple  # tuple[int, ...], coefficient vector over the simple roots
 
@@ -236,18 +237,26 @@ def sample_orientations(
 
 @dataclass(frozen=True)
 class HeightFunction:
-    """An adapted height: values[i-1] is the height of vertex i."""
+    """An adapted height: values[i-1] is the height of vertex i.
+
+    ``classes`` packs the summand classes over this height (see
+    ``laurent._ClassPacking``): ``classes.encode(m)`` is a monomial's class,
+    ``classes.decode(c)`` the monomial again."""
 
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         # hashed once, like DynkinQuiver, and rebuilt the same way; so are
         # the truncated ring's variables Y(i, ξ(i)−2), Y(i, ξ(i)) in
-        # canonical order, slots 2i − 2 and 2i − 1, and each one's slot
+        # canonical order, slots 2i − 2 and 2i − 1, and each one's slot;
+        # and the packing of summand classes over those 2n keys and the n
+        # ghost keys ("f", i) after them, slots 2n + i − 1
         sections = tuple(("Y", i, h + d) for i, h in enumerate(self.values, 1) for d in (-2, 0))
+        ghosts = tuple(("f", i) for i in range(1, len(self.values) + 1))
         object.__setattr__(self, "_hash", hash(self.values))
         object.__setattr__(self, "_sections", sections)
         object.__setattr__(self, "_slot", {key: s for s, key in enumerate(sections)})
+        object.__setattr__(self, "classes", _ClassPacking(sections + ghosts))
 
     def __hash__(self) -> int:
         return self._hash

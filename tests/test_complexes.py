@@ -43,10 +43,8 @@ from qhammock.errors import (
 from qhammock.laurent import (
     MONO_ONE,
     LaurentPoly,
-    mono_div,
     mono_from_dict,
     mono_key_str,
-    mono_mul,
 )
 from qhammock.objects import class_object, variable_A
 from qhammock.qchar import qchar_euler, qchar_recursion
@@ -64,20 +62,25 @@ def Y(i, p, e=1):
     return LaurentPoly.variable(("Y", i, p), e)
 
 
+def enc(xi, powers):
+    """The class of a {key: exponent} monomial, by the one encoder."""
+    return xi.classes.encode(mono_from_dict(powers))
+
+
 def K(xi, i):
     """The class of K_i = Y(τ base_i) ⊗ Y(base_i)."""
-    return mono_from_dict({("Y", i, xi.ht(i) - 2): 1, ("Y", i, xi.ht(i)): 1})
+    return enc(xi, {("Y", i, xi.ht(i) - 2): 1, ("Y", i, xi.ht(i)): 1})
 
 
-def F(i):
+def F(xi, i):
     """The class of the ghost F(τ base_i)."""
-    return mono_from_dict({("f", i): 1})
+    return enc(xi, {("f", i): 1})
 
 
 def k1_and_tilt(q, xi):
     """The class of K_1 and of its tilt at τ base_1, K_1·f_1·A_1⁻¹."""
     k1 = K(xi, 1)
-    return k1, mono_mul(k1, mono_div(F(1), variable_A(q, xi, 1)))
+    return k1, k1 + F(xi, 1) - xi.classes.encode(variable_A(q, xi, 1))
 
 
 # ------------------------------------------------------------ raw algebra
@@ -85,7 +88,7 @@ def k1_and_tilt(q, xi):
 
 def test_complex_container_checks():
     q, xi = a2()
-    y = mono_from_dict({("Y", 1, 1): 1})
+    y = enc(xi, {("Y", 1, 1): 1})
     with pytest.raises(NegativeDegree):
         Complex({-1: [y]})
     with pytest.raises(NegativeDegree):
@@ -99,24 +102,37 @@ def test_complex_container_checks():
 
 
 def test_complex_refuses_non_canonical_classes():
-    # products merge classes without sorting, so an unsorted class would
-    # never cancel against its sorted twin in an Euler sum
+    # a class is one int of the height's packing, so an unsorted monomial
+    # would never cancel against its sorted twin in an Euler sum: the one
+    # encoder refuses a monomial that is not canonical, a Complex refuses a
+    # class that is not an int (a tuple, a bool, a float) and an int with
+    # an exponent outside its 16-bit field, and a product of classes that
+    # leaves its field is refused too, never wrapped into another class
     q, xi = a2()
     u = ((("f", 1), 1), (("Y", 1, 1), 1))
-    s = tuple(sorted(u))
+    s = xi.classes.encode(tuple(sorted(u)))
     for bad in (u, ((("Y", 1, 1), 1), (("Y", 1, 1), 1)), ((("f", 1), 0),)):
-        with pytest.raises(ValueError, match="degree 1"):
-            Complex({0: [s], 1: [bad]})
         with pytest.raises(ValueError):
+            xi.classes.encode(bad)
+    for bad in (tuple(sorted(u)), True, float(s)):
+        with pytest.raises(TypeError, match="degree 1"):
+            Complex({0: [s], 1: [bad]})
+        with pytest.raises(TypeError):
             single_complex(bad)
+    wide = enc(xi, {("Y", 1, 1): 2**14})
+    for bad in (3 * 2**14, -(2**15) * 2**16, wide + wide):
+        with pytest.raises(OverflowError, match="degree 1"):
+            Complex({0: [s], 1: [bad]})
+    with pytest.raises(OverflowError):
+        tensor_complex(single_complex(wide), single_complex(wide))
     assert euler_char(q, xi, FractionComplex(Complex({0: [s], 1: [s]}), (0, 0))) == LaurentPoly.zero()
 
 
 def test_tensor_unit_and_counts():
     q, xi = a2()
     k = single_complex(K(xi, 1), 0)
-    assert tensor_complex(k, single_complex(MONO_ONE)).summand_count() == 1
-    g = single_complex(F(1), 1)
+    assert tensor_complex(k, single_complex(0)).summand_count() == 1
+    g = single_complex(F(xi, 1), 1)
     prod = tensor_complex(k, g)
     assert prod.degrees() == [1]
     assert tensor_complex(k, Complex()).is_zero()
@@ -124,7 +140,7 @@ def test_tensor_unit_and_counts():
 
 def test_tensor_koszul_sign():
     q, xi = a2()
-    y = mono_from_dict({("Y", 1, 1): 1})
+    y = enc(xi, {("Y", 1, 1): 1})
     k1, t = k1_and_tilt(q, xi)
     c = Complex({0: [k1], 1: [t]}, {0: [Component(0, 0, ("eta", 1), 1)]})
     # put a degree-1 term on the left; the right factor's differential
@@ -141,7 +157,7 @@ def test_cone_blocks_and_guards():
     # target is the tilt of the source at that label's translated base vertex
     q, xi = a2()
     k1, t = k1_and_tilt(q, xi)
-    assert t == mono_from_dict({("f", 1): 1, ("Y", 2, 0): 1})
+    assert xi.classes.decode(t) == mono_from_dict({("f", 1): 1, ("Y", 2, 0): 1})
     dom = single_complex(k1, 1)
     cod = single_complex(t, 1)
     e = cone(dom, cod, {1: [(0, 0, ("eta", 1), 1)]})
@@ -187,7 +203,7 @@ def test_a2_complex_shapes_frozen():
     for beta, (den, rows) in A2_SHAPES.items():
         fc = build_complex(q, xi, beta)
         assert fc.den == den
-        got = [[mono_key_str(m) for m in fc.num.terms[n]] for n in fc.num.degrees()]
+        got = [[mono_key_str(xi.classes.decode(m)) for m in fc.num.terms[n]] for n in fc.num.degrees()]
         assert got == rows, beta
 
 
@@ -287,13 +303,13 @@ def test_exactness_check_reads_the_degree_zero_identity():
     fc = build_complex(q, xi, (1, 1))
     (lead,) = fc.num.terms[0]
     # Y[(1, 1)] = Y(2, ξ(2)−2) on 1 → 2, times Y(1, ξ(1))·Y(2, ξ(2))
-    assert lead == mono_from_dict({("Y", 2, xi.ht(2) - 2): 1, ("Y", 1, 1): 1, ("Y", 2, 0): 1})
+    assert lead == enc(xi, {("Y", 2, xi.ht(2) - 2): 1, ("Y", 1, 1): 1, ("Y", 2, 0): 1})
     assert verify_exactness(q, xi, fc) == {"ok": True, "failures": []}
     hand_made = [
-        [MONO_ONE],
-        [mono_mul(lead, lead)],
+        [0],
+        [lead + lead],
         [lead, lead],
-        [lead, MONO_ONE],
+        [lead, 0],
     ]
     for row in hand_made:
         rep = verify_exactness(q, xi, FractionComplex(Complex({0: row}), (1, 1)))
@@ -339,21 +355,24 @@ def test_built_complex_is_read_only():
 
 
 def test_built_summands_are_classes():
-    # a summand is its class: a Mono, an immutable tuple of (variable,
-    # exponent) pairs in canonical order (Obj is covered in test_objects.py)
+    # a summand is its class: an int of the height's packing, which decodes
+    # to an immutable tuple of (variable, exponent) pairs in canonical order
+    # and encodes back to itself (Obj is covered in test_objects.py)
     q = build_quiver("A", 3, [(1, 2), (2, 3)])
     xi = default_height(q)
     fc = build_complex(q, xi, (1, 1, 1))
     for row in fc.num.terms.values():
         assert type(row) is tuple
-        for m in row:
-            assert type(m) is tuple and m == mono_from_dict(dict(m)), m
+        for c in row:
+            m = xi.classes.decode(c)
+            assert type(c) is int and xi.classes.encode(m) == c, c
+            assert m == mono_from_dict(dict(m)), m
             assert all(type(key) is tuple and type(e) is int for key, e in m), m
     assert validate_components(q, xi, fc.num)
 
 
 def test_built_summands_are_read_only():
-    # a built summand is an immutable class tuple, and the object it
+    # a built summand is an immutable class int, and the object it
     # materialises to is read-only as well
     q = build_quiver("A", 3, [(1, 2), (2, 3)])
     xi = default_height(q)
@@ -399,7 +418,7 @@ def test_fraction_complex_is_frozen():
     with pytest.raises(FrozenInstanceError):
         fc.den = {9: 9}
     with pytest.raises(FrozenInstanceError):
-        fc.num = single_complex(MONO_ONE)
+        fc.num = single_complex(0)
     with pytest.raises(FrozenInstanceError):
         fc.beta = (2, 2, 2)
     assert dict(build_complex(q, xi, (1, 1, 1)).den) == den
@@ -469,12 +488,12 @@ def test_pivot_builds_match_golden_digest():
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
 def test_one_pass_tensor_matches_tensor_complex(family, rank):
-    # _tensor_between(l, k, C, r, m) is single(l, k) ⊗ C ⊗ single(r, m)
+    # _tensor_between(l·r, k, C, m) is single(l, k) ⊗ C ⊗ single(r, m)
     for q, xi, fc in _pivot_builds([(family, rank)]):
-        l, r = K(xi, 1), F(rank)
+        l, r = K(xi, 1), F(xi, rank)
         for k in range(3):
             for m in range(3):
-                got = complexes._tensor_between(l, k, fc.num, r, m)
+                got = complexes._tensor_between(l + r, k, fc.num, m)
                 want = tensor_complex(
                     tensor_complex(single_complex(l, k), fc.num), single_complex(r, m)
                 )
@@ -513,7 +532,7 @@ def test_e6_euler_route_finishes(monkeypatch, orientation):
 def test_dangling_component_is_an_engine_error(side):
     # the check must raise even under python -O, so not as an assert
     q, xi = a2()
-    y = mono_from_dict({("Y", 1, 1): 1})
+    y = enc(xi, {("Y", 1, 1): 1})
     k1, t = k1_and_tilt(q, xi)
     c = Complex({0: [k1], 1: [t]}, {0: [Component(0, 0, ("eta", 1), 1)]})
     c.terms = {0: c.terms[0]}  # the component now points at a missing degree
@@ -551,7 +570,7 @@ def test_degree_zero_violation_is_an_engine_error(monkeypatch, broken):
     # members in place fails the tilt identity
     q, xi = a2()
     if broken == "leading_object":
-        monkeypatch.setattr(complexes, "dominant_monomial", lambda *args: MONO_ONE)
+        monkeypatch.setattr(complexes, "_dominant_class", lambda *args: 0)
     elif broken == "serre_tilt":
         # build once unbroken, so the cached ghost objects keep their
         # true Serre images and only the check's own reading breaks; the
@@ -560,7 +579,7 @@ def test_degree_zero_violation_is_an_engine_error(monkeypatch, broken):
         monkeypatch.setattr(objects, "serre", lambda q, z: z)
         objects._tilt_outcome.cache_clear()
     else:
-        two = Complex({0: [MONO_ONE, MONO_ONE]})
+        two = Complex({0: [0, 0]})
         monkeypatch.setattr(complexes, "cone", lambda *args, **kwargs: two)
     try:
         with pytest.raises(InvariantViolation):
@@ -580,7 +599,8 @@ def _euler_by_substitution(xi, fc, specialize_f):
     division by Y^β."""
     signed = {}
     for n, row in fc.num.terms.items():
-        for m in row:
+        for c in row:
+            m = xi.classes.decode(c)
             signed[m] = signed.get(m, 0) + (-1) ** n
     total = LaurentPoly(signed)
     if specialize_f is not None:
@@ -627,9 +647,9 @@ def test_euler_char_negative_ghost_power_raises_as_substitution_does():
     # text differs, so euler_char's own is pinned); a class whose signs
     # cancel is never specialized, so it raises nowhere
     q, xi = a2()
-    y, yk = mono_from_dict({("Y", 1, 1): 1}), mono_from_dict({("Y", 2, 0): 2})
-    inverse_ghost = mono_from_dict({("f", 1): -1, ("Y", 1, 1): 1})
-    squared = mono_from_dict({("f", 1): 2, ("f", 2): -3, ("Y", 2, 0): 1})
+    y, yk = enc(xi, {("Y", 1, 1): 1}), enc(xi, {("Y", 2, 0): 2})
+    inverse_ghost = enc(xi, {("f", 1): -1, ("Y", 1, 1): 1})
+    squared = enc(xi, {("f", 1): 2, ("f", 2): -3, ("Y", 2, 0): 1})
     hand_made = [
         FractionComplex(Complex({0: [inverse_ghost]}), (1, 0)),
         FractionComplex(Complex({0: [y, squared], 1: [inverse_ghost]}), (1, 1)),
@@ -678,7 +698,7 @@ def test_tensored_side_has_its_sub_builds_d_squared_report():
     for rank in (2, 3, 4):
         for q in all_orientations("A", rank):
             xi = default_height(q)
-            l, r = K(xi, 1), F(rank)
+            l, r = K(xi, 1), F(xi, rank)
             for beta in positive_roots(q):
                 c = build_complex(q, xi, beta).num
                 variants = [c]
@@ -691,7 +711,7 @@ def test_tensored_side_has_its_sub_builds_d_squared_report():
                     want = verify_d_squared(q, cx)
                     for k in range(4):
                         for m in (0, 2):
-                            side = complexes._tensor_between(l, k, cx, r, m)
+                            side = complexes._tensor_between(l + r, k, cx, m)
                             assert _mapped_report(verify_d_squared(q, side), k, m) == want
                     checked += 1
                     broken += not want["ok"]

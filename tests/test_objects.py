@@ -117,12 +117,16 @@ def test_ghost_object():
 
 
 def test_class_object_refuses_keys_no_summand_has():
-    # a Complex is public input, so a class is checked when it is read
+    # a Complex is public input, so a class is checked when it is read: a
+    # key no summand has cannot be encoded, a negative exponent is refused
+    # by class_object, and so are an int with a field beyond the height's
+    # 3n keys and a class that is not an int
     q, xi = a2()
     k1 = kr_object(q, xi, 1)
-    assert class_object(q, xi, mono_from_dict({("Y", 1, -1): 1, ("Y", 1, 1): 1})) == k1
+    encode = xi.classes.encode
+    assert class_object(q, xi, encode(mono_from_dict({("Y", 1, -1): 1, ("Y", 1, 1): 1}))) == k1
     f2 = ghost_object(q, xi, translate_base(xi, 2))
-    assert class_object(q, xi, mono_from_dict({("f", 2): 2})) == obj_pow(f2, 2)
+    assert class_object(q, xi, encode(mono_from_dict({("f", 2): 2}))) == obj_pow(f2, 2)
     for bad in (
         {("Y", 1, 1): -1},  # a negative exponent
         {("f", 1): 1, ("Y", 2, -2): 2, ("Y", 2, 0): -1},
@@ -132,7 +136,11 @@ def test_class_object_refuses_keys_no_summand_has():
         {("x", 1): 1},
     ):
         with pytest.raises(ValueError):
-            class_object(q, xi, mono_from_dict(bad))
+            class_object(q, xi, encode(mono_from_dict(bad)))
+    with pytest.raises(OverflowError):
+        class_object(q, xi, 2 ** (16 * len(xi.classes.keys)))
+    with pytest.raises(TypeError):
+        class_object(q, xi, mono_from_dict({("f", 2): 2}))
 
 
 def test_tensor_and_power():
@@ -174,7 +182,8 @@ def test_leading_object_matches_copy_oracle(family, rank):
             if any(beta) and sum(beta) <= 6:
                 got, want = leading_object(q, xi, beta), leading_object_by_copies(q, xi, beta)
                 assert got.canonical() == want.canonical(), (q.arrows, beta)
-                assert class_object(q, xi, dominant_monomial(q, xi, beta)) == got, (q.arrows, beta)
+                m = xi.classes.encode(dominant_monomial(q, xi, beta))
+                assert class_object(q, xi, m) == got, (q.arrows, beta)
 
 
 # ------------------------------------------------- shared hammock objects
@@ -441,7 +450,8 @@ def test_leading_object_a2_classes():
     }
     for beta, mono in want.items():
         assert dominant_monomial(q, xi, beta) == mono_from_dict(mono)
-        assert class_object(q, xi, mono_from_dict(mono)) == leading_object(q, xi, beta)
+        m = xi.classes.encode(mono_from_dict(mono))
+        assert class_object(q, xi, m) == leading_object(q, xi, beta)
 
 
 def test_leading_object_negative_simple():
@@ -567,17 +577,19 @@ def test_section_table_matches_per_factor_lookups(family, rank):
                     root_of_dominant(q, xi, bad)
                 with pytest.raises(NotDominant):
                     factor_dominant(q, xi, bad)
-        # class_object reads the same table, and refuses as it did
+        # class_object reads the same table, and refuses as it did: a key
+        # off the two base sections has no field, so the encoder refuses it
         for key, e in [
             (("Y", 1, xi.ht(1) + 2), 1),
             (("Y", rank, xi.ht(rank) - 4), 2),
             (("Y", rank + 1, xi.ht(1)), 1),
             (("f", 0), 1),
-            (("Y", 1, xi.ht(1)), -1),
-            (("f", rank), -2),
         ]:
+            with pytest.raises(ValueError, match="off the"):
+                xi.classes.encode(((key, e),))
+        for key, e in [(("Y", 1, xi.ht(1)), -1), (("f", rank), -2)]:
             with pytest.raises(ValueError) as exc:
-                class_object(q, xi, ((key, e),))
+                class_object(q, xi, xi.classes.encode(((key, e),)))
             assert str(exc.value) == (
                 f"class factor {key}^{e} is not a power on the two base sections"
             )
@@ -608,7 +620,8 @@ def test_dominant_monomial_is_the_b_vector_reading_on_e6():
         for beta in vectors:
             m = dominant_monomial(q, xi, beta)
             assert m == _dominant_monomial_by_reading(q, xi, beta), (q.arrows, beta)
-            assert class_object(q, xi, m).canonical() == leading_object(q, xi, beta).canonical()
+            c = xi.classes.encode(m)
+            assert class_object(q, xi, c).canonical() == leading_object(q, xi, beta).canonical()
 
 
 def test_refusal_texts_of_non_dominant_vectors():
@@ -728,9 +741,9 @@ def test_class_object_sums_its_multiset_on_first_read(rank):
             for row in build_complex(q, xi, beta, pivot=p).num.terms.values()
             for m in row
         }
-        for m in sorted(classes):
+        for c in sorted(classes):
             mult, gens = [], {}
-            for key, e in m:
+            for key, e in xi.classes.decode(c):
                 if key[0] == "f":
                     z = translate_base(xi, key[1])
                     mult.append(({serre(q, z): 1, suspend(q, z): 1}, e))
@@ -739,7 +752,7 @@ def test_class_object_sums_its_multiset_on_first_read(rank):
                     mult.append((hom_values(q, x), e))
                     gens[x] = e
             eager = Obj(_scaled(mult), QFun(gens))
-            _assert_reads_like(q, lambda: class_object(q, xi, m), eager)
+            _assert_reads_like(q, lambda: class_object(q, xi, c), eager)
 
 
 def test_tensor_and_power_sum_their_multisets_on_first_read():
@@ -851,8 +864,11 @@ def _absorb_identity_holds(q, xi, beta, i):
 
 def _tilt_by_objects(q, xi, src, dst, zs):
     """The object route the class check replaces: is_iso of the tilted
-    source and the target, or the type of the exception raised."""
+    source and the target, or the type of the exception raised.  src and
+    dst are monomials, encoded here (a key off the sections is the
+    encoder's ValueError)."""
     try:
+        src, dst = xi.classes.encode(src), xi.classes.encode(dst)
         return is_iso(q, serre_tilt(q, class_object(q, xi, src), zs), class_object(q, xi, dst))
     except (ValueError, NotContained) as exc:
         return type(exc)
@@ -860,6 +876,7 @@ def _tilt_by_objects(q, xi, src, dst, zs):
 
 def _tilt_by_classes(q, xi, src, dst, zs):
     try:
+        src, dst = xi.classes.encode(src), xi.classes.encode(dst)
         return objects._tilt_holds(q, xi, src, dst, zs)
     except (ValueError, NotContained) as exc:
         return type(exc)
@@ -868,19 +885,21 @@ def _tilt_by_classes(q, xi, src, dst, zs):
 def _tilt_cases(q, xi):
     """(src, dst, members) of every η component of every pivot build, and
     of each build's own tilt identity, whose members are the whole
-    out-closure of the pivot."""
+    out-closure of the pivot; the classes decoded to monomials."""
+    decode = xi.classes.decode
     for beta in positive_roots(q):
         for p in beta_combinatorics(q, xi, beta).pivot_candidates:
             c = build_complex(q, xi, beta, pivot=p).num
             for n, comps in c.diffs.items():
                 for comp in comps:
                     z = translate_base(xi, comp.tag[1])
-                    yield c.terms[n][comp.src], c.terms[n + 1][comp.dst], (z,)
+                    yield decode(c.terms[n][comp.src]), decode(c.terms[n + 1][comp.dst]), (z,)
             step = pivot_step(q, xi, beta, p)
             src = mono_mul(dominant_monomial(q, xi, beta), mono_from_dict({("Y", p, xi.ht(p)): 1}))
             ghosts = mono_from_dict({("f", j): 1 for j in step.tilt.f_list})
             dst = mono_mul(
-                mono_mul(ghosts, step.tilt_class), dominant_monomial(q, xi, step.tilt.remainder)
+                mono_mul(ghosts, decode(step.tilt_class)),
+                dominant_monomial(q, xi, step.tilt.remainder),
             )
             yield src, dst, tuple(translate_base(xi, j) for j in step.tilt.f_list)
 
@@ -958,22 +977,24 @@ def test_tilt_outcome_cache_keeps_the_per_call_checks():
     z, w = translate_base(xi, comp.tag[1]), translate_base(xi, 3 - comp.tag[1])
     objects._tilt_outcome.cache_clear()
     assert objects._tilt_holds(q, xi, src, dst, [z])  # warm, holding
-    # the same ratio with a bad key on both sides: class_object's ValueError
+    # the same ratio with a bad key on both sides: it has no field, so the
+    # encoder refuses it before any check can read it
     off = mono_from_dict({("Y", 1, xi.ht(1) + 2): 1})
+    with pytest.raises(ValueError, match="off the"):
+        xi.classes.encode(mono_mul(xi.classes.decode(src), off))
+    # a negative exponent on both sides: class_object's ValueError
+    neg = xi.classes.encode(((("Y", 2, xi.ht(2)), -1),))
     with pytest.raises(ValueError, match="not a power on the two base sections"):
-        objects._tilt_holds(q, xi, mono_mul(src, off), mono_mul(dst, off), [z])
+        objects._tilt_holds(q, xi, src + neg, dst + neg, [z])
     with pytest.raises(ValueError, match="not a power on the two base sections"):
-        class_object(q, xi, mono_mul(src, off))
-    neg = ((("Y", 2, xi.ht(2)), -1),)
-    with pytest.raises(ValueError, match="not a power on the two base sections"):
-        objects._tilt_holds(q, xi, mono_mul(src, neg), mono_mul(dst, neg), [z])
+        class_object(q, xi, src + neg)
     # a source of a holding ratio holds its members (it holds the ratio's
     # negative part, by additivity), so containment is checked against a
     # ratio that fails: the same ratio tilted at w, once from a source
     # that holds w and once from src, which does not
-    extra = mono_from_dict({("Y", w.i, w.p): 1})
+    extra = xi.classes.encode(((("Y", w.i, w.p), 1),))
     assert class_object(q, xi, src).mult.get(w, 0) == 0
-    assert objects._tilt_holds(q, xi, mono_mul(src, extra), mono_mul(dst, extra), [w]) is False
+    assert objects._tilt_holds(q, xi, src + extra, dst + extra, [w]) is False
     with pytest.raises(NotContained):
         objects._tilt_holds(q, xi, src, dst, [w])
     assert objects._tilt_holds(q, xi, src, dst, [z])
@@ -1008,8 +1029,8 @@ def _head_classes_hold(q, xi, beta, i):
         class_object(q, xi, step.absorb_class), leading_object(q, xi, step.beta_inj)
     )
     tilted = serre_tilt(q, lhs, [translate_base(xi, j) for j in out_cl])
-    ghosts = mono_from_dict({("f", j): 1 for j in out_cl})
-    tilt_head = class_object(q, xi, mono_mul(ghosts, step.tilt_class))
+    ghosts = xi.classes.encode(mono_from_dict({("f", j): 1 for j in out_cl}))
+    tilt_head = class_object(q, xi, ghosts + step.tilt_class)
     remainder = leading_object(q, xi, step.tilt.remainder)
     return is_iso(q, lhs, absorbed) and is_iso(q, tilted, tensor_obj(tilt_head, remainder))
 

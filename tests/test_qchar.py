@@ -465,8 +465,9 @@ def test_recursion_matches_its_three_product_form():
             step = pivot_step(q, xi, beta)
             pivot = mono_from_dict({("Y", step.pivot, xi.ht(step.pivot)): -1})
             want = (
-                LaurentPoly.monomial(step.absorb_class) * qchar_recursion(q, xi, step.beta_inj)
-                + LaurentPoly.monomial(step.tilt_class)
+                LaurentPoly.monomial(xi.classes.decode(step.absorb_class))
+                * qchar_recursion(q, xi, step.beta_inj)
+                + LaurentPoly.monomial(xi.classes.decode(step.tilt_class))
                 * qchar_recursion(q, xi, step.tilt.remainder)
             ) * LaurentPoly.monomial(pivot)
             assert qchar_recursion(q, xi, beta) == want, (q.arrows, beta)
