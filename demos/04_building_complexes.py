@@ -3,7 +3,8 @@
 The builder runs a recursion on the root vector: each step tilts the
 current leading object at a pivot vertex and splices the result into a
 mapping cone.  The outcome is a bounded complex of formal objects, each
-kept as its class monomial, whose Euler characteristic, after
+kept as its class, one int of the height's packing (`xi.classes`) that
+is printed here decoded to its monomial, whose Euler characteristic, after
 specializing the connector symbols to -1 and dividing by the frontier
 denominator, is the truncated character.
 
@@ -31,7 +32,8 @@ fc = build_complex(q, xi, theta)
 
 print(f"complex for beta={theta}:")
 print("  denominator exponents:", fc.den)
-# each summand is its class; class_object rebuilds the object it names
+# each summand is its class, one int: xi.classes.decode gives its monomial
+# and class_object rebuilds the object it names
 for n in sorted(fc.num.terms):
     for idx, m in enumerate(fc.num.terms[n]):
         print(f"  degree {n}[{idx}]: {class_object(q, xi, m)}  class={xi.classes.decode(m)}")

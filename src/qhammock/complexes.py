@@ -2,11 +2,15 @@
 
 Terms are formal direct sums (lists) of summand classes per nonnegative
 degree: a summand is a product of hammock objects on the two base sections
-and ghost objects at τ base_i, so its class monomial names it, and
+and ghost objects at τ base_i, so its class names it, and
 objects.class_object builds the object only to print it or for the
-exactness check.  The classes come from objects (the exchange
-step's head classes and _section_class), which alone spells their
-variable keys.
+exactness check.  A class is one int of its height's packing
+(``xi.classes``, see laurent._ClassPacking): this module multiplies
+classes by adding them and divides by subtracting, and decodes a class
+to its monomial only where it leaves the library (``euler_char``,
+``complex_to_json``).  The classes come from objects (the exchange
+step's head classes, _section_class and Y[β]'s class), which alone spells
+their variable keys.
 Differentials are lists of elementary components (source summand, target
 summand, tag, sign).  Tags name which canonical morphism a component is
 a copy of — almost always ("eta", i), the tilt at the translated base
@@ -52,7 +56,8 @@ parity classes: each class's least connector is +1, the rest follow.
 Only the matching is searched: each dom summand takes one same-degree cod
 summand of its tilt's class, or none.  By the mesh identity, tilting
 Y(τ base_i) ⊗ Y(base_i) at τ base_i gives F(τ base_i) ⊗ ⊗ Y(w) over the
-arrows τ base_i → w, so the tilt multiplies a class by f_i·A_i⁻¹.  A
+arrows τ base_i → w, so the tilt multiplies a class by f_i·A_i⁻¹ (adds
+its int).  A
 square is final once every key that has a route into it is decided, and
 the search cuts a branch as soon as its final squares have an odd parity
 cycle or a single route.  The degree-|out-closure| ghost factor is
@@ -67,8 +72,11 @@ is tensored up by its head class and by the closure its sub-build
 dropped, the pivot i apart: ∏ Y(k, ξ(k)) over the in-closure on the dom
 side, over the out-closure on the cod side.  The closures meet only in i,
 since a vertex in both would close an oriented cycle, so both sides land
-on β − e_i.  Each build checks two exchange identities on classes: that
-degree-0 identity, as one class comparison (see _build), and the tilt of
+on β − e_i.  Every class a build makes is a sum of two checked classes
+and is range-checked once (``check``, ``check_sums``), so an exponent
+that leaves its field raises OverflowError.  Each build checks two
+exchange identities on classes: that degree-0 identity, as one int
+comparison (see _build), and the tilt of
 Y[β] ⊗ Y(base_i) over the out-closure against the tilt's factorization
 (ghost block, head class, Y[β − dim P_i]), by objects._tilt_holds (exact
 by additivity; see the objects module).  validate_components checks every
@@ -179,10 +187,11 @@ class Complex:
         cls, terms: Mapping[int, Sequence[int]], diffs: Mapping[int, Sequence[Component]]
     ) -> "Complex":
         """A complex combined from checked ones (tensor_complex, cone,
-        _tensor_between): its classes are checked sums of
-        checked classes, its components Components with indices in range
-        by construction.  Empty rows are dropped and the rest wrapped
-        read-only, without __init__'s checks."""
+        _tensor_between): its classes are sums of two checked classes,
+        range-checked once by tensor_complex or by the build, and its
+        components Components with indices in range by construction.
+        Empty rows are dropped and the rest wrapped read-only, without
+        __init__'s checks."""
         c = object.__new__(cls)
         c.terms = MappingProxyType({n: tuple(row) for n, row in terms.items() if row})
         c.diffs = MappingProxyType({n: tuple(comps) for n, comps in diffs.items() if comps})
@@ -654,14 +663,14 @@ def euler_char(
         for m in row:
             signed[m] = signed.get(m, 0) + sign
     den = _section_class(xi, (), fc.den.items())
-    keys, ghosts = xi.classes.keys, 2 * len(xi.values)
+    keys, first_f = xi.classes.keys, 2 * len(xi.values)
     out: dict[Mono, int] = {}
     for m, c in signed.items():
         if not c:
             continue
         exps = xi.classes.exponents(m - den)
         if specialize_f is not None:
-            for e in exps[ghosts:]:
+            for e in exps[first_f:]:
                 if not e:
                     continue
                 if type(specialize_f) is not int:
@@ -672,7 +681,7 @@ def euler_char(
                     raise InexactDivision("cannot invert non-unit coefficient in substitution")
                 elif e % 2:
                     c *= specialize_f
-            exps = exps[:ghosts]
+            exps = exps[:first_f]
         m = tuple(compress(zip(keys, exps), exps))
         out[m] = out.get(m, 0) + c
     return _wrap({m: c for m, c in out.items() if c})

@@ -26,6 +26,15 @@ and never wraps into the next column.  On a 2-vCPU Xeon under
 Python 3.11 the cluster census of the E7 orientation
 ``sample_orientations("E", 7, 1, seed=1)`` takes about 0.2 s and that of
 the E8 one about 38 s.
+
+Summand classes of complexes live on the same fields (``_ClassPacking``):
+a class over a height's 3n section keys is one int, the displacement of
+its packed row from the zero row with the degree field left off, so the
+unit class is 0, a product is one integer addition and a ratio one
+subtraction.  The encoder (``_ClassPacking.encode``) and the decoder
+(``decode``, by one signed unpack) are the only ways between a class and
+its monomial, and a sum that leaves a field raises OverflowError where
+it is checked or read, never aliasing another class.
 """
 
 from __future__ import annotations
@@ -400,7 +409,9 @@ class _ClassPacking:
     class back in key order, by one unpack.
     """
 
-    __slots__ = ("keys", "units", "bias", "_pk", "_zero", "_end", "_lift", "_unit", "_nbytes", "_fields")
+    __slots__ = (
+        "keys", "units", "bias", "_pk", "_zero", "_end", "_lift", "_unit", "_nbytes", "_fields"
+    )
 
     def __init__(self, keys: Sequence[VarKey]):
         self.keys = keys = tuple(keys)

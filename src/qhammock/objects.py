@@ -19,7 +19,7 @@ is read: the dominant-object round trip (``leading_object`` then
 hom multisets of Y[β]'s factors.  Every factor of Y[β] and of a class
 is one of 3n section objects, Y(τ base_i), Y(base_i) and F(τ base_i),
 which ``_section_objects`` looks up once per (quiver, height) and hands
-out by vertex index and by class key, with the slot (vertex index,
+out by vertex index and in class field order, with the slot (vertex index,
 section) of each of the 2n generators.  The round trip runs on those
 slots both ways: a section object's function is its generator alone, so
 ``leading_object`` writes Y[β]'s function straight from the b-vector,
@@ -37,10 +37,13 @@ the positive orthant, recovered by a max-recursion over the quiver.
 
 Objects carry no Grothendieck class.  A product of hammock objects on the
 two base sections and ghosts at τ base_i is named by its class, a monomial
-in Y(i, ξ(i)), Y(i, ξ(i)−2) and f_i that is computed directly
-(``_section_class``, ``dominant_monomial``), and ``class_object`` builds
-the object a class names.  The complex build and the scalar recursion
-take every class they multiply by from here.
+in Y(i, ξ(i)−2), Y(i, ξ(i)) and f_i kept as one int of the height's
+packing ``xi.classes`` (laurent._ClassPacking), field 2i − 2, 2i − 1 and
+2n + i − 1, so multiplying classes adds ints.  Classes are computed
+directly (``_section_class``, ``_dominant_class``), ``dominant_monomial``
+decodes Y[β]'s, and ``class_object`` builds the object a class names.
+The complex build and the scalar recursion take every class they
+multiply by from here.
 
 A tilt identity between two classes is checked on the classes
 (``_tilt_holds``), with no summand object built.  This is exact:
@@ -51,11 +54,13 @@ of the function difference); and ``serre_tilt(a, Z)`` adds
 Σ c_z·(S z − z) to the multiset and −c_z·δ_z to the deltas, provided a
 holds Z.  So is_iso(serre_tilt(class_object(s), Z), class_object(t))
 holds exactly when s's object holds Z and the signed sums of t/s equal
-the tilt's change; t/s is a handful of factors (f_i·A_i⁻¹ for a
-connector of the complex build).  The second part depends only on the
-ratio t/s and Z, so it is decided once per (quiver, height, ratio,
-members) (``_tilt_outcome``); the factor keys of s and t and the
-containment of Z in s are checked on every call.
+the tilt's change; t/s, the int t − s, is a handful of factors
+(f_i·A_i⁻¹ for a connector of the complex build).  The second part
+depends only on the ratio and Z, so it is decided once per (quiver,
+height, ratio, members) (``_tilt_outcome``); that s and t have no
+negative exponent (a range test) and that s holds Z (a dot product of
+s's exponents with Z's multiplicities in the section objects) are
+checked on every call.
 
 The exchange step of β at a pivot (``pivot_step``) is one function that
 returns one immutable value, head classes included.  At the canonical
@@ -438,10 +443,10 @@ def _tilt_holds(
     ValueError), src as it is decoded and dst by one range test, and that
     src's object holds the members, counted in serre_tilt's order (a Serre
     image added by an earlier member counts for a later one;
-    NotContained), each count one dot product of src's exponents.  Whether the
-    signed sums of dst/src equal the tilt's change depends only on the
-    ratio dst − src and the members, and is decided once per quiver
-    (``_tilt_outcome``).
+    NotContained), each count one dot product of src's exponents.
+    Whether the signed sums of dst/src equal the tilt's change depends
+    only on the ratio dst − src and the members, and is decided once per
+    quiver (``_tilt_outcome``).
     """
     classes = xi.classes
     exps = classes.exponents(src)
@@ -474,7 +479,8 @@ def _tilt_outcome(
     −Σ c_z·δ_z.  Also the members' Serre images.  The ratio is decoded
     field by field against the section objects."""
     images = tuple(serre(q, z) for z, _ in members)
-    factors = [(a, e) for a, e in zip(_section_objects(q, xi)[1], xi.classes.exponents(ratio)) if e]
+    exps = xi.classes.exponents(ratio)
+    factors = [(a, e) for a, e in zip(_section_objects(q, xi)[1], exps) if e]
     mult, gens, deltas = (_scaled_sum(factors, read) for read in (_MULT, _GENS, _DELTAS))
     for (z, c), sz in zip(members, images):
         mult[z] = mult.get(z, 0) + c

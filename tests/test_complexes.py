@@ -203,7 +203,8 @@ def test_a2_complex_shapes_frozen():
     for beta, (den, rows) in A2_SHAPES.items():
         fc = build_complex(q, xi, beta)
         assert fc.den == den
-        got = [[mono_key_str(xi.classes.decode(m)) for m in fc.num.terms[n]] for n in fc.num.degrees()]
+        decode = xi.classes.decode
+        got = [[mono_key_str(decode(m)) for m in fc.num.terms[n]] for n in fc.num.degrees()]
         assert got == rows, beta
 
 

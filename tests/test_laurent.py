@@ -6,7 +6,18 @@ import random
 import pytest
 
 import laurent_oracle
-from qhammock import LaurentPoly, MONO_ONE, mono_from_dict, mono_key_str
+from qhammock import (
+    LaurentPoly,
+    MONO_ONE,
+    all_orientations,
+    beta_combinatorics,
+    build_complex,
+    default_height,
+    mono_from_dict,
+    mono_key_str,
+    positive_roots,
+    sample_orientations,
+)
 from qhammock.laurent import _div_rows, _mul_rows, _packing, mono_div, mono_mul, mono_pow
 from qhammock.errors import InexactDivision
 from qhammock.qchar import qchar_to_json
@@ -264,3 +275,73 @@ def test_exponent_too_wide_for_its_field_raises():
         assert ((V(X1, n) + y) * (x + y)).exact_div(x + y) == V(X1, n) + y
     with pytest.raises(OverflowError):
         ((V(X1, 1 << 70) + y) * (x + y)).exact_div(x + y)
+
+
+def _summand_classes(q):
+    """The height of q and every summand class of every canonical and
+    forced-pivot build of its positive roots, each class once, in order."""
+    xi = default_height(q)
+    seen = {}
+    for beta in positive_roots(q):
+        for p in (None, *beta_combinatorics(q, xi, beta).pivot_candidates):
+            for row in build_complex(q, xi, beta, pivot=p).num.terms.values():
+                seen.update(dict.fromkeys(row))
+    return xi, list(seen)
+
+
+REFEREE_QUIVERS = [
+    *(q for family, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
+      for q in all_orientations(family, rank)),
+    *sample_orientations("E", 6, 4, seed=1),
+]
+
+
+@pytest.mark.parametrize("q", REFEREE_QUIVERS, ids=lambda q: f"{q.family}{q.rank}:{q.arrows}")
+def test_packed_classes_match_the_monomial_arithmetic(q):
+    # referee for the class packing: every summand class of every build
+    # decodes to a canonical monomial that encodes back to it, distinct
+    # classes are distinct monomials, and the sum and difference of two
+    # classes decode to mono_mul and mono_div of their monomials
+    xi, classes = _summand_classes(q)
+    packing = xi.classes
+    monos = [packing.decode(c) for c in classes]
+    assert len(set(monos)) == len(classes)
+    for c, m in zip(classes, monos):
+        assert m == mono_from_dict(dict(m)) and packing.encode(m) == c, m
+        assert packing.decode(packing.encode(m)) == m
+    pairs = [*zip(classes, classes[1:] + classes[:1]), *zip(classes, reversed(classes))]
+    for a, b in pairs:
+        ma, mb = packing.decode(a), packing.decode(b)
+        assert packing.decode(a + b) == mono_mul(ma, mb)
+        assert packing.decode(a - b) == mono_div(ma, mb)
+        assert packing.decode(0) == MONO_ONE == packing.decode(a - a)
+
+
+@pytest.mark.parametrize("q", REFEREE_QUIVERS[:: len(REFEREE_QUIVERS) // 8])
+def test_packed_class_overflow_raises_and_never_aliases(q):
+    # an exponent beyond its field (−2^14, 2^14] is refused by the encoder,
+    # and a sum or difference that leaves a field raises where it is read
+    # or checked: the wrapped int is never taken for another class
+    xi, classes = _summand_classes(q)
+    packing = xi.classes
+    for key in packing.keys:
+        for e in (2**14 + 1, -(2**14), 2**20):
+            with pytest.raises(OverflowError):
+                packing.encode(((key, e),))
+        top, low = packing.encode(((key, 2**14),)), packing.encode(((key, 1 - 2**14),))
+        assert packing.decode(top) == ((key, 2**14),)
+        for wide in (top + top, low + low, low - top, top - low):
+            with pytest.raises(OverflowError):
+                packing.decode(wide)
+            with pytest.raises(OverflowError):
+                packing.check(wide)
+            with pytest.raises(OverflowError):
+                packing.check_sums([*classes, wide])
+        for c in classes[:5]:
+            m = packing.decode(c)
+            if dict(m).get(key, 0) > 0:
+                with pytest.raises(OverflowError):
+                    packing.decode(c + top)
+    packing.check_sums(classes)
+    with pytest.raises(OverflowError):
+        packing.decode(2 ** (16 * len(packing.keys)))

@@ -143,6 +143,32 @@ def test_class_object_refuses_keys_no_summand_has():
         class_object(q, xi, mono_from_dict({("f", 2): 2}))
 
 
+def test_wide_section_and_dominant_classes_pack_exactly_or_raise():
+    # an exponent of a head class or of Y[β] is packed exactly while it
+    # fits its field (−2^14, 2^14], cancelling exponents included, and
+    # raises OverflowError once it does not, never wrapping
+    q = build_quiver("A", 2, [(1, 2)])
+    xi = default_height(q)
+    lower, upper = ("Y", 1, xi.ht(1) - 2), ("Y", 1, xi.ht(1))
+    wide = objects._section_class(xi, [(1, 10000)], [(1, -9000), (2, 4000)], [2])
+    assert xi.classes.decode(wide) == mono_from_dict(
+        {lower: 10000, upper: 1000, ("Y", 2, xi.ht(2)): 4000, ("f", 2): 1}
+    )
+    assert xi.classes.decode(objects._section_class(xi, [(1, 2**14)], [])) == (
+        (lower, 2**14), (upper, 2**14)
+    )
+    too_wide = [([(1, 2**14 + 1)], []), ([(1, 9000), (1, 9000)], []), ([], [(2, -(2**14))])]
+    for k_exp, h_exp in too_wide:
+        with pytest.raises(OverflowError):
+            objects._section_class(xi, k_exp, h_exp)
+    q1 = build_quiver("A", 1, [])
+    xi1 = default_height(q1)
+    assert dominant_monomial(q1, xi1, (2**14,)) == ((("Y", 1, xi1.ht(1) - 2), 2**14),)
+    for read in (objects._dominant_class, dominant_monomial):
+        with pytest.raises(OverflowError):
+            read(q1, xi1, (2**14 + 1,))
+
+
 def test_tensor_and_power():
     q, xi = a2()
     y = hammock_object(q, xi, ZVertex(1, 1))

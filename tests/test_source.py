@@ -275,6 +275,20 @@ def test_complexes_spell_no_variable_key():
     assert not found, found
 
 
+def test_complexes_multiply_classes_as_ints():
+    # a summand class is one int of its height's packing, so the complex
+    # layer multiplies and divides classes with + and −: it imports
+    # neither monomial product
+    path = SRC / "complexes.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"mono_mul", "mono_div"}, imported
+
+
 def _object_dunder(call: ast.Call, name: str) -> str | None:
     """For a call C.<name>(x, ...), the class C, or for object.<name>(x, ...)
     the name x ("?" when x is not a plain name); None for other calls."""
