@@ -5,7 +5,7 @@ degree: a summand is a product of hammock objects on the two base sections
 and ghost objects at τ base_i, so its class names it, and
 objects.class_object builds the object only to print it or for the
 exactness check.  A class is one int of its height's packing
-(``xi.classes``, see laurent._ClassPacking): this module multiplies
+(``xi.classes``, see laurent._Packing): this module multiplies
 classes by adding them and divides by subtracting, and decodes a class
 to its monomial only where it leaves the library (``euler_char``,
 ``complex_to_json``).  The classes come from objects (the exchange
@@ -113,6 +113,7 @@ from .quiver import (
     DynkinQuiver,
     HeightFunction,
     Root,
+    _check_length,
     root_support,
 )
 from .repetition import serre, translate_base
@@ -144,7 +145,7 @@ class Complex:
     """Bounded nonneg-degree complex: summand class lists plus tagged components.
 
     A summand class is an int of its height's ``classes`` packing (see
-    laurent._ClassPacking), so a product of classes is their sum.  terms
+    laurent._Packing), so a product of classes is their sum.  terms
     and diffs are read-only views of tuples, so a built complex that the
     memo hands out cannot be edited in place.  A class that is not an int
     is a TypeError, and an int with an exponent outside its field an
@@ -655,8 +656,10 @@ def euler_char(
     sum is divided by the den class (one subtraction), decoded once and
     its f fields specialized there, with no polynomial in between.  A
     negative power of f_i is exact only at ±1: at any other value it
-    raises InexactDivision: the constant has no inverse in ℤ.
+    raises InexactDivision: the constant has no inverse in ℤ.  A β whose
+    length is not the rank raises WrongShape.
     """
+    _check_length(fc.beta, len(xi.values))
     signed: dict[int, int] = {}
     for n, row in fc.num.terms.items():
         sign = -1 if n % 2 else 1
@@ -668,7 +671,7 @@ def euler_char(
     for m, c in signed.items():
         if not c:
             continue
-        exps = xi.classes.exponents(m - den)
+        exps = xi.classes.read(m - den)
         if specialize_f is not None:
             for e in exps[first_f:]:
                 if not e:
@@ -760,7 +763,8 @@ def validate_components(q: DynkinQuiver, xi: HeightFunction, c: Complex) -> bool
 
 def verify_exactness(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -> dict:
     """Mechanizable shadow of the strong-exactness structure of C[β], β
-    the vector fc carries.
+    the vector fc carries, which must have one entry per vertex
+    (WrongShape otherwise).
 
     (1) the degree-0 term is the single summand Y[β]·Y^den, den the
         positive part of β: the build's own degree-0 identity;
@@ -770,6 +774,7 @@ def verify_exactness(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -
         whose label has a path to the first tag's vertex — the anchor-leg
         routing that makes the composite vanish.
     """
+    _check_length(fc.beta, len(xi.values))
     report = {"ok": True, "failures": []}
 
     def fail(msg: str) -> None:
@@ -810,7 +815,9 @@ def _tag_str(tag: tuple) -> str:
 
 def complex_to_json(q: DynkinQuiver, xi: HeightFunction, fc: FractionComplex) -> dict:
     """The complex with every summand printed as the object its class
-    names, followed by the class itself, decoded."""
+    names, followed by the class itself, decoded; WrongShape if the β fc
+    carries has not one entry per vertex."""
+    _check_length(fc.beta, len(xi.values))
     objs = _objects(q, xi, fc.num)
     decode = xi.classes.decode
     return {

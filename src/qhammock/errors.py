@@ -33,7 +33,7 @@ class QHError(Exception):
 
 
 class WrongShape(QHError):
-    """Family/rank pair does not name a simply laced Dynkin diagram."""
+    """A family/rank pair that names no simply laced Dynkin diagram, or a β of the wrong length."""
 
 
 class Reorientation(QHError):

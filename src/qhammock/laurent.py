@@ -27,14 +27,15 @@ Python 3.11 the cluster census of the E7 orientation
 ``sample_orientations("E", 7, 1, seed=1)`` takes about 0.2 s and that of
 the E8 one about 38 s.
 
-Summand classes of complexes live on the same fields (``_ClassPacking``):
-a class over a height's 3n section keys is one int, the displacement of
-its packed row from the zero row with the degree field left off, so the
-unit class is 0, a product is one integer addition and a ratio one
-subtraction.  The encoder (``_ClassPacking.encode``) and the decoder
-(``decode``, by one signed unpack) are the only ways between a class and
-its monomial, and a sum that leaves a field raises OverflowError where
-it is checked or read, never aliasing another class.
+Summand classes of complexes live on the same fields, as the second
+form of the one packing (``_Packing``): a class over a height's 3n
+section keys is the displacement of its packed row from the zero row
+with the degree field left off, so the unit class is 0, a product is
+one integer addition and a ratio one subtraction.  The encoder
+(``_Packing.encode``) and the decoder (``decode``, by the same signed
+unpack that reads a row) are the only ways between a class and its
+monomial, and a sum that leaves a field raises OverflowError where it
+is checked or read, never aliasing another class.
 """
 
 from __future__ import annotations
@@ -289,7 +290,8 @@ class LaurentPoly:
         # every row the division forms stays within (4·|keys| + 3)·span of
         # zero: _div_rows' degree bound, with each exponent at most span
         pk = _packing(len(keys), 8 * len(keys) * span)
-        units = dict(zip(keys, pk.units()))
+        one = 1 << pk.top  # a row unit is a class unit plus one degree
+        units = {k: u + one for k, u in zip(keys, pk.units)}
 
         def rows(poly: LaurentPoly) -> dict[int, int]:
             return {pk.zero - sum(e * units[k] for k, e in m): c for m, c in poly.terms.items()}
@@ -316,50 +318,124 @@ class LaurentPoly:
 
 
 class _Packing:
-    """Exponent rows over m columns packed into one nonnegative int each.
+    """Exponent vectors over m columns, each packed into one int, in two
+    forms of one layout: a row and a class.
 
-    Column j of a row with exponents e sits in a field of w bits (w = 16,
-    32 or 64) as B − e_j, with B = 2^(w−2), column 0 highest; the sum of
-    the fields, m·B − deg e, sits on top.  A field holds an exponent in
-    (−B, B] exactly when its top (guard) bit is clear.  The map is affine,
-    so a product of rows is ``a + b − zero`` and a quotient
-    ``a − b + zero``, with ``zero`` the packed zero row.  A sum or
-    difference of two valid rows (plus or less ``zero``) whose exponent
-    left its field shows a guard bit in the lowest such field, since no
-    carry or borrow reaches that field from below.  Descending graded lex
-    (total degree, then the exponents from column 0) is ascending int
-    order, so the leading row is the least int.  A row unpacks in one
-    ``int.to_bytes`` and one ``struct`` call.
+    Column j sits in a field of w bits (w = 16, 32 or 64), column 0
+    highest, and holds an exponent in (−B, B], B = 2^(w−2).  A row (the
+    census, ``exact_div``) is nonnegative: field j holds B − e_j, with
+    its top (guard) bit clear, and the sum of the fields, m·B − deg e,
+    sits on top.  The map is affine, so a product of rows is
+    ``a + b − zero`` and a quotient ``a − b + zero``, with ``zero`` the
+    packed zero row.  A sum or difference of two valid rows (plus or less
+    ``zero``) whose exponent left its field shows a guard bit in the
+    lowest such field, since no carry or borrow reaches that field from
+    below.  Descending graded lex (total degree, then the exponents from
+    column 0) is ascending int order, so the leading row is the least int.
+
+    A class (a summand class over a height's keys) is the displacement of
+    its row from the zero row with the degree field left off,
+    Σ e_j·2^(w(m−1−j)): the unit class is 0, a product is ``a + b``, a
+    ratio ``a − b``, and a class hashes as an int.  A class whose
+    exponent left its field shows a guard bit in its row's fields
+    ``low − c`` (``check``, ``check_sums``), so it raises OverflowError
+    and never aliases another class.  ``encode`` and ``decode`` are the
+    only ways between a class and its monomial over the keys.  Both forms
+    unpack one way (``exponents``), by one signed ``struct`` call.
     """
 
-    __slots__ = ("bias", "top", "zero", "guard", "_width", "_nbytes", "_fields")
+    __slots__ = (
+        "keys", "field", "units", "bias", "top", "zero", "guard",
+        "_width", "_end", "_low", "_lift", "_nbytes", "_fields",
+    )
 
-    def __init__(self, m: int, code: str):
+    def __init__(self, m: int, code: str, keys: Sequence[VarKey] = ()):
+        self.keys = keys = tuple(keys)
+        self.field = dict(zip(keys, range(m)))
         self._width = width = 8 * calcsize(">" + code)
         self.bias = bias = 1 << (width - 2)
         self.top = top = width * m
-        ones = ((1 << top) - 1) // ((1 << width) - 1)  # a 1 in every field
-        self.zero = (m * bias << top) + bias * ones
+        self._end = end = 1 << top
+        ones = (end - 1) // ((1 << width) - 1)  # a 1 in every field
+        self._low = low = bias * ones  # the zero row's fields below its degree
+        self.zero = (m * bias << top) + low
         self.guard = ones << (width - 1)
-        self._nbytes = nbytes = -(-(top + width - 1 + m.bit_length()) // 8)
-        self._fields = Struct(f">{nbytes - top // 8}x{m}{code}").unpack
+        self._lift = (bias - 1) * ones
+        # by column j, the class that raises exponent j by one
+        self.units = tuple(1 << s for s in range(top - width, -1, -width))
+        self._nbytes = top // 8
+        self._fields = Struct(f">{m}{code.lower()}").unpack
 
-    def units(self) -> tuple[int, ...]:
-        """By column j, the packed row less which raises exponent j by one."""
-        top, width = self.top, self._width
-        return tuple((1 << s) + (1 << top) for s in range(top - width, -1, -width))
+    def _fit(self, exps: Iterable[int]) -> bool:
+        """Whether every exponent lies in (−bias, bias], its field's range."""
+        bias = self.bias
+        return all(-bias < e <= bias for e in exps)
 
     def pack(self, row: Sequence[int]) -> int:
-        """The packed form of an exponent row; OverflowError if an exponent
+        """The packed row of an exponent row; OverflowError if an exponent
         is too wide for its field."""
-        bias = self.bias
-        if any(not -bias < e <= bias for e in row):
+        if not self._fit(row):
             raise OverflowError(f"exponent row {tuple(row)} too wide for its fields")
-        return self.zero - sum(map(mul, row, self.units()))
+        return self.zero - sum(map(mul, row, self.units)) - (sum(row) << self.top)
+
+    def encode(self, m: Mono) -> int:
+        """The class of a canonical monomial over the keys: ValueError for a
+        key off the list or a monomial that is not canonical, OverflowError
+        for an exponent too wide for its field."""
+        keys = [k for k, _ in m]
+        if not (all(e for _, e in m) and all(map(lt, keys, keys[1:]))):
+            raise ValueError(f"{m!r} is not a canonical monomial")
+        field = self.field
+        if not set(keys) <= field.keys():
+            raise ValueError(f"{m!r} has a key off the {len(self.keys)} class keys")
+        if not self._fit(e for _, e in m):
+            raise OverflowError(f"{m!r} has an exponent too wide for its field")
+        return sum(e * self.units[field[k]] for k, e in m)
+
+    def check(self, c: int) -> int:
+        """c itself, if it is a class over the m fields; OverflowError if not."""
+        row = self._low - c
+        if row & self.guard or not 0 <= row < self._end:
+            raise _too_wide()
+        return c
+
+    def check_sums(self, classes: Iterable[int]) -> None:
+        """OverflowError unless each class, a sum or difference of two
+        checked ones, kept every exponent in its field: one guard test for
+        all of them (a negative row's lowest overflowing field shows its
+        guard bit in two's complement)."""
+        low, seen = self._low, 0
+        for c in classes:
+            seen |= low - c
+        if seen & self.guard:
+            raise _too_wide()
+
+    def nonneg(self, c: int) -> bool:
+        """Whether c is a class over the m fields with no negative exponent,
+        by one range test on all fields: each field bias − e lies in
+        [0, bias]."""
+        row = self._low - c
+        return 0 <= row < self._end and not (row | row + self._lift) & self.guard
+
+    def read(self, c: int) -> tuple[int, ...]:
+        """The exponents of a class, in key order, read as its row's fields;
+        OverflowError if c is not a class over the m fields."""
+        return self.exponents(self._low - self.check(c))
+
+    def decode(self, c: int) -> Mono:
+        """The canonical monomial of a class: its nonzero exponents in key order."""
+        e = self.read(c)
+        return tuple(compress(zip(self.keys, e), e))
 
     def exponents(self, row: int) -> tuple[int, ...]:
-        """The exponent row of a packed row, by one C-level unpack."""
-        return tuple(map(self.bias.__sub__, self._fields(row.to_bytes(self._nbytes, "big"))))
+        """The exponent row of a packed row, by one C-level unpack: its
+        fields below the degree are ``low − c`` for the class c of its
+        exponents, c + guard holds e + 2^(w−1) in each field with no
+        carry, and flipping each field's top bit makes it e in two's
+        complement, read by one signed unpack."""
+        guard = self.guard
+        c = self._low - (row & self._end - 1)
+        return self._fields(((c + guard) ^ guard).to_bytes(self._nbytes, "big"))
 
     def corner(self, rows: Iterable[int], least: bool) -> int:
         """The column-wise least (or greatest) exponents of the rows, packed
@@ -368,7 +444,7 @@ class _Packing:
         borrow crosses a field, as both are below the guard), and those
         bits, spread over their fields, pick a's field or b's."""
         guard, drop = self.guard, self._width - 1
-        mask = (1 << self.top) - 1
+        mask = self._end - 1
         rows = iter(rows)
         a = next(rows) & mask
         for b in rows:
@@ -382,12 +458,12 @@ class _Packing:
         return self.top // self._width * self.bias - (row >> self.top)
 
 
-def _packing(m: int, span: int = 0) -> _Packing:
+def _packing(m: int, span: int = 0, keys: Sequence[VarKey] = ()) -> _Packing:
     """The narrowest packing of m columns whose fields hold every exponent
-    of magnitude up to span (the census, span 0, gets 16-bit fields)."""
+    of magnitude up to span (16 bits at span 0: the census, a height)."""
     for code in "HIQ":
         if span < 1 << (8 * calcsize(">" + code) - 2):
-            return _Packing(m, code)
+            return _Packing(m, code, keys)
     raise OverflowError(f"exponents of magnitude {span} are too wide for a packed row")
 
 
@@ -395,107 +471,15 @@ def _too_wide() -> OverflowError:
     return OverflowError("exponent too wide for its field in a packed row")
 
 
-class _ClassPacking:
-    """Monomials over one sorted list of m keys, each as one int.
-
-    A monomial with exponents e is the displacement of its packed row from
-    the zero row of ``_packing(m)``, with the degree field left off:
-    Σ e_j·2^(16(m−1−j)), column 0 highest.  So the unit monomial is 0, a
-    product is ``a + b``, a ratio ``a − b``, and a class hashes as an int.
-    A field holds an exponent in (−2^14, 2^14].  The sum or difference of
-    two classes whose exponent left its field shows a guard bit in its
-    row ``zero − c`` (``check``, ``check_sums``): it raises OverflowError
-    and never aliases another class.  ``exponents`` and ``decode`` read a
-    class back in key order, by one unpack.
-    """
-
-    __slots__ = (
-        "keys", "units", "bias", "_pk", "_zero", "_end", "_lift", "_unit", "_nbytes", "_fields"
-    )
-
-    def __init__(self, keys: Sequence[VarKey]):
-        self.keys = keys = tuple(keys)
-        self._pk = pk = _packing(len(keys))
-        self.bias = pk.bias
-        self._end = end = 1 << pk.top
-        self._zero = pk.zero % end
-        self._lift = self._zero // pk.bias * (pk.bias - 1)  # bias − 1 in every field
-        self.units = tuple(u % end for u in pk.units())
-        self._unit = dict(zip(keys, self.units))
-        self._nbytes = pk.top // 8
-        self._fields = Struct(f">{len(keys)}h").unpack
-
-    def pack(self, row: Sequence[int]) -> int:
-        """The class of an exponent row in key order; OverflowError if an
-        exponent is too wide for its field."""
-        bias = self.bias
-        if row and (min(row) <= -bias or max(row) > bias):
-            raise OverflowError(f"exponent row {tuple(row)} too wide for its fields")
-        return sum(map(mul, row, self.units))
-
-    def encode(self, m: Mono) -> int:
-        """The class of a canonical monomial over the keys: ValueError for a
-        key off the list or a monomial that is not canonical, OverflowError
-        for an exponent too wide for its field."""
-        keys = [k for k, _ in m]
-        if not (all(e for _, e in m) and all(map(lt, keys, keys[1:]))):
-            raise ValueError(f"{m!r} is not a canonical monomial")
-        if not set(keys) <= self._unit.keys():
-            raise ValueError(f"{m!r} has a key off the {len(self.keys)} class keys")
-        bias = self.bias
-        if any(not -bias < e <= bias for _, e in m):
-            raise OverflowError(f"{m!r} has an exponent too wide for its field")
-        return sum(e * self._unit[k] for k, e in m)
-
-    def check(self, c: int) -> int:
-        """c itself, if it is a class over the keys; OverflowError if not."""
-        row = self._zero - c
-        if row & self._pk.guard or not 0 <= row < self._end:
-            raise _too_wide()
-        return c
-
-    def check_sums(self, classes: Iterable[int]) -> None:
-        """OverflowError unless each class, a sum or difference of two
-        checked ones, kept every exponent in its field: one guard test for
-        all of them (a negative row's lowest overflowing field shows its
-        guard bit in two's complement)."""
-        zero, seen = self._zero, 0
-        for c in classes:
-            seen |= zero - c
-        if seen & self._pk.guard:
-            raise _too_wide()
-
-    def nonneg(self, c: int) -> bool:
-        """Whether c is a class over the keys with no negative exponent, by
-        one range test on all fields: each field bias − e lies in [0, bias]."""
-        row = self._zero - c
-        return 0 <= row < self._end and not (row | row + self._lift) & self._pk.guard
-
-    def exponents(self, c: int) -> tuple[int, ...]:
-        """The exponent row of a class, in key order; OverflowError if c is
-        not a class over the keys.  c + guard holds e + 2^15 in each field
-        with no carry, and flipping each field's top bit makes it e in two's
-        complement, read by one signed unpack."""
-        guard = self._pk.guard
-        return self._fields(((self.check(c) + guard) ^ guard).to_bytes(self._nbytes, "big"))
-
-    def decode(self, c: int) -> Mono:
-        """The canonical monomial of a class: its nonzero exponents in key order."""
-        e = self.exponents(c)
-        return tuple(compress(zip(self.keys, e), e))
-
-
 def _classes_fit(classes: Collection[int]) -> bool:
     """Whether every int is a class over some number of 16-bit fields (the
-    width ``_ClassPacking`` uses) with each exponent in its field: the
+    width of a height's packing) with each exponent in its field: the
     fields are read over one more than the widest class spans, so a carry
     or borrow out of its top field shows too."""
     if not classes:
         return True
     pk = _packing(max(abs(c).bit_length() for c in classes) // 16 + 2)
-    end = 1 << pk.top
-    zero = pk.zero % end
-    return not any((zero - c) & pk.guard for c in classes)
+    return not any((pk._low - c) & pk.guard for c in classes)
 
 
 def _mul_rows(a: Mapping[int, int], b: Mapping[int, int], pk: _Packing) -> dict[int, int]:

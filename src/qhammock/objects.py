@@ -38,7 +38,7 @@ the positive orthant, recovered by a max-recursion over the quiver.
 Objects carry no Grothendieck class.  A product of hammock objects on the
 two base sections and ghosts at τ base_i is named by its class, a monomial
 in Y(i, ξ(i)−2), Y(i, ξ(i)) and f_i kept as one int of the height's
-packing ``xi.classes`` (laurent._ClassPacking), field 2i − 2, 2i − 1 and
+packing ``xi.classes`` (laurent._Packing), field 2i − 2, 2i − 1 and
 2n + i − 1, so multiplying classes adds ints.  Classes are computed
 directly (``_section_class``, ``_dominant_class``), ``dominant_monomial``
 decodes Y[β]'s, and ``class_object`` builds the object a class names.
@@ -84,6 +84,7 @@ from .quiver import (
     DynkinQuiver,
     HeightFunction,
     Root,
+    _check_length,
     _pivot_rule,
     _walk,
     is_nonneg,
@@ -236,7 +237,7 @@ def class_object(q: DynkinQuiver, xi: HeightFunction, c: int) -> Obj:
     for ("Y", i, p) with p = ξ(i) or ξ(i)−2, and F(τ base_i)^e for
     ("f", i).  A negative exponent raises ValueError and an int that is no
     class over xi's keys OverflowError, as a Complex is public input."""
-    exps = xi.classes.exponents(c)
+    exps = xi.classes.read(c)
     if min(exps) < 0:
         raise _negative_factor(xi, exps)
     return _tensor_powers(zip(_section_objects(q, xi)[1], exps))
@@ -325,7 +326,7 @@ def _section_class(
     once.  Exponents may be negative (a denominator).  Each factor adds
     its exponent times its fields' units of ``xi.classes``; while the
     exponents' magnitudes sum below the field bias no field can leave its
-    range, and past it they are summed per field and packed, checked."""
+    range, and past it they are summed per field and encoded, checked."""
     classes, n = xi.classes, len(xi.values)
     units = classes.units
     c = span = 0
@@ -342,7 +343,7 @@ def _section_class(
             fields[2 * k - 1] += e
         for l, e in h_exp:
             fields[2 * l - 1] += e
-        c = classes.pack(fields)
+        c = classes.encode(tuple(compress(zip(classes.keys, fields), fields)))
     for j in set(f_list):
         c += units[2 * n + j - 1]
     return c
@@ -352,12 +353,12 @@ def _census_class(xi: HeightFunction, m: Mono) -> Mono:
     """The section class of a census monomial, X_i ↦ K_i and x_i ↦ Y(base_i):
     X_i's exponent goes to both section slots of i and x_i's to the upper
     one, which sends distinct monomials to distinct classes."""
-    slots = [0] * len(xi._sections)
+    slots = [0] * (2 * len(xi.values))
     for (kind, i), e in m:
         if kind == "X":
             slots[2 * i - 2] += e
         slots[2 * i - 1] += e
-    return tuple(compress(zip(xi._sections, slots), slots))
+    return tuple(compress(zip(xi.classes.keys, slots), slots))
 
 
 def _tensor_powers(pairs: Iterable[tuple[Obj, int]]) -> Obj:
@@ -449,11 +450,11 @@ def _tilt_holds(
     quiver (``_tilt_outcome``).
     """
     classes = xi.classes
-    exps = classes.exponents(src)
+    exps = classes.read(src)
     if min(exps) < 0:
         raise _negative_factor(xi, exps)
     if not classes.nonneg(dst):
-        raise _negative_factor(xi, classes.exponents(dst))
+        raise _negative_factor(xi, classes.read(dst))
     chosen: dict[ZVertex, int] = {}
     for z in zs:
         chosen[z] = chosen.get(z, 0) + 1
@@ -479,7 +480,7 @@ def _tilt_outcome(
     −Σ c_z·δ_z.  Also the members' Serre images.  The ratio is decoded
     field by field against the section objects."""
     images = tuple(serre(q, z) for z, _ in members)
-    exps = xi.classes.exponents(ratio)
+    exps = xi.classes.read(ratio)
     factors = [(a, e) for a, e in zip(_section_objects(q, xi)[1], exps) if e]
     mult, gens, deltas = (_scaled_sum(factors, read) for read in (_MULT, _GENS, _DELTAS))
     for (z, c), sz in zip(members, images):
@@ -545,7 +546,9 @@ def _leading_exponents(q: DynkinQuiver, beta: Root) -> list[int]:
     exchange step reads it too): e > 0 is the exponent of
     Y(τ base_i) and e < 0 that of Y(base_i)^{−e}.  Y(base_j) alone for a
     negative simple −α_j (another negative β raises NotDominant), else the
-    b-vector b_i = β_i − Σ_{i→j} β_j in one pass over the arrows."""
+    b-vector b_i = β_i − Σ_{i→j} β_j in one pass over the arrows.  A β
+    whose length is not the rank raises WrongShape."""
+    _check_length(beta, q.rank)
     if min(beta) < 0:
         j = _negative_simple(beta)
         return [-(k == j) for k in q.vertices]

@@ -161,15 +161,15 @@ def _read_k(q: DynkinQuiver, xi: HeightFunction, m: Mono) -> Tuple[List[int], tu
     is linear: m / m' is a product of A_i exactly when the two rests are
     equal, and then its k is the difference of the two.
     """
-    slot_of = xi._slot
-    slots = [0] * (2 * q.rank)
+    field, n2 = xi.classes.field, 2 * q.rank
+    slots = [0] * n2
     outside = []
     for key, e in m:
-        s = slot_of.get(key)
-        if s is None:
-            outside.append((key, e))
-        else:
+        s = field.get(key, n2)
+        if s < n2:
             slots[s] = e
+        else:
+            outside.append((key, e))
     k = [0] * q.rank
     out = q._out
     for i in q._omega_order:

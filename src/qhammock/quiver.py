@@ -23,7 +23,7 @@ from itertools import product
 from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import EmptySupport, ParityViolation, Reorientation, WrongShape
-from .laurent import _ClassPacking
+from .laurent import _packing
 
 Root = tuple  # tuple[int, ...], coefficient vector over the simple roots
 
@@ -240,23 +240,21 @@ class HeightFunction:
     """An adapted height: values[i-1] is the height of vertex i.
 
     ``classes`` packs the summand classes over this height (see
-    ``laurent._ClassPacking``): ``classes.encode(m)`` is a monomial's class,
-    ``classes.decode(c)`` the monomial again."""
+    ``laurent._Packing``): ``classes.encode(m)`` is a monomial's class,
+    ``classes.decode(c)`` the monomial again, ``classes.field`` a key's field."""
 
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # hashed once, like DynkinQuiver, and rebuilt the same way; so are
-        # the truncated ring's variables Y(i, ξ(i)−2), Y(i, ξ(i)) in
-        # canonical order, slots 2i − 2 and 2i − 1, and each one's slot;
-        # and the packing of summand classes over those 2n keys and the n
-        # ghost keys ("f", i) after them, slots 2n + i − 1
+        # hashed once, like DynkinQuiver, and rebuilt the same way; so is
+        # the packing of summand classes over the truncated ring's
+        # variables Y(i, ξ(i)−2), Y(i, ξ(i)) in canonical order, fields
+        # 2i − 2 and 2i − 1, and the n ghost keys ("f", i) after them,
+        # fields 2n + i − 1
         sections = tuple(("Y", i, h + d) for i, h in enumerate(self.values, 1) for d in (-2, 0))
         ghosts = tuple(("f", i) for i in range(1, len(self.values) + 1))
         object.__setattr__(self, "_hash", hash(self.values))
-        object.__setattr__(self, "_sections", sections)
-        object.__setattr__(self, "_slot", {key: s for s, key in enumerate(sections)})
-        object.__setattr__(self, "classes", _ClassPacking(sections + ghosts))
+        object.__setattr__(self, "classes", _packing(3 * len(self.values), keys=sections + ghosts))
 
     def __hash__(self) -> int:
         return self._hash
@@ -392,6 +390,12 @@ class BetaData:
     pivot: int
 
 
+def _check_length(beta: Root, rank: int) -> None:
+    """WrongShape unless β has one entry per vertex of a rank-n quiver."""
+    if len(beta) != rank:
+        raise WrongShape(f"β {tuple(beta)} has {len(beta)} entries, quiver has rank {rank}")
+
+
 def _pivot_rule(
     q: DynkinQuiver, xi: HeightFunction, beta: Root
 ) -> tuple[tuple[int, ...], frozenset[int], dict[int, frozenset[int]], tuple[int, ...]]:
@@ -399,6 +403,7 @@ def _pivot_rule(
     it reads: the support as a tuple and as a set, the out-closure of each
     support vertex of least coefficient, and the pivot candidates, those of
     them minimising Σ_{j ∈ out_closure[i]} (ξ(i) − ξ(j))."""
+    _check_length(beta, q.rank)
     if not any(beta) or not is_nonneg(beta):
         raise EmptySupport("need a nonzero nonnegative coefficient vector")
     supp = root_support(beta)

@@ -251,12 +251,20 @@ def test_heap_pops_rows_in_graded_lex_order():
 
 
 def test_exponent_too_wide_for_its_field_raises():
+    # at each of the three field widths a row holds (−B, B] exactly, reads
+    # back by the one signed unpack and keeps its degree on top
+    for span, width in ((0, 16), (2**14, 32), (2**30, 64)):
+        pk = _packing(3, span)
+        top = pk.bias
+        assert (pk.top // 3, top) == (width, 2 ** (width - 2)), span
+        for row in ([top, 1 - top, 0], [1 - top, 0, top], [0, 0, 0], [-1, top, 1 - top]):
+            assert pk.exponents(pk.pack(row)) == tuple(row), (width, row)
+            assert pk.degree(pk.pack(row)) == sum(row), (width, row)
+        for row in ([top + 1, 0, 0], [0, -top, 0], [0, 0, 2 * top]):
+            with pytest.raises(OverflowError):
+                pk.pack(row)
     pk = _packing(3)
     top = pk.bias
-    assert pk.exponents(pk.pack([top, 1 - top, 0])) == (top, 1 - top, 0)
-    for row in ([top + 1, 0, 0], [0, -top, 0], [0, 0, 2 * top]):
-        with pytest.raises(OverflowError):
-            pk.pack(row)
     # products and quotients that would carry out of a field raise
     # instead of wrapping into the next column
     edge = {pk.pack([0, top, 0]): 1}

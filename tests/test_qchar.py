@@ -16,11 +16,19 @@ from qhammock import (
     positive_roots,
     sample_orientations,
 )
-from qhammock.complexes import build_complex
+from qhammock.complexes import (
+    FractionComplex,
+    build_complex,
+    complex_to_json,
+    euler_char,
+    single_complex,
+    verify_exactness,
+)
 from qhammock.errors import (
     Incomparable,
     NotDominant,
     UnknownRoot,
+    WrongShape,
 )
 from qhammock.laurent import (
     MONO_ONE,
@@ -32,7 +40,13 @@ from qhammock.laurent import (
     mono_pow,
 )
 from qhammock.cluster import enumerate_cluster_variables
-from qhammock.objects import leading_object, pivot_step
+from qhammock.objects import (
+    Factorization,
+    leading_object,
+    pivot_step,
+    reconstruct_factorization,
+)
+from qhammock.quiver import beta_combinatorics
 from qhammock.qchar import (
     _a_exponents,
     dominant_monomial,
@@ -493,3 +507,37 @@ def test_cluster_route_matches_substitution():
             assert list(got.terms.items()) == list(want.terms.items()), (q.arrows, d)
             checked += 1
     assert checked == 606 + 2 * 36 + sum(q.rank for q in _gate_quivers()) + 2 * 6
+
+
+_BETA_ENTRY_POINTS = {
+    "dominant_monomial": dominant_monomial,
+    "leading_object": leading_object,
+    "pivot_step": pivot_step,
+    "beta_combinatorics": beta_combinatorics,
+    "build_complex": build_complex,
+    "qchar_euler": qchar_euler,
+    "qchar_recursion": qchar_recursion,
+    "verify_beta": verify_beta,
+    "reconstruct_factorization": lambda q, xi, b: reconstruct_factorization(
+        q, xi, Factorization((), (), (), b)
+    ),
+    "euler_char": lambda q, xi, b: euler_char(q, xi, FractionComplex(single_complex(0), b)),
+    "verify_exactness": lambda q, xi, b: verify_exactness(
+        q, xi, FractionComplex(single_complex(0), b)
+    ),
+    "complex_to_json": lambda q, xi, b: complex_to_json(
+        q, xi, FractionComplex(single_complex(0), b)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BETA_ENTRY_POINTS))
+def test_beta_of_the_wrong_length_is_refused(entry):
+    # a β with more or fewer entries than the rank would spill into a
+    # ghost's field or drop an entry: every route refuses it as bad input
+    q, xi = a2()
+    for beta in ((1,), (1, 0, 0), (1, 1, 1), (0, 0, -1), ()):
+        with pytest.raises(WrongShape, match="quiver has rank 2"):
+            _BETA_ENTRY_POINTS[entry](q, xi, beta)
+    with pytest.raises(UnknownRoot):
+        qchar_cluster(q, xi, (1, 0, 0))

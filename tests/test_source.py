@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qhammock import build_quiver
+from qhammock import build_quiver, default_height
 from qhammock.cluster import Seed, initial_seed
 from qhammock.laurent import LaurentPoly
 
@@ -262,6 +262,33 @@ def test_readme_names_every_cache():
     assert f"all {_COUNTS[len(caches)]} are" in " ".join(paragraph.split()), len(caches)
 
 
+def test_readme_names_resolve():
+    # every `module.name` README gives resolves in that qhammock module, and
+    # every `xi.name` on a height: a renamed or deleted name leaves no stale
+    # pointer behind (a file name such as `laurent.py` is not a name)
+    readme = (ROOT / "README.md").read_text()
+    modules = {path.stem for path in SRC.glob("*.py")}
+    xi = default_height(build_quiver("A", 2, [(1, 2)]))
+    resolved, stale = set(), []
+    for ref in set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme)):
+        head, *path = ref.split(".")
+        if head == "xi":
+            obj = xi
+        elif head in modules and path != ["py"]:
+            obj = importlib.import_module(f"qhammock.{head}")
+        else:
+            continue
+        for name in path:
+            if not hasattr(obj, name):
+                stale.append(ref)
+                break
+            obj = getattr(obj, name)
+        else:
+            resolved.add(ref)
+    assert len(resolved) >= 25, sorted(resolved)
+    assert not stale, sorted(stale)
+
+
 def test_complexes_spell_no_variable_key():
     # a class in Y(i, p) and f_i is spelled only in objects (_section_class
     # and its neighbours): complexes reads head classes, never builds keys
@@ -298,6 +325,37 @@ def _object_dunder(call: ast.Call, name: str) -> str | None:
     if f.value.id != "object":
         return f.value.id
     return call.args[0].id if call.args and isinstance(call.args[0], ast.Name) else "?"
+
+
+def test_one_packing_and_the_height_holds_only_it():
+    # census rows and summand classes are two forms of one packing, read
+    # by one struct unpack, and a height keeps that packing and no second
+    # copy of its keys or of their fields
+    laurent = ast.parse((SRC / "laurent.py").read_text())
+    classes = {node.name for node in ast.walk(laurent) if isinstance(node, ast.ClassDef)}
+    assert classes == {"LaurentPoly", "_Packing"}, classes
+    structs = [
+        node.lineno
+        for node in ast.walk(laurent)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Struct"
+    ]
+    assert len(structs) == 1, structs
+    quiver = ast.parse((SRC / "quiver.py").read_text())
+    post_init = next(
+        fn
+        for cls in ast.walk(quiver)
+        if isinstance(cls, ast.ClassDef) and cls.name == "HeightFunction"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+    )
+    set_names = {
+        call.args[1].value
+        for call in ast.walk(post_init)
+        if isinstance(call, ast.Call) and _object_dunder(call, "__setattr__") == "self"
+    }
+    assert set_names == {"_hash", "classes"}, set_names
+    xi = default_height(build_quiver("A", 2, [(1, 2)]))
+    assert not {"_sections", "_slot"} & set(vars(xi)), vars(xi)
 
 
 def test_trusted_constructors_stay_in_one_place():
