@@ -16,7 +16,6 @@ import argparse
 import json
 import shlex
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -49,21 +48,13 @@ from .qchar import (
     verify_beta,
 )
 
-__all__ = ["RunConfig", "load_run_config", "main"]
+__all__ = ["main"]
 
 
 # ───────────────────────── config ingestion ─────────────────────────
 
 
 _QUIVER_KEYS = {"type", "rank", "arrows", "xi"}
-
-
-@dataclass
-class RunConfig:
-    quiver: DynkinQuiver
-    height: HeightFunction
-    fmt: str
-    out: str | None
 
 
 def _config_int(value: object, what: str) -> int:
@@ -120,10 +111,8 @@ def _extend_height(q: DynkinQuiver, partial: Dict[int, int]) -> HeightFunction:
     return height_from_values(q, {i: q.potential(i) + shift for i in q.vertices})
 
 
-def load_run_config(args: argparse.Namespace) -> RunConfig:
-    spec = getattr(args, "quiver", None)
-    if spec is None:
-        raise ConfigError("this command needs --quiver (a JSON file or literal)")
+def _load_quiver(spec: str) -> tuple[DynkinQuiver, HeightFunction]:
+    """The quiver and height of --quiver, a JSON file or literal."""
     path = Path(spec)
     try:
         is_file = path.is_file()
@@ -139,14 +128,13 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"quiver config is not valid JSON: {exc}")
-    q, xi = _parse_quiver_json(data)
-    return RunConfig(q, xi, getattr(args, "format", "text"), getattr(args, "out", None))
+    return _parse_quiver_json(data)
 
 
-def _emit(cfg_out: str | None, text: str) -> None:
-    if cfg_out:
+def _emit(out: str | None, text: str) -> None:
+    if out:
         try:
-            Path(cfg_out).write_text(text)
+            Path(out).write_text(text)
         except OSError as exc:
             raise ConfigError(f"cannot write --out: {exc}")
     else:
@@ -196,9 +184,8 @@ def _poly_text(poly: LaurentPoly, fmt: str) -> str:
 # ───────────────────────── subcommands ─────────────────────────
 
 
-def cmd_roots(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    q, xi = cfg.quiver, cfg.height
+def cmd_roots(args: argparse.Namespace) -> tuple[str, int]:
+    q, xi = _load_quiver(args.quiver)
     rows = []
     for beta in positive_roots(q):
         bd = beta_combinatorics(q, xi, beta)
@@ -211,30 +198,27 @@ def cmd_roots(args: argparse.Namespace) -> int:
                 "pivots": sorted(bd.pivot_candidates),
             }
         )
-    if cfg.fmt == "json":
-        _emit(cfg.out, _json_dumps(rows))
-    elif cfg.fmt == "tsv":
+    if args.format == "json":
+        return _json_dumps(rows), 0
+    if args.format == "tsv":
         lines = ["root\theight\tdominant\tsupport\tpivots"]
         for r in rows:
             cells = (r["root"], [r["height"]], [r["dominant"]], r["support"], r["pivots"])
             lines.append("\t".join(",".join(map(str, cell)) for cell in cells))
-        _emit(cfg.out, "\n".join(lines) + "\n")
-    elif cfg.fmt == "text":
+    elif args.format == "text":
         lines = [f"positive roots of {q.family}{q.rank} {q.arrows}"]
         for r in rows:
             lines.append(
                 f"  ({','.join(map(str, r['root']))})  ht={r['height']}"
                 f"  m={r['dominant']}  supp={r['support']}  pivots={r['pivots']}"
             )
-        _emit(cfg.out, "\n".join(lines) + "\n")
     else:
-        raise ConfigError(f"roots cannot be emitted as {cfg.fmt!r}")
-    return 0
+        raise ConfigError(f"roots cannot be emitted as {args.format!r}")
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_hammock(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    q, xi = cfg.quiver, cfg.height
+def cmd_hammock(args: argparse.Namespace) -> tuple[str, int]:
+    q, _ = _load_quiver(args.quiver)
     i, p = _parse_pair(args.vertex, "vertex")
     x = ZVertex(i, p)
     f = hammock_fun(q, x)
@@ -242,30 +226,25 @@ def cmd_hammock(args: argparse.Namespace) -> int:
         p_min, p_max = _parse_pair(args.window, "window")
     else:
         p_min, p_max = p - 2, p + coxeter_number(q)
-    if cfg.fmt in ("tsv", "text"):
-        _emit(cfg.out, qfun_grid_tsv(q, f, p_min, p_max))
-    elif cfg.fmt == "json":
+    if args.format in ("tsv", "text"):
+        return qfun_grid_tsv(q, f, p_min, p_max), 0
+    if args.format == "json":
         vals = {
             f"{y.i},{y.p}": qfun_eval(q, f, y)
             for y in window_vertices(q, p_min, p_max)
         }
-        _emit(cfg.out, _json_dumps(vals))
-    elif cfg.fmt == "dot":
-        labels = {
-            y: f"{qfun_eval(q, f, y)}" for y in window_vertices(q, p_min, p_max)
-        }
-        _emit(cfg.out, zq_dot(q, p_min, p_max, labels=labels, highlight=[x]))
-    else:
-        raise ConfigError(f"hammock cannot be emitted as {cfg.fmt!r}")
-    return 0
+        return _json_dumps(vals), 0
+    # dot, the one other choice
+    labels = {
+        y: f"{qfun_eval(q, f, y)}" for y in window_vertices(q, p_min, p_max)
+    }
+    return zq_dot(q, p_min, p_max, labels=labels, highlight=[x]), 0
 
 
-def cmd_complex(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    q, xi = cfg.quiver, cfg.height
+def cmd_complex(args: argparse.Namespace) -> tuple[str, int]:
+    q, xi = _load_quiver(args.quiver)
     beta = _parse_beta(q, args.beta)
-    pivot = args.pivot
-    fc = build_complex(q, xi, beta, pivot=pivot)
+    fc = build_complex(q, xi, beta, pivot=args.pivot)
     if args.emit == "terms":
         lines = [f"complex for beta={','.join(map(str, beta))}"]
         den = ",".join(f"{i}:{e}" for i, e in sorted(fc.den.items()))
@@ -274,18 +253,16 @@ def cmd_complex(args: argparse.Namespace) -> int:
             row = fc.num.terms[n]
             lines.append(f"degree {n}: {len(row)} summand(s)")
             lines.extend(f"    {mono_key_str(xi.classes.decode(m))}" for m in row)
-        _emit(cfg.out, "\n".join(lines) + "\n")
-    elif args.emit == "json":
-        _emit(cfg.out, _json_dumps(complex_to_json(q, xi, fc)))
-    else:  # chi, the one other choice
-        chi = euler_char(q, xi, fc, specialize_f=-1)
-        _emit(cfg.out, _poly_text(chi, cfg.fmt if cfg.fmt != "dot" else "text"))
-    return 0
+        return "\n".join(lines) + "\n", 0
+    if args.emit == "json":
+        return _json_dumps(complex_to_json(q, xi, fc)), 0
+    # chi, the one other choice
+    chi = euler_char(q, xi, fc, specialize_f=-1)
+    return _poly_text(chi, args.format if args.format != "dot" else "text"), 0
 
 
-def cmd_qchar(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    q, xi = cfg.quiver, cfg.height
+def cmd_qchar(args: argparse.Namespace) -> tuple[str, int]:
+    q, xi = _load_quiver(args.quiver)
     beta = _parse_beta(q, args.beta)
     route = args.route
     routes: Dict[str, LaurentPoly] = {}
@@ -297,52 +274,44 @@ def cmd_qchar(args: argparse.Namespace) -> int:
         routes["cluster"] = qchar_cluster(q, xi, beta)
 
     if route != "all":
-        _emit(cfg.out, _poly_text(routes[route], cfg.fmt))
-        return 0
+        return _poly_text(routes[route], args.format), 0
 
     polys = list(routes.values())
     agree = all(p == polys[0] for p in polys)
-    if cfg.fmt == "json":
+    code = 0 if agree else 1
+    if args.format == "json":
         payload = {
             "beta": list(beta),
             "routes": {name: qchar_to_json(p) for name, p in routes.items()},
             "equal": agree,
         }
-        _emit(cfg.out, _json_dumps(payload))
-    else:
-        lines = []
-        for name in sorted(routes):
-            lines.append(f"{name}: {routes[name]!r}")
-        lines.append(f"verdict: {'pass' if agree else 'FAIL'}")
-        _emit(cfg.out, "\n".join(lines) + "\n")
-    return 0 if agree else 1
+        return _json_dumps(payload), code
+    lines = [f"{name}: {routes[name]!r}" for name in sorted(routes)]
+    lines.append(f"verdict: {'pass' if agree else 'FAIL'}")
+    return "\n".join(lines) + "\n", code
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    q = cfg.quiver
+def cmd_cluster(args: argparse.Namespace) -> tuple[str, int]:
+    q, _ = _load_quiver(args.quiver)
     table = enumerate_cluster_variables(q)
     if args.beta:
         beta = _parse_beta(q, args.beta)
         if tuple(beta) not in table:
             raise UnknownRoot(f"no cluster variable has denominator vector {beta}")
-        _emit(cfg.out, _poly_text(table[tuple(beta)], cfg.fmt))
-        return 0
+        return _poly_text(table[tuple(beta)], args.format), 0
     # --list (default): every variable, keyed by denominator vector
     payload = {
         ",".join(map(str, key)): qchar_to_json(poly)
         for key, poly in sorted(table.items())
     }
-    if cfg.fmt in ("json", "text"):
-        _emit(cfg.out, _json_dumps(payload))
-    elif cfg.fmt == "tsv":
+    if args.format in ("json", "text"):
+        return _json_dumps(payload), 0
+    if args.format == "tsv":
         lines = ["dvector\tpolynomial"]
         for key, poly in sorted(table.items()):
             lines.append(f"{','.join(map(str, key))}\t{poly!r}")
-        _emit(cfg.out, "\n".join(lines) + "\n")
-    else:
-        raise ConfigError(f"cluster listing cannot be emitted as {cfg.fmt!r}")
-    return 0
+        return "\n".join(lines) + "\n", 0
+    raise ConfigError(f"cluster listing cannot be emitted as {args.format!r}")
 
 
 _CLAUSES = (
@@ -388,7 +357,7 @@ def _verify_quivers(args: argparse.Namespace) -> List[DynkinQuiver]:
     return quivers
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     quivers = _verify_quivers(args)
     counts = {name: {"pass": 0, "fail": 0} for name in _CLAUSES}
     failures = []
@@ -414,6 +383,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 clauses = {name: rep[name] for name in _CLAUSES}
                 failures.append({**head, "beta": rep["beta"], "clauses": clauses})
     ok = not failures
+    code = 0 if ok else 1
     report = {
         "quivers": len(quivers),
         "roots": roots_checked,
@@ -422,30 +392,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "failures": failures,
         "ok": ok,
     }
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        _emit(getattr(args, "out", None), _json_dumps(report))
-    else:
-        lines = [f"quivers: {len(quivers)}", f"roots: {roots_checked}"]
-        for name in _CLAUSES:
-            c = counts[name]
-            lines.append(f"{name}: {c['pass']} pass, {c['fail']} fail")
-        for row in failures[:20]:
-            # with the qq call that reruns the root on all three routes
-            spec = {"type": row["family"], "rank": row["rank"], "arrows": row["arrows"]}
-            lines.append(
-                f"FAIL {row['family']}{row['rank']} beta={row['beta']}  replay: qq qchar --quiver "
-                f"{shlex.quote(json.dumps(spec, separators=(',', ':')))} "
-                f"--beta {','.join(map(str, row['beta']))} --route all"
-            )
-        lines.append("ok" if ok else f"FAILED ({len(failures)} roots)")
-        _emit(getattr(args, "out", None), "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    if args.format == "json":
+        return _json_dumps(report), code
+    lines = [f"quivers: {len(quivers)}", f"roots: {roots_checked}"]
+    for name in _CLAUSES:
+        c = counts[name]
+        lines.append(f"{name}: {c['pass']} pass, {c['fail']} fail")
+    for row in failures[:20]:
+        # with the qq call that reruns the root on all three routes
+        spec = {"type": row["family"], "rank": row["rank"], "arrows": row["arrows"]}
+        lines.append(
+            f"FAIL {row['family']}{row['rank']} beta={row['beta']}  replay: qq qchar --quiver "
+            f"{shlex.quote(json.dumps(spec, separators=(',', ':')))} "
+            f"--beta {','.join(map(str, row['beta']))} --route all"
+        )
+    lines.append("ok" if ok else f"FAILED ({len(failures)} roots)")
+    return "\n".join(lines) + "\n", code
 
 
-def cmd_ar_view(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    q = cfg.quiver
+def cmd_ar_view(args: argparse.Namespace) -> tuple[str, int]:
+    q, _ = _load_quiver(args.quiver)
     p_min, p_max = _parse_pair(args.window, "window")
     labels = None
     highlight = []
@@ -458,10 +424,9 @@ def cmd_ar_view(args: argparse.Namespace) -> int:
             for y in window_vertices(q, p_min, p_max)
         }
         highlight = [x]
-    if cfg.fmt not in ("dot", "text"):
+    if args.format not in ("dot", "text"):
         raise ConfigError("ar-view only emits DOT (use --format dot)")
-    _emit(cfg.out, zq_dot(q, p_min, p_max, labels=labels, highlight=highlight))
-    return 0
+    return zq_dot(q, p_min, p_max, labels=labels, highlight=highlight), 0
 
 
 # ───────────────────────── parser wiring ─────────────────────────
@@ -555,7 +520,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(args.out, text)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

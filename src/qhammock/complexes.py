@@ -657,9 +657,12 @@ def euler_char(
     its f fields specialized there, with no polynomial in between.  A
     negative power of f_i is exact only at ±1: at any other value it
     raises InexactDivision: the constant has no inverse in ℤ.  A β whose
-    length is not the rank raises WrongShape.
+    length is not the rank raises WrongShape, and a specialize_f that is
+    neither None nor an int (a bool included) TypeError.
     """
     _check_length(fc.beta, len(xi.values))
+    if specialize_f is not None and type(specialize_f) is not int:
+        raise TypeError(f"coefficient {specialize_f!r} is not an int")
     signed: dict[int, int] = {}
     for n, row in fc.num.terms.items():
         sign = -1 if n % 2 else 1
@@ -676,8 +679,6 @@ def euler_char(
             for e in exps[first_f:]:
                 if not e:
                     continue
-                if type(specialize_f) is not int:
-                    raise TypeError(f"coefficient {specialize_f!r} is not an int")
                 if e > 0:
                     c *= specialize_f**e
                 elif specialize_f * specialize_f != 1:

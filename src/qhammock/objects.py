@@ -91,6 +91,7 @@ from .quiver import (
 )
 from .repetition import (
     ZVertex,
+    _check_label,
     base_vertex,
     check_vertex,
     serre,
@@ -108,6 +109,7 @@ __all__ = [
     "variable_A",
     "dominant_monomial",
     "tensor_obj",
+    "obj_pow",
     "serre_tilt",
     "is_iso",
     "root_of_dominant",
@@ -208,27 +210,24 @@ def _obj(
     return a
 
 
-@lru_cache(maxsize=None)
 def hammock_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
-    """Y(x): the hom multiset of x with the generator function h_x.
-
-    Memoised per (quiver, height, vertex): equal arguments share one
-    immutable object.  An invalid vertex raises on every call.
-    """
+    """Y(x): the hom multiset of x with the generator function h_x.  The
+    library reads the section objects from ``_section_objects``, which
+    builds each once per (quiver, height)."""
     x = check_vertex(q, x)
     return Obj(hom_values(q, x), hammock_fun(q, x))
 
 
-@lru_cache(maxsize=None)
 def ghost_object(q: DynkinQuiver, xi: HeightFunction, x: ZVertex) -> Obj:
-    """F(x): multiset {Serre x, suspend x}, zero function; memoised like
-    hammock_object."""
+    """F(x): multiset {Serre x, suspend x}, zero function."""
     x = check_vertex(q, x)
     return Obj({serre(q, x): 1, suspend(q, x): 1}, QFun())
 
 
 def kr_object(q: DynkinQuiver, xi: HeightFunction, i: int) -> Obj:
-    """K_i = Y(τ base_i) ⊗ Y(base_i), the object of the class Y(i, ξ(i)−2)·Y(i, ξ(i))."""
+    """K_i = Y(τ base_i) ⊗ Y(base_i), the object of the class Y(i, ξ(i)−2)·Y(i, ξ(i)).
+    A label outside 1..rank raises ParityViolation."""
+    _check_label(q, i)
     return class_object(q, xi, _section_class(xi, [(i, 1)], ()))
 
 
@@ -302,8 +301,10 @@ def variable_A(q: DynkinQuiver, xi: HeightFunction, i: int) -> Mono:
     Both sections of i appear once; each neighbor contributes the inverse
     of whichever of its own two sections lies at height ξ(i) − 1, so the
     monomial never leaves the truncated ring.  The neighbours ascend, so
-    the pairs come out canonical with i's two sections spliced in.
+    the pairs come out canonical with i's two sections spliced in.  A
+    label outside 1..rank raises ParityViolation.
     """
+    _check_label(q, i)
     p = xi.ht(i)
     nbrs = q.neighbors(i)
     cut = sum(j < i for j in nbrs)

@@ -44,11 +44,16 @@ class ZVertex(NamedTuple):
 def check_vertex(q: DynkinQuiver, v: ZVertex) -> ZVertex:
     """Validate the parity constraint p ≡ parity_class(i) (mod 2)."""
     i, p = v
-    if not 1 <= i <= q.rank:
-        raise ParityViolation(f"vertex label {i} out of range for rank {q.rank}")
+    _check_label(q, i)
     if p % 2 != q.parity_class(i):
         raise ParityViolation(f"slot parity violated at ({i},{p})")
     return v if type(v) is ZVertex else ZVertex(i, p)
+
+
+def _check_label(q: DynkinQuiver, i: int) -> None:
+    """ParityViolation for a vertex label outside 1..rank."""
+    if not 1 <= i <= q.rank:
+        raise ParityViolation(f"vertex label {i} out of range for rank {q.rank}")
 
 
 def arrows_out(q: DynkinQuiver, v: ZVertex) -> tuple[ZVertex, ...]:

@@ -442,10 +442,10 @@ def test_verify_text_failure_rows_carry_a_replay_command(capsys, monkeypatch):
         argv = shlex.split(command)
         assert argv[:2] == ["qq", "qchar"] and argv[-2:] == ["--route", "all"]
         args = cli._build_parser().parse_args(argv[1:])
-        cfg = cli.load_run_config(args)
-        assert cli._parse_beta(cfg.quiver, args.beta) == (1, 1, 0)
-        assert cfg.height == qhammock.default_height(cfg.quiver)
-        replayed.add(cfg.quiver)
+        q, xi = cli._load_quiver(args.quiver)
+        assert cli._parse_beta(q, args.beta) == (1, 1, 0)
+        assert xi == qhammock.default_height(q)
+        replayed.add(q)
     assert replayed == set(qhammock.all_orientations("A", 3))
     code, out = run(capsys, *argv[1:])
     assert code == 0 and out.splitlines()[-1] == "verdict: pass"

@@ -668,8 +668,16 @@ def test_euler_char_negative_ghost_power_raises_as_substitution_does():
             else:
                 assert got == want, (fc.num, f)
     assert raised == 3
-    with pytest.raises(TypeError):
-        euler_char(q, xi, hand_made[0], specialize_f=-1.0)
+    # the value is checked on entry, also where no class has a ghost
+    # exponent to specialize
+    for fc, f in (
+        (hand_made[0], -1.0),
+        (build_complex(q, xi, (0, 0)), 2.5),
+        (build_complex(q, xi, (-1, 0)), 1.5),
+        (build_complex(q, xi, (1, 1)), True),
+    ):
+        with pytest.raises(TypeError):
+            euler_char(q, xi, fc, specialize_f=f)
 
 
 def _mapped_report(rep, k, m):

@@ -107,13 +107,23 @@ def test_ghost_object():
 
     assert f1.mult == {serre(q, tx1): 1, suspend(q, tx1): 1}
     assert f1.fun == QFun()
-    # memoised like hammock_object; an invalid vertex raises on every call
-    assert ghost_object(q, xi, tx1) is f1
+    # an invalid vertex raises on every call
     x = ZVertex(1, 1)
     assert ghost_object(q, xi, x).mult == {serre(q, x): 1, suspend(q, x): 1}
     for _ in range(2):
         with pytest.raises(ParityViolation):
             ghost_object(q, xi, ZVertex(1, 0))
+
+
+def test_vertex_labels_outside_the_quiver_are_refused():
+    # a label outside 1..rank would index the height's sections from the
+    # end or past them
+    for q in (build_quiver("A", 2, [(1, 2)]), build_quiver("D", 4, [(1, 2), (2, 3), (2, 4)])):
+        xi = default_height(q)
+        for i in (-1, 0, q.rank + 1):
+            for make in (kr_object, objects.variable_A):
+                with pytest.raises(ParityViolation, match=f"vertex label {i} out of range"):
+                    make(q, xi, i)
 
 
 def test_class_object_refuses_keys_no_summand_has():
@@ -217,7 +227,8 @@ def test_leading_object_matches_copy_oracle(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4)])
 def test_hammock_object_is_built_once(family, rank):
-    # every vertex of both base sections and of a window off them
+    # every vertex of both base sections and of a window off them; the 3n
+    # section objects are built once per (quiver, height) and shared
     for q in all_orientations(family, rank):
         xi = default_height(q)
         for x in window_vertices(q, min(xi.values) - 6, max(xi.values) + 6):
@@ -225,13 +236,20 @@ def test_hammock_object_is_built_once(family, rank):
             fresh = Obj(hom_values(q, x), hammock_fun(q, x))
             assert obj.canonical() == fresh.canonical(), x
             assert hammock_object(q, xi, (x.i, x.p)).canonical() == fresh.canonical(), x
-            assert hammock_object(q, xi, x) is obj
+        shared = objects._section_objects(q, xi)[1]
+        sections = [v for i in q.vertices for v in (translate_base(xi, i), base_vertex(xi, i))]
+        assert [a.canonical() for a in shared[: 2 * rank]] == [
+            hammock_object(q, xi, x).canonical() for x in sections
+        ]
+        again = objects._section_objects(build_quiver(family, rank, list(q.arrows)), xi)[1]
+        assert all(a is b for a, b in zip(again, shared))
 
 
 def test_shared_hammock_object_cannot_be_edited():
     q, xi = a2()
-    for x in (base_vertex(xi, 1), translate_base(xi, 2), ZVertex(1, 5)):
-        obj = hammock_object(q, xi, x)
+    shared = objects._section_objects(q, xi)[1]
+    for k, obj in enumerate(shared):
+        x = next(iter(obj.mult))
         before = obj.canonical()
         edits = [
             lambda: setattr(obj, "mult", {}),
@@ -244,7 +262,7 @@ def test_shared_hammock_object_cannot_be_edited():
         for edit in edits:
             with pytest.raises((AttributeError, TypeError)):
                 edit()
-        again = hammock_object(q, xi, x)
+        again = objects._section_objects(q, xi)[1][k]
         assert again is obj and again.canonical() == before
     # nothing is remembered for an invalid vertex: it raises every time
     for _ in range(2):

@@ -188,8 +188,6 @@ def test_routes_agree_from_cold_caches():
     assert set(caches) == {
         "positive_roots",
         "hom_values",
-        "hammock_object",
-        "ghost_object",
         "_section_objects",
         "_canonical_step",
         "_tilt_outcome",

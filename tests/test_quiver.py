@@ -179,19 +179,18 @@ sys.stdout.write(pickle.dumps((q, default_height(q))).hex())
 
 _PICKLE_LOAD = """
 import dataclasses, pickle, sys
-from qhammock import ZVertex, build_quiver, default_height
-from qhammock.objects import hammock_object
+from qhammock import build_quiver, default_height
+from qhammock.objects import _section_objects
 q, xi = pickle.loads(bytes.fromhex(sys.stdin.read()))
 fresh = build_quiver("D", 4, [(2, 1), (3, 2), (2, 4)])
 fresh_xi = default_height(fresh)
 assert (q, xi) == (fresh, fresh_xi), (q, xi)
 assert (hash(q), hash(xi)) == (hash(fresh), hash(fresh_xi))
 assert {fresh: 1}.get(q) == 1 and {fresh_xi: 1}.get(xi) == 1
-x = ZVertex(1, xi.ht(1))
-made = hammock_object(fresh, fresh_xi, x)
-hits = hammock_object.cache_info().hits
-assert hammock_object(q, xi, x) is made
-assert hammock_object.cache_info().hits == hits + 1
+made = _section_objects(fresh, fresh_xi)
+hits = _section_objects.cache_info().hits
+assert _section_objects(q, xi) is made
+assert _section_objects.cache_info().hits == hits + 1
 for obj, name in ((q, "rank"), (xi, "values")):
     try:
         setattr(obj, name, None)

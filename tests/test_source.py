@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from qhammock.laurent import LaurentPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qhammock"
+# the modules the package republishes; cli is the driver
+_LIBRARY = sorted(path.stem for path in SRC.glob("*.py") if path.stem not in {"__init__", "cli"})
 
 
 def test_library_has_no_assert_statements():
@@ -209,11 +212,24 @@ def test_every_public_name_is_read():
     read = set().union(*map(_identifiers_read, readers))
     unread = {
         f"{stem}.{name}"
-        for stem in ("laurent", "objects", "complexes", "hammock", "qchar")
+        for stem in (*_LIBRARY, "cli")
         for name in importlib.import_module(f"qhammock.{stem}").__all__
         if name not in read
     }
     assert unread == set(_UNREAD_PUBLIC), sorted(unread ^ set(_UNREAD_PUBLIC))
+
+
+def test_package_republishes_the_module_interfaces():
+    # each module's __all__ is the one list of its public names: the
+    # package exports their union and nothing else but its modules
+    package = importlib.import_module("qhammock")
+    exported = {
+        name
+        for name, value in vars(package).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    interfaces = [importlib.import_module(f"qhammock.{stem}").__all__ for stem in _LIBRARY]
+    assert exported == set().union(*interfaces)
 
 
 def test_no_hand_written_cache():
